@@ -12,12 +12,13 @@ agent for a rewrite, at most five times.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .checkpoints import CheckTrace, WaveWindow, render_excerpt, render_window
 from .errors import EngineError
@@ -52,9 +53,9 @@ class NoCodeBlock(AgentError):
 class SyntaxUnfixable(AgentError):
     """Syntax repair loop exhausted its iteration cap."""
 
-    def __init__(self, diagnostics: list[Diagnostic]):
+    def __init__(self, diagnostics: list[Diagnostic], cap: int = SYNTAX_FIX_CAP):
         lines = "; ".join(d.render() for d in diagnostics[:3])
-        super().__init__(f"syntax not fixed after {SYNTAX_FIX_CAP} repair iterations: {lines}")
+        super().__init__(f"syntax not fixed after {cap} repair iterations: {lines}")
         self.diagnostics = diagnostics
 
 
@@ -281,13 +282,14 @@ class AgentTeam:
         user_text: str,
         tag: str,
         params: Optional[SamplingParams] = None,
+        emit: Optional[Callable[[dict], None]] = None,
     ) -> str:
         params = params or self._params_for(conv.role)
         request = self._request(conv, user_text, tag, params)
         response = complete(request, self.backend, self.retry)
         with self._count_lock:
             self.llm_calls += 1
-        self._emit(
+        (emit or self._emit)(
             {"event": "llm_call", "tag": tag, "role": conv.role, "conv": conv.conv_id, "n": 1}
         )
         reply = response.completions[0]
@@ -325,12 +327,17 @@ class AgentTeam:
     # -- syntax repair loop ---------------------------------------------------
 
     def fix_syntax(
-        self, source: VerilogSource, conv: Conversation, parent_tag: str
+        self,
+        source: VerilogSource,
+        conv: Conversation,
+        parent_tag: str,
+        emit: Optional[Callable[[dict], None]] = None,
     ) -> VerilogSource:
         """Compile; while broken, ask the owning agent to repair; cap 5 asks.
 
         A reply without a code fence counts as a failed iteration. Raises
         SyntaxUnfixable when the cap is reached with errors remaining.
+        ``emit`` receives the loop's events instead of the team's sink.
         """
         if source.kind == "testbench":
             fix_role = "testbench_gen"
@@ -352,6 +359,7 @@ class AgentTeam:
                     rtl=current.code,
                 ),
                 tag=f"{parent_tag}/fix{k}",
+                emit=emit,
             )
             try:
                 code = extract_code_block(reply)
@@ -365,7 +373,7 @@ class AgentTeam:
             diagnostics = self.syntax_checker(current, f"{parent_tag}/check{k}")
             if not diagnostics:
                 return current
-        raise SyntaxUnfixable(diagnostics)
+        raise SyntaxUnfixable(diagnostics, self.syntax_fix_cap)
 
     # -- role operations ------------------------------------------------------
 
@@ -437,12 +445,19 @@ class AgentTeam:
         count: int,
         params: SamplingParams,
         epoch: int = 0,
+        map_fn: Callable[[Callable, Iterable], Iterable] = map,
     ) -> list[VerilogSource]:
         """Step 4 sampling: exactly ``count`` candidate sources.
 
         The prompt conditions only on the system prompt, the specification,
         and the testbench. Candidates whose syntax cannot be repaired are
         replaced by flagged sentinel sources so the pool keeps its size.
+
+        Each sample is repaired through ``map_fn``, which must yield results
+        in item order (the pipeline passes a thread pool's ``map``). Repair
+        events are held back per sample and emitted in sample order
+        afterwards, so the event log does not depend on which repair
+        finished first.
         """
         if count < 1:
             raise ValueError("candidate count must be >= 1")
@@ -452,10 +467,12 @@ class AgentTeam:
         )
         tag = f"rtl_gen/sample/e{epoch}"
         replies = self._chat_many(
-            conv, user, tag=tag, params=self._replace_n(params, count)
+            conv, user, tag=tag, params=dataclasses.replace(params, n_completions=count)
         )
-        candidates: list[VerilogSource] = []
-        for i, reply in enumerate(replies):
+        logs: list[list[dict]] = [[] for _ in replies]
+
+        def repair(item: tuple[int, str]) -> VerilogSource:
+            i, reply = item
             try:
                 code = extract_code_block(reply)
                 source = VerilogSource(
@@ -463,27 +480,26 @@ class AgentTeam:
                 )
                 fix_conv = self._ephemeral("rtl_gen", f"conv-rtlfix-e{epoch}-c{i}")
                 source = self.fix_syntax(
-                    source, fix_conv, parent_tag=f"rtl_gen/samplefix/e{epoch}/c{i}"
+                    source,
+                    fix_conv,
+                    parent_tag=f"rtl_gen/samplefix/e{epoch}/c{i}",
+                    emit=logs[i].append,
                 )
             except AgentError:
-                source = VerilogSource(
+                return VerilogSource(
                     kind="dut",
                     top_module="unbuildable",
                     code=f"// sample {i}: syntax repair failed; excluded from simulation\n",
                     sentinel=True,
                 )
-            candidates.append(source)
-        return candidates
+            return source
 
-    @staticmethod
-    def _replace_n(params: SamplingParams, n: int) -> SamplingParams:
-        return SamplingParams(
-            temperature=params.temperature,
-            top_p=params.top_p,
-            n_completions=n,
-            max_tokens=params.max_tokens,
-            seed=params.seed,
-        )
+        try:
+            return list(map_fn(repair, enumerate(replies)))
+        finally:
+            for events in logs:
+                for event in events:
+                    self._emit(event)
 
     def judge(
         self, spec_text: str, testbench: VerilogSource, trace: CheckTrace, epoch: int = 0

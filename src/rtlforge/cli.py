@@ -216,11 +216,10 @@ def _build_runtime(cfg: dict, backend, transcript_dir: Path) -> EngineRuntime:
         vvp_path=cfg["vvp_path"],
         sim_timeout=cfg["sim_timeout"],
     )
-    checker = ToolchainSyntaxChecker(toolchain)
     return EngineRuntime(
         backend=backend,
         sim_runner=ToolchainSimRunner(toolchain),
-        syntax_checker=lambda source, workdir: checker(source, workdir),
+        syntax_checker=ToolchainSyntaxChecker(toolchain),
         templates=PromptLibrary(cfg["prompts_dir"]),
         model_id=cfg["model"],
         transcript_dir=transcript_dir,

@@ -11,14 +11,20 @@ Control flow per run:
    ``max_tb_regens`` times, invalidating any scores) and step 2 restarts; a
    faulty RTL proceeds.
 4. Sample ``pool_size`` candidates at the configured temperature profile,
-   simulate them all, score each as 1 - mismatches/checks, select the top-K.
+   repair their syntax concurrently (in order in single-agent mode, whose
+   roles share one conversation), simulate them all, score each as
+   1 - mismatches/checks, select the top-K.
 5. Debug rounds: for every selected candidate, hand the debug agent the
    waveform window at its earliest mismatch; per lineage the better of
    {trial, original} survives (ties prefer the trial). Repeat until a score
    hits 1 or the round budget is spent.
 
 Every simulation runs in its own directory under the transcript dir and
-every decision is appended to ``events.jsonl``.
+every decision is appended to ``events.jsonl``. Once a testbench exists, the
+syntax probe of a DUT is its joint compile-and-simulate with that testbench;
+the cached result is what scoring reads later, so a clean DUT is compiled
+once. Only a DUT that fails the joint compile gets the standalone probe,
+whose diagnostics go back to the agent.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .errors import EngineError
 from .gateway import Backend, RetryPolicy, DEFAULT_RETRY, SamplingParams
 from .golden import GoldenCriterion, DEFAULT_CRITERION, evaluate_golden
 from .problems import Problem
-from .simbridge import SimRun, VerilogSource
+from .simbridge import Diagnostic, SimRun, VerilogSource
 
 
 class LineageMismatch(EngineError):
@@ -425,10 +431,18 @@ def _run(
 ) -> RunOutcome:
     transcript = Path(runtime.transcript_dir)
     allocator = WorkdirAllocator(transcript / "sim")
+    cache: Optional[_SimCache] = None  # the current epoch's, once a testbench exists
+
+    def check_syntax(source: VerilogSource, label: str) -> list[Diagnostic]:
+        if source.kind == "dut" and cache is not None:
+            if cache.evaluate(source, label).status != "compile_failed":
+                return []
+        return runtime.syntax_checker(source, allocator.acquire(label))
+
     team = AgentTeam(
         backend=runtime.backend,
         templates=runtime.templates,
-        syntax_checker=lambda src, label: runtime.syntax_checker(src, allocator.acquire(label)),
+        syntax_checker=check_syntax,
         model_id=runtime.model_id,
         mode="single" if config.agent_mode == "single" else "multi",
         base_params=config.base_params(),
@@ -467,8 +481,8 @@ def _run(
             previous=testbench,
         )
         events.emit({"event": "step", "step": 2, "epoch": epoch})
-        rtl = team.generate_rtl(spec_text, testbench, epoch=epoch)
         cache = _SimCache(runtime.sim_runner, testbench, allocator, config.scrub)
+        rtl = team.generate_rtl(spec_text, testbench, epoch=epoch)
         initial = Candidate(id=take_id(), source=rtl)
         evaluation = cache.evaluate(initial.source, f"initial_e{epoch}")
         initial.score, initial.trace = evaluation.score, evaluation.trace
@@ -521,14 +535,21 @@ def _run(
 
     # Step 4: high-temperature sampling, scoring, top-K selection.
     events.emit({"event": "step", "step": 4, "epoch": epoch})
-    sources = team.sample_rtl_candidates(
-        spec_text, testbench, config.pool_size, config.sampling_params(), epoch=epoch
-    )
+    repair_workers = 1 if team.mode == "single" else min(config.sim_workers, config.pool_size)
+    with ThreadPoolExecutor(max_workers=max(1, repair_workers)) as repair_pool:
+        sources = team.sample_rtl_candidates(
+            spec_text,
+            testbench,
+            config.pool_size,
+            config.sampling_params(),
+            epoch=epoch,
+            map_fn=repair_pool.map,
+        )
     pool = CandidatePool(round=0)
     for source in sources:
         pool.all.append(Candidate(id=take_id(), source=source))
-    _simulate_candidates(
-        pool.all, cache, config, label_fn=lambda c, i=epoch: f"sample_e{i}_c{c.id}"
+    _score_candidates(
+        pool.all, cache, label_fn=lambda c, i=epoch: f"sample_e{i}_c{c.id}"
     )
     for candidate in pool.all:
         events.emit(
@@ -605,18 +626,11 @@ def _route_without_trace(evaluation: SimEval, events: EventLog) -> tuple[bool, s
     return True, reason
 
 
-def _simulate_candidates(candidates, cache: _SimCache, config: RunConfig, label_fn) -> None:
-    def one(candidate: Candidate) -> None:
+def _score_candidates(candidates, cache: _SimCache, label_fn) -> None:
+    """Score from the cache: each candidate's syntax probe already simulated it."""
+    for candidate in candidates:
         evaluation = cache.evaluate(candidate.source, label_fn(candidate))
         candidate.score, candidate.trace = evaluation.score, evaluation.trace
-
-    workers = max(1, min(config.sim_workers, len(candidates)))
-    if workers == 1:
-        for c in candidates:
-            one(c)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(one, candidates))
 
 
 def _debug_round(
@@ -679,8 +693,8 @@ def _debug_round(
             for fut, i in futures.items():
                 trials[i] = fut.result()
     live = [t for t in trials if t is not None]
-    _simulate_candidates(
-        live, cache, config, label_fn=lambda c: f"debug_r{round_index}_c{c.lineage}"
+    _score_candidates(
+        live, cache, label_fn=lambda c: f"debug_r{round_index}_c{c.lineage}"
     )
     for t in live:
         events.emit(

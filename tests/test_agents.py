@@ -211,6 +211,23 @@ class TestFixSyntax:
         fix_calls = [r for r in backend.requests if "/fix" in r.tag]
         assert len(fix_calls) == 5  # never 4, never 6
 
+    def test_unfixable_message_names_the_cap_that_ran(self):
+        script = {f"t/fix{k}": fenced(stub_dut("score:0:4", err_line=k)) for k in range(1, 4)}
+        backend = ScriptedBackend(script)
+        team = AgentTeam(
+            backend=backend,
+            templates=PromptLibrary(),
+            syntax_checker=StubSyntaxChecker(),
+            syntax_fix_cap=2,
+            retry=FAST_RETRY,
+        )
+        broken = VerilogSource(
+            kind="dut", top_module="counter4", code=stub_dut("score:0:4", err_line=1)
+        )
+        with pytest.raises(SyntaxUnfixable, match="after 2 repair iterations"):
+            team.fix_syntax(broken, team.conversation("rtl_gen"), "t")
+        assert len(backend.requests) == 2
+
     def test_fenceless_reply_counts_as_failed_iteration(self):
         script = {f"t/fix{k}": "no code, rambling instead" for k in range(1, 6)}
         team, backend = make_team(script)
