@@ -20,7 +20,9 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
-from .checkpoints import CheckTrace, WaveWindow, render_excerpt, render_window
+from .checkpoints import (
+    DEFAULT_WINDOW_LEN, CheckTrace, WaveWindow, render_excerpt, render_window
+)
 from .errors import EngineError
 from .gateway import (
     Backend,
@@ -164,6 +166,24 @@ def parse_verdict(reply: str) -> JudgeVerdict:
 
 def _diag_text(diagnostics: list[Diagnostic]) -> str:
     return "\n".join(d.render() for d in diagnostics)
+
+
+def map_in_order(map_fn: Callable, fn: Callable, items: Iterable, sink: Callable) -> list:
+    """``[fn(item, emit) for item in items]`` through ``map_fn``.
+
+    ``map_fn`` must yield results in item order (the pipeline passes its run
+    executor's ``map``). Each call's events are held back and passed to
+    ``sink`` in item order once the map ends, even if a call raised, so the
+    event log does not depend on which call finished first.
+    """
+    items = list(items)
+    logs: list[list[dict]] = [[] for _ in items]
+    try:
+        return list(map_fn(lambda i: fn(items[i], logs[i].append), range(len(items))))
+    finally:
+        for events in logs:
+            for event in events:
+                sink(event)
 
 
 class AgentTeam:
@@ -453,11 +473,8 @@ class AgentTeam:
         and the testbench. Candidates whose syntax cannot be repaired are
         replaced by flagged sentinel sources so the pool keeps its size.
 
-        Each sample is repaired through ``map_fn``, which must yield results
-        in item order (the pipeline passes a thread pool's ``map``). Repair
-        events are held back per sample and emitted in sample order
-        afterwards, so the event log does not depend on which repair
-        finished first.
+        Samples are repaired through ``map_in_order(map_fn, ...)``, so their
+        repair events reach the event log in sample order.
         """
         if count < 1:
             raise ValueError("candidate count must be >= 1")
@@ -469,9 +486,8 @@ class AgentTeam:
         replies = self._chat_many(
             conv, user, tag=tag, params=dataclasses.replace(params, n_completions=count)
         )
-        logs: list[list[dict]] = [[] for _ in replies]
 
-        def repair(item: tuple[int, str]) -> VerilogSource:
+        def repair(item: tuple[int, str], emit: Callable[[dict], None]) -> VerilogSource:
             i, reply = item
             try:
                 code = extract_code_block(reply)
@@ -483,7 +499,7 @@ class AgentTeam:
                     source,
                     fix_conv,
                     parent_tag=f"rtl_gen/samplefix/e{epoch}/c{i}",
-                    emit=logs[i].append,
+                    emit=emit,
                 )
             except AgentError:
                 return VerilogSource(
@@ -494,15 +510,15 @@ class AgentTeam:
                 )
             return source
 
-        try:
-            return list(map_fn(repair, enumerate(replies)))
-        finally:
-            for events in logs:
-                for event in events:
-                    self._emit(event)
+        return map_in_order(map_fn, repair, enumerate(replies), self._emit)
 
     def judge(
-        self, spec_text: str, testbench: VerilogSource, trace: CheckTrace, epoch: int = 0
+        self,
+        spec_text: str,
+        testbench: VerilogSource,
+        trace: CheckTrace,
+        epoch: int = 0,
+        window_len: int = DEFAULT_WINDOW_LEN,
     ) -> JudgeVerdict:
         """Step 3: is the failure the RTL's fault or the testbench's?"""
         conv = self._convs["judge"]
@@ -511,7 +527,7 @@ class AgentTeam:
             "evaluate",
             spec=spec_text,
             testbench=self._tb_text(testbench),
-            window=render_excerpt(trace),
+            window=render_excerpt(trace, window_len),
         )
         reply = self._chat(conv, user, tag=f"judge/e{epoch}")
         verdict = parse_verdict(reply)
@@ -525,8 +541,10 @@ class AgentTeam:
         testbench: VerilogSource,
         round_index: int,
         root_id: int,
+        emit: Optional[Callable[[dict], None]] = None,
     ) -> VerilogSource:
-        """Step 5: one repair attempt on a selected candidate."""
+        """Step 5: one repair attempt on a selected candidate; ``emit``
+        receives its events instead of the team's sink."""
         if not window.records:
             raise ValueError("waveform window has no records")
         conv = self.debug_thread(root_id)
@@ -538,11 +556,11 @@ class AgentTeam:
             testbench=self._tb_text(testbench),
         )
         tag = f"debug/r{round_index}/c{root_id}"
-        reply = self._chat(conv, user, tag=tag)
+        reply = self._chat(conv, user, tag=tag, emit=emit)
         code = extract_code_block(reply)
         source = VerilogSource(
             kind="dut",
             top_module=parse_module_name(code, preferred=candidate.top_module),
             code=code,
         )
-        return self.fix_syntax(source, conv, parent_tag=tag)
+        return self.fix_syntax(source, conv, parent_tag=tag, emit=emit)

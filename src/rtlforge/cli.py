@@ -14,6 +14,7 @@ effective configuration is echoed into every report. Exit codes for
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -177,23 +178,8 @@ def merge_config(args: argparse.Namespace) -> dict:
 
 
 def _run_config(cfg: dict) -> RunConfig:
-    return RunConfig(
-        pool_size=cfg["pool_size"],
-        top_k=cfg["top_k"],
-        max_debug_rounds=cfg["max_debug_rounds"],
-        window_len=cfg["window_len"],
-        temp_profile=cfg["temp_profile"],
-        agent_mode=cfg["mode"],
-        max_tb_regens=cfg["max_tb_regens"],
-        sim_timeout=cfg["sim_timeout"],
-        max_tokens=cfg["max_tokens"],
-        seed=cfg["seed"],
-        scrub=bool(cfg["scrub"]),
-        fanout_sampling=bool(cfg["fanout_sampling"]),
-        sim_workers=cfg["sim_workers"],
-        tb_prompt_limit=cfg["tb_prompt_limit"],
-        role_overrides=cfg["role_overrides"],
-    )
+    names = {f.name for f in dataclasses.fields(RunConfig)}
+    return RunConfig(agent_mode=cfg["mode"], **{k: v for k, v in cfg.items() if k in names})
 
 
 def _build_backend(cfg: dict):

@@ -11,13 +11,16 @@ Control flow per run:
    ``max_tb_regens`` times, invalidating any scores) and step 2 restarts; a
    faulty RTL proceeds.
 4. Sample ``pool_size`` candidates at the configured temperature profile,
-   repair their syntax concurrently (in order in single-agent mode, whose
-   roles share one conversation), simulate them all, score each as
+   repair their syntax concurrently, simulate them all, score each as
    1 - mismatches/checks, select the top-K.
 5. Debug rounds: for every selected candidate, hand the debug agent the
-   waveform window at its earliest mismatch; per lineage the better of
+   waveform window at its earliest mismatch; the trials run concurrently,
+   and their ids and events follow slot order. Per lineage the better of
    {trial, original} survives (ties prefer the trial). Repeat until a score
    hits 1 or the round budget is spent.
+
+Steps 4 and 5 fan out on one executor per run with ``sim_workers`` workers,
+or one in single-agent mode, whose roles share one conversation.
 
 Every simulation runs in its own directory under the transcript dir and
 every decision is appended to ``events.jsonl``. Once a testbench exists, the
@@ -38,7 +41,9 @@ from pathlib import Path
 from typing import Callable, Optional, Protocol
 
 from . import checkpoints
-from .agents import AgentTeam, NoCodeBlock, PromptLibrary, SyntaxChecker, SyntaxUnfixable
+from .agents import (
+    AgentTeam, NoCodeBlock, PromptLibrary, SyntaxChecker, SyntaxUnfixable, map_in_order
+)
 from .checkpoints import CheckTrace, Score, TraceError
 from .errors import EngineError
 from .gateway import Backend, RetryPolicy, DEFAULT_RETRY, SamplingParams
@@ -105,40 +110,24 @@ class RunConfig:
             raise ValueError("max_tb_regens must be >= 0")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
+        if self.sim_workers < 1:
+            raise ValueError("sim_workers must be >= 1")
 
     @property
     def profile(self) -> TempProfile:
         return PROFILES[self.temp_profile]
 
-    def sampling_params(self) -> SamplingParams:
+    def params(
+        self, temperature: float = LOW_TEMP.temperature, top_p: float = LOW_TEMP.top_p
+    ) -> SamplingParams:
+        """One call's sampling parameters; sampling sets ``n_completions``."""
         return SamplingParams(
-            temperature=self.profile.temperature,
-            top_p=self.profile.top_p,
-            n_completions=1,  # filled in per sampling call
-            max_tokens=self.max_tokens,
-            seed=self.seed,
-        )
-
-    def base_params(self) -> SamplingParams:
-        return SamplingParams(
-            temperature=LOW_TEMP.temperature,
-            top_p=LOW_TEMP.top_p,
+            temperature=temperature,
+            top_p=top_p,
             n_completions=1,
             max_tokens=self.max_tokens,
             seed=self.seed,
         )
-
-    def role_params(self) -> dict[str, SamplingParams]:
-        params = {}
-        for role, override in self.role_overrides.items():
-            params[role] = SamplingParams(
-                temperature=override.get("temperature", LOW_TEMP.temperature),
-                top_p=override.get("top_p", LOW_TEMP.top_p),
-                n_completions=1,
-                max_tokens=self.max_tokens,
-                seed=self.seed,
-            )
-        return params
 
     def echo(self) -> dict:
         data = asdict(self)
@@ -399,8 +388,12 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
             "top_k": config.top_k,
         }
     )
+    # No task on this executor may queue work on it and wait for that work:
+    # at one worker the run would deadlock.
+    workers = 1 if config.agent_mode == "single" else config.sim_workers
     try:
-        outcome = _run(problem, config, runtime, events)
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            outcome = _run(problem, config, runtime, events, executor.map)
     except EngineError as exc:
         events.emit({"event": "outcome", "status": "error", "error": str(exc)})
         return RunOutcome(
@@ -427,7 +420,7 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
 
 
 def _run(
-    problem: Problem, config: RunConfig, runtime: EngineRuntime, events: EventLog
+    problem: Problem, config: RunConfig, runtime: EngineRuntime, events: EventLog, map_fn: Callable
 ) -> RunOutcome:
     transcript = Path(runtime.transcript_dir)
     allocator = WorkdirAllocator(transcript / "sim")
@@ -445,8 +438,13 @@ def _run(
         syntax_checker=check_syntax,
         model_id=runtime.model_id,
         mode="single" if config.agent_mode == "single" else "multi",
-        base_params=config.base_params(),
-        role_params=config.role_params(),
+        base_params=config.params(),
+        role_params={
+            role: config.params(
+                o.get("temperature", LOW_TEMP.temperature), o.get("top_p", LOW_TEMP.top_p)
+            )
+            for role, o in config.role_overrides.items()
+        },
         syntax_fix_cap=config.syntax_fix_cap,
         retry=runtime.retry,
         event_sink=events.emit,
@@ -507,7 +505,7 @@ def _run(
         # Step 3: route the failure.
         events.emit({"event": "step", "step": 3, "epoch": epoch})
         if initial.trace is not None:
-            verdict = team.judge(spec_text, testbench, initial.trace, epoch=epoch)
+            verdict = team.judge(spec_text, testbench, initial.trace, epoch, config.window_len)
             regenerate = verdict.decision == "testbench_faulty"
             feedback = verdict.rationale or verdict.decision
         else:
@@ -535,16 +533,14 @@ def _run(
 
     # Step 4: high-temperature sampling, scoring, top-K selection.
     events.emit({"event": "step", "step": 4, "epoch": epoch})
-    repair_workers = 1 if team.mode == "single" else min(config.sim_workers, config.pool_size)
-    with ThreadPoolExecutor(max_workers=max(1, repair_workers)) as repair_pool:
-        sources = team.sample_rtl_candidates(
-            spec_text,
-            testbench,
-            config.pool_size,
-            config.sampling_params(),
-            epoch=epoch,
-            map_fn=repair_pool.map,
-        )
+    sources = team.sample_rtl_candidates(
+        spec_text,
+        testbench,
+        config.pool_size,
+        config.params(config.profile.temperature, config.profile.top_p),
+        epoch=epoch,
+        map_fn=map_fn,
+    )
     pool = CandidatePool(round=0)
     for source in sources:
         pool.all.append(Candidate(id=take_id(), source=source))
@@ -577,7 +573,7 @@ def _run(
         events.emit({"event": "step", "step": 5, "round": round_index})
         selected = pool.selected_candidates()
         trials = _debug_round(
-            team, selected, roots, testbench, config, cache, events, round_index, take_id
+            team, selected, roots, testbench, config, cache, events, round_index, take_id, map_fn
         )
         survivors = update_selection(selected, trials)
         for old, new in zip(selected, survivors):
@@ -643,31 +639,31 @@ def _debug_round(
     events: EventLog,
     round_index: int,
     take_id: Callable[[], int],
+    map_fn: Callable,
 ) -> list[Optional[Candidate]]:
     """One trial per selected candidate; slots without a usable trace skip."""
 
-    def make_trial(slot: int, candidate: Candidate) -> Optional[Candidate]:
+    def make_trial(candidate: Candidate, emit: Callable[[dict], None]) -> Optional[VerilogSource]:
         if candidate.trace is None or candidate.score is None:
-            events.emit(
-                {"event": "trial_skipped", "round": round_index, "id": candidate.id}
-            )
+            emit({"event": "trial_skipped", "round": round_index, "id": candidate.id})
             return None
         anchor = checkpoints.earliest_mismatch(candidate.trace)
         if anchor is None:
             return None
         window = checkpoints.extract_window(candidate.trace, anchor, config.window_len)
         try:
-            source = team.debug_trial(
+            return team.debug_trial(
                 candidate.source,
                 window,
                 testbench,
                 round_index=round_index,
                 root_id=roots[candidate.id],
+                emit=emit,
             )
         except (SyntaxUnfixable, NoCodeBlock) as exc:
             # A trial that cannot even be repaired is discarded; the lineage
             # keeps its current candidate and stays monotone.
-            events.emit(
+            emit(
                 {
                     "event": "trial_failed",
                     "round": round_index,
@@ -676,22 +672,14 @@ def _debug_round(
                 }
             )
             return None
-        return Candidate(
-            id=take_id(), source=source, lineage=candidate.id, round=round_index
-        )
 
-    trials: list[Optional[Candidate]] = [None] * len(selected)
-    if team.mode == "single":
-        for i, candidate in enumerate(selected):
-            trials[i] = make_trial(i, candidate)
-    else:
-        with ThreadPoolExecutor(max_workers=max(1, len(selected))) as pool:
-            futures = {
-                pool.submit(make_trial, i, candidate): i
-                for i, candidate in enumerate(selected)
-            }
-            for fut, i in futures.items():
-                trials[i] = fut.result()
+    sources = map_in_order(map_fn, make_trial, selected, events.emit)
+    trials = [
+        None
+        if source is None
+        else Candidate(id=take_id(), source=source, lineage=candidate.id, round=round_index)
+        for candidate, source in zip(selected, sources)
+    ]
     live = [t for t in trials if t is not None]
     _score_candidates(
         live, cache, label_fn=lambda c: f"debug_r{round_index}_c{c.lineage}"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rtlforge.checkpoints import Score
+from rtlforge.checkpoints import Score, extract_window, parse_trace, render_window
 from rtlforge.gateway import CassetteRecorder, ReplayBackend
 from rtlforge.pipeline import (
     Candidate,
@@ -22,7 +22,7 @@ from rtlforge.pipeline import (
 from rtlforge.simbridge import VerilogSource
 
 from fixtures import fenced, stub_counter_problem, stub_dut, stub_tb
-from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker
+from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker, synth_counter_trace
 
 
 def make_pool(scores, round=0, selected=None):
@@ -148,6 +148,8 @@ class TestRunConfig:
             RunConfig(temp_profile="warm")
         with pytest.raises(ValueError):
             RunConfig(max_debug_rounds=-1)
+        with pytest.raises(ValueError):
+            RunConfig(sim_workers=0)
 
     def test_echo_carries_profile_numbers(self):
         echo = RunConfig(temp_profile="low").echo()
@@ -223,6 +225,19 @@ class TestJudgeRouting:
         assert len(regen_events) == 3  # third attempt hits the bound
         assert len([r for r in backend.requests if r.tag.startswith("testbench_gen")]) == 3
         assert outcome.best is not None  # best effort still reported
+
+    def test_judge_excerpt_follows_window_len(self, make_runtime):
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": GLITCH_RTL,
+            "judge/e0": TB_FAULTY,
+        }
+        config = RunConfig(window_len=3, max_tb_regens=0)
+        _, backend, _ = run(script, config=config, make_runtime=make_runtime)
+        prompt = next(r for r in backend.requests if r.tag == "judge/e0").messages[-1].content
+        trace = parse_trace(synth_counter_trace(glitch_at=9))
+        assert render_window(extract_window(trace, 9, 3)) in prompt
+        assert render_window(extract_window(trace, 9, 8)) not in prompt
 
     def test_pool_invalidated_event_on_regen(self, make_runtime):
         script = {
