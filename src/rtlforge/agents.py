@@ -164,10 +164,6 @@ def parse_verdict(reply: str) -> JudgeVerdict:
     raise VerdictUnparseable("judge reply has no final VERDICT line")
 
 
-def _diag_text(diagnostics: list[Diagnostic]) -> str:
-    return "\n".join(d.render() for d in diagnostics)
-
-
 def map_in_order(map_fn: Callable, fn: Callable, items: Iterable, sink: Callable) -> list:
     """``[fn(item, emit) for item in items]`` through ``map_fn``.
 
@@ -375,7 +371,7 @@ class AgentTeam:
                 self.templates.render(
                     fix_role,
                     "fix_syntax",
-                    diagnostics=_diag_text(diagnostics),
+                    diagnostics="\n".join(d.render() for d in diagnostics),
                     rtl=current.code,
                 ),
                 tag=f"{parent_tag}/fix{k}",

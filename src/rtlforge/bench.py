@@ -27,13 +27,9 @@ from typing import Callable, Optional
 from .errors import EngineError
 from .golden import DEFAULT_CRITERION, GoldenCriterion, evaluate_golden
 from .pipeline import EngineRuntime, RunConfig, RunOutcome, WorkdirAllocator, run_pipeline
-from .problems import DuplicateTaskId, ParseError, Problem, load_problems  # noqa: F401
+from .problems import Problem
 
 __all__ = [
-    "Problem",
-    "load_problems",
-    "ParseError",
-    "DuplicateTaskId",
     "DomainError",
     "TrialRecord",
     "ProblemStats",

@@ -21,19 +21,26 @@ from pathlib import Path
 from typing import Optional
 
 from . import checkpoints
-from .bench import emit_report, load_problems, run_bench
+from .bench import emit_report, run_bench
 from .cassette import verify_cassette
 from .errors import EngineError
 from .gateway import CassetteRecorder, HttpBackend, NamespacedBackend, ReplayBackend
 from .golden import DEFAULT_CRITERION, GoldenCriterion
-from .pipeline import EngineRuntime, RunConfig, run_pipeline
+from .pipeline import AGENT_MODES, PROFILES, EngineRuntime, RunConfig, run_pipeline
 from .agents import PromptLibrary
-from .problems import DATASET_FORMATS, Problem
+from .problems import DATASET_FORMATS, Problem, load_problems
 from .simbridge import ToolchainConfig, ToolchainSimRunner, ToolchainSyntaxChecker
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
+
+# Config key -> the RunConfig field it sets; the syntax-fix cap is fixed.
+_RUN_FIELDS = {
+    "mode" if f.name == "agent_mode" else f.name: f
+    for f in dataclasses.fields(RunConfig)
+    if f.name != "syntax_fix_cap"
+}
 
 CONFIG_DEFAULTS = {
     "backend": "live",
@@ -41,20 +48,10 @@ CONFIG_DEFAULTS = {
     "base_url": "https://api.openai.com/v1",
     "auth_env": "RTLFORGE_API_KEY",
     "model": "default",
-    "mode": "multi",
-    "temp_profile": "high",
-    "pool_size": None,
-    "top_k": 3,
-    "max_debug_rounds": 10,
-    "window_len": 8,
-    "max_tb_regens": 2,
-    "sim_timeout": 30.0,
-    "max_tokens": 4096,
-    "seed": None,
-    "scrub": False,
-    "fanout_sampling": False,
-    "sim_workers": 8,
-    "tb_prompt_limit": None,
+    **{
+        key: f.default_factory() if f.default is dataclasses.MISSING else f.default
+        for key, f in _RUN_FIELDS.items()
+    },
     "workers": 1,
     "runs": 1,
     "dataset_format": "jsonl",
@@ -63,62 +60,47 @@ CONFIG_DEFAULTS = {
     "vvp_path": None,
     "golden_pass_pattern": DEFAULT_CRITERION.pass_pattern,
     "golden_fail_pattern": DEFAULT_CRITERION.fail_pattern,
-    "role_overrides": {},
 }
 
-# Flag name -> config key for everything that shapes a run.
+# Flags that shape a run; each sets the config key its name spells.
 _RUN_FLAGS = {
-    "--backend": "backend",
-    "--cassette": "cassette",
-    "--base-url": "base_url",
-    "--auth-env": "auth_env",
-    "--model": "model",
-    "--mode": "mode",
-    "--temp-profile": "temp_profile",
-    "--pool-size": "pool_size",
-    "--top-k": "top_k",
-    "--max-debug-rounds": "max_debug_rounds",
-    "--window-len": "window_len",
-    "--max-tb-regens": "max_tb_regens",
-    "--sim-timeout": "sim_timeout",
-    "--max-tokens": "max_tokens",
-    "--seed": "seed",
-    "--sim-workers": "sim_workers",
-    "--prompts-dir": "prompts_dir",
-    "--compiler-path": "compiler_path",
-    "--vvp-path": "vvp_path",
+    "--backend": dict(choices=["live", "replay", "record"], help="LLM backend mode"),
+    "--cassette": dict(help="cassette path for replay/record backends"),
+    "--base-url": dict(help="chat-completions endpoint base URL"),
+    "--auth-env": dict(help="name of the env var holding the API credential"),
+    "--model": dict(help="model identifier sent to the endpoint"),
+    "--mode": dict(choices=list(AGENT_MODES), help="agent organization"),
+    "--temp-profile": dict(choices=list(PROFILES), help="sampling profile for the candidate pool"),
+    "--pool-size": dict(type=int, help="candidate pool size (profile default)"),
+    "--top-k": dict(type=int, help="candidates kept for debugging"),
+    "--max-debug-rounds": dict(type=int, help="debug round budget"),
+    "--window-len": dict(type=int, help="waveform window length"),
+    "--max-tb-regens": dict(type=int, help="testbench regeneration budget"),
+    "--sim-timeout": dict(type=float, help="simulation timeout seconds"),
+    "--max-tokens": dict(type=int, help="completion token cap"),
+    "--seed": dict(type=int, help="sampling seed passed to the backend"),
+    "--sim-workers": dict(type=int, help="concurrent simulations"),
+    "--prompts-dir": dict(help="directory of prompt templates (default: built-in)"),
+    "--compiler-path": dict(help="Verilog compiler binary (default: iverilog on PATH)"),
+    "--vvp-path": dict(help="simulation runtime binary (default: vvp on PATH)"),
 }
+
+
+def _help(text: str, key: str) -> str:
+    """``text`` plus the key's built-in default, where it has one."""
+    default = CONFIG_DEFAULTS[key]
+    return text if default is None else f"{text} (default: {default})"
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    parser.add_argument("--backend", choices=["live", "replay", "record"],
-                        help="LLM backend mode (default: live)")
-    parser.add_argument("--cassette", help="cassette path for replay/record backends")
-    parser.add_argument("--base-url", help="chat-completions endpoint base URL")
-    parser.add_argument("--auth-env", help="name of the env var holding the API credential")
-    parser.add_argument("--model", help="model identifier sent to the endpoint")
-    parser.add_argument("--mode", choices=["multi", "single", "vanilla"],
-                        help="agent organization (default: multi)")
-    parser.add_argument("--temp-profile", choices=["high", "low"],
-                        help="sampling profile for the candidate pool (default: high)")
-    parser.add_argument("--pool-size", type=int, help="candidate pool size (profile default)")
-    parser.add_argument("--top-k", type=int, help="candidates kept for debugging (default: 3)")
-    parser.add_argument("--max-debug-rounds", type=int, help="debug round budget (default: 10)")
-    parser.add_argument("--window-len", type=int, help="waveform window length (default: 8)")
-    parser.add_argument("--max-tb-regens", type=int,
-                        help="testbench regeneration budget (default: 2)")
-    parser.add_argument("--sim-timeout", type=float, help="simulation timeout seconds (default: 30)")
-    parser.add_argument("--max-tokens", type=int, help="completion token cap (default: 4096)")
-    parser.add_argument("--seed", type=int, help="sampling seed passed to the backend")
+    for flag, spec in _RUN_FLAGS.items():
+        key = flag[2:].replace("-", "_")
+        parser.add_argument(flag, **{**spec, "help": _help(spec["help"], key)})
     parser.add_argument("--scrub", action="store_true", default=None,
                         help="delete workdirs of successful simulations")
     parser.add_argument("--fanout-sampling", action="store_true", default=None,
                         help="sample candidates via n single-completion calls")
-    parser.add_argument("--sim-workers", type=int, help="concurrent simulations (default: 8)")
-    parser.add_argument("--prompts-dir", help="directory of prompt templates (default: built-in)")
-    parser.add_argument("--compiler-path", help="Verilog compiler binary (default: iverilog on PATH)")
-    parser.add_argument("--vvp-path", help="simulation runtime binary (default: vvp on PATH)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the harness over a problem set")
     p_bench.add_argument("dataset", help="problem set path")
     p_bench.add_argument("--dataset-format", choices=list(DATASET_FORMATS),
-                         help="problem set layout (default: jsonl)")
-    p_bench.add_argument("--runs", type=int, help="independent runs per problem (default: 1)")
-    p_bench.add_argument("--workers", type=int, help="concurrent pipelines (default: 1)")
+                         help=_help("problem set layout", "dataset_format"))
+    p_bench.add_argument("--runs", type=int, help=_help("independent runs per problem", "runs"))
+    p_bench.add_argument("--workers", type=int, help=_help("concurrent pipelines", "workers"))
     p_bench.add_argument("--out", default="bench_out", help="output directory")
     p_bench.add_argument("--golden-pass-pattern", help="golden bench pass regex")
     p_bench.add_argument("--golden-fail-pattern", help="golden bench fail regex")
@@ -149,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("inspect-trace", help="parse a checkpoint log")
     p_trace.add_argument("stdout_file", help="file holding simulation stdout")
-    p_trace.add_argument("--window-len", type=int, default=8)
+    p_trace.add_argument("--window-len", type=int, default=checkpoints.DEFAULT_WINDOW_LEN)
 
     p_verify = sub.add_parser("replay-verify", help="integrity-check a cassette")
     p_verify.add_argument("cassette_file")
@@ -178,8 +160,10 @@ def merge_config(args: argparse.Namespace) -> dict:
 
 
 def _run_config(cfg: dict) -> RunConfig:
-    names = {f.name for f in dataclasses.fields(RunConfig)}
-    return RunConfig(agent_mode=cfg["mode"], **{k: v for k, v in cfg.items() if k in names})
+    try:
+        return RunConfig(**{f.name: cfg[key] for key, f in _RUN_FIELDS.items()})
+    except (TypeError, ValueError) as exc:
+        raise EngineError(f"invalid run configuration: {exc}") from exc
 
 
 def _build_backend(cfg: dict):
@@ -196,11 +180,13 @@ def _build_backend(cfg: dict):
     return live
 
 
-def _build_runtime(cfg: dict, backend, transcript_dir: Path) -> EngineRuntime:
+def _build_runtime(
+    cfg: dict, run_config: RunConfig, backend, transcript_dir: Path
+) -> EngineRuntime:
     toolchain = ToolchainConfig(
         compiler_path=cfg["compiler_path"],
         vvp_path=cfg["vvp_path"],
-        sim_timeout=cfg["sim_timeout"],
+        sim_timeout=run_config.sim_timeout,
     )
     return EngineRuntime(
         backend=backend,
@@ -242,7 +228,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     backend = _build_backend(cfg)
-    runtime = _build_runtime(cfg, backend, out / "run")
+    runtime = _build_runtime(cfg, run_config, backend, out / "run")
     outcome = run_pipeline(problem, run_config, runtime)
 
     summary = {
@@ -270,6 +256,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
+    if cfg["runs"] < 1:
+        raise EngineError("runs must be >= 1")
     problems = load_problems(args.dataset, cfg["dataset_format"])
     run_config = _run_config(cfg)
     out = Path(args.out)
@@ -281,8 +269,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     def runtime_factory(task_id: str, run_index: int) -> EngineRuntime:
         backend = NamespacedBackend(base_backend, f"{task_id}/run{run_index}/")
-        runtime = _build_runtime(cfg, backend, out / "runs" / task_id / f"run{run_index}")
-        return runtime
+        return _build_runtime(cfg, run_config, backend, out / "runs" / task_id / f"run{run_index}")
 
     records = []
     try:
@@ -311,6 +298,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_inspect_trace(args: argparse.Namespace) -> int:
+    if args.window_len < 1:
+        raise EngineError("window_len must be >= 1")
     path = Path(args.stdout_file)
     if not path.exists():
         print(f"error: no such file: {path}", file=sys.stderr)

@@ -25,9 +25,9 @@ or one in single-agent mode, whose roles share one conversation.
 Every simulation runs in its own directory under the transcript dir and
 every decision is appended to ``events.jsonl``. Once a testbench exists, the
 syntax probe of a DUT is its joint compile-and-simulate with that testbench;
-the cached result is what scoring reads later, so a clean DUT is compiled
-once. Only a DUT that fails the joint compile gets the standalone probe,
-whose diagnostics go back to the agent.
+the cached result is what scoring reads later, so each distinct DUT is
+compiled once. A failed joint compile sends its errors that name the DUT's
+file back to the agent. Only testbenches get the standalone probe.
 """
 
 from __future__ import annotations
@@ -42,14 +42,15 @@ from typing import Callable, Optional, Protocol
 
 from . import checkpoints
 from .agents import (
-    AgentTeam, NoCodeBlock, PromptLibrary, SyntaxChecker, SyntaxUnfixable, map_in_order
+    SYNTAX_FIX_CAP, AgentTeam, NoCodeBlock, PromptLibrary, SyntaxChecker, SyntaxUnfixable,
+    map_in_order,
 )
-from .checkpoints import CheckTrace, Score, TraceError
+from .checkpoints import DEFAULT_WINDOW_LEN, CheckTrace, Score, TraceError
 from .errors import EngineError
 from .gateway import Backend, RetryPolicy, DEFAULT_RETRY, SamplingParams
 from .golden import GoldenCriterion, DEFAULT_CRITERION, evaluate_golden
 from .problems import Problem
-from .simbridge import Diagnostic, SimRun, VerilogSource
+from .simbridge import Diagnostic, SimRun, VerilogSource, named_kind
 
 
 class LineageMismatch(EngineError):
@@ -78,8 +79,8 @@ class RunConfig:
     pool_size: Optional[int] = None
     top_k: int = 3
     max_debug_rounds: int = 10
-    window_len: int = 8
-    syntax_fix_cap: int = 5
+    window_len: int = DEFAULT_WINDOW_LEN
+    syntax_fix_cap: int = SYNTAX_FIX_CAP
     temp_profile: str = "high"
     agent_mode: str = "multi"
     max_tb_regens: int = 2
@@ -112,6 +113,10 @@ class RunConfig:
             raise ValueError("window_len must be >= 1")
         if self.sim_workers < 1:
             raise ValueError("sim_workers must be >= 1")
+        if self.max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        if self.sim_timeout <= 0:
+            raise ValueError("sim_timeout must be > 0")
 
     @property
     def profile(self) -> TempProfile:
@@ -427,10 +432,12 @@ def _run(
     cache: Optional[_SimCache] = None  # the current epoch's, once a testbench exists
 
     def check_syntax(source: VerilogSource, label: str) -> list[Diagnostic]:
-        if source.kind == "dut" and cache is not None:
-            if cache.evaluate(source, label).status != "compile_failed":
-                return []
-        return runtime.syntax_checker(source, allocator.acquire(label))
+        if source.kind == "testbench":
+            return runtime.syntax_checker(source, allocator.acquire(label))
+        # DUTs are generated only after the epoch's testbench and cache exist.
+        evaluation = cache.evaluate(source, label)
+        failed = evaluation.sim.diagnostics if evaluation.status == "compile_failed" else ()
+        return [d for d in failed if d.severity == "error" and named_kind(d) == "dut"]
 
     team = AgentTeam(
         backend=runtime.backend,
@@ -511,8 +518,8 @@ def _run(
         else:
             # No trace to arbitrate over: compile failures pointing into the
             # testbench, runtime failures, timeouts, and protocol violations
-            # all implicate the testbench contract; DUT-side compile errors
-            # implicate the RTL.
+            # all implicate the testbench contract; other compile failures
+            # (DUT-side errors already went through syntax repair) proceed.
             regenerate, feedback = _route_without_trace(evaluation, events)
         if regenerate:
             regens += 1
@@ -605,9 +612,7 @@ def _route_without_trace(evaluation: SimEval, events: EventLog) -> tuple[bool, s
     """Failure routing when no trace exists; returns (regenerate?, feedback)."""
     if evaluation.status == "compile_failed":
         diags = evaluation.sim.diagnostics if evaluation.sim else ()
-        tb_side = any(
-            d.severity == "error" and Path(d.file).name.startswith("tb") for d in diags
-        )
+        tb_side = any(d.severity == "error" and named_kind(d) == "testbench" for d in diags)
         events.emit(
             {"event": "route", "reason": "compile_failed", "testbench_implicated": tb_side}
         )

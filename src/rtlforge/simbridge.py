@@ -161,18 +161,25 @@ def parse_diagnostics(stderr: str) -> list[Diagnostic]:
     return diagnostics
 
 
-def _source_filename(source: VerilogSource, index: int, counts: dict[str, int]) -> str:
-    base = "dut" if source.kind == "dut" else "tb"
-    n = counts.get(base, 0)
-    counts[base] = n + 1
-    return f"{base}.v" if n == 0 else f"{base}{n}.v"
+_FILE_STEMS = {"dut": "dut", "testbench": "tb"}
+_SOURCE_FILE_RE = re.compile(r"^(dut|tb)\d*\.v$")
+
+
+def named_kind(diagnostic: Diagnostic) -> Optional[str]:
+    """Kind of the source ("dut" or "testbench") whose ``write_sources`` file
+    a diagnostic names; None when it names no such file."""
+    m = _SOURCE_FILE_RE.match(Path(diagnostic.file).name)
+    return None if m is None else ("dut" if m.group(1) == "dut" else "testbench")
 
 
 def write_sources(sources: list[VerilogSource], workdir: Path) -> list[Path]:
+    """Write each source to ``dut.v``, ``dut1.v``, ... or ``tb.v``, ``tb1.v``, ..."""
     counts: dict[str, int] = {}
     paths = []
-    for i, source in enumerate(sources):
-        path = workdir / _source_filename(source, i, counts)
+    for source in sources:
+        stem = _FILE_STEMS[source.kind]
+        n = counts[stem] = counts.get(stem, -1) + 1
+        path = workdir / f"{stem}{n or ''}.v"
         path.write_text(source.code, encoding="utf-8")
         paths.append(path)
     return paths

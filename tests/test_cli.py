@@ -363,6 +363,45 @@ class TestBench:
         assert config_echo["top_p"] == 0.01
 
 
+class TestBadRunValues:
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["generate", "{spec}", "--top-k", "0"], "top_k"),
+            (["generate", "{spec}", "--config", "{bogus_mode}"], "bogus"),
+            (["generate", "{spec}", "--config", "{text_top_k}"], "invalid run configuration"),
+            (["bench", "{dataset}", "--runs", "0"], "runs"),
+            (["inspect-trace", "{glitch_log}", "--window-len", "0"], "window_len"),
+        ],
+    )
+    def test_error_line_and_exit_one(self, tmp_path, spec_files, capsys, argv, named):
+        from toolstub import synth_counter_trace
+
+        bogus_mode = tmp_path / "cfg.json"
+        bogus_mode.write_text(json.dumps({"mode": "bogus"}), encoding="utf-8")
+        text_top_k = tmp_path / "text.json"
+        text_top_k.write_text(json.dumps({"top_k": "3"}), encoding="utf-8")
+        glitch_log = tmp_path / "sim.log"
+        glitch_log.write_text(synth_counter_trace(glitch_at=9), encoding="utf-8")
+        cassette = tmp_path / "empty.jsonl"
+        cassette.write_text("", encoding="utf-8")
+        paths = {
+            "spec": spec_files[0],
+            "bogus_mode": bogus_mode,
+            "text_top_k": text_top_k,
+            "dataset": _bench_dataset(tmp_path)[0],
+            "glitch_log": glitch_log,
+        }
+        argv = [arg.format(**paths) for arg in argv]
+        if argv[0] != "inspect-trace":
+            argv += ["--out", str(tmp_path / "out"), "--backend", "replay",
+                     "--cassette", str(cassette)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert "Traceback" not in err
+
+
 class TestInspectTrace:
     def test_prints_summary_and_window(self, tmp_path, capsys):
         from toolstub import synth_counter_trace

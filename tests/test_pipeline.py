@@ -150,6 +150,12 @@ class TestRunConfig:
             RunConfig(max_debug_rounds=-1)
         with pytest.raises(ValueError):
             RunConfig(sim_workers=0)
+        with pytest.raises(ValueError):
+            RunConfig(max_tokens=0)
+        with pytest.raises(ValueError):
+            RunConfig(sim_timeout=0)
+        with pytest.raises(ValueError):
+            RunConfig(sim_timeout=-1.0)
 
     def test_echo_carries_profile_numbers(self):
         echo = RunConfig(temp_profile="low").echo()
@@ -293,17 +299,35 @@ class TestJudgeRouting:
         assert outcome.status == "solved"
         assert not any(r.tag.startswith("judge") for r in backend.requests)
 
-    def test_dut_side_compile_failure_proceeds_to_sampling(self, make_runtime):
+    def test_dut_side_compile_failure_is_repaired(self, make_runtime):
         script = {
             "testbench_gen/gen0": GOOD_TB,
             "rtl_gen/init0": fenced(stub_dut("jointfail_dut")),
+            "rtl_gen/init0/fix1": CLEAN_RTL,
+        }
+        outcome, backend, runtime = run(script, make_runtime=make_runtime)
+        assert outcome.status == "solved"
+        assert [r.tag for r in backend.requests] == [
+            "testbench_gen/gen0", "rtl_gen/init0", "rtl_gen/init0/fix1"
+        ]
+        fix_prompt = backend.requests[-1].messages[-1].content
+        assert "dut.v:2: error: unknown module" in fix_prompt
+        assert runtime.syntax_checker.calls == 1  # the testbench only
+        assert runtime.sim_runner.calls == 2  # the failed joint run and the repaired DUT's
+
+    def test_unattributed_compile_failure_proceeds_to_sampling(self, make_runtime):
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": fenced(stub_dut("jointfail_nofile")),
             "rtl_gen/sample/e0": [CLEAN_RTL, CLEAN_RTL.replace("counter4", "counter4b")],
         }
         config = RunConfig(pool_size=2, top_k=1)
-        outcome, _, runtime = run(script, config=config, make_runtime=make_runtime)
+        outcome, backend, runtime = run(script, config=config, make_runtime=make_runtime)
         assert outcome.status == "solved"
-        steps = [e["step"] for e in events_of(runtime) if e["event"] == "step"]
-        assert 4 in steps
+        events = events_of(runtime)
+        assert {"event": "route", "reason": "compile_failed", "testbench_implicated": False} in events
+        assert 4 in [e["step"] for e in events if e["event"] == "step"]
+        assert not any(r.tag.startswith(("judge", "rtl_gen/init0/fix")) for r in backend.requests)
 
 
 class TestSamplingAndDebug:

@@ -1,7 +1,8 @@
 """Step 4 with a testbench in place: a DUT's syntax probe is its joint
-compile-and-simulate with the epoch's testbench (cached for scoring), the
-standalone probe runs only when that joint compile fails, and the samples are
-repaired concurrently without changing the event log."""
+compile-and-simulate with the epoch's testbench (cached for scoring), whose
+DUT-file errors are the repair diagnostics; the standalone probe sees only the
+testbench, and the samples are repaired concurrently without changing the
+event log."""
 
 import json
 import os
@@ -84,7 +85,7 @@ def test_clean_sample_costs_one_joint_run_and_no_standalone_check(templates, tmp
     ]
 
 
-def test_broken_sample_gets_the_standalone_diagnostics(templates, tmp_path):
+def test_broken_sample_gets_the_joint_diagnostics(templates, tmp_path):
     script = {
         **PREAMBLE,
         "rtl_gen/sample/e0": [
@@ -98,18 +99,22 @@ def test_broken_sample_gets_the_standalone_diagnostics(templates, tmp_path):
     outcome, runtime = run(templates, tmp_path / "run", script, config, runner, checker)
     assert outcome.best.score.value == 15 / 16
 
-    probe = tmp_path / "run" / "sim" / "rtl_gen" / "samplefix" / "e0" / "c0" / "check0"
-    assert [status for w, status in runner.runs if w.parent == probe] == ["compile_failed"]
-    assert [w for w in checker.workdirs if w.parent == probe] == [probe / "attempt_1"]
-    assert checker.calls == 2  # the testbench and the broken sample
+    sim_root = tmp_path / "run" / "sim"
+    probe = sim_root / "rtl_gen" / "samplefix" / "e0" / "c0" / "check0"
+    assert [(w, status) for w, status in runner.runs if w.parent == probe] == [
+        (probe / "attempt_0", "compile_failed")
+    ]
+    assert not (probe / "attempt_1").exists()
+    assert checker.calls == 1  # the testbench only
+    assert checker.workdirs == [sim_root / "testbench_gen" / "gen0" / "check0" / "attempt_0"]
     assert runner.calls == 1 + 3  # initial, broken sample, its repair, clean sample
 
     fix_request = next(
         r for r in runtime.backend.requests if r.tag == "rtl_gen/samplefix/e0/c0/fix1"
     )
     prompt = fix_request.messages[-1].content
-    assert "standalone.v:3" in prompt
-    assert "dut.v:3" not in prompt
+    assert "dut.v:3: error: syntax error near marker" in prompt
+    assert "standalone.v" not in prompt
 
 
 class SlowRepairScript:
@@ -188,7 +193,6 @@ def test_stress_duplicate_samples_simulated_once(templates, tmp_path):
         "rtl_gen/sample/e0": [distinct[i % len(distinct)] for i in range(64)],
         **{f"rtl_gen/samplefix/e0/c{i}/fix1": clean[0] for i in range(64)},
     }
-    broken_copies = sum(i % len(distinct) >= len(clean) for i in range(64))
     config = RunConfig(pool_size=64, top_k=3, max_debug_rounds=0, sim_workers=64)
     assert config.sim_workers > (os.cpu_count() or 1)
     previous = sys.getswitchinterval()
@@ -207,6 +211,6 @@ def test_stress_duplicate_samples_simulated_once(templates, tmp_path):
             outcome, runtime = result[0]
             assert outcome.status == "budget_exhausted"
             assert runtime.sim_runner.calls == 1 + len(distinct)  # initial + distinct samples
-            assert runtime.syntax_checker.calls == 1 + broken_copies  # testbench + each
+            assert runtime.syntax_checker.calls == 1  # the testbench only
     finally:
         sys.setswitchinterval(previous)

@@ -20,6 +20,7 @@ Built-in behavior keys (no TB_EMIT needed):
   crash                 nonzero simulator exit
   jointfail_tb          joint compile fails with diagnostics in the tb file
   jointfail_dut         joint compile fails with diagnostics in the dut file
+  jointfail_nofile      joint compile fails with a diagnostic naming no file
 
 The same logic (``stubcore``) backs an in-process SimRunner (fast pipeline
 tests) and two generated scripts (subprocess bridge and CLI tests).
@@ -82,6 +83,12 @@ class StubSimRunner:
                 status="compile_failed",
                 stdout="",
                 diagnostics=(Diagnostic(file="dut.v", line=2, message="unknown module"),),
+            )
+        if key == "jointfail_nofile":
+            return SimRun(
+                status="compile_failed",
+                stdout="",
+                diagnostics=(Diagnostic(file="", line=None, message="compiler timed out"),),
             )
         if key == "hang":
             return SimRun(status="timed_out", stdout="", wall_time=self.timeout)
