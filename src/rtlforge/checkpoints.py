@@ -22,7 +22,9 @@ the parsed records and any disagreement flags the testbench as buggy.
 
 from __future__ import annotations
 
+import functools
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -52,11 +54,10 @@ class NotAMismatch(EngineError):
     """Window anchor is not a mismatched record present in the trace."""
 
 
-_CHECK_RE = re.compile(
-    r"^\s*CHECK time=(\d+) in:(\S*) dut:(\S+) exp:(\S+) status=(MATCH|MISMATCH)\s*$"
-)
-_SUMMARY_RE = re.compile(
-    r"^\s*SUMMARY total=(\d+) mismatches=(\d+) first_mismatch=(\d+|none)\s*$"
+# One pattern for both line kinds: CHECK fills groups 1-4, SUMMARY 5-7.
+_LINE_RE = re.compile(
+    r"^\s*(?:CHECK time=(\d+) in:(\S*) dut:(\S+) exp:(\S+) status=(?:MATCH|MISMATCH)"
+    r"|SUMMARY total=(\d+) mismatches=(\d+) first_mismatch=(\d+|none))\s*$"
 )
 
 
@@ -64,31 +65,44 @@ _SUMMARY_RE = re.compile(
 # Value comparison
 
 _LITERAL_RE = re.compile(r"^(\d+)?'[sS]?([bBdDhHoO])([0-9a-fA-FxXzZ?_]+)$")
-
-_HEX_BITS = {
-    **{format(i, "x"): format(i, "04b") for i in range(16)},
-    "x": "xxxx",
-    "z": "zzzz",
-    "?": "????",
-}
-_OCT_BITS = {
-    **{format(i, "o"): format(i, "03b") for i in range(8)},
-    "x": "xxx",
-    "z": "zzz",
-    "?": "???",
-}
+_BIT_TEXT_RE = re.compile(r"[01xXzZ?]+")
+_XZ_RE = re.compile(r"[xzXZ]")
+# int() of an ASCII digit string this short never raises, whatever
+# sys.set_int_max_str_digits sets.
+_SAFE_DIGITS = sys.int_info.str_digits_check_threshold
 
 
+def _plain(text: str) -> bool:
+    """True for ASCII text without x/z, short enough that ``int()`` takes any
+    digit run in it: ``value_bits`` cannot reject it, and under the bit rule
+    it matches an identical expected text."""
+    return text.isascii() and len(text) < _SAFE_DIGITS and not _XZ_RE.search(text)
+
+
+def _digit_table(bits_per_digit: int) -> tuple[frozenset, dict]:
+    """Allowed digits of a base and the ``str.translate`` table to its bits."""
+    bits = {
+        format(i, "x"): format(i, f"0{bits_per_digit}b") for i in range(1 << bits_per_digit)
+    }
+    bits.update({c: c * bits_per_digit for c in "xz?"})
+    return frozenset(bits), str.maketrans(bits)
+
+
+_DIGIT_TABLES = {"b": _digit_table(1), "o": _digit_table(3), "h": _digit_table(4)}
+
+
+@functools.lru_cache(maxsize=4096)
 def value_bits(text: str) -> Optional[str]:
     """Normalize a Verilog value literal to a bit string (msb first).
 
     Returns characters in ``01xz?`` or None when the text is not a
     recognizable literal (comparison then falls back to exact text equality).
+    Results are memoised per text in a bounded cache.
     """
     text = text.strip()
     if not text:
         return None
-    if re.fullmatch(r"[01xXzZ?]+", text):
+    if _BIT_TEXT_RE.fullmatch(text):
         return text.lower()
     if text.isdigit():
         return format(int(text), "b")
@@ -98,22 +112,17 @@ def value_bits(text: str) -> Optional[str]:
     width_s, base, digits = m.groups()
     digits = digits.replace("_", "").lower()
     base = base.lower()
-    if base == "b":
-        if not re.fullmatch(r"[01xz?]+", digits):
-            return None
-        bits = digits
-    elif base == "h":
-        if not all(d in _HEX_BITS for d in digits):
-            return None
-        bits = "".join(_HEX_BITS[d] for d in digits)
-    elif base == "o":
-        if not all(d in _OCT_BITS for d in digits):
-            return None
-        bits = "".join(_OCT_BITS[d] for d in digits)
-    else:  # decimal
+    if not digits:
+        return None
+    if base == "d":
         if not digits.isdigit():
             return None
         bits = format(int(digits), "b")
+    else:
+        allowed, table = _DIGIT_TABLES[base]
+        if not allowed.issuperset(digits):
+            return None
+        bits = digits.translate(table)
     if width_s:
         width = int(width_s)
         if width <= 0:
@@ -132,21 +141,18 @@ def values_match(dut_text: str, expected_text: str) -> bool:
     Bit rule: an expected ``?`` bit always matches; a DUT ``x``/``z`` bit
     never matches otherwise; remaining bits compare literally. Unparseable
     values fall back to exact text equality (still rejecting x/z in the DUT
-    text).
+    text). Identical texts without ``x``/``z`` therefore always match, and
+    are answered without comparing bits.
     """
+    if dut_text == expected_text and _plain(dut_text):
+        return True
     dut_bits = value_bits(dut_text)
     exp_bits = value_bits(expected_text)
     if dut_bits is None or exp_bits is None:
-        return dut_text == expected_text and not re.search(r"[xzXZ]", dut_text)
+        return dut_text == expected_text and not _XZ_RE.search(dut_text)
     width = max(len(dut_bits), len(exp_bits))
-    dut_bits = dut_bits.rjust(width, "0")
-    exp_bits = exp_bits.rjust(width, "0")
-    for d, e in zip(dut_bits, exp_bits):
-        if e == "?":
-            continue
-        if d in "xz":
-            return False
-        if d != e:
+    for d, e in zip(dut_bits.rjust(width, "0"), exp_bits.rjust(width, "0")):
+        if e != "?" and (d in "xz" or d != e):
             return False
     return True
 
@@ -155,7 +161,7 @@ def values_match(dut_text: str, expected_text: str) -> bool:
 # Trace model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckRecord:
     """One check event: inputs, observed outputs, expected outputs.
 
@@ -248,34 +254,49 @@ def _parse_pairs(section: str, line_no: int) -> dict[str, str]:
     return pairs
 
 
+def _record(t: int, inputs: dict, dut: dict, exp: dict, matched: bool) -> CheckRecord:
+    """A CheckRecord whose checks ``parse_trace`` has already made."""
+    record = object.__new__(CheckRecord)
+    object.__setattr__(record, "t", t)
+    object.__setattr__(record, "inputs", inputs)
+    object.__setattr__(record, "dut_outputs", dut)
+    object.__setattr__(record, "expected_outputs", exp)
+    object.__setattr__(record, "matched", matched)
+    return record
+
+
 def parse_trace(stdout: str) -> CheckTrace:
     """Parse simulation stdout into a CheckTrace.
 
     Lines matching the CHECK grammar become records in order; everything else
     is ignored. The last SUMMARY line, if any, is cross-validated against the
     parsed records (total, mismatch count, and first mismatch ordinal).
+
+    A CHECK line whose dut and exp sections are the same text without x/z
+    matches on every output, so its record skips ``CheckRecord``'s checks:
+    its signal sets are equal and non-empty.
     """
     records: list[CheckRecord] = []
     summary: Optional[tuple[int, int, Optional[int]]] = None
     for line_no, line in enumerate(stdout.splitlines(), start=1):
-        m = _CHECK_RE.match(line)
-        if m:
-            t_s, in_s, dut_s, exp_s, _status = m.groups()
-            try:
-                record = CheckRecord(
-                    t=int(t_s),
-                    inputs=_parse_pairs(in_s, line_no),
-                    dut_outputs=_parse_pairs(dut_s, line_no),
-                    expected_outputs=_parse_pairs(exp_s, line_no),
-                )
-            except ValueError as exc:
-                raise TraceError(f"line {line_no}: {exc}") from exc
-            records.append(record)
+        m = _LINE_RE.match(line)
+        if m is None:
             continue
-        s = _SUMMARY_RE.match(line)
-        if s:
-            total_s, mism_s, first_s = s.groups()
+        t_s, in_s, dut_s, exp_s, total_s, mism_s, first_s = m.groups()
+        if t_s is None:
             summary = (int(total_s), int(mism_s), None if first_s == "none" else int(first_s))
+            continue
+        try:
+            t = int(t_s)
+            inputs = _parse_pairs(in_s, line_no)
+            dut = _parse_pairs(dut_s, line_no)
+            if exp_s == dut_s and _plain(dut_s):
+                record = _record(t, inputs, dut, dict(dut), True)
+            else:
+                record = CheckRecord(t, inputs, dut, _parse_pairs(exp_s, line_no))
+        except ValueError as exc:
+            raise TraceError(f"line {line_no}: {exc}") from exc
+        records.append(record)
     if not records:
         raise NoChecksFound("no CHECK lines found in simulation output")
     try:

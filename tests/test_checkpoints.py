@@ -193,6 +193,18 @@ class TestValueComparison:
         assert not values_match("weird!", "other!")
         assert not values_match("xweird!", "xweird!")  # x anywhere poisons
 
+    def test_digits_of_only_underscores_are_not_a_literal(self):
+        # A sized literal like this once raised IndexError out of parse_trace.
+        for text in ("4'h_", "4'o__", "'h_", "4'b_"):
+            assert value_bits(text) is None
+        assert values_match("4'h_", "4'h_")
+        assert not values_match("4'h_", "4'h0")
+        trace = parse_trace("CHECK time=0 in: dut:y=4'h_ exp:y=4'h_ status=MATCH\n")
+        assert trace.records[0].matched
+
+    def test_value_bits_cache_is_bounded(self):
+        assert value_bits.cache_info().maxsize == 4096
+
     def test_width_extension(self):
         assert value_bits("8'b1") == "00000001"
         assert value_bits("4'hx") == "xxxx"

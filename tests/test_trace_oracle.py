@@ -6,9 +6,9 @@
   (one regex per line kind, a helper per signal pair, a validating record
   constructor) over random traces with noise and protocol violations.
 
-Strategies never draw a sized literal whose digits are all underscores:
-the frozen parser raises IndexError on those (see
-``test_checkpoints.py::TestValueComparison``).
+Strategies never draw a literal whose digits are all underscores: the frozen
+parser raises IndexError on the sized ones, where ``value_bits`` now returns
+None (``test_checkpoints.py`` pins that).
 """
 
 import random
