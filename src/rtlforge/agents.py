@@ -182,6 +182,16 @@ def map_in_order(map_fn: Callable, fn: Callable, items: Iterable, sink: Callable
                 sink(event)
 
 
+def unbuildable(what: str) -> VerilogSource:
+    """Sentinel standing in for a DUT whose syntax could not be repaired."""
+    return VerilogSource(
+        kind="dut",
+        top_module="unbuildable",
+        code=f"// {what}: syntax repair failed; excluded from simulation\n",
+        sentinel=True,
+    )
+
+
 class AgentTeam:
     """The four collaborating roles, wired to one gateway backend.
 
@@ -498,12 +508,7 @@ class AgentTeam:
                     emit=emit,
                 )
             except AgentError:
-                return VerilogSource(
-                    kind="dut",
-                    top_module="unbuildable",
-                    code=f"// sample {i}: syntax repair failed; excluded from simulation\n",
-                    sentinel=True,
-                )
+                return unbuildable(f"sample {i}")
             return source
 
         return map_in_order(map_fn, repair, enumerate(replies), self._emit)

@@ -9,7 +9,8 @@ Control flow per run:
    ends the run immediately.
 3. Otherwise the judge arbitrates: a faulty testbench is regenerated (at most
    ``max_tb_regens`` times, invalidating any scores) and step 2 restarts; a
-   faulty RTL proceeds.
+   faulty RTL proceeds, as does one whose syntax repair failed (it scores 0,
+   and no judge is asked).
 4. Sample ``pool_size`` candidates at the configured temperature profile,
    repair their syntax concurrently, simulate them all, score each as
    1 - mismatches/checks, select the top-K.
@@ -33,6 +34,7 @@ file back to the agent. Only testbenches get the standalone probe.
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -43,7 +45,7 @@ from typing import Callable, Optional, Protocol
 from . import checkpoints
 from .agents import (
     SYNTAX_FIX_CAP, AgentTeam, NoCodeBlock, PromptLibrary, SyntaxChecker, SyntaxUnfixable,
-    map_in_order,
+    map_in_order, unbuildable,
 )
 from .checkpoints import DEFAULT_WINDOW_LEN, CheckTrace, Score, TraceError
 from .errors import EngineError
@@ -282,7 +284,9 @@ class WorkdirAllocator:
     """Hands out fresh ``<root>/<label>/attempt_<k>`` dirs, thread-safe.
 
     Leftovers from an earlier run into the same output directory are skipped
-    rather than reused, so reruns stay auditable and never collide.
+    rather than reused, so reruns stay auditable and never collide; an empty
+    leftover is reused. Only the choice of ``k`` holds the lock: the
+    directory is claimed with one ``mkdir`` outside it.
     """
 
     def __init__(self, root: Path):
@@ -291,16 +295,22 @@ class WorkdirAllocator:
         self._lock = threading.Lock()
 
     def acquire(self, label: str) -> Path:
-        with self._lock:
-            k = self._counts.get(label, 0)
-            while True:
-                path = self.root / label / f"attempt_{k}"
-                if not path.exists() or not any(path.iterdir()):
-                    break
-                k += 1
-            self._counts[label] = k + 1
-            path.mkdir(parents=True, exist_ok=True)
-        return path
+        parent = self.root / label
+        while True:
+            with self._lock:
+                k = self._counts.get(label, 0)
+                self._counts[label] = k + 1
+            path = parent / f"attempt_{k}"
+            try:
+                try:
+                    os.mkdir(path)
+                except FileNotFoundError:  # the label's first directory
+                    parent.mkdir(parents=True, exist_ok=True)
+                    os.mkdir(path)
+            except FileExistsError:
+                if any(path.iterdir()):
+                    continue
+            return path
 
 
 def _normalize_code(code: str) -> str:
@@ -396,9 +406,10 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
     # No task on this executor may queue work on it and wait for that work:
     # at one worker the run would deadlock.
     workers = 1 if config.agent_mode == "single" else config.sim_workers
+    teams: list[AgentTeam] = []  # the run's team, once built
     try:
         with ThreadPoolExecutor(max_workers=workers) as executor:
-            outcome = _run(problem, config, runtime, events, executor.map)
+            outcome = _run(problem, config, runtime, events, executor.map, teams.append)
     except EngineError as exc:
         events.emit({"event": "outcome", "status": "error", "error": str(exc)})
         return RunOutcome(
@@ -407,6 +418,7 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
             score_history=[],
             testbench=None,
             transcript_dir=transcript,
+            llm_calls=sum(team.llm_calls for team in teams),
             error=str(exc),
         )
     events.emit(
@@ -425,7 +437,12 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
 
 
 def _run(
-    problem: Problem, config: RunConfig, runtime: EngineRuntime, events: EventLog, map_fn: Callable
+    problem: Problem,
+    config: RunConfig,
+    runtime: EngineRuntime,
+    events: EventLog,
+    map_fn: Callable,
+    on_team: Callable[[AgentTeam], None],
 ) -> RunOutcome:
     transcript = Path(runtime.transcript_dir)
     allocator = WorkdirAllocator(transcript / "sim")
@@ -458,6 +475,7 @@ def _run(
         fanout_sampling=config.fanout_sampling,
         tb_prompt_limit=config.tb_prompt_limit,
     )
+    on_team(team)
     spec_text = problem.spec_text()
 
     if config.agent_mode == "vanilla":
@@ -487,7 +505,10 @@ def _run(
         )
         events.emit({"event": "step", "step": 2, "epoch": epoch})
         cache = _SimCache(runtime.sim_runner, testbench, allocator, config.scrub)
-        rtl = team.generate_rtl(spec_text, testbench, epoch=epoch)
+        try:
+            rtl = team.generate_rtl(spec_text, testbench, epoch=epoch)
+        except SyntaxUnfixable:
+            rtl = unbuildable(f"initial RTL e{epoch}")  # scores 0; step 3 moves on
         initial = Candidate(id=take_id(), source=rtl)
         evaluation = cache.evaluate(initial.source, f"initial_e{epoch}")
         initial.score, initial.trace = evaluation.score, evaluation.trace
@@ -519,7 +540,8 @@ def _run(
             # No trace to arbitrate over: compile failures pointing into the
             # testbench, runtime failures, timeouts, and protocol violations
             # all implicate the testbench contract; other compile failures
-            # (DUT-side errors already went through syntax repair) proceed.
+            # (DUT-side errors already went through syntax repair), and an
+            # RTL that repair could not fix, proceed.
             regenerate, feedback = _route_without_trace(evaluation, events)
         if regenerate:
             regens += 1
@@ -610,7 +632,7 @@ def _run(
 
 def _route_without_trace(evaluation: SimEval, events: EventLog) -> tuple[bool, str]:
     """Failure routing when no trace exists; returns (regenerate?, feedback)."""
-    if evaluation.status == "compile_failed":
+    if evaluation.status in ("compile_failed", "sentinel"):
         diags = evaluation.sim.diagnostics if evaluation.sim else ()
         tb_side = any(d.severity == "error" and named_kind(d) == "testbench" for d in diags)
         events.emit(

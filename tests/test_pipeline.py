@@ -1,6 +1,8 @@
 import itertools
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from rtlforge.pipeline import (
     EngineRuntime,
     LineageMismatch,
     RunConfig,
+    WorkdirAllocator,
     max_llm_calls,
     run_pipeline,
     select_top_k,
@@ -131,6 +134,54 @@ class TestShouldTerminate:
         config = RunConfig(max_debug_rounds=3)
         done, reason = should_terminate(make_pool([0.4], round=2), config)
         assert (done, reason) == (False, None)
+
+
+class TestWorkdirAllocator:
+    def test_numbering_per_label(self, tmp_path):
+        allocator = WorkdirAllocator(tmp_path / "sim")
+        assert allocator.acquire("a/check0") == tmp_path / "sim" / "a" / "check0" / "attempt_0"
+        assert allocator.acquire("a/check0").name == "attempt_1"
+        assert allocator.acquire("b").name == "attempt_0"
+        assert (tmp_path / "sim" / "a" / "check0" / "attempt_1").is_dir()
+
+    def test_non_empty_leftover_is_skipped(self, tmp_path):
+        leftover = tmp_path / "sim" / "a" / "attempt_0"
+        leftover.mkdir(parents=True)
+        (leftover / "dut.v").write_text("// earlier run\n")
+        allocator = WorkdirAllocator(tmp_path / "sim")
+        assert allocator.acquire("a").name == "attempt_1"
+        assert allocator.acquire("a").name == "attempt_2"
+        assert (leftover / "dut.v").read_text() == "// earlier run\n"
+
+    def test_empty_leftover_is_reused(self, tmp_path):
+        (tmp_path / "sim" / "a" / "attempt_0").mkdir(parents=True)
+        allocator = WorkdirAllocator(tmp_path / "sim")
+        assert allocator.acquire("a").name == "attempt_0"
+        assert allocator.acquire("a").name == "attempt_1"
+
+    def test_concurrent_acquires_get_distinct_directories(self, tmp_path):
+        allocator = WorkdirAllocator(tmp_path / "sim")
+        start = threading.Barrier(64)
+        paths = []
+
+        def acquire():
+            start.wait(timeout=30)
+            paths.append(allocator.acquire("rtl_gen/sample/check0"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=acquire) for _ in range(64)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(set(paths)) == 64
+        assert sorted(p.name for p in paths) == sorted(f"attempt_{k}" for k in range(64))
+        assert all(p.is_dir() for p in paths)
 
 
 class TestRunConfig:
@@ -330,6 +381,28 @@ class TestJudgeRouting:
         assert not any(r.tag.startswith(("judge", "rtl_gen/init0/fix")) for r in backend.requests)
 
 
+    def test_unrepairable_initial_rtl_proceeds_to_sampling(self, make_runtime):
+        broken = fenced(stub_dut("jointfail_dut"))
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": broken,
+            **{f"rtl_gen/init0/fix{k}": broken for k in range(1, 6)},
+            "rtl_gen/sample/e0": [CLEAN_RTL, CLEAN_RTL.replace("counter4", "counter4b")],
+        }
+        config = RunConfig(pool_size=2, top_k=1)
+        outcome, backend, runtime = run(script, config=config, make_runtime=make_runtime)
+        assert outcome.status == "solved"
+        events = events_of(runtime)
+        sim = {"event": "sim", "label": "initial_e0", "status": "sentinel", "score": 0.0}
+        assert sim in events
+        assert {"event": "route", "reason": "compile_failed", "testbench_implicated": False} in events
+        assert 4 in [e["step"] for e in events if e["event"] == "step"]
+        assert not any(e["event"] == "tb_regen" for e in events)
+        assert not any(r.tag.startswith(("judge", "testbench_gen/gen1")) for r in backend.requests)
+        assert outcome.llm_calls == len(backend.requests) == 8
+        assert outcome.llm_calls <= max_llm_calls(config)
+
+
 class TestSamplingAndDebug:
     def test_hand_simulated_pool_scenario(self, make_runtime):
         """c=4 scoring {0.5, 0.75, 0.75, 0.25}, K=2; round 1 fixes one 0.75
@@ -441,6 +514,19 @@ class TestCallBudget:
         assert outcome.status == "budget_exhausted"
         assert outcome.llm_calls == len(backend.requests)
         assert outcome.llm_calls <= max_llm_calls(config)
+
+    def test_error_outcome_counts_the_calls_made(self, make_runtime):
+        broken = fenced(stub_dut("jointfail_dut"))
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": broken,
+            **{f"rtl_gen/init0/fix{k}": broken for k in range(1, 6)},
+        }  # no sampling reply: the run fails after seven calls
+        outcome, backend, runtime = run(script, make_runtime=make_runtime)
+        assert outcome.status == "error"
+        assert outcome.llm_calls == 7
+        llm_events = [e for e in events_of(runtime) if e["event"] == "llm_call"]
+        assert len(llm_events) == 7
 
     def test_early_exit_exactly_two_calls(self, make_runtime):
         script = {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": CLEAN_RTL}
