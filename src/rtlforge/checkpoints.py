@@ -73,9 +73,11 @@ _SAFE_DIGITS = sys.int_info.str_digits_check_threshold
 
 
 def _plain(text: str) -> bool:
-    """True for ASCII text without x/z, short enough that ``int()`` takes any
-    digit run in it: ``value_bits`` cannot reject it, and under the bit rule
-    it matches an identical expected text."""
+    """True for ASCII text without x/z, shorter than ``int()``'s digit limit.
+
+    ``value_bits`` raises no ValueError on such a text, and under the bit
+    rule it matches an identical expected text.
+    """
     return text.isascii() and len(text) < _SAFE_DIGITS and not _XZ_RE.search(text)
 
 

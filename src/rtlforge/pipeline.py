@@ -34,7 +34,6 @@ file back to the agent. Only testbenches get the standalone probe.
 from __future__ import annotations
 
 import json
-import os
 import shutil
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -295,18 +294,13 @@ class WorkdirAllocator:
         self._lock = threading.Lock()
 
     def acquire(self, label: str) -> Path:
-        parent = self.root / label
         while True:
             with self._lock:
                 k = self._counts.get(label, 0)
                 self._counts[label] = k + 1
-            path = parent / f"attempt_{k}"
+            path = self.root / label / f"attempt_{k}"
             try:
-                try:
-                    os.mkdir(path)
-                except FileNotFoundError:  # the label's first directory
-                    parent.mkdir(parents=True, exist_ok=True)
-                    os.mkdir(path)
+                path.mkdir(parents=True)  # one mkdir once the label's directory exists
             except FileExistsError:
                 if any(path.iterdir()):
                     continue
