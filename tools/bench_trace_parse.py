@@ -18,6 +18,10 @@ runs ``replaybench/run.py`` of each checkout once per seed and workload,
 alternating which side runs first, and records every run's metrics with
 their medians and quartiles. Toolchain figures there come from the
 benchmark's stub compiler and simulator, not from iverilog/vvp.
+
+The checked-in ``BENCH_trace_parse.json`` was written from a directory holding
+two clones, ``parent`` (the commit before the fast path) and ``change``; its
+``command`` field is the exact invocation.
 """
 
 from __future__ import annotations
@@ -198,9 +202,7 @@ def main(argv=None) -> int:
     sides = micro(srcs, args.checks, args.repeats, args.rounds, args.seed)
     result = {
         "topic": "checkpoint-trace parsing (rtlforge.checkpoints.parse_trace)",
-        "command": "python3 tools/bench_trace_parse.py " + " ".join(
-            sys.argv[1:] if argv is None else argv
-        ),
+        "command": " ".join(["python3", sys.argv[0], *(sys.argv[1:] if argv is None else argv)]),
         "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}",
         "micro": {
             "trace": f"replaybench/stubtool.render_trace, ins={INPUTS} outs={OUTPUTS}, "
