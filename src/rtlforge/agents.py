@@ -343,9 +343,11 @@ class AgentTeam:
                 "n": params.n_completions,
             }
         )
-        # The sampling turn conditions only on (system, spec, testbench); in
-        # single mode the shared history keeps one representative completion
-        # so later turns still see that code was produced.
+        # The request is the conversation's whole history plus this turn; for
+        # step-4 sampling in multi mode that history is the rtl_gen
+        # initial-RTL and syntax-fix turns. Only in single mode is the turn
+        # recorded, keeping one representative completion so later turns see
+        # that code was produced.
         if self.mode == "single":
             conv.record(user_text, response.completions[0])
         return list(response.completions)
@@ -475,8 +477,11 @@ class AgentTeam:
     ) -> list[VerilogSource]:
         """Step 4 sampling: exactly ``count`` candidate sources.
 
-        The prompt conditions only on the system prompt, the specification,
-        and the testbench. Candidates whose syntax cannot be repaired are
+        The request is the rtl_gen conversation so far plus a user turn
+        holding the specification and the testbench. In multi mode that
+        history holds each epoch's initial-RTL turn and its syntax-fix turns
+        (step 2); in single mode, every earlier turn of the shared
+        conversation. Candidates whose syntax cannot be repaired are
         replaced by flagged sentinel sources so the pool keeps its size.
 
         Samples are repaired through ``map_in_order(map_fn, ...)``, so their

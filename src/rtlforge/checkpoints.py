@@ -70,6 +70,9 @@ _XZ_RE = re.compile(r"[xzXZ]")
 # int() of an ASCII digit string this short never raises, whatever
 # sys.set_int_max_str_digits sets.
 _SAFE_DIGITS = sys.int_info.str_digits_check_threshold
+# Widest declared literal width decoded to bits: the minimum vector width
+# IEEE 1364/1800 require every tool to support. A wider one is not a literal.
+MAX_LITERAL_WIDTH = 1 << 16
 
 
 def _plain(text: str) -> bool:
@@ -99,6 +102,7 @@ def value_bits(text: str) -> Optional[str]:
 
     Returns characters in ``01xz?`` or None when the text is not a
     recognizable literal (comparison then falls back to exact text equality).
+    A declared width above ``MAX_LITERAL_WIDTH`` bits is not a literal.
     Results are memoised per text in a bounded cache.
     """
     text = text.strip()
@@ -126,8 +130,12 @@ def value_bits(text: str) -> Optional[str]:
             return None
         bits = digits.translate(table)
     if width_s:
-        width = int(width_s)
-        if width <= 0:
+        width_s = width_s.lstrip("0")
+        # A width this long is above the bound; int() of it could raise.
+        if len(width_s) > len(str(MAX_LITERAL_WIDTH)):
+            return None
+        width = int(width_s or "0")
+        if not 0 < width <= MAX_LITERAL_WIDTH:
             return None
         if len(bits) < width:
             pad = bits[0] if bits[0] in "xz?" else "0"
@@ -267,7 +275,7 @@ def _record(t: int, inputs: dict, dut: dict, exp: dict, matched: bool) -> CheckR
     return record
 
 
-def parse_trace(stdout: str) -> CheckTrace:
+def parse_trace(stdout: str, lines: Optional[dict[str, CheckRecord]] = None) -> CheckTrace:
     """Parse simulation stdout into a CheckTrace.
 
     Lines matching the CHECK grammar become records in order; everything else
@@ -277,27 +285,40 @@ def parse_trace(stdout: str) -> CheckTrace:
     A CHECK line whose dut and exp sections are the same text without x/z
     matches on every output, so its record skips ``CheckRecord``'s checks:
     its signal sets are equal and non-empty.
+
+    ``lines`` memoises records by the raw text of their CHECK line: a line
+    found there is not parsed again, and a line that parses cleanly is
+    stored, so traces parsed through one memo share their records, which
+    must not be mutated. A failing line is never stored and raises with its
+    own line number every time. Threads may share a memo; a race between
+    them only parses a line twice.
     """
     records: list[CheckRecord] = []
     summary: Optional[tuple[int, int, Optional[int]]] = None
     for line_no, line in enumerate(stdout.splitlines(), start=1):
-        m = _LINE_RE.match(line)
-        if m is None:
-            continue
-        t_s, in_s, dut_s, exp_s, total_s, mism_s, first_s = m.groups()
-        if t_s is None:
-            summary = (int(total_s), int(mism_s), None if first_s == "none" else int(first_s))
-            continue
-        try:
-            t = int(t_s)
-            inputs = _parse_pairs(in_s, line_no)
-            dut = _parse_pairs(dut_s, line_no)
-            if exp_s == dut_s and _plain(dut_s):
-                record = _record(t, inputs, dut, dict(dut), True)
-            else:
-                record = CheckRecord(t, inputs, dut, _parse_pairs(exp_s, line_no))
-        except ValueError as exc:
-            raise TraceError(f"line {line_no}: {exc}") from exc
+        record = None if lines is None else lines.get(line)
+        if record is None:
+            m = _LINE_RE.match(line)
+            if m is None:
+                continue
+            t_s, in_s, dut_s, exp_s, total_s, mism_s, first_s = m.groups()
+            try:
+                if t_s is None:
+                    summary = (
+                        int(total_s), int(mism_s), None if first_s == "none" else int(first_s)
+                    )
+                    continue
+                t = int(t_s)
+                inputs = _parse_pairs(in_s, line_no)
+                dut = _parse_pairs(dut_s, line_no)
+                if exp_s == dut_s and _plain(dut_s):
+                    record = _record(t, inputs, dut, dict(dut), True)
+                else:
+                    record = CheckRecord(t, inputs, dut, _parse_pairs(exp_s, line_no))
+            except ValueError as exc:
+                raise TraceError(f"line {line_no}: {exc}") from exc
+            if lines is not None:
+                lines[line] = record
         records.append(record)
     if not records:
         raise NoChecksFound("no CHECK lines found in simulation output")

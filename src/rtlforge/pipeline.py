@@ -46,7 +46,7 @@ from .agents import (
     SYNTAX_FIX_CAP, AgentTeam, NoCodeBlock, PromptLibrary, SyntaxChecker, SyntaxUnfixable,
     map_in_order, unbuildable,
 )
-from .checkpoints import DEFAULT_WINDOW_LEN, CheckTrace, Score, TraceError
+from .checkpoints import DEFAULT_WINDOW_LEN, CheckRecord, CheckTrace, Score, TraceError
 from .errors import EngineError
 from .gateway import Backend, RetryPolicy, DEFAULT_RETRY, SamplingParams
 from .golden import GoldenCriterion, DEFAULT_CRITERION, evaluate_golden
@@ -328,6 +328,11 @@ class _SimCache:
     Single-flight: the first caller for a source simulates it; callers that
     arrive while it runs wait for its result, or get its exception. A
     simulation that raises is not cached, so a later caller tries again.
+
+    Every candidate of an epoch runs the same stimulus, so their traces
+    share most CHECK lines; the epoch's traces are parsed through one memo
+    of those lines (``checkpoints.parse_trace``'s ``lines``) and share their
+    records.
     """
 
     def __init__(self, runner: SimRunner, testbench: VerilogSource, allocator, scrub: bool):
@@ -336,6 +341,7 @@ class _SimCache:
         self.allocator = allocator
         self.scrub = scrub
         self._results: dict[str, Future[SimEval]] = {}
+        self._lines: dict[str, CheckRecord] = {}
         self._lock = threading.Lock()
 
     def evaluate(self, source: VerilogSource, label: str) -> SimEval:
@@ -366,7 +372,7 @@ class _SimCache:
             result = SimEval(Score.unsimulatable(), None, sim.status, sim=sim)
         else:
             try:
-                trace = checkpoints.parse_trace(sim.stdout)
+                trace = checkpoints.parse_trace(sim.stdout, lines=self._lines)
                 result = SimEval(checkpoints.score(trace), trace, "ok", sim=sim)
             except TraceError as exc:
                 result = SimEval(

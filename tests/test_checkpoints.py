@@ -8,6 +8,7 @@ from rtlforge.checkpoints import (
     CheckRecord,
     CheckTrace,
     EmptyTrace,
+    MAX_LITERAL_WIDTH,
     NoChecksFound,
     NotAMismatch,
     Score,
@@ -152,6 +153,17 @@ class TestParseTrace:
         trace = parse_trace("CHECK time=0 in: dut:y=1 exp:y=1 status=MATCH\n")
         assert trace.records[0].inputs == {}
 
+    def test_huge_summary_integer_is_a_trace_error(self):
+        # int() refuses more than 4300 digits; that ValueError once escaped.
+        check = "CHECK time=0 in:a=0 dut:y=1 exp:y=1 status=MATCH\n"
+        for summary in (
+            f"SUMMARY total={'1' * 5000} mismatches=0 first_mismatch=none",
+            f"SUMMARY total=1 mismatches={'0' * 5000} first_mismatch=none",
+            f"SUMMARY total=1 mismatches=0 first_mismatch={'9' * 5000}",
+        ):
+            with pytest.raises(TraceError, match="^line 2: Exceeds the limit"):
+                parse_trace(check + summary + "\n")
+
     def test_format_parse_round_trip(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -205,10 +217,63 @@ class TestValueComparison:
     def test_value_bits_cache_is_bounded(self):
         assert value_bits.cache_info().maxsize == 4096
 
+    def test_declared_width_above_bound_is_not_a_literal(self):
+        # 2**16 bits is the minimum vector width IEEE 1364/1800 require.
+        assert value_bits(f"{MAX_LITERAL_WIDTH}'b1") == "0" * (MAX_LITERAL_WIDTH - 1) + "1"
+        assert value_bits(f"000{MAX_LITERAL_WIDTH}'b1") == value_bits(f"{MAX_LITERAL_WIDTH}'b1")
+        # These raised OverflowError / built a 200 MB string, or hit int()'s
+        # digit limit.
+        for width in (MAX_LITERAL_WIDTH + 1, 200000000, "9" * 20, "1" * 5000):
+            assert value_bits(f"{width}'b1") is None
+        # Leading zeros do not count towards int()'s digit limit.
+        assert value_bits("0" * 5000 + "4'b1") == "0001"
+
+    def test_over_wide_literals_compare_as_text(self):
+        wide = "99999999999999999999'b1"
+        assert values_match(wide, wide)
+        assert not values_match(wide, "1")
+        assert not values_match("200000000'bx", "200000000'bx")  # still rejects x/z
+        trace = parse_trace(
+            f"CHECK time=0 in: dut:y={wide} exp:y={wide} status=MATCH\n"
+            f"CHECK time=1 in: dut:y={wide} exp:y=70000'b1 status=MISMATCH\n"
+            "SUMMARY total=2 mismatches=1 first_mismatch=1\n"
+        )
+        assert [r.matched for r in trace.records] == [True, False]
+
     def test_width_extension(self):
         assert value_bits("8'b1") == "00000001"
         assert value_bits("4'hx") == "xxxx"
         assert value_bits("8'hz") == "zzzzzzzz"
+
+
+class TestLineMemo:
+    GOOD = "CHECK time=0 in:a=0 dut:y=1 exp:y=1 status=MATCH"
+
+    def test_identical_lines_share_one_record(self):
+        memo = {}
+        first = parse_trace(f"{self.GOOD}\nCHECK time=1 in:a=1 dut:y=0 exp:y=1 status=MISMATCH\n", memo)
+        second = parse_trace(f"noise\n{self.GOOD}\nCHECK time=1 in:a=1 dut:y=1 exp:y=1 status=MATCH\n", memo)
+        assert second.records[0] is first.records[0] is memo[self.GOOD]
+        assert second.records[1] is not first.records[1]
+        assert (first.mismatches, second.mismatches) == (1, 0)
+        assert len(memo) == 3
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("CHECK time=1 in:a=0 dut:y=1,noeq exp:y=1 status=MATCH",
+             "malformed signal pair 'noeq' on line {}"),
+            ("CHECK time=1 in:a=0 dut:y=1 exp:q=1 status=MATCH",
+             "line {}: dut/exp signal sets differ at t=1: ['y'] vs ['q']"),
+        ],
+    )
+    def test_failing_line_raises_each_time_with_its_own_line_number(self, bad, message):
+        memo = {}
+        for stdout, line_no in ((f"{self.GOOD}\n{bad}\n", 2), (f"banner\n{self.GOOD}\n\n{bad}\n", 4)):
+            with pytest.raises(TraceError) as info:
+                parse_trace(stdout, memo)
+            assert str(info.value) == message.format(line_no)
+        assert bad not in memo and self.GOOD in memo
 
 
 class TestScore:

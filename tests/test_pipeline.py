@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from rtlforge import checkpoints
 from rtlforge.checkpoints import Score, extract_window, parse_trace, render_window
 from rtlforge.gateway import CassetteRecorder, ReplayBackend
 from rtlforge.pipeline import (
@@ -492,6 +493,44 @@ class TestSamplingAndDebug:
         sim_calls = runtime.sim_runner.calls
         # initial + one shared sample sim + one trial sim
         assert sim_calls == 3
+
+    def test_epoch_traces_share_records_and_regeneration_empties_the_memo(
+        self, make_runtime, monkeypatch
+    ):
+        parses = []  # (memo, its size before the parse, trace)
+        parse = checkpoints.parse_trace
+
+        def spy(stdout, lines=None):
+            size = len(lines)
+            trace = parse(stdout, lines)
+            parses.append((lines, size, trace))
+            return trace
+
+        monkeypatch.setattr(checkpoints, "parse_trace", spy)
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": GLITCH_RTL,
+            "judge/e0": TB_FAULTY,
+            "testbench_gen/gen1": GOOD_TB,
+            "rtl_gen/init1": GLITCH_RTL,
+            "judge/e1": RTL_FAULTY,
+            "rtl_gen/sample/e1": [
+                fenced(stub_dut("counter16:glitch@3", name="a")),
+                fenced(stub_dut("counter16:glitch@12", name="b")),
+            ],
+        }
+        config = RunConfig(pool_size=2, top_k=1, max_debug_rounds=0)
+        outcome, _, _ = run(script, config=config, make_runtime=make_runtime)
+        assert outcome.status == "budget_exhausted"
+        (memo0, size0, _), (memo1, size1, _), (_, _, a), (_, _, b) = parses
+        # The regenerated testbench starts an epoch with an empty memo, though
+        # its initial RTL prints the very lines the first epoch parsed.
+        assert memo1 is not memo0 and size0 == size1 == 0
+        assert all(memo is memo1 for memo, _, _ in parses[1:])
+        shared = [t for t in range(16) if t not in (3, 12)]
+        assert all(a.records[t] is b.records[t] for t in shared)
+        assert a.records[3] is not b.records[3] and a.records[12] is not b.records[12]
+        assert (a.mismatches, b.mismatches) == (1, 1)
 
 
 class TestCallBudget:

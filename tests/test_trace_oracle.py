@@ -4,7 +4,8 @@
   reference over random Verilog literals;
 * ``parse_trace`` against a frozen copy of the straightforward parser
   (one regex per line kind, a helper per signal pair, a validating record
-  constructor) over random traces with noise and protocol violations.
+  constructor) over random traces with noise and protocol violations, parsed
+  alone and, drawn from a few shared stimuli, through one shared line memo.
 
 Strategies never draw a literal whose digits are all underscores: the frozen
 parser raises IndexError on the sized ones, where ``value_bits`` now returns
@@ -13,6 +14,8 @@ None (``test_checkpoints.py`` pins that).
 
 import random
 import re
+import sys
+import threading
 from collections import Counter
 from typing import Optional
 
@@ -73,7 +76,7 @@ def ref_bits(text: str) -> Optional[str]:
             bits += "".join(str(value >> k & 1) for k in reversed(range(size)))
     if width_s:
         width = int(width_s)
-        if width == 0:
+        if width == 0 or width > 1 << 16:
             return None
         while len(bits) < width:
             bits = (bits[0] if bits[0] in "xz?" else "0") + bits
@@ -356,15 +359,34 @@ def _check_line(rng, t: int) -> str:
     return f"{lead}CHECK time={t} in:{_section(rng, allow_empty=True)} dut:{dut} exp:{exp} status={status}"
 
 
-def random_trace(rng) -> str:
-    lines = []
+def random_stimulus(rng) -> list[tuple[int, str]]:
+    """(ordinal, CHECK line) pairs that one testbench epoch's candidates
+    share; ordinals increase, lines may still break the protocol."""
+    checks = []
     t = rng.randint(0, 3)
-    for _ in range(rng.randint(0, 12)):
-        if rng.random() < 0.1:
-            lines.append(rng.choice(_NOISE))
-            continue
-        lines.append(_check_line(rng, t))
-        t = max(t + rng.choice([1, 1, 1, 2, 5, 0, -1]), 0)  # 0/-1 break the order
+    for _ in range(rng.randint(1, 12)):
+        checks.append((t, _check_line(rng, t)))
+        t += rng.choice([1, 1, 1, 2, 5])
+    return checks
+
+
+def random_trace(rng, stimulus: Optional[list[tuple[int, str]]] = None) -> str:
+    """A random trace; with ``stimulus``, one candidate's run of it: most
+    lines repeat the stimulus's, the rest are drawn afresh at its ordinals."""
+    lines = []
+    if stimulus is None:
+        t = rng.randint(0, 3)
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.1:
+                lines.append(rng.choice(_NOISE))
+                continue
+            lines.append(_check_line(rng, t))
+            t = max(t + rng.choice([1, 1, 1, 2, 5, 0, -1]), 0)  # 0/-1 break the order
+    else:
+        for t, line in stimulus:
+            if rng.random() < 0.1:
+                lines.append(rng.choice(_NOISE))
+            lines.append(line if rng.random() < 0.8 else _check_line(rng, t))
     body = "\n".join(lines)
     mode = rng.choice(["none", "true", "true", "true", "total", "mismatches", "first", "noise"])
     if mode == "none":
@@ -387,35 +409,86 @@ def random_trace(rng) -> str:
     return rng.choice(["\n", "\r\n"]).join([body, summary]) + rng.choice(["", "\n"])
 
 
-def _outcome(parse, stdout):
+def _outcome(parse, *args):
     try:
-        return ("ok", parse(stdout))
+        return ("ok", parse(*args))
     except Exception as exc:  # the exception type and message are the result
         return ("raised", type(exc), str(exc))
+
+
+def assert_equals_frozen(stdout, memo=None):
+    """``parse_trace`` (through ``memo``) gives what the frozen parser gives."""
+    expected = _outcome(frozen_parse_trace, stdout)
+    actual = _outcome(parse_trace, *([stdout] if memo is None else [stdout, memo]))
+    if expected[0] == "raised" or actual[0] == "raised":
+        assert actual == expected
+        return expected[0]
+    records, total, mismatches = expected[1]
+    trace = actual[1]
+    assert trace.total_checks == total
+    assert trace.mismatches == mismatches
+    assert [
+        (r.t, list(r.inputs.items()), list(r.dut_outputs.items()),
+         list(r.expected_outputs.items()), r.matched)
+        for r in trace.records
+    ] == [
+        (t, list(i.items()), list(d.items()), list(e.items()), ok)
+        for t, i, d, e, ok in records
+    ]
+    return "ok"
+
+
+def shared_stimulus_traces(seed: int, count: int) -> list[str]:
+    """``count`` traces drawn from four shared stimuli, as an epoch's are."""
+    rng = random.Random(seed)
+    stimuli = [random_stimulus(rng) for _ in range(4)]
+    return [random_trace(rng, rng.choice(stimuli)) for _ in range(count)]
+
+
+def _check_lines(stdout) -> int:
+    return sum(1 for line in stdout.splitlines() if "CHECK time=" in line)
 
 
 class TestParserEquivalence:
     @settings(max_examples=2000, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32))
     def test_parse_trace_equals_frozen_parser(self, seed):
-        stdout = random_trace(random.Random(seed))
-        expected = _outcome(frozen_parse_trace, stdout)
-        actual = _outcome(parse_trace, stdout)
-        if expected[0] == "raised" or actual[0] == "raised":
-            assert actual == expected
-            return
-        records, total, mismatches = expected[1]
-        trace = actual[1]
-        assert trace.total_checks == total
-        assert trace.mismatches == mismatches
-        assert [
-            (r.t, list(r.inputs.items()), list(r.dut_outputs.items()),
-             list(r.expected_outputs.items()), r.matched)
-            for r in trace.records
-        ] == [
-            (t, list(i.items()), list(d.items()), list(e.items()), ok)
-            for t, i, d, e, ok in records
-        ]
+        assert_equals_frozen(random_trace(random.Random(seed)))
+
+    def test_shared_memo_equals_frozen_parser(self):
+        # One memo across all 2000 traces, as one testbench epoch shares it:
+        # a deterministic loop, because the memo outlives each example.
+        traces = shared_stimulus_traces(seed=8, count=2000)
+        memo = {}
+        outcomes = Counter(assert_equals_frozen(stdout, memo) for stdout in traces)
+        assert outcomes["ok"] >= 200 and outcomes["raised"] >= 200, outcomes
+        # Most lines were answered from the memo, so the test exercises it.
+        assert len(memo) < 0.4 * sum(map(_check_lines, traces))
+
+    def test_threads_sharing_a_memo_get_equal_traces(self):
+        traces = shared_stimulus_traces(seed=9, count=300)
+        expected = [_outcome(parse_trace, stdout) for stdout in traces]
+        memo = {}
+        results = {}
+
+        def parse_all(worker):
+            order = random.Random(worker).sample(range(len(traces)), len(traces))
+            results[worker] = {i: _outcome(parse_trace, traces[i], memo) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=parse_all, args=(w,)) for w in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        for got in results.values():
+            assert [got[i] for i in range(len(traces))] == expected
 
     def test_generator_reaches_every_outcome(self):
         # The equivalence test means little unless its traces parse, and

@@ -13,6 +13,14 @@ own interpreter, so ``--baseline-src`` can point at another checkout's
 ``--rounds`` processes each. A process parses each size once to warm up, then
 ``--repeats`` times; the figures are microseconds per check.
 
+Epoch case: the 20 sample traces of one step-4 pool (one stimulus of 64
+checks, 2 inputs and 2 outputs, a seeded fault set per candidate), parsed
+``--repeats`` times as one testbench epoch parses them: through one fresh
+line memo per repeat when ``parse_trace`` takes one (``lines``), plainly
+otherwise, so a parent without the memo is measured by the same code. It
+reports microseconds per check and the memo hit rate, the share of CHECK
+lines answered from the memo.
+
 End to end: with ``--e2e-root`` and ``--e2e-baseline-root`` (two checkouts),
 runs ``replaybench/run.py`` of each checkout once per seed and workload,
 alternating which side runs first, and records every run's metrics with
@@ -27,6 +35,7 @@ two clones, ``parent`` (the commit before the fast path) and ``change``; its
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -39,6 +48,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INPUTS, OUTPUTS, FAULT_EVERY = 3, 3, 50
+# The epoch case: step 4's pool on paper_subproc's trace shape.
+EPOCH_CANDIDATES, EPOCH_CHECKS, EPOCH_INPUTS, EPOCH_OUTPUTS = 20, 64, 2, 2
 # The metrics kept from each end-to-end run.
 E2E_METRICS = (
     "orchestrator_cpu_s", "wall_s", "run_s_p50", "setup_s", "toolchain_cpu_s",
@@ -46,14 +57,29 @@ E2E_METRICS = (
 )
 
 
-def stub_trace(checks: int, seed: int) -> tuple[str, int]:
-    """Simulator stdout with ``checks`` checks and the number of them that are wrong."""
+def render_trace(stim: str, faults: list[int]) -> str:
     sys.path.insert(0, str(ROOT / "replaybench"))
     import stubtool
 
+    return stubtool.render_trace(stim, faults)
+
+
+def stub_trace(checks: int, seed: int) -> tuple[str, int]:
+    """Simulator stdout with ``checks`` checks and the number of them that are wrong."""
     faults = random.Random(seed).sample(range(checks), max(checks // FAULT_EVERY, 1))
     stim = f"seed={seed} checks={checks} ins={INPUTS} outs={OUTPUTS}"
-    return stubtool.render_trace(stim, faults), len(faults)
+    return render_trace(stim, faults), len(faults)
+
+
+def epoch_traces(seed: int) -> list[tuple[str, int]]:
+    """One epoch's sample traces, each with the number of its checks that are wrong."""
+    rng = random.Random(seed)
+    stim = f"seed={seed} checks={EPOCH_CHECKS} ins={EPOCH_INPUTS} outs={EPOCH_OUTPUTS}"
+    traces = []
+    for _ in range(EPOCH_CANDIDATES):
+        faults = rng.sample(range(EPOCH_CHECKS), rng.randint(2, 16))
+        traces.append((render_trace(stim, faults), len(faults)))
+    return traces
 
 
 def time_parse(checks: int, repeats: int, seed: int) -> list[float]:
@@ -70,6 +96,34 @@ def time_parse(checks: int, repeats: int, seed: int) -> list[float]:
         parse_trace(stdout)
         samples.append((time.perf_counter() - start) / checks * 1e6)
     return samples
+
+
+def time_epoch(repeats: int, seed: int) -> tuple[list[float], float | None]:
+    """Microseconds per check of each timed epoch parse, and the memo hit rate
+    (None when ``parse_trace`` takes no memo). Runs inside the worker."""
+    from rtlforge.checkpoints import parse_trace
+
+    traces = epoch_traces(seed)
+    checks = EPOCH_CANDIDATES * EPOCH_CHECKS
+    takes_memo = "lines" in inspect.signature(parse_trace).parameters
+
+    def parse_epoch() -> dict | None:
+        memo = {} if takes_memo else None
+        for stdout, _ in traces:
+            parse_trace(stdout, lines=memo) if takes_memo else parse_trace(stdout)
+        return memo
+
+    for stdout, wrong in traces:
+        trace = parse_trace(stdout)
+        if (trace.total_checks, trace.mismatches) != (EPOCH_CHECKS, wrong):
+            raise SystemExit(f"epoch parse gave {trace.total_checks}/{trace.mismatches}")
+    memo = parse_epoch()
+    samples = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        parse_epoch()
+        samples.append((time.perf_counter() - start) / checks * 1e6)
+    return samples, None if memo is None else 1 - len(memo) / checks
 
 
 def summary(values: list[float]) -> dict:
@@ -93,19 +147,25 @@ def commit_of(path: Path) -> str:
 def micro(srcs: dict[str, Path], sizes: list[int], repeats: int, rounds: int, seed: int) -> dict:
     """Time each ``src/`` in ``rounds`` worker processes, alternating the order."""
     samples = {side: {str(n): [] for n in sizes} for side in srcs}
+    epoch = {side: [] for side in srcs}
+    hit_rate = {}
     for i in range(rounds):
         for side in (list(srcs) if i % 2 == 0 else list(srcs)[::-1]):
             cmd = [sys.executable, str(Path(__file__).resolve()), "--worker",
                    "--src", str(srcs[side]), "--checks", ",".join(map(str, sizes)),
                    "--repeats", str(repeats), "--seed", str(seed)]
             proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
-            for n, values in json.loads(proc.stdout).items():
+            result = json.loads(proc.stdout)
+            for n, values in result["sizes"].items():
                 samples[side][n] += values
+            epoch[side] += result["epoch"]
+            hit_rate[side] = result["memo_hit_rate"]
     return {
         side: {
             "src": str(src),
             "commit": commit_of(src),
             "us_per_check": {n: summary(values) for n, values in samples[side].items()},
+            "epoch": {"us_per_check": summary(epoch[side]), "memo_hit_rate": hit_rate[side]},
         }
         for side, src in srcs.items()
     }
@@ -163,8 +223,9 @@ def e2e(args) -> dict:
 
 def worker(args) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
-    samples = {str(n): time_parse(n, args.repeats, args.seed) for n in args.checks}
-    print(json.dumps(samples))
+    sizes = {str(n): time_parse(n, args.repeats, args.seed) for n in args.checks}
+    epoch, hit_rate = time_epoch(args.repeats, args.seed)
+    print(json.dumps({"sizes": sizes, "epoch": epoch, "memo_hit_rate": hit_rate}))
     return 0
 
 
@@ -207,15 +268,24 @@ def main(argv=None) -> int:
         "micro": {
             "trace": f"replaybench/stubtool.render_trace, ins={INPUTS} outs={OUTPUTS}, "
             f"one check in {FAULT_EVERY} wrong, seed {args.seed}",
+            "epoch": f"{EPOCH_CANDIDATES} candidate traces of one stimulus, "
+            f"checks={EPOCH_CHECKS} ins={EPOCH_INPUTS} outs={EPOCH_OUTPUTS}, "
+            f"2-16 seeded faults each, seed {args.seed}",
             "repeats": args.repeats,
             "rounds": args.rounds,
             **sides,
         },
     }
     if "baseline" in sides:
+        medians = {
+            side: {
+                **{n: stats["median"] for n, stats in sides[side]["us_per_check"].items()},
+                "epoch": sides[side]["epoch"]["us_per_check"]["median"],
+            }
+            for side in ("baseline", "change")
+        }
         result["micro"]["speedup"] = {
-            n: sides["baseline"]["us_per_check"][n]["median"] / stats["median"]
-            for n, stats in sides["change"]["us_per_check"].items()
+            n: medians["baseline"][n] / median for n, median in medians["change"].items()
         }
     if args.e2e_root:
         result["end_to_end"] = e2e(args)
