@@ -330,6 +330,22 @@ class TestJudgeRouting:
         outcome, _, _ = run(script, make_runtime=make_runtime)
         assert outcome.status == "solved"
 
+    def test_unreadable_summary_integer_triggers_regen(self, make_runtime):
+        # A SUMMARY integer past int()'s digit limit once left run_pipeline
+        # as a ValueError traceback.
+        tb = stub_tb(emits={"huge": "CHECK time=0 in:a=0 dut:y=1 exp:y=1 status=MATCH"})
+        tb += f"//TB_EMIT:huge|SUMMARY total={'1' * 5000} mismatches=0 first_mismatch=none\n"
+        script = {
+            "testbench_gen/gen0": fenced(tb),
+            "rtl_gen/init0": fenced(stub_dut("huge")),
+            "testbench_gen/gen1": GOOD_TB,
+            "rtl_gen/init1": CLEAN_RTL,
+        }
+        outcome, backend, runtime = run(script, make_runtime=make_runtime)
+        assert outcome.status == "solved"
+        assert not any(r.tag.startswith("judge") for r in backend.requests)
+        assert any(e["event"] == "tb_regen" for e in events_of(runtime))
+
     def test_timeout_triggers_regen(self, make_runtime):
         script = {
             "testbench_gen/gen0": GOOD_TB,

@@ -28,8 +28,8 @@ their medians and quartiles. Toolchain figures there come from the
 benchmark's stub compiler and simulator, not from iverilog/vvp.
 
 The checked-in ``BENCH_trace_parse.json`` was written from a directory holding
-two clones, ``parent`` (the commit before the fast path) and ``change``; its
-``command`` field is the exact invocation.
+two clones, ``parent`` (the commit before the per-epoch line memo) and
+``change``; its ``command`` field is the exact invocation.
 """
 
 from __future__ import annotations
@@ -110,7 +110,10 @@ def time_epoch(repeats: int, seed: int) -> tuple[list[float], float | None]:
     def parse_epoch() -> dict | None:
         memo = {} if takes_memo else None
         for stdout, _ in traces:
-            parse_trace(stdout, lines=memo) if takes_memo else parse_trace(stdout)
+            if takes_memo:
+                parse_trace(stdout, lines=memo)
+            else:
+                parse_trace(stdout)
         return memo
 
     for stdout, wrong in traces:
