@@ -31,7 +31,6 @@ from .gateway import (
 )
 from .pipeline import (
     Candidate,
-    CandidatePool,
     EngineRuntime,
     RunConfig,
     RunOutcome,
@@ -66,7 +65,6 @@ __all__ = [
     "complete",
     "complete_fanout",
     "Candidate",
-    "CandidatePool",
     "EngineRuntime",
     "RunConfig",
     "RunOutcome",

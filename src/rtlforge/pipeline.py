@@ -18,7 +18,9 @@ Control flow per run:
    waveform window at its earliest mismatch; the trials run concurrently,
    and their ids and events follow slot order. Per lineage the better of
    {trial, original} survives (ties prefer the trial). Repeat until a score
-   hits 1 or the round budget is spent.
+   hits 1 or the round budget is spent. The state is the selected list, one
+   candidate per slot, plus the round index; each slot's lineage root is
+   the id it was selected with in step 4 and never changes.
 
 Steps 4 and 5 fan out on one executor per run with ``sim_workers`` workers,
 or one in single-agent mode, whose roles share one conversation.
@@ -155,33 +157,20 @@ def max_llm_calls(config: RunConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pool model
+# Candidates and selection
 
 
 @dataclass
 class Candidate:
+    """A DUT with its score and trace; only a vanilla run without a golden
+    bench leaves ``score`` unset."""
+
     id: int
     source: VerilogSource
     score: Optional[Score] = None
     trace: Optional[CheckTrace] = None
     lineage: Optional[int] = None  # parent id when produced by a debug trial
     round: int = 0
-
-
-@dataclass
-class CandidatePool:
-    all: list[Candidate] = field(default_factory=list)
-    selected: list[int] = field(default_factory=list)
-    round: int = 0
-
-    def by_id(self, cid: int) -> Candidate:
-        for c in self.all:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
-
-    def selected_candidates(self) -> list[Candidate]:
-        return [self.by_id(cid) for cid in self.selected]
 
 
 @dataclass
@@ -195,18 +184,17 @@ class RunOutcome:
     error: Optional[str] = None
 
 
-def select_top_k(pool: CandidatePool, k: int) -> list[int]:
-    """Ids of the K highest-scoring candidates; ties break to the lower id.
+def select_top_k(candidates: list[Candidate], k: int) -> list[Candidate]:
+    """The K highest-scoring candidates; ties break to the lower id.
 
     Maximizing the summed score of a size-K subset reduces to per-candidate
-    top-K; when the pool is smaller than K, everything is selected.
+    top-K; when there are fewer than K candidates, all are selected.
     """
-    if not pool.all:
+    if not candidates:
         raise ValueError("cannot select from an empty pool")
     if k < 1:
         raise ValueError("k must be >= 1")
-    scored = sorted(pool.all, key=lambda c: (-(c.score.value if c.score else 0.0), c.id))
-    return [c.id for c in scored[:k]]
+    return sorted(candidates, key=lambda c: (-c.score.value, c.id))[:k]
 
 
 def update_selection(
@@ -224,18 +212,17 @@ def update_selection(
             raise LineageMismatch(
                 f"trial {trial.id} has lineage {trial.lineage}, expected {original.id}"
             )
-        orig_score = original.score.value if original.score else 0.0
-        trial_score = trial.score.value if trial.score else 0.0
-        survivors.append(trial if trial_score >= orig_score else original)
+        survivors.append(trial if trial.score.value >= original.score.value else original)
     return survivors
 
 
-def should_terminate(pool: CandidatePool, config: RunConfig) -> tuple[bool, Optional[str]]:
+def should_terminate(
+    selected: list[Candidate], round_index: int, config: RunConfig
+) -> tuple[bool, Optional[str]]:
     """Stop when any selected score is 1, or the round budget is spent."""
-    for candidate in pool.selected_candidates():
-        if candidate.score is not None and candidate.score.value == 1.0:
-            return True, "solved"
-    if pool.round >= config.max_debug_rounds:
+    if any(c.score.value == 1.0 for c in selected):
+        return True, "solved"
+    if round_index >= config.max_debug_rounds:
         return True, "budget"
     return False, None
 
@@ -509,9 +496,8 @@ def _run(
             rtl = team.generate_rtl(spec_text, testbench, epoch=epoch)
         except SyntaxUnfixable:
             rtl = unbuildable(f"initial RTL e{epoch}")  # scores 0; step 3 moves on
-        initial = Candidate(id=take_id(), source=rtl)
-        evaluation = cache.evaluate(initial.source, f"initial_e{epoch}")
-        initial.score, initial.trace = evaluation.score, evaluation.trace
+        evaluation = cache.evaluate(rtl, f"initial_e{epoch}")
+        initial = Candidate(take_id(), rtl, evaluation.score, evaluation.trace)
         events.emit(
             {
                 "event": "sim",
@@ -570,55 +556,44 @@ def _run(
         epoch=epoch,
         map_fn=map_fn,
     )
-    pool = CandidatePool(round=0)
+    candidates = []
     for source in sources:
-        pool.all.append(Candidate(id=take_id(), source=source))
-    _score_candidates(
-        pool.all, cache, label_fn=lambda c, i=epoch: f"sample_e{i}_c{c.id}"
-    )
-    for candidate in pool.all:
+        cid = take_id()
+        # A cache hit: the sample's syntax probe already simulated it.
+        evaluation = cache.evaluate(source, f"sample_e{epoch}_c{cid}")
+        candidates.append(Candidate(cid, source, evaluation.score, evaluation.trace))
         events.emit(
             {
                 "event": "candidate",
-                "id": candidate.id,
-                "score": candidate.score.value if candidate.score else 0.0,
-                "sentinel": candidate.source.sentinel,
+                "id": cid,
+                "score": evaluation.score.value,
+                "sentinel": source.sentinel,
             }
         )
-    pool.selected = select_top_k(pool, config.top_k)
-    events.emit({"event": "selection", "ids": pool.selected})
-    history: list[tuple[int, list[float]]] = [
-        (0, [c.score.value if c.score else 0.0 for c in pool.selected_candidates()])
-    ]
+    selected = select_top_k(candidates, config.top_k)
+    events.emit({"event": "selection", "ids": [c.id for c in selected]})
+    history: list[tuple[int, list[float]]] = [(0, [c.score.value for c in selected])]
     events.emit({"event": "round_scores", "round": 0, "scores": history[0][1]})
 
-    # Step 5: debug rounds.
-    roots = {cid: cid for cid in pool.selected}
+    # Step 5: debug rounds over the selected slots; a slot's lineage root is
+    # its step-4 id.
+    roots = [c.id for c in selected]
+    round_index = 0
     while True:
-        done, reason = should_terminate(pool, config)
+        done, reason = should_terminate(selected, round_index, config)
         if done:
             break
-        round_index = pool.round + 1
+        round_index += 1
         events.emit({"event": "step", "step": 5, "round": round_index})
-        selected = pool.selected_candidates()
         trials = _debug_round(
             team, selected, roots, testbench, config, cache, events, round_index, take_id, map_fn
         )
-        survivors = update_selection(selected, trials)
-        for old, new in zip(selected, survivors):
-            if new.id != old.id:
-                roots[new.id] = roots.pop(old.id)
-                pool.all.append(new)
-        pool.selected = [c.id for c in survivors]
-        pool.round = round_index
-        scores = [c.score.value if c.score else 0.0 for c in survivors]
+        selected = update_selection(selected, trials)
+        scores = [c.score.value for c in selected]
         history.append((round_index, scores))
         events.emit({"event": "round_scores", "round": round_index, "scores": scores})
 
-    best = max(
-        pool.selected_candidates(),
-        key=lambda c: (c.score.value if c.score else 0.0, -c.id),
-    )
+    best = max(selected, key=lambda c: (c.score.value, -c.id))
     status = "solved" if reason == "solved" else "budget_exhausted"
     return RunOutcome(
         status=status,
@@ -649,17 +624,10 @@ def _route_without_trace(evaluation: SimEval, events: EventLog) -> tuple[bool, s
     return True, reason
 
 
-def _score_candidates(candidates, cache: _SimCache, label_fn) -> None:
-    """Score from the cache: each candidate's syntax probe already simulated it."""
-    for candidate in candidates:
-        evaluation = cache.evaluate(candidate.source, label_fn(candidate))
-        candidate.score, candidate.trace = evaluation.score, evaluation.trace
-
-
 def _debug_round(
     team: AgentTeam,
     selected: list[Candidate],
-    roots: dict[int, int],
+    roots: list[int],
     testbench: VerilogSource,
     config: RunConfig,
     cache: _SimCache,
@@ -668,10 +636,14 @@ def _debug_round(
     take_id: Callable[[], int],
     map_fn: Callable,
 ) -> list[Optional[Candidate]]:
-    """One trial per selected candidate; slots without a usable trace skip."""
+    """One trial per selected slot; slots without a usable trace skip.
+    ``roots`` holds each slot's lineage root."""
 
-    def make_trial(candidate: Candidate, emit: Callable[[dict], None]) -> Optional[VerilogSource]:
-        if candidate.trace is None or candidate.score is None:
+    def make_trial(
+        slot: tuple[Candidate, int], emit: Callable[[dict], None]
+    ) -> Optional[VerilogSource]:
+        candidate, root = slot
+        if candidate.trace is None:
             emit({"event": "trial_skipped", "round": round_index, "id": candidate.id})
             return None
         anchor = checkpoints.earliest_mismatch(candidate.trace)
@@ -684,7 +656,7 @@ def _debug_round(
                 window,
                 testbench,
                 round_index=round_index,
-                root_id=roots[candidate.id],
+                root_id=root,
                 emit=emit,
             )
         except (SyntaxUnfixable, NoCodeBlock) as exc:
@@ -700,25 +672,25 @@ def _debug_round(
             )
             return None
 
-    sources = map_in_order(map_fn, make_trial, selected, events.emit)
-    trials = [
-        None
-        if source is None
-        else Candidate(id=take_id(), source=source, lineage=candidate.id, round=round_index)
-        for candidate, source in zip(selected, sources)
-    ]
-    live = [t for t in trials if t is not None]
-    _score_candidates(
-        live, cache, label_fn=lambda c: f"debug_r{round_index}_c{c.lineage}"
-    )
-    for t in live:
+    sources = map_in_order(map_fn, make_trial, zip(selected, roots), events.emit)
+    trials: list[Optional[Candidate]] = []
+    for candidate, source in zip(selected, sources):
+        if source is None:
+            trials.append(None)
+            continue
+        # A cache hit: the trial's syntax probe already simulated it.
+        evaluation = cache.evaluate(source, f"debug_r{round_index}_c{candidate.id}")
+        trial = Candidate(
+            take_id(), source, evaluation.score, evaluation.trace, candidate.id, round_index
+        )
+        trials.append(trial)
         events.emit(
             {
                 "event": "trial",
                 "round": round_index,
-                "lineage": t.lineage,
-                "id": t.id,
-                "score": t.score.value if t.score else 0.0,
+                "lineage": trial.lineage,
+                "id": trial.id,
+                "score": trial.score.value,
             }
         )
     return trials

@@ -26,7 +26,6 @@ from rtlforge.gateway import CassetteRecorder, HttpBackend, NamespacedBackend, R
 from rtlforge.golden import evaluate_golden
 from rtlforge.pipeline import (
     Candidate,
-    CandidatePool,
     EngineRuntime,
     RunConfig,
     run_pipeline,
@@ -130,16 +129,15 @@ def test_c04_top_k_selection_vs_subset_argmax():
         n = rng.randint(1, 12)
         k = rng.randint(1, min(5, n))
         exact = [Fraction(rng.randint(0, 20), 20) for _ in range(n)]
-        pool = CandidatePool()
-        for i, f in enumerate(exact):
-            pool.all.append(
-                Candidate(
-                    id=i,
-                    source=VerilogSource(kind="dut", top_module=f"c{i}", code="module m; endmodule"),
-                    score=Score(float(f)),
-                )
+        pool = [
+            Candidate(
+                id=i,
+                source=VerilogSource(kind="dut", top_module=f"c{i}", code="module m; endmodule"),
+                score=Score(float(f)),
             )
-        chosen = select_top_k(pool, k)
+            for i, f in enumerate(exact)
+        ]
+        chosen = [c.id for c in select_top_k(pool, k)]
         best = max(
             sum(exact[i] for i in subset)
             for subset in itertools.combinations(range(n), min(k, n))

@@ -217,6 +217,17 @@ class TestValueComparison:
     def test_value_bits_cache_is_bounded(self):
         assert value_bits.cache_info().maxsize == 4096
 
+    def test_long_values_bypass_the_cache(self):
+        long = "'h" + "f" * 10**6
+        other = "'h" + "f" * (10**6 - 1) + "e"
+        value_bits.cache_clear()
+        trace = parse_trace(
+            f"CHECK time=0 in: dut:y={long} exp:y={long} status=MATCH\n"
+            f"CHECK time=1 in: dut:y={long} exp:y={other} status=MISMATCH\n"
+        )
+        assert [r.matched for r in trace.records] == [True, False]
+        assert value_bits.cache_info().currsize == 0
+
     def test_declared_width_above_bound_is_not_a_literal(self):
         # 2**16 bits is the minimum vector width IEEE 1364/1800 require.
         assert value_bits(f"{MAX_LITERAL_WIDTH}'b1") == "0" * (MAX_LITERAL_WIDTH - 1) + "1"

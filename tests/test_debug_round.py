@@ -92,3 +92,13 @@ def test_single_agent_mode_keeps_one_trial_in_flight(templates, tmp_path):
     assert outcome.status == "budget_exhausted"
     assert sum(e["event"] == "trial" for e in events) == 6
     assert script.max_in_flight == 1
+
+
+def test_scoring_reads_only_probe_simulations(templates, tmp_path):
+    """Every candidate and trial is scored from its syntax probe's cached
+    simulation, so no directory appears under a scoring label."""
+    outcome, events, _ = run(templates, tmp_path / "run")
+    assert outcome.status == "budget_exhausted"
+    assert sum(e["event"] == "trial" for e in events) == 6
+    labels = sorted(p.name for p in (tmp_path / "run" / "sim").iterdir())
+    assert labels == ["debug", "rtl_gen", "testbench_gen"]

@@ -12,7 +12,6 @@ from rtlforge.checkpoints import Score, extract_window, parse_trace, render_wind
 from rtlforge.gateway import CassetteRecorder, ReplayBackend
 from rtlforge.pipeline import (
     Candidate,
-    CandidatePool,
     EngineRuntime,
     LineageMismatch,
     RunConfig,
@@ -29,32 +28,29 @@ from fixtures import fenced, stub_counter_problem, stub_dut, stub_tb
 from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker, synth_counter_trace
 
 
-def make_pool(scores, round=0, selected=None):
-    pool = CandidatePool(round=round)
-    for i, value in enumerate(scores):
-        pool.all.append(
-            Candidate(
-                id=i,
-                source=VerilogSource(kind="dut", top_module=f"c{i}", code=f"// c{i}\nmodule m; endmodule"),
-                score=Score(value),
-            )
+def make_pool(scores):
+    return [
+        Candidate(
+            id=i,
+            source=VerilogSource(kind="dut", top_module=f"c{i}", code=f"// c{i}\nmodule m; endmodule"),
+            score=Score(value),
         )
-    pool.selected = selected if selected is not None else [c.id for c in pool.all]
-    return pool
+        for i, value in enumerate(scores)
+    ]
 
 
 class TestSelectTopK:
     def test_tie_breaks_to_lower_id(self):
         pool = make_pool([0.2, 0.9, 0.9, 0.1])
-        assert select_top_k(pool, 2) == [1, 2]
+        assert [c.id for c in select_top_k(pool, 2)] == [1, 2]
 
     def test_k_equals_pool(self):
         pool = make_pool([0.3, 0.1, 0.7])
-        assert sorted(select_top_k(pool, 3)) == [0, 1, 2]
+        assert sorted(c.id for c in select_top_k(pool, 3)) == [0, 1, 2]
 
     def test_k_larger_than_pool_returns_all(self):
         pool = make_pool([0.3, 0.1])
-        assert sorted(select_top_k(pool, 5)) == [0, 1]
+        assert sorted(c.id for c in select_top_k(pool, 5)) == [0, 1]
 
     def test_matches_bruteforce_subset_maximization(self):
         rng = random.Random(2024)
@@ -63,7 +59,7 @@ class TestSelectTopK:
             k = rng.randint(1, min(5, n))
             exact = [Fraction(rng.randint(0, 10), 10) for _ in range(n)]
             pool = make_pool([float(f) for f in exact])
-            chosen = select_top_k(pool, k)
+            chosen = [c.id for c in select_top_k(pool, k)]
             assert len(chosen) == k
             best_sum = max(
                 sum(exact[i] for i in subset)
@@ -93,47 +89,47 @@ def trial_for(original, value, trial_id=100):
 class TestUpdateSelection:
     def test_trial_wins_when_better(self):
         pool = make_pool([0.6])
-        original = pool.all[0]
+        original = pool[0]
         survivors = update_selection([original], [trial_for(original, 0.9)])
         assert survivors[0].score.value == 0.9
 
     def test_original_kept_when_trial_regresses(self):
         pool = make_pool([0.6])
-        original = pool.all[0]
+        original = pool[0]
         survivors = update_selection([original], [trial_for(original, 0.4)])
         assert survivors[0] is original
 
     def test_trial_wins_ties(self):
         pool = make_pool([0.7])
-        original = pool.all[0]
+        original = pool[0]
         trial = trial_for(original, 0.7)
         survivors = update_selection([original], [trial])
         assert survivors[0] is trial
 
     def test_lineage_mismatch(self):
         pool = make_pool([0.5, 0.5])
-        stray = trial_for(pool.all[1], 0.9)
+        stray = trial_for(pool[1], 0.9)
         with pytest.raises(LineageMismatch):
-            update_selection([pool.all[0]], [stray])
+            update_selection([pool[0]], [stray])
 
     def test_none_keeps_original(self):
         pool = make_pool([0.5])
-        assert update_selection([pool.all[0]], [None])[0] is pool.all[0]
+        assert update_selection([pool[0]], [None])[0] is pool[0]
 
 
 class TestShouldTerminate:
     def test_solved_at_round_zero(self):
-        done, reason = should_terminate(make_pool([0.4, 1.0]), RunConfig())
+        done, reason = should_terminate(make_pool([0.4, 1.0]), 0, RunConfig())
         assert (done, reason) == (True, "solved")
 
     def test_budget_at_limit(self):
         config = RunConfig(max_debug_rounds=3)
-        done, reason = should_terminate(make_pool([0.4], round=3), config)
+        done, reason = should_terminate(make_pool([0.4]), 3, config)
         assert (done, reason) == (True, "budget")
 
     def test_continue_below_limit(self):
         config = RunConfig(max_debug_rounds=3)
-        done, reason = should_terminate(make_pool([0.4], round=2), config)
+        done, reason = should_terminate(make_pool([0.4]), 2, config)
         assert (done, reason) == (False, None)
 
 
