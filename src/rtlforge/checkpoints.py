@@ -23,6 +23,7 @@ the parsed records and any disagreement flags the testbench as buggy.
 from __future__ import annotations
 
 import functools
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -73,6 +74,9 @@ _SAFE_DIGITS = sys.int_info.str_digits_check_threshold
 # Widest declared literal width decoded to bits: the minimum vector width
 # IEEE 1364/1800 require every tool to support. A wider one is not a literal.
 MAX_LITERAL_WIDTH = 1 << 16
+# Decimal digits of the largest MAX_LITERAL_WIDTH-bit value; a longer decimal
+# is not decoded, and compares as text.
+_MAX_DECIMAL_DIGITS = math.floor(MAX_LITERAL_WIDTH * math.log10(2)) + 1
 
 
 def _plain(text: str) -> bool:
@@ -96,14 +100,27 @@ def _digit_table(bits_per_digit: int) -> tuple[frozenset, dict]:
 _DIGIT_TABLES = {"b": _digit_table(1), "o": _digit_table(3), "h": _digit_table(4)}
 
 
+def _decimal_bits(digits: str) -> Optional[str]:
+    """Bits of a decimal digit string, decoded in chunks ``int()`` never
+    refuses for their length; None above ``_MAX_DECIMAL_DIGITS`` significant
+    digits."""
+    if len(digits.lstrip("0")) > _MAX_DECIMAL_DIGITS:
+        return None
+    value = 0
+    for i in range(0, len(digits), _SAFE_DIGITS):
+        chunk = digits[i : i + _SAFE_DIGITS]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return format(value, "b")
+
+
 @functools.lru_cache(maxsize=4096)
 def value_bits(text: str) -> Optional[str]:
     """Normalize a Verilog value literal to a bit string (msb first).
 
     Returns characters in ``01xz?`` or None when the text is not a
     recognizable literal (comparison then falls back to exact text equality).
-    A declared width above ``MAX_LITERAL_WIDTH`` bits is not a literal.
-    Results are memoised per text in a bounded cache.
+    A declared width above ``MAX_LITERAL_WIDTH`` bits, or a decimal longer
+    than such a value, is not a literal. Results are memoised per text in a bounded cache.
     """
     text = text.strip()
     if not text:
@@ -111,7 +128,7 @@ def value_bits(text: str) -> Optional[str]:
     if _BIT_TEXT_RE.fullmatch(text):
         return text.lower()
     if text.isdigit():
-        return format(int(text), "b")
+        return _decimal_bits(text)
     m = _LITERAL_RE.match(text)
     if m is None:
         return None
@@ -121,9 +138,9 @@ def value_bits(text: str) -> Optional[str]:
     if not digits:
         return None
     if base == "d":
-        if not digits.isdigit():
+        bits = _decimal_bits(digits) if digits.isdigit() else None
+        if bits is None:
             return None
-        bits = format(int(digits), "b")
     else:
         allowed, table = _DIGIT_TABLES[base]
         if not allowed.issuperset(digits):

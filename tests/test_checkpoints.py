@@ -251,6 +251,29 @@ class TestValueComparison:
         )
         assert [r.matched for r in trace.records] == [True, False]
 
+    def test_long_decimals_decode_up_to_the_width_bound(self):
+        # int() refuses more than 4300 digits; that ValueError once escaped
+        # values_match and turned a well-formed CHECK line into a TraceError.
+        nines = "9" * 5000
+        assert value_bits(nines) == format(10**5000 - 1, "b")
+        assert value_bits("'d" + nines) == value_bits(nines)
+        assert value_bits("8'd" + nines) == format(10**5000 - 1, "b")[-8:]
+        assert values_match(nines, nines) and values_match("'d" + nines, "'d" + nines)
+        assert values_match("000" + nines, nines)
+        assert not values_match(nines, nines[:-1] + "8")
+        trace = parse_trace(
+            f"CHECK time=0 in: dut:y={nines} exp:y={nines} status=MATCH\n"
+            f"CHECK time=1 in: dut:y='d{nines} exp:y={nines[:-1]}8 status=MISMATCH\n"
+        )
+        assert [r.matched for r in trace.records] == [True, False]
+        # A decimal as long as the largest MAX_LITERAL_WIDTH-bit value still
+        # decodes; one digit more compares as text.
+        top = "9" * 19729
+        assert value_bits(top) is not None
+        assert value_bits(top + "9") is None
+        assert values_match(top + "9", top + "9")
+        assert not values_match(top + "9", top + "8")
+
     def test_width_extension(self):
         assert value_bits("8'b1") == "00000001"
         assert value_bits("4'hx") == "xxxx"
