@@ -5,6 +5,11 @@ conversation history; the single-agent ablation mode routes every role
 through one shared history instead. Prompt templates are versioned text
 files under ``prompts/<role>/<task>.txt`` with ``{{name}}`` placeholders.
 
+Every LLM request takes one path, ``AgentTeam._chat``: build the request
+from a conversation plus one user turn, issue it (as n single-completion
+calls when fan-out sampling asks for more than one completion), count the
+calls, emit one ``llm_call`` event and record the turn in the conversation.
+
 Every piece of Verilog an agent returns has been through the bounded
 syntax-repair loop: compile, and if broken, send the diagnostics back to the
 agent for a rewrite, at most five times.
@@ -198,8 +203,12 @@ class AgentTeam:
     ``mode`` selects how conversation histories are organized:
 
     * ``multi``  — one independent history per role, plus one debug thread
-      per candidate lineage (the baseline configuration).
+      per candidate lineage and one repair thread per step-4 sample (the
+      baseline configuration).
     * ``single`` — every role shares a single merged history.
+
+    ``params`` are the sampling parameters of every call except step-4
+    sampling, which passes its own.
     """
 
     def __init__(
@@ -207,150 +216,92 @@ class AgentTeam:
         backend: Backend,
         templates: PromptLibrary,
         syntax_checker: SyntaxChecker,
+        params: SamplingParams,
         model_id: str = "default",
         mode: str = "multi",
-        base_params: SamplingParams = SamplingParams(temperature=0.0, top_p=0.01),
-        role_params: Optional[dict[str, SamplingParams]] = None,
         syntax_fix_cap: int = SYNTAX_FIX_CAP,
         retry: RetryPolicy = DEFAULT_RETRY,
         event_sink: Optional[Callable[[dict], None]] = None,
         fanout_sampling: bool = False,
-        tb_prompt_limit: Optional[int] = None,
     ):
         if mode not in ("multi", "single"):
             raise ValueError(f"invalid agent mode: {mode!r}")
         self.backend = backend
         self.templates = templates
         self.syntax_checker = syntax_checker
+        self.params = params
         self.model_id = model_id
         self.mode = mode
-        self.base_params = base_params
-        self.role_params = role_params or {}
         self.syntax_fix_cap = syntax_fix_cap
         self.retry = retry
-        self.event_sink = event_sink
+        self._emit = event_sink or (lambda event: None)
         self.fanout_sampling = fanout_sampling
-        self.tb_prompt_limit = tb_prompt_limit
         self.llm_calls = 0
-        self._count_lock = threading.Lock()
-        if mode == "single":
-            shared = Conversation(
-                role="single",
-                conv_id="conv-shared",
-                system_prompt=templates.text("single", "system"),
-            )
-            self._convs = {role: shared for role in ROLES}
-        else:
-            self._convs = {
-                role: Conversation(
-                    role=role,
-                    conv_id=f"conv-{role}",
-                    system_prompt=templates.text(role, "system"),
-                )
-                for role in ROLES
-            }
-        self._debug_threads: dict[int, Conversation] = {}
+        self._lock = threading.Lock()  # guards llm_calls and _convs
+        self._convs: dict[str, Conversation] = {}
+        for role in ROLES:  # a missing system template fails here, not mid-run
+            self.conversation(role)
 
-    # -- conversation plumbing ------------------------------------------------
+    def conversation(self, role: str, conv_id: Optional[str] = None) -> Conversation:
+        """The history a turn of ``role`` joins, created on first use.
 
-    def conversation(self, role: str) -> Conversation:
-        return self._convs[role]
-
-    def debug_thread(self, root_id: int) -> Conversation:
-        """Per-lineage debug conversation, retained across rounds."""
+        Multi mode keys histories by ``conv_id`` (default ``conv-<role>``):
+        ``conv-debug-c<root>`` per lineage, ``conv-rtlfix-e<epoch>-c<i>`` per
+        step-4 sample. Single mode maps every call to ``conv-shared``.
+        """
         if self.mode == "single":
-            return self._convs["debug"]
-        if root_id not in self._debug_threads:
-            self._debug_threads[root_id] = Conversation(
-                role="debug",
-                conv_id=f"conv-debug-c{root_id}",
-                system_prompt=self.templates.text("debug", "system"),
-            )
-        return self._debug_threads[root_id]
-
-    def _ephemeral(self, role: str, conv_id: str) -> Conversation:
-        if self.mode == "single":
-            return self._convs[role]
-        return Conversation(
-            role=role,
-            conv_id=conv_id,
-            system_prompt=self.templates.text(role, "system"),
-        )
-
-    def _params_for(self, role: str) -> SamplingParams:
-        return self.role_params.get(role, self.base_params)
-
-    def _tb_text(self, testbench: VerilogSource) -> str:
-        """Testbench text as bound into prompts; full by default, truncated
-        when a character limit is configured."""
-        code = testbench.code
-        if self.tb_prompt_limit is not None and len(code) > self.tb_prompt_limit:
-            return code[: self.tb_prompt_limit] + "\n// ... (testbench truncated)\n"
-        return code
-
-    def _emit(self, event: dict) -> None:
-        if self.event_sink is not None:
-            self.event_sink(event)
-
-    def _request(
-        self, conv: Conversation, user_text: str, tag: str, params: SamplingParams
-    ) -> LlmRequest:
-        return LlmRequest(
-            model_id=self.model_id,
-            messages=conv.messages_with(user_text),
-            params=params,
-            tag=tag,
-        )
+            role, conv_id = "single", "conv-shared"
+        conv_id = conv_id or f"conv-{role}"
+        with self._lock:
+            if conv_id not in self._convs:
+                system = self.templates.text(role, "system")
+                self._convs[conv_id] = Conversation(role, conv_id, system)
+            return self._convs[conv_id]
 
     def _chat(
         self,
         conv: Conversation,
-        user_text: str,
+        user: str,
         tag: str,
         params: Optional[SamplingParams] = None,
         emit: Optional[Callable[[dict], None]] = None,
-    ) -> str:
-        params = params or self._params_for(conv.role)
-        request = self._request(conv, user_text, tag, params)
-        response = complete(request, self.backend, self.retry)
-        with self._count_lock:
-            self.llm_calls += 1
-        (emit or self._emit)(
-            {"event": "llm_call", "tag": tag, "role": conv.role, "conv": conv.conv_id, "n": 1}
-        )
-        reply = response.completions[0]
-        conv.record(user_text, reply)
-        return reply
-
-    def _chat_many(
-        self, conv: Conversation, user_text: str, tag: str, params: SamplingParams
+        record: bool = True,
     ) -> list[str]:
-        request = self._request(conv, user_text, tag, params)
-        if self.fanout_sampling:
-            response = complete_fanout(request, self.backend, self.retry)
-            issued = params.n_completions
-        else:
-            response = complete(request, self.backend, self.retry)
-            issued = 1
-        with self._count_lock:
-            self.llm_calls += issued
-        self._emit(
-            {
-                "event": "llm_call",
-                "tag": tag,
-                "role": conv.role,
-                "conv": conv.conv_id,
-                "n": params.n_completions,
-            }
+        """One request: ``conv``'s history plus ``user``. ``record`` keeps the
+        turn, with the first completion, in ``conv``; ``emit`` receives the
+        event instead of the team's sink."""
+        params = params or self.params
+        n = params.n_completions
+        fan_out = self.fanout_sampling and n > 1
+        request = LlmRequest(self.model_id, conv.messages_with(user), params, tag)
+        response = (complete_fanout if fan_out else complete)(request, self.backend, self.retry)
+        with self._lock:
+            self.llm_calls += n if fan_out else 1
+        (emit or self._emit)(
+            {"event": "llm_call", "tag": tag, "role": conv.role, "conv": conv.conv_id, "n": n}
         )
-        # The request is the conversation's whole history plus this turn; for
-        # step-4 sampling in multi mode that history is the rtl_gen
-        # initial-RTL and syntax-fix turns. Only in single mode is the turn
-        # recorded, keeping one representative completion so later turns see
-        # that code was produced.
-        if self.mode == "single":
-            conv.record(user_text, response.completions[0])
+        if record:
+            conv.record(user, response.completions[0])
         return list(response.completions)
+
+    def _source(self, reply: str, kind: str, preferred: Optional[str] = None) -> VerilogSource:
+        """The reply's last code block as a source; raises AgentError when it
+        has none or declares no module."""
+        code = extract_code_block(reply)
+        return VerilogSource(kind=kind, top_module=parse_module_name(code, preferred), code=code)
+
+    def _turn(
+        self,
+        conv: Conversation,
+        user: str,
+        tag: str,
+        kind: str,
+        preferred: Optional[str] = None,
+        emit: Optional[Callable[[dict], None]] = None,
+    ) -> VerilogSource:
+        """Ask, take the reply's code, and run it through the repair loop."""
+        source = self._source(self._chat(conv, user, tag, emit=emit)[0], kind, preferred)
+        return self.fix_syntax(source, conv, parent_tag=tag, emit=emit)
 
     # -- syntax repair loop ---------------------------------------------------
 
@@ -378,24 +329,15 @@ class AgentTeam:
         if not diagnostics:
             return current
         for k in range(1, self.syntax_fix_cap + 1):
-            reply = self._chat(
-                conv,
-                self.templates.render(
-                    fix_role,
-                    "fix_syntax",
-                    diagnostics="\n".join(d.render() for d in diagnostics),
-                    rtl=current.code,
-                ),
-                tag=f"{parent_tag}/fix{k}",
-                emit=emit,
+            user = self.templates.render(
+                fix_role,
+                "fix_syntax",
+                diagnostics="\n".join(d.render() for d in diagnostics),
+                rtl=current.code,
             )
+            reply = self._chat(conv, user, f"{parent_tag}/fix{k}", emit=emit)[0]
             try:
-                code = extract_code_block(reply)
-                current = VerilogSource(
-                    kind=source.kind,
-                    top_module=parse_module_name(code, preferred=source.top_module),
-                    code=code,
-                )
+                current = self._source(reply, source.kind, source.top_module)
             except AgentError:
                 continue  # fence-less reply: a failed iteration
             diagnostics = self.syntax_checker(current, f"{parent_tag}/check{k}")
@@ -416,7 +358,6 @@ class AgentTeam:
         """Step 1: produce the checkpoint-logging testbench (or regenerate it)."""
         if not spec_text:
             raise ValueError("specification text must be non-empty")
-        conv = self._convs["testbench_gen"]
         if feedback is None:
             user = self.templates.render(
                 "testbench_gen",
@@ -433,38 +374,23 @@ class AgentTeam:
                 testbench=previous.code if previous else "(unavailable)",
                 feedback=feedback,
             )
-        tag = f"testbench_gen/gen{epoch}"
-        reply = self._chat(conv, user, tag=tag)
-        code = extract_code_block(reply)
-        source = VerilogSource(
-            kind="testbench", top_module=parse_module_name(code), code=code
-        )
-        return self.fix_syntax(source, conv, parent_tag=tag)
+        conv = self.conversation("testbench_gen")
+        return self._turn(conv, user, f"testbench_gen/gen{epoch}", "testbench")
 
     def generate_rtl(
         self, spec_text: str, testbench: VerilogSource, epoch: int = 0
     ) -> VerilogSource:
         """Step 2: single low-temperature RTL shot against the testbench."""
-        conv = self._convs["rtl_gen"]
         user = self.templates.render(
-            "rtl_gen", "generate", spec=spec_text, testbench=self._tb_text(testbench)
+            "rtl_gen", "generate", spec=spec_text, testbench=testbench.code
         )
-        tag = f"rtl_gen/init{epoch}"
-        reply = self._chat(conv, user, tag=tag)
-        code = extract_code_block(reply)
-        source = VerilogSource(kind="dut", top_module=parse_module_name(code), code=code)
-        return self.fix_syntax(source, conv, parent_tag=tag)
+        return self._turn(self.conversation("rtl_gen"), user, f"rtl_gen/init{epoch}", "dut")
 
     def generate_rtl_vanilla(self, spec_text: str) -> VerilogSource:
         """One-pass baseline: a single generation, no testbench, no repair."""
-        conv = self._convs["rtl_gen"]
-        reply = self._chat(
-            conv,
-            self.templates.render("rtl_gen", "vanilla", spec=spec_text),
-            tag="rtl_gen/vanilla",
-        )
-        code = extract_code_block(reply)
-        return VerilogSource(kind="dut", top_module=parse_module_name(code), code=code)
+        user = self.templates.render("rtl_gen", "vanilla", spec=spec_text)
+        reply = self._chat(self.conversation("rtl_gen"), user, "rtl_gen/vanilla")[0]
+        return self._source(reply, "dut")
 
     def sample_rtl_candidates(
         self,
@@ -481,40 +407,38 @@ class AgentTeam:
         holding the specification and the testbench. In multi mode that
         history holds each epoch's initial-RTL turn and its syntax-fix turns
         (step 2); in single mode, every earlier turn of the shared
-        conversation. Candidates whose syntax cannot be repaired are
-        replaced by flagged sentinel sources so the pool keeps its size.
+        conversation. Only single mode records the sampling turn, keeping
+        one representative completion so later turns see that code was
+        produced. Candidates whose syntax cannot be repaired are replaced by
+        flagged sentinel sources so the pool keeps its size.
 
         Samples are repaired through ``map_in_order(map_fn, ...)``, so their
         repair events reach the event log in sample order.
         """
         if count < 1:
             raise ValueError("candidate count must be >= 1")
-        conv = self._convs["rtl_gen"]
         user = self.templates.render(
-            "rtl_gen", "generate", spec=spec_text, testbench=self._tb_text(testbench)
+            "rtl_gen", "generate", spec=spec_text, testbench=testbench.code
         )
-        tag = f"rtl_gen/sample/e{epoch}"
-        replies = self._chat_many(
-            conv, user, tag=tag, params=dataclasses.replace(params, n_completions=count)
+        replies = self._chat(
+            self.conversation("rtl_gen"),
+            user,
+            f"rtl_gen/sample/e{epoch}",
+            params=dataclasses.replace(params, n_completions=count),
+            record=self.mode == "single",
         )
 
         def repair(item: tuple[int, str], emit: Callable[[dict], None]) -> VerilogSource:
             i, reply = item
             try:
-                code = extract_code_block(reply)
-                source = VerilogSource(
-                    kind="dut", top_module=parse_module_name(code), code=code
-                )
-                fix_conv = self._ephemeral("rtl_gen", f"conv-rtlfix-e{epoch}-c{i}")
-                source = self.fix_syntax(
-                    source,
-                    fix_conv,
+                return self.fix_syntax(
+                    self._source(reply, "dut"),
+                    self.conversation("rtl_gen", f"conv-rtlfix-e{epoch}-c{i}"),
                     parent_tag=f"rtl_gen/samplefix/e{epoch}/c{i}",
                     emit=emit,
                 )
             except AgentError:
                 return unbuildable(f"sample {i}")
-            return source
 
         return map_in_order(map_fn, repair, enumerate(replies), self._emit)
 
@@ -527,16 +451,14 @@ class AgentTeam:
         window_len: int = DEFAULT_WINDOW_LEN,
     ) -> JudgeVerdict:
         """Step 3: is the failure the RTL's fault or the testbench's?"""
-        conv = self._convs["judge"]
         user = self.templates.render(
             "judge",
             "evaluate",
             spec=spec_text,
-            testbench=self._tb_text(testbench),
+            testbench=testbench.code,
             window=render_excerpt(trace, window_len),
         )
-        reply = self._chat(conv, user, tag=f"judge/e{epoch}")
-        verdict = parse_verdict(reply)
+        verdict = parse_verdict(self._chat(self.conversation("judge"), user, f"judge/e{epoch}")[0])
         self._emit({"event": "verdict", "decision": verdict.decision, "epoch": epoch})
         return verdict
 
@@ -549,24 +471,18 @@ class AgentTeam:
         root_id: int,
         emit: Optional[Callable[[dict], None]] = None,
     ) -> VerilogSource:
-        """Step 5: one repair attempt on a selected candidate; ``emit``
-        receives its events instead of the team's sink."""
+        """Step 5: one repair attempt on a selected candidate, in its
+        lineage's debug thread; ``emit`` receives its events instead of the
+        team's sink."""
         if not window.records:
             raise ValueError("waveform window has no records")
-        conv = self.debug_thread(root_id)
         user = self.templates.render(
             "debug",
             "trial",
             window=render_window(window),
             rtl=candidate.code,
-            testbench=self._tb_text(testbench),
+            testbench=testbench.code,
         )
+        conv = self.conversation("debug", f"conv-debug-c{root_id}")
         tag = f"debug/r{round_index}/c{root_id}"
-        reply = self._chat(conv, user, tag=tag, emit=emit)
-        code = extract_code_block(reply)
-        source = VerilogSource(
-            kind="dut",
-            top_module=parse_module_name(code, preferred=candidate.top_module),
-            code=code,
-        )
-        return self.fix_syntax(source, conv, parent_tag=tag, emit=emit)
+        return self._turn(conv, user, tag, "dut", candidate.top_module, emit=emit)

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import EngineError
-from .golden import DEFAULT_CRITERION, GoldenCriterion, evaluate_golden
+from .golden import evaluate_golden
 from .pipeline import EngineRuntime, RunConfig, RunOutcome, WorkdirAllocator, run_pipeline
 from .problems import Problem
 
@@ -88,17 +88,13 @@ def best_score_per_round(outcome: RunOutcome) -> list[float]:
 
 
 def run_trial(
-    problem: Problem,
-    run_index: int,
-    config: RunConfig,
-    runtime: EngineRuntime,
-    criterion: GoldenCriterion = DEFAULT_CRITERION,
+    problem: Problem, run_index: int, config: RunConfig, runtime: EngineRuntime
 ) -> TrialRecord:
     """One pipeline run plus the official golden verification.
 
-    ``passed_golden`` is decided by the unmodified golden testbench when one
-    exists; problems without a golden bench fall back to the engine's own
-    solved status.
+    ``passed_golden`` is decided by the unmodified golden testbench under
+    ``runtime.golden_criterion`` when one exists; problems without a golden
+    bench fall back to the engine's own solved status.
     """
     start = time.monotonic()
     outcome = run_pipeline(problem, config, runtime)
@@ -110,7 +106,7 @@ def run_trial(
             problem.golden_testbench,
             runtime.sim_runner,
             allocator.acquire("final"),
-            criterion,
+            runtime.golden_criterion,
         )
         passed = result.passed
     else:
@@ -131,7 +127,6 @@ def run_bench(
     config: RunConfig,
     runtime_factory: Callable[[str, int], EngineRuntime],
     n_runs: int = 1,
-    criterion: GoldenCriterion = DEFAULT_CRITERION,
     workers: int = 1,
     records_sink: Optional[list[TrialRecord]] = None,
 ) -> list[TrialRecord]:
@@ -150,7 +145,7 @@ def run_bench(
         problem, j = job
         runtime = runtime_factory(problem.task_id, j)
         try:
-            return run_trial(problem, j, config, runtime, criterion)
+            return run_trial(problem, j, config, runtime)
         except EngineError as exc:
             return TrialRecord(
                 task_id=problem.task_id,

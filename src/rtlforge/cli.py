@@ -48,10 +48,7 @@ CONFIG_DEFAULTS = {
     "base_url": "https://api.openai.com/v1",
     "auth_env": "RTLFORGE_API_KEY",
     "model": "default",
-    **{
-        key: f.default_factory() if f.default is dataclasses.MISSING else f.default
-        for key, f in _RUN_FIELDS.items()
-    },
+    **{key: f.default for key, f in _RUN_FIELDS.items()},
     "workers": 1,
     "runs": 1,
     "dataset_format": "jsonl",
@@ -202,12 +199,6 @@ def _build_runtime(
     )
 
 
-def _echo(cfg: dict, run_config: RunConfig) -> dict:
-    echo = {k: v for k, v in cfg.items() if k != "role_overrides"}
-    echo.update(run_config.echo())
-    return echo
-
-
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     spec_path = Path(args.spec_file)
@@ -237,7 +228,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "best_score": outcome.best.score.value if outcome.best and outcome.best.score else None,
         "score_history": outcome.score_history,
         "llm_calls": outcome.llm_calls,
-        "config": _echo(cfg, run_config),
+        "config": {**cfg, **run_config.echo()},
     }
     (out / "outcome.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -263,9 +254,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     base_backend = _build_backend(cfg)
-    criterion = GoldenCriterion(
-        pass_pattern=cfg["golden_pass_pattern"], fail_pattern=cfg["golden_fail_pattern"]
-    )
+    echo = {**cfg, **run_config.echo()}
 
     def runtime_factory(task_id: str, run_index: int) -> EngineRuntime:
         backend = NamespacedBackend(base_backend, f"{task_id}/run{run_index}/")
@@ -278,18 +267,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
             run_config,
             runtime_factory,
             n_runs=cfg["runs"],
-            criterion=criterion,
             workers=cfg["workers"],
             records_sink=records,
         )
     except KeyboardInterrupt:
         if records:
-            emit_report(records, out, config_echo=_echo(cfg, run_config))
+            emit_report(records, out, config_echo=echo)
             print(f"interrupted; partial report for {len(records)} runs written", file=sys.stderr)
         else:
             print("interrupted before any run completed", file=sys.stderr)
         return 130
-    report = emit_report(records, out, config_echo=_echo(cfg, run_config))
+    report = emit_report(records, out, config_echo=echo)
     print(
         f"{len(report.problems)} problems, aggregate pass@1 = {report.aggregate_pass_at_1:.4f}"
     )

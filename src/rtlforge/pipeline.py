@@ -93,8 +93,6 @@ class RunConfig:
     scrub: bool = False
     fanout_sampling: bool = False
     sim_workers: int = 8
-    tb_prompt_limit: Optional[int] = None
-    role_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.temp_profile not in PROFILES:
@@ -254,16 +252,13 @@ class EventLog:
 
     def __init__(self, path: Path):
         self.path = path
-        self.events: list[dict] = []
         self._lock = threading.Lock()
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("", encoding="utf-8")
 
     def emit(self, event: dict) -> None:
-        with self._lock:
-            self.events.append(event)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(event, sort_keys=True) + "\n")
+        with self._lock, self.path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(event, sort_keys=True) + "\n")
 
 
 class WorkdirAllocator:
@@ -448,19 +443,12 @@ def _run(
         templates=runtime.templates,
         syntax_checker=check_syntax,
         model_id=runtime.model_id,
+        params=config.params(),
         mode="single" if config.agent_mode == "single" else "multi",
-        base_params=config.params(),
-        role_params={
-            role: config.params(
-                o.get("temperature", LOW_TEMP.temperature), o.get("top_p", LOW_TEMP.top_p)
-            )
-            for role, o in config.role_overrides.items()
-        },
         syntax_fix_cap=config.syntax_fix_cap,
         retry=runtime.retry,
         event_sink=events.emit,
         fanout_sampling=config.fanout_sampling,
-        tb_prompt_limit=config.tb_prompt_limit,
     )
     on_team(team)
     spec_text = problem.spec_text()

@@ -22,7 +22,9 @@ from rtlforge.checkpoints import (
     render_window,
     score,
 )
-from rtlforge.gateway import CassetteRecorder, HttpBackend, NamespacedBackend, ReplayBackend
+from rtlforge.gateway import (
+    CassetteRecorder, HttpBackend, NamespacedBackend, ReplayBackend, SamplingParams,
+)
 from rtlforge.golden import evaluate_golden
 from rtlforge.pipeline import (
     Candidate,
@@ -221,6 +223,7 @@ def test_c06_syntax_fix_cap_exactly_five(templates):
         backend=backend,
         templates=templates,
         syntax_checker=checker,
+        params=SamplingParams(temperature=0.0, top_p=0.01),
         mode="multi",
     )
     broken = VerilogSource(

