@@ -54,7 +54,7 @@ class AgentError(EngineError):
 
 
 class NoCodeBlock(AgentError):
-    """Agent reply contains no fenced code block."""
+    """Agent reply has no fenced code block, or its last one declares no module."""
 
 
 class SyntaxUnfixable(AgentError):
@@ -149,7 +149,7 @@ def parse_module_name(code: str, preferred: Optional[str] = None) -> str:
     """Name of the module the code declares; prefers ``preferred`` if declared."""
     names = _MODULE_RE.findall(code)
     if not names:
-        raise AgentError("source declares no module")
+        raise NoCodeBlock("source declares no module")
     if preferred and preferred in names:
         return preferred
     return names[0]
@@ -285,7 +285,7 @@ class AgentTeam:
         return list(response.completions)
 
     def _source(self, reply: str, kind: str, preferred: Optional[str] = None) -> VerilogSource:
-        """The reply's last code block as a source; raises AgentError when it
+        """The reply's last code block as a source; raises NoCodeBlock when it
         has none or declares no module."""
         code = extract_code_block(reply)
         return VerilogSource(kind=kind, top_module=parse_module_name(code, preferred), code=code)

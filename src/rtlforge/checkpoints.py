@@ -127,7 +127,7 @@ def value_bits(text: str) -> Optional[str]:
         return None
     if _BIT_TEXT_RE.fullmatch(text):
         return text.lower()
-    if text.isdigit():
+    if text.isascii() and text.isdigit():
         return _decimal_bits(text)
     m = _LITERAL_RE.match(text)
     if m is None:
@@ -138,7 +138,7 @@ def value_bits(text: str) -> Optional[str]:
     if not digits:
         return None
     if base == "d":
-        bits = _decimal_bits(digits) if digits.isdigit() else None
+        bits = _decimal_bits(digits) if digits.isascii() and digits.isdigit() else None
         if bits is None:
             return None
     else:

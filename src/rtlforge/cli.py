@@ -76,7 +76,7 @@ _RUN_FLAGS = {
     "--sim-timeout": dict(type=float, help="simulation timeout seconds"),
     "--max-tokens": dict(type=int, help="completion token cap"),
     "--seed": dict(type=int, help="sampling seed passed to the backend"),
-    "--sim-workers": dict(type=int, help="concurrent simulations"),
+    "--sim-workers": dict(type=int, help="concurrent agent tasks per run"),
     "--prompts-dir": dict(help="directory of prompt templates (default: built-in)"),
     "--compiler-path": dict(help="Verilog compiler binary (default: iverilog on PATH)"),
     "--vvp-path": dict(help="simulation runtime binary (default: vvp on PATH)"),

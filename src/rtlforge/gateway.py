@@ -29,6 +29,10 @@ from .errors import EngineError
 
 MAX_COMPLETIONS = 64
 MAX_TEMPERATURE = 2.0
+# LLM slots: requests in flight per process, shared by every HttpBackend;
+# a fan-out pool has at most this many threads.
+LLM_SLOTS = 8
+_llm_slots = threading.BoundedSemaphore(LLM_SLOTS)
 
 
 class GatewayError(EngineError):
@@ -188,23 +192,16 @@ class HttpBackend:
     """Live chat-completions endpoint speaking the common JSON HTTP shape.
 
     The credential comes from the environment variable named by ``auth_env``
-    and is never written to disk. An internal semaphore caps concurrent
-    in-flight requests (default 8).
+    and is never written to disk. All instances share ``LLM_SLOTS``
+    requests in flight.
     """
 
-    def __init__(
-        self,
-        base_url: str,
-        auth_env: str,
-        timeout: float = 120.0,
-        max_concurrent: int = 8,
-    ):
+    def __init__(self, base_url: str, auth_env: str, timeout: float = 120.0):
         if auth_env not in os.environ or not os.environ[auth_env]:
             raise AuthError(f"credential environment variable {auth_env!r} is not set")
         self.base_url = base_url.rstrip("/")
         self.auth_env = auth_env
         self.timeout = timeout
-        self._limiter = threading.Semaphore(max_concurrent)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         import requests
@@ -223,7 +220,7 @@ class HttpBackend:
             "Authorization": f"Bearer {os.environ[self.auth_env]}",
             "Content-Type": "application/json",
         }
-        with self._limiter:
+        with _llm_slots:
             try:
                 resp = requests.post(
                     f"{self.base_url}/chat/completions",
@@ -269,7 +266,7 @@ class ReplayBackend:
 
 
 class CassetteRecorder:
-    """Wraps a backend and appends every successful call to a cassette."""
+    """Wraps a backend and appends every call that ``complete`` accepts to a cassette."""
 
     def __init__(self, inner: Backend, path):
         self.inner = inner
@@ -278,6 +275,8 @@ class CassetteRecorder:
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         response = self.inner.complete(request)
+        if len(response.completions) < request.params.n_completions:
+            return response
         digest = request_digest(request)
         entry = cassette_io.CassetteEntry(
             key=f"{request.tag}:{digest}",
@@ -358,7 +357,6 @@ def complete_fanout(
     request: LlmRequest,
     backend: Backend,
     retry: RetryPolicy = DEFAULT_RETRY,
-    max_workers: int = 8,
 ) -> LlmResponse:
     """Multi-completion via n independent single-completion calls.
 
@@ -377,7 +375,7 @@ def complete_fanout(
 
     results: list[Optional[LlmResponse]] = [None] * n
     failures: dict[int, Exception] = {}
-    with ThreadPoolExecutor(max_workers=min(max_workers, n)) as pool:
+    with ThreadPoolExecutor(max_workers=min(LLM_SLOTS, n)) as pool:
         futures = {pool.submit(one, i): i for i in range(n)}
         for fut, i in futures.items():
             try:

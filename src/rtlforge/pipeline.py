@@ -9,8 +9,8 @@ Control flow per run:
    ends the run immediately.
 3. Otherwise the judge arbitrates: a faulty testbench is regenerated (at most
    ``max_tb_regens`` times, invalidating any scores) and step 2 restarts; a
-   faulty RTL proceeds, as does one whose syntax repair failed (it scores 0,
-   and no judge is asked).
+   faulty RTL proceeds, as does one whose reply held no usable source or whose
+   syntax repair failed (it scores 0, and no judge is asked).
 4. Sample ``pool_size`` candidates at the configured temperature profile,
    repair their syntax concurrently, simulate them all, score each as
    1 - mismatches/checks, select the top-K.
@@ -482,7 +482,7 @@ def _run(
         cache = _SimCache(runtime.sim_runner, testbench, allocator, config.scrub)
         try:
             rtl = team.generate_rtl(spec_text, testbench, epoch=epoch)
-        except SyntaxUnfixable:
+        except (SyntaxUnfixable, NoCodeBlock):
             rtl = unbuildable(f"initial RTL e{epoch}")  # scores 0; step 3 moves on
         evaluation = cache.evaluate(rtl, f"initial_e{epoch}")
         initial = Candidate(take_id(), rtl, evaluation.score, evaluation.trace)

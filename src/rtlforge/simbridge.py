@@ -14,7 +14,7 @@ import shutil
 import subprocess
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -22,6 +22,9 @@ from .errors import EngineError
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
 TIMEOUT_GRACE = 2.0
+# Toolchain slots: one per CPU, held by every compile and simulation of the
+# process, however many runs and ToolchainConfigs share it.
+TOOLCHAIN_SLOTS = threading.BoundedSemaphore(os.cpu_count() or 4)
 
 
 class ToolchainMissing(EngineError):
@@ -94,13 +97,7 @@ class ToolchainConfig:
     compiler_path: Optional[str] = None
     vvp_path: Optional[str] = None
     sim_timeout: float = 30.0
-    max_concurrent: Optional[int] = None
     compile_args: tuple[str, ...] = ("-g2012",)
-    _sema: threading.Semaphore = field(init=False, repr=False)
-
-    def __post_init__(self):
-        slots = self.max_concurrent or os.cpu_count() or 4
-        self._sema = threading.Semaphore(slots)
 
     def resolve_compiler(self) -> str:
         # Absolute path: the process launches with cwd set to the workdir.
@@ -215,13 +212,14 @@ def compile_sources(
         cmd.append("-i")
     cmd += ["-o", out.name, *[p.name for p in paths]]
     try:
-        proc = subprocess.run(
-            cmd,
-            cwd=str(workdir),
-            capture_output=True,
-            text=True,
-            timeout=config.sim_timeout + TIMEOUT_GRACE,
-        )
+        with TOOLCHAIN_SLOTS:
+            proc = subprocess.run(
+                cmd,
+                cwd=str(workdir),
+                capture_output=True,
+                text=True,
+                timeout=config.sim_timeout + TIMEOUT_GRACE,
+            )
     except subprocess.TimeoutExpired as exc:
         raise CompileFailed(
             [Diagnostic(file="", line=None, message=f"compiler timed out: {exc}")]
@@ -252,7 +250,7 @@ def simulate(
     timeout = config.sim_timeout if timeout is None else timeout
     vvp = config.resolve_vvp()
     start = time.monotonic()
-    with config._sema:
+    with TOOLCHAIN_SLOTS:
         try:
             proc = subprocess.Popen(
                 [vvp, artifact.runnable.name],

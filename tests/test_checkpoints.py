@@ -214,6 +214,17 @@ class TestValueComparison:
         trace = parse_trace("CHECK time=0 in: dut:y=4'h_ exp:y=4'h_ status=MATCH\n")
         assert trace.records[0].matched
 
+    def test_non_ascii_digits_compare_as_text(self):
+        # "²" passes str.isdigit(), and int() once raised ValueError on it.
+        assert value_bits("²") is None
+        assert values_match("²", "²")
+        assert not values_match("²", "2")
+        trace = parse_trace(
+            "CHECK time=0 in: dut:y=² exp:y=² status=MATCH\n"
+            "CHECK time=1 in: dut:y=² exp:y=2 status=MISMATCH\n"
+        )
+        assert [r.matched for r in trace.records] == [True, False]
+
     def test_value_bits_cache_is_bounded(self):
         assert value_bits.cache_info().maxsize == 4096
 

@@ -1,7 +1,9 @@
 import json
+import threading
 
 import pytest
 
+from rtlforge import simbridge
 from rtlforge.cli import _RUN_FLAGS, main
 from rtlforge.gateway import CassetteRecorder, NamespacedBackend
 from rtlforge.pipeline import EngineRuntime, RunConfig, run_pipeline
@@ -16,7 +18,7 @@ from fixtures import (
     stub_golden_tb,
     stub_tb,
 )
-from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker
+from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker, write_stub_toolchain
 
 GOOD_TB = fenced(stub_tb())
 CLEAN_RTL = fenced(stub_dut("counter16"))
@@ -348,6 +350,39 @@ class TestBench:
         events = [json.loads(line) for line in events_path.read_text().splitlines()]
         convs = {e["conv"] for e in events if e["event"] == "llm_call"}
         assert convs == {"conv-shared"}
+
+    def test_concurrent_runs_share_the_toolchain_slots(self, tmp_path, templates, monkeypatch):
+        """Four pipelines at once never have more live compiler and simulator
+        processes than the process-wide toolchain slots."""
+        slots = 2
+        monkeypatch.setattr(simbridge, "TOOLCHAIN_SLOTS", threading.BoundedSemaphore(slots))
+        log = tmp_path / "launches.txt"
+        toolchain = write_stub_toolchain(tmp_path / "bin", launch_log=log)
+        dataset, problems = _bench_dataset(tmp_path)
+        cassette = tmp_path / "bench.jsonl"
+
+        def script(request):  # four distinct samples, each compiled and simulated
+            if "rtl_gen/sample" in request.tag:
+                return [fenced(stub_dut("counter16:glitch@9", name=f"cand{i}")) for i in range(4)]
+            return _bench_script(request)
+
+        config = RunConfig(pool_size=4, top_k=2, max_debug_rounds=1)
+        record_bench_cassette(cassette, script, config, problems, templates, runs=2)
+        code = cli(
+            ["bench", str(dataset), "--out", str(tmp_path / "out"), "--backend", "replay",
+             "--cassette", str(cassette), "--runs", "2", "--workers", "4",
+             "--pool-size", "4", "--top-k", "2", "--max-debug-rounds", "1"],
+            toolchain,
+        )
+        assert code == 0
+        spans = [[float(t) for t in line.split()] for line in log.read_text().splitlines()]
+        # At equal times an end sorts before a start: touching spans do not overlap.
+        edges = sorted([(end, -1) for _, end in spans] + [(start, 1) for start, _ in spans])
+        live = peak = 0
+        for _, step in edges:
+            live += step
+            peak = max(peak, live)
+        assert 1 < peak <= slots
 
     def test_low_profile_echoed_in_report(self, tmp_path, stub_toolchain, templates):
         dataset, cassette = self._record(tmp_path, templates)

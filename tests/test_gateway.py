@@ -1,6 +1,8 @@
 import json
 import os
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -276,6 +278,16 @@ class TestRecordReplay:
         complete(make_request(), recorder, FAST_RETRY)
         assert len(load_cassette(cassette)) == 1
 
+    def test_recorder_skips_short_replies(self, tmp_path):
+        cassette = tmp_path / "rec.jsonl"
+        recorder = CassetteRecorder(_ScriptedTransport([["fine"], [], ["one"]]), cassette)
+        complete(make_request(tag="a/0"), recorder)
+        with pytest.raises(ShortResponse):
+            complete(make_request(tag="a/1"), recorder)
+        with pytest.raises(ShortResponse):
+            complete(make_request(tag="a/2", n=2), recorder)
+        assert [e.tag for e in load_cassette(cassette).values()] == ["a/0"]
+
 
 class TestKeying:
     @given(
@@ -394,6 +406,35 @@ class TestHttpBackend:
         backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
         with pytest.raises(AuthError):
             complete(make_request(), backend, FAST_RETRY)
+
+    def test_instances_share_eight_requests_in_flight(self, monkeypatch):
+        import requests
+
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        lock = threading.Lock()
+        in_flight = [0, 0]  # now, most
+
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                return {"choices": [{"index": 0, "message": {"content": "ok"}}]}
+
+        def slow_post(*args, **kwargs):
+            with lock:
+                in_flight[0] += 1
+                in_flight[1] = max(in_flight)
+            time.sleep(0.05)
+            with lock:
+                in_flight[0] -= 1
+            return Reply()
+
+        monkeypatch.setattr(requests, "post", slow_post)
+        backends = [HttpBackend("http://localhost:1", auth_env="RTLFORGE_TEST_KEY") for _ in range(2)]
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            replies = list(pool.map(lambda i: backends[i % 2].complete(make_request()), range(16)))
+        assert [r.completions for r in replies] == [("ok",)] * 16
+        assert in_flight[1] <= 8
 
     def test_wire_shape(self, stub_endpoint, monkeypatch):
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")

@@ -415,6 +415,29 @@ class TestJudgeRouting:
         assert outcome.llm_calls == len(backend.requests) == 8
         assert outcome.llm_calls <= max_llm_calls(config)
 
+    @pytest.mark.parametrize(
+        "reply",
+        ["sorry, no code", fenced("assign y = 1;\n")],
+        ids=["no_fence", "no_module"],
+    )
+    def test_initial_rtl_without_usable_source_proceeds_to_sampling(
+        self, make_runtime, reply
+    ):
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": reply,
+            "rtl_gen/sample/e0": [CLEAN_RTL],
+        }
+        config = RunConfig(pool_size=1, top_k=1)
+        outcome, backend, runtime = run(script, config=config, make_runtime=make_runtime)
+        assert outcome.status == "solved"
+        sim = {"event": "sim", "label": "initial_e0", "status": "sentinel", "score": 0.0}
+        assert sim in events_of(runtime)
+        assert [r.tag for r in backend.requests] == [
+            "testbench_gen/gen0", "rtl_gen/init0", "rtl_gen/sample/e0"
+        ]
+        assert outcome.llm_calls == 3
+
 
 class TestSamplingAndDebug:
     def test_hand_simulated_pool_scenario(self, make_runtime):
@@ -488,6 +511,21 @@ class TestSamplingAndDebug:
         assert outcome.status == "solved"
         skipped = [e for e in events_of(runtime) if e["event"] == "trial_skipped"]
         assert len(skipped) == 1
+
+    def test_debug_reply_without_a_module_fails_the_trial(self, make_runtime):
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": GLITCH_RTL,
+            "judge/e0": RTL_FAULTY,
+            "rtl_gen/sample/e0": [fenced(stub_dut("score:2:16"))],
+            "debug/r1/c1": fenced("assign y = 1;\n"),
+        }
+        config = RunConfig(pool_size=1, top_k=1, max_debug_rounds=1)
+        outcome, _, runtime = run(script, config=config, make_runtime=make_runtime)
+        assert outcome.status == "budget_exhausted"
+        assert outcome.score_history == [(0, [0.875]), (1, [0.875])]
+        failed = {"event": "trial_failed", "round": 1, "id": 1, "reason": "NoCodeBlock"}
+        assert failed in events_of(runtime)
 
     def test_duplicate_sources_simulated_once(self, make_runtime):
         same = fenced(stub_dut("score:4:16", name="dup"))

@@ -43,7 +43,7 @@ def ref_bits(text: str) -> Optional[str]:
         return None
     if all(c in "01xXzZ?" for c in text):
         return text.lower()
-    if text.isdigit():  # bare digit strings are decimal
+    if text.isascii() and text.isdigit():  # bare digit strings are decimal
         return bin(int(text))[2:]
     tick = text.find("'")
     if tick < 0:
@@ -178,7 +178,7 @@ def frozen_value_bits(text):
         return None
     if re.fullmatch(r"[01xXzZ?]+", text):
         return text.lower()
-    if text.isdigit():
+    if text.isascii() and text.isdigit():
         return format(int(text), "b")
     m = _F_LITERAL_RE.match(text)
     if m is None:
@@ -199,7 +199,7 @@ def frozen_value_bits(text):
             return None
         bits = "".join(_F_OCT[d] for d in digits)
     else:
-        if not digits.isdigit():
+        if not (digits.isascii() and digits.isdigit()):
             return None
         bits = format(int(digits), "b")
     if width_s:
@@ -310,7 +310,7 @@ def frozen_parse_trace(stdout):
 
 _NAMES = ["a", "b", "y", "o0", "o1"]
 # Values as a testbench prints them, plus texts the literal rules reject
-# ("²" passes isdigit() but not int()) and an "=" inside a value.
+# (non-ASCII digits such as "²", which pass isdigit()) and an "=" inside a value.
 _ODD_VALUES = ["0", "1", "x", "z", "?", "10", "15", "weird!", "xweird", "²", "a=b", "'h", "१२"]
 _NOISE = [
     "",

@@ -33,6 +33,7 @@ import stat
 import sys
 import threading
 from pathlib import Path
+from typing import Optional
 
 from rtlforge.gateway import BackendError, LlmRequest, LlmResponse
 from rtlforge.simbridge import Diagnostic, SimRun, VerilogSource, write_sources
@@ -151,19 +152,33 @@ class ScriptedBackend:
 # The scripts run with cwd set to a simulation workdir and whatever
 # environment the suite had, so they run on the suite's interpreter in
 # isolated mode without ``site`` and find ``stubcore`` by absolute path.
+# With a launch log, each launch lasts at least 50 ms, as a real tool's
+# would, and appends one "<start> <end>" line of time.monotonic(), a clock
+# all processes share.
 _STUB_SCRIPT = '''#!{python} -IS
 import sys
+import time
 sys.path.insert(0, {tests_dir!r})
 from stubcore import {main}
-sys.exit({main}())
+start = time.monotonic()
+code = {main}()
+if {log!r}:
+    time.sleep(0.05)
+    with open({log!r}, "a", encoding="utf-8") as f:
+        f.write(f"{{start}} {{time.monotonic()}}\\n")
+sys.exit(code)
 '''
 
 
-def write_stub_toolchain(bindir: Path) -> tuple[str, str]:
+def write_stub_toolchain(bindir: Path, launch_log: Optional[Path] = None) -> tuple[str, str]:
     """Materialize executable stub compiler/vvp scripts; returns their paths."""
     bindir = Path(bindir)
     bindir.mkdir(parents=True, exist_ok=True)
-    paths = {"python": sys.executable, "tests_dir": str(Path(__file__).resolve().parent)}
+    paths = {
+        "python": sys.executable,
+        "tests_dir": str(Path(__file__).resolve().parent),
+        "log": str(launch_log) if launch_log else "",
+    }
     compiler = bindir / "stub-iverilog"
     vvp = bindir / "stub-vvp"
     compiler.write_text(
