@@ -60,9 +60,9 @@ class NoCodeBlock(AgentError):
 class SyntaxUnfixable(AgentError):
     """Syntax repair loop exhausted its iteration cap."""
 
-    def __init__(self, diagnostics: list[Diagnostic], cap: int = SYNTAX_FIX_CAP):
+    def __init__(self, diagnostics: list[Diagnostic]):
         lines = "; ".join(d.render() for d in diagnostics[:3])
-        super().__init__(f"syntax not fixed after {cap} repair iterations: {lines}")
+        super().__init__(f"syntax not fixed after {SYNTAX_FIX_CAP} repair iterations: {lines}")
         self.diagnostics = diagnostics
 
 
@@ -175,16 +175,31 @@ def map_in_order(map_fn: Callable, fn: Callable, items: Iterable, sink: Callable
     ``map_fn`` must yield results in item order (the pipeline passes its run
     executor's ``map``). Each call's events are held back and passed to
     ``sink`` in item order once the map ends, even if a call raised, so the
-    event log does not depend on which call finished first.
+    event log does not depend on which call finished first. A call still
+    running after a raise passes its later events straight to ``sink``.
     """
     items = list(items)
-    logs: list[list[dict]] = [[] for _ in items]
+    logs: list[Optional[list[dict]]] = [[] for _ in items]
+    lock = threading.Lock()
+
+    def call(i: int):
+        def emit(event: dict) -> None:
+            with lock:
+                if logs[i] is None:
+                    sink(event)
+                else:
+                    logs[i].append(event)
+
+        return fn(items[i], emit)
+
     try:
-        return list(map_fn(lambda i: fn(items[i], logs[i].append), range(len(items))))
+        return list(map_fn(call, range(len(items))))
     finally:
-        for events in logs:
-            for event in events:
-                sink(event)
+        with lock:
+            for i, events in enumerate(logs):
+                logs[i] = None
+                for event in events:
+                    sink(event)
 
 
 def unbuildable(what: str) -> VerilogSource:
@@ -219,7 +234,6 @@ class AgentTeam:
         params: SamplingParams,
         model_id: str = "default",
         mode: str = "multi",
-        syntax_fix_cap: int = SYNTAX_FIX_CAP,
         retry: RetryPolicy = DEFAULT_RETRY,
         event_sink: Optional[Callable[[dict], None]] = None,
         fanout_sampling: bool = False,
@@ -232,7 +246,6 @@ class AgentTeam:
         self.params = params
         self.model_id = model_id
         self.mode = mode
-        self.syntax_fix_cap = syntax_fix_cap
         self.retry = retry
         self._emit = event_sink or (lambda event: None)
         self.fanout_sampling = fanout_sampling
@@ -328,7 +341,7 @@ class AgentTeam:
         diagnostics = self.syntax_checker(current, f"{parent_tag}/check0")
         if not diagnostics:
             return current
-        for k in range(1, self.syntax_fix_cap + 1):
+        for k in range(1, SYNTAX_FIX_CAP + 1):
             user = self.templates.render(
                 fix_role,
                 "fix_syntax",
@@ -343,7 +356,7 @@ class AgentTeam:
             diagnostics = self.syntax_checker(current, f"{parent_tag}/check{k}")
             if not diagnostics:
                 return current
-        raise SyntaxUnfixable(diagnostics, self.syntax_fix_cap)
+        raise SyntaxUnfixable(diagnostics)
 
     # -- role operations ------------------------------------------------------
 

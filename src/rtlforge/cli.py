@@ -35,11 +35,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_BUDGET = 2
 
-# Config key -> the RunConfig field it sets; the syntax-fix cap is fixed.
+# Config key -> the RunConfig field it sets.
 _RUN_FIELDS = {
-    "mode" if f.name == "agent_mode" else f.name: f
-    for f in dataclasses.fields(RunConfig)
-    if f.name != "syntax_fix_cap"
+    "mode" if f.name == "agent_mode" else f.name: f for f in dataclasses.fields(RunConfig)
 }
 
 CONFIG_DEFAULTS = {
@@ -76,7 +74,6 @@ _RUN_FLAGS = {
     "--sim-timeout": dict(type=float, help="simulation timeout seconds"),
     "--max-tokens": dict(type=int, help="completion token cap"),
     "--seed": dict(type=int, help="sampling seed passed to the backend"),
-    "--sim-workers": dict(type=int, help="concurrent agent tasks per run"),
     "--prompts-dir": dict(help="directory of prompt templates (default: built-in)"),
     "--compiler-path": dict(help="Verilog compiler binary (default: iverilog on PATH)"),
     "--vvp-path": dict(help="simulation runtime binary (default: vvp on PATH)"),

@@ -10,7 +10,9 @@ Control flow per run:
 3. Otherwise the judge arbitrates: a faulty testbench is regenerated (at most
    ``max_tb_regens`` times, invalidating any scores) and step 2 restarts; a
    faulty RTL proceeds, as does one whose reply held no usable source or whose
-   syntax repair failed (it scores 0, and no judge is asked).
+   syntax repair failed (it scores 0, and no judge is asked). A testbench
+   reply with no usable source, or whose syntax repair failed, counts as a
+   faulty testbench without a step 2.
 4. Sample ``pool_size`` candidates at the configured temperature profile,
    repair their syntax concurrently, simulate them all, score each as
    1 - mismatches/checks, select the top-K.
@@ -22,8 +24,12 @@ Control flow per run:
    candidate per slot, plus the round index; each slot's lineage root is
    the id it was selected with in step 4 and never changes.
 
-Steps 4 and 5 fan out on one executor per run with ``sim_workers`` workers,
-or one in single-agent mode, whose roles share one conversation.
+``run_pipeline`` builds the event log and one ``_Run``, which holds the
+run's state (team, workdir allocator, the epoch's simulation cache, candidate
+ids) and runs the steps as its methods; the ``RunOutcome`` is built in
+``run_pipeline`` alone. Steps 4 and 5 fan out on one executor per run with
+``RUN_WORKERS`` (8) workers, or one in single-agent mode, whose roles share
+one conversation.
 
 Every simulation runs in its own directory under the transcript dir and
 every decision is appended to ``events.jsonl``. Once a testbench exists, the
@@ -35,6 +41,7 @@ file back to the agent. Only testbenches get the standalone probe.
 
 from __future__ import annotations
 
+import itertools
 import json
 import shutil
 import threading
@@ -83,7 +90,6 @@ class RunConfig:
     top_k: int = 3
     max_debug_rounds: int = 10
     window_len: int = DEFAULT_WINDOW_LEN
-    syntax_fix_cap: int = SYNTAX_FIX_CAP
     temp_profile: str = "high"
     agent_mode: str = "multi"
     max_tb_regens: int = 2
@@ -92,7 +98,6 @@ class RunConfig:
     seed: Optional[int] = None
     scrub: bool = False
     fanout_sampling: bool = False
-    sim_workers: int = 8
 
     def __post_init__(self):
         if self.temp_profile not in PROFILES:
@@ -112,8 +117,6 @@ class RunConfig:
             raise ValueError("max_tb_regens must be >= 0")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
-        if self.sim_workers < 1:
-            raise ValueError("sim_workers must be >= 1")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
         if self.sim_timeout <= 0:
@@ -127,13 +130,7 @@ class RunConfig:
         self, temperature: float = LOW_TEMP.temperature, top_p: float = LOW_TEMP.top_p
     ) -> SamplingParams:
         """One call's sampling parameters; sampling sets ``n_completions``."""
-        return SamplingParams(
-            temperature=temperature,
-            top_p=top_p,
-            n_completions=1,
-            max_tokens=self.max_tokens,
-            seed=self.seed,
-        )
+        return SamplingParams(temperature, top_p, max_tokens=self.max_tokens, seed=self.seed)
 
     def echo(self) -> dict:
         data = asdict(self)
@@ -146,7 +143,7 @@ def max_llm_calls(config: RunConfig) -> int:
     """Closed-form upper bound on LLM calls a run can issue."""
     if config.agent_mode == "vanilla":
         return 1
-    s = config.syntax_fix_cap
+    s = SYNTAX_FIX_CAP
     epochs = 1 + config.max_tb_regens
     per_epoch = (1 + s) + (1 + s) + 1  # testbench + fixes, initial RTL + fixes, judge
     sampling = config.pool_size * (1 + s)
@@ -177,7 +174,6 @@ class RunOutcome:
     best: Optional[Candidate]
     score_history: list[tuple[int, list[float]]]
     testbench: Optional[VerilogSource]
-    transcript_dir: Path
     llm_calls: int = 0
     error: Optional[str] = None
 
@@ -301,7 +297,7 @@ class SimEval:
     trace: Optional[CheckTrace]
     status: str  # "ok" | "sentinel" | sim status | "trace_error"
     detail: str = ""
-    sim: Optional[SimRun] = None
+    diagnostics: tuple[Diagnostic, ...] = ()  # the simulation's, after the parse
 
 
 class _SimCache:
@@ -351,22 +347,24 @@ class _SimCache:
         workdir = self.allocator.acquire(label)
         sim = self.runner.run([source, self.testbench], workdir)
         if sim.status != "ok":
-            result = SimEval(Score.unsimulatable(), None, sim.status, sim=sim)
-        else:
-            try:
-                trace = checkpoints.parse_trace(sim.stdout, lines=self._lines)
-                result = SimEval(checkpoints.score(trace), trace, "ok", sim=sim)
-            except TraceError as exc:
-                result = SimEval(
-                    Score.unsimulatable(), None, "trace_error", detail=str(exc), sim=sim
-                )
-            if self.scrub:
-                shutil.rmtree(workdir, ignore_errors=True)
+            return SimEval(Score.unsimulatable(), None, sim.status, "", sim.diagnostics)
+        try:
+            trace = checkpoints.parse_trace(sim.stdout, lines=self._lines)
+            result = SimEval(checkpoints.score(trace), trace, "ok", "", sim.diagnostics)
+        except TraceError as exc:
+            result = SimEval(Score.unsimulatable(), None, "trace_error", str(exc), sim.diagnostics)
+        if self.scrub:
+            shutil.rmtree(workdir, ignore_errors=True)
         return result
 
 
 # ---------------------------------------------------------------------------
 # The pipeline
+
+RUN_WORKERS = 8  # the run executor's workers; single-agent mode uses one
+
+# What each of a run's paths ends with: (status, best, score history, testbench).
+_Result = tuple[str, Optional[Candidate], list[tuple[int, list[float]]], Optional[VerilogSource]]
 
 
 def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) -> RunOutcome:
@@ -385,222 +383,293 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
             "top_k": config.top_k,
         }
     )
+    run = _Run(problem, config, runtime, events)
     # No task on this executor may queue work on it and wait for that work:
     # at one worker the run would deadlock.
-    workers = 1 if config.agent_mode == "single" else config.sim_workers
-    teams: list[AgentTeam] = []  # the run's team, once built
+    workers = 1 if config.agent_mode == "single" else RUN_WORKERS
     try:
         with ThreadPoolExecutor(max_workers=workers) as executor:
-            outcome = _run(problem, config, runtime, events, executor.map, teams.append)
+            status, best, history, testbench = run.execute(executor.map)
     except EngineError as exc:
         events.emit({"event": "outcome", "status": "error", "error": str(exc)})
-        return RunOutcome(
-            status="error",
-            best=None,
-            score_history=[],
-            testbench=None,
-            transcript_dir=transcript,
-            llm_calls=sum(team.llm_calls for team in teams),
-            error=str(exc),
-        )
+        calls = run.team.llm_calls if run.team else 0
+        return RunOutcome("error", None, [], None, llm_calls=calls, error=str(exc))
     events.emit(
         {
             "event": "outcome",
-            "status": outcome.status,
-            "best_id": outcome.best.id if outcome.best else None,
-            "best_score": outcome.best.score.value
-            if outcome.best and outcome.best.score
-            else None,
+            "status": status,
+            "best_id": best.id if best else None,
+            "best_score": best.score.value if best and best.score else None,
         }
     )
-    if outcome.best is not None:
-        (transcript / "best.v").write_text(outcome.best.source.code, encoding="utf-8")
-    return outcome
+    if best is not None:
+        (transcript / "best.v").write_text(best.source.code, encoding="utf-8")
+    return RunOutcome(status, best, history, testbench, run.team.llm_calls)
 
 
-def _run(
-    problem: Problem,
-    config: RunConfig,
-    runtime: EngineRuntime,
-    events: EventLog,
-    map_fn: Callable,
-    on_team: Callable[[AgentTeam], None],
-) -> RunOutcome:
-    transcript = Path(runtime.transcript_dir)
-    allocator = WorkdirAllocator(transcript / "sim")
-    cache: Optional[_SimCache] = None  # the current epoch's, once a testbench exists
+class _Probe:
+    """The team's syntax checker: testbenches get the standalone probe, a DUT
+    the verdict of its joint run in the epoch's cache.
 
-    def check_syntax(source: VerilogSource, label: str) -> list[Diagnostic]:
+    It holds no reference back to the run, so the run's state stays acyclic
+    and is freed as soon as the run ends, without the cyclic collector.
+    """
+
+    def __init__(self, checker: SyntaxChecker, allocator: WorkdirAllocator):
+        self.checker = checker
+        self.allocator = allocator
+        self.cache: Optional[_SimCache] = None  # the current epoch's
+
+    def __call__(self, source: VerilogSource, label: str) -> list[Diagnostic]:
         if source.kind == "testbench":
-            return runtime.syntax_checker(source, allocator.acquire(label))
+            return self.checker(source, self.allocator.acquire(label))
         # DUTs are generated only after the epoch's testbench and cache exist.
-        evaluation = cache.evaluate(source, label)
-        failed = evaluation.sim.diagnostics if evaluation.status == "compile_failed" else ()
+        evaluation = self.cache.evaluate(source, label)
+        failed = evaluation.diagnostics if evaluation.status == "compile_failed" else ()
         return [d for d in failed if d.severity == "error" and named_kind(d) == "dut"]
 
-    team = AgentTeam(
-        backend=runtime.backend,
-        templates=runtime.templates,
-        syntax_checker=check_syntax,
-        model_id=runtime.model_id,
-        params=config.params(),
-        mode="single" if config.agent_mode == "single" else "multi",
-        syntax_fix_cap=config.syntax_fix_cap,
-        retry=runtime.retry,
-        event_sink=events.emit,
-        fanout_sampling=config.fanout_sampling,
-    )
-    on_team(team)
-    spec_text = problem.spec_text()
 
-    if config.agent_mode == "vanilla":
-        return _run_vanilla(problem, spec_text, config, runtime, events, team, allocator)
+class _Run:
+    """One run's state: the team, the workdir allocator, the current epoch's
+    cache and the candidate ids, which follow creation order."""
 
-    next_id = 0
+    def __init__(
+        self, problem: Problem, config: RunConfig, runtime: EngineRuntime, events: EventLog
+    ):
+        self.problem = problem
+        self.config = config
+        self.runtime = runtime
+        self.emit = events.emit
+        self.allocator = WorkdirAllocator(Path(runtime.transcript_dir) / "sim")
+        self.probe = _Probe(runtime.syntax_checker, self.allocator)  # holds the epoch's cache
+        self.ids = itertools.count()
+        self.team: Optional[AgentTeam] = None
 
-    def take_id() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
-    # Steps 1-3 with bounded testbench regeneration.
-    regens = 0
-    epoch = 0
-    feedback: Optional[str] = None
-    testbench: Optional[VerilogSource] = None
-    initial: Optional[Candidate] = None
-    while True:
-        events.emit({"event": "step", "step": 1, "epoch": epoch})
-        testbench = team.generate_testbench(
-            spec_text,
-            problem.golden_testbench,
-            epoch=epoch,
-            feedback=feedback,
-            previous=testbench,
+    def execute(self, map_fn: Callable) -> _Result:
+        """Build the team, then run the baseline or steps 1-5; steps 4 and 5
+        fan out through ``map_fn``."""
+        self.map = map_fn
+        self.team = AgentTeam(
+            backend=self.runtime.backend,
+            templates=self.runtime.templates,
+            syntax_checker=self.probe,
+            model_id=self.runtime.model_id,
+            params=self.config.params(),
+            mode="single" if self.config.agent_mode == "single" else "multi",
+            retry=self.runtime.retry,
+            event_sink=self.emit,
+            fanout_sampling=self.config.fanout_sampling,
         )
-        events.emit({"event": "step", "step": 2, "epoch": epoch})
-        cache = _SimCache(runtime.sim_runner, testbench, allocator, config.scrub)
+        self.spec = self.problem.spec_text()
+        return self.vanilla() if self.config.agent_mode == "vanilla" else self.steps()
+
+    def steps(self) -> _Result:
+        """Steps 1-3, each epoch with a new testbench, then steps 4 and 5."""
+        config, team = self.config, self.team
+        feedback: Optional[str] = None
+        testbench: Optional[VerilogSource] = None
+        initial: Optional[Candidate] = None
+        for epoch in range(config.max_tb_regens + 1):
+            self.emit({"event": "step", "step": 1, "epoch": epoch})
+            try:
+                testbench = team.generate_testbench(
+                    self.spec,
+                    self.problem.golden_testbench,
+                    epoch=epoch,
+                    feedback=feedback,
+                    previous=testbench,
+                )
+            except (SyntaxUnfixable, NoCodeBlock) as exc:
+                # A testbench the agent cannot deliver counts as a faulty one.
+                self.emit({"event": "route", "reason": type(exc).__name__})
+                feedback = str(exc)
+            else:
+                initial, evaluation = self.first_shot(testbench, epoch)
+                if initial.score.value == 1.0:
+                    return "solved", initial, [(0, [1.0])], testbench
+                # Step 3: route the failure.
+                self.emit({"event": "step", "step": 3, "epoch": epoch})
+                if initial.trace is not None:
+                    verdict = team.judge(
+                        self.spec, testbench, initial.trace, epoch, config.window_len
+                    )
+                    regenerate = verdict.decision == "testbench_faulty"
+                    feedback = verdict.rationale or verdict.decision
+                else:
+                    # No trace to arbitrate over: compile failures pointing
+                    # into the testbench, runtime failures, timeouts, and
+                    # protocol violations all implicate the testbench
+                    # contract; other compile failures (DUT-side errors
+                    # already went through syntax repair), and an RTL that
+                    # repair could not fix, proceed.
+                    regenerate, feedback = _route_without_trace(evaluation, self.emit)
+                if not regenerate:
+                    return self.refine(testbench, epoch)
+            self.emit({"event": "tb_regen", "count": epoch + 1, "epoch": epoch})
+            if epoch < config.max_tb_regens:
+                self.emit({"event": "pool_invalidated", "epoch": epoch})
+        history = [(0, [initial.score.value])] if initial else []
+        return "tb_regen_exhausted", initial, history, testbench
+
+    def first_shot(self, testbench: VerilogSource, epoch: int) -> tuple[Candidate, SimEval]:
+        """Step 2: open the epoch's cache, then score one low-temperature RTL shot."""
+        self.emit({"event": "step", "step": 2, "epoch": epoch})
+        self.probe.cache = _SimCache(
+            self.runtime.sim_runner, testbench, self.allocator, self.config.scrub
+        )
         try:
-            rtl = team.generate_rtl(spec_text, testbench, epoch=epoch)
+            rtl = self.team.generate_rtl(self.spec, testbench, epoch=epoch)
         except (SyntaxUnfixable, NoCodeBlock):
             rtl = unbuildable(f"initial RTL e{epoch}")  # scores 0; step 3 moves on
-        evaluation = cache.evaluate(rtl, f"initial_e{epoch}")
-        initial = Candidate(take_id(), rtl, evaluation.score, evaluation.trace)
-        events.emit(
-            {
-                "event": "sim",
-                "label": f"initial_e{epoch}",
-                "status": evaluation.status,
-                "score": initial.score.value,
-            }
+        label = f"initial_e{epoch}"
+        evaluation = self.probe.cache.evaluate(rtl, label)
+        initial = Candidate(next(self.ids), rtl, evaluation.score, evaluation.trace)
+        status, score = evaluation.status, initial.score.value
+        self.emit({"event": "sim", "label": label, "status": status, "score": score})
+        return initial, evaluation
+
+    def refine(self, testbench: VerilogSource, epoch: int) -> _Result:
+        """Step 4: sample, score and select the top-K; step 5: debug rounds
+        over the selected slots, whose lineage roots are their step-4 ids."""
+        config = self.config
+        self.emit({"event": "step", "step": 4, "epoch": epoch})
+        sources = self.team.sample_rtl_candidates(
+            self.spec,
+            testbench,
+            config.pool_size,
+            config.params(config.profile.temperature, config.profile.top_p),
+            epoch=epoch,
+            map_fn=self.map,
         )
-        if initial.score.value == 1.0:
-            return RunOutcome(
-                status="solved",
-                best=initial,
-                score_history=[(0, [1.0])],
-                testbench=testbench,
-                transcript_dir=transcript,
-                llm_calls=team.llm_calls,
+        candidates = []
+        for source in sources:
+            cid = next(self.ids)
+            # A cache hit: the sample's syntax probe already simulated it.
+            evaluation = self.probe.cache.evaluate(source, f"sample_e{epoch}_c{cid}")
+            candidates.append(Candidate(cid, source, evaluation.score, evaluation.trace))
+            score = evaluation.score.value
+            self.emit(
+                {"event": "candidate", "id": cid, "score": score, "sentinel": source.sentinel}
             )
+        selected = select_top_k(candidates, config.top_k)
+        self.emit({"event": "selection", "ids": [c.id for c in selected]})
+        history: list[tuple[int, list[float]]] = [(0, [c.score.value for c in selected])]
+        self.emit({"event": "round_scores", "round": 0, "scores": history[0][1]})
 
-        # Step 3: route the failure.
-        events.emit({"event": "step", "step": 3, "epoch": epoch})
-        if initial.trace is not None:
-            verdict = team.judge(spec_text, testbench, initial.trace, epoch, config.window_len)
-            regenerate = verdict.decision == "testbench_faulty"
-            feedback = verdict.rationale or verdict.decision
-        else:
-            # No trace to arbitrate over: compile failures pointing into the
-            # testbench, runtime failures, timeouts, and protocol violations
-            # all implicate the testbench contract; other compile failures
-            # (DUT-side errors already went through syntax repair), and an
-            # RTL that repair could not fix, proceed.
-            regenerate, feedback = _route_without_trace(evaluation, events)
-        if regenerate:
-            regens += 1
-            events.emit({"event": "tb_regen", "count": regens, "epoch": epoch})
-            if regens > config.max_tb_regens:
-                return RunOutcome(
-                    status="tb_regen_exhausted",
-                    best=initial,
-                    score_history=[(0, [initial.score.value])],
-                    testbench=testbench,
-                    transcript_dir=transcript,
-                    llm_calls=team.llm_calls,
+        roots = [c.id for c in selected]
+        round_index = 0
+        while True:
+            done, reason = should_terminate(selected, round_index, config)
+            if done:
+                break
+            round_index += 1
+            self.emit({"event": "step", "step": 5, "round": round_index})
+            trials = self.debug_round(selected, roots, testbench, round_index)
+            selected = update_selection(selected, trials)
+            scores = [c.score.value for c in selected]
+            history.append((round_index, scores))
+            self.emit({"event": "round_scores", "round": round_index, "scores": scores})
+
+        best = max(selected, key=lambda c: (c.score.value, -c.id))
+        return ("solved" if reason == "solved" else "budget_exhausted"), best, history, testbench
+
+    def debug_round(
+        self,
+        selected: list[Candidate],
+        roots: list[int],
+        testbench: VerilogSource,
+        round_index: int,
+    ) -> list[Optional[Candidate]]:
+        """One trial per selected slot; slots without a usable trace skip.
+        ``roots`` holds each slot's lineage root."""
+
+        def make_trial(
+            slot: tuple[Candidate, int], emit: Callable[[dict], None]
+        ) -> Optional[VerilogSource]:
+            candidate, root = slot
+            if candidate.trace is None:
+                emit({"event": "trial_skipped", "round": round_index, "id": candidate.id})
+                return None
+            anchor = checkpoints.earliest_mismatch(candidate.trace)
+            if anchor is None:
+                return None
+            window = checkpoints.extract_window(candidate.trace, anchor, self.config.window_len)
+            try:
+                return self.team.debug_trial(
+                    candidate.source,
+                    window,
+                    testbench,
+                    round_index=round_index,
+                    root_id=root,
+                    emit=emit,
                 )
-            events.emit({"event": "pool_invalidated", "epoch": epoch})
-            epoch += 1
-            continue
-        break
+            except (SyntaxUnfixable, NoCodeBlock) as exc:
+                # A trial that cannot even be repaired is discarded; the
+                # lineage keeps its current candidate and stays monotone.
+                emit(
+                    {
+                        "event": "trial_failed",
+                        "round": round_index,
+                        "id": candidate.id,
+                        "reason": type(exc).__name__,
+                    }
+                )
+                return None
 
-    # Step 4: high-temperature sampling, scoring, top-K selection.
-    events.emit({"event": "step", "step": 4, "epoch": epoch})
-    sources = team.sample_rtl_candidates(
-        spec_text,
-        testbench,
-        config.pool_size,
-        config.params(config.profile.temperature, config.profile.top_p),
-        epoch=epoch,
-        map_fn=map_fn,
-    )
-    candidates = []
-    for source in sources:
-        cid = take_id()
-        # A cache hit: the sample's syntax probe already simulated it.
-        evaluation = cache.evaluate(source, f"sample_e{epoch}_c{cid}")
-        candidates.append(Candidate(cid, source, evaluation.score, evaluation.trace))
-        events.emit(
-            {
-                "event": "candidate",
-                "id": cid,
-                "score": evaluation.score.value,
-                "sentinel": source.sentinel,
-            }
+        sources = map_in_order(self.map, make_trial, zip(selected, roots), self.emit)
+        trials: list[Optional[Candidate]] = []
+        for original, source in zip(selected, sources):
+            if source is None:
+                trials.append(None)
+                continue
+            # A cache hit: the trial's syntax probe already simulated it.
+            label = f"debug_r{round_index}_c{original.id}"
+            evaluation = self.probe.cache.evaluate(source, label)
+            trial = Candidate(
+                next(self.ids), source, evaluation.score, evaluation.trace, original.id, round_index
+            )
+            trials.append(trial)
+            self.emit(
+                {
+                    "event": "trial",
+                    "round": round_index,
+                    "lineage": trial.lineage,
+                    "id": trial.id,
+                    "score": trial.score.value,
+                }
+            )
+        return trials
+
+    def vanilla(self) -> _Result:
+        """One-pass baseline: a single generation, verified only against the
+        golden bench when one exists."""
+        rtl = self.team.generate_rtl_vanilla(self.spec)
+        candidate = Candidate(next(self.ids), rtl)
+        golden = self.problem.golden_testbench
+        if not golden:
+            return "budget_exhausted", candidate, [], None
+        result = evaluate_golden(
+            rtl,
+            golden,
+            self.runtime.sim_runner,
+            self.allocator.acquire("golden"),
+            self.runtime.golden_criterion,
         )
-    selected = select_top_k(candidates, config.top_k)
-    events.emit({"event": "selection", "ids": [c.id for c in selected]})
-    history: list[tuple[int, list[float]]] = [(0, [c.score.value for c in selected])]
-    events.emit({"event": "round_scores", "round": 0, "scores": history[0][1]})
-
-    # Step 5: debug rounds over the selected slots; a slot's lineage root is
-    # its step-4 id.
-    roots = [c.id for c in selected]
-    round_index = 0
-    while True:
-        done, reason = should_terminate(selected, round_index, config)
-        if done:
-            break
-        round_index += 1
-        events.emit({"event": "step", "step": 5, "round": round_index})
-        trials = _debug_round(
-            team, selected, roots, testbench, config, cache, events, round_index, take_id, map_fn
-        )
-        selected = update_selection(selected, trials)
-        scores = [c.score.value for c in selected]
-        history.append((round_index, scores))
-        events.emit({"event": "round_scores", "round": round_index, "scores": scores})
-
-    best = max(selected, key=lambda c: (c.score.value, -c.id))
-    status = "solved" if reason == "solved" else "budget_exhausted"
-    return RunOutcome(
-        status=status,
-        best=best,
-        score_history=history,
-        testbench=testbench,
-        transcript_dir=transcript,
-        llm_calls=team.llm_calls,
-    )
+        self.emit({"event": "golden", "passed": result.passed, "reason": result.reason})
+        ran = result.sim is not None and result.sim.status == "ok"
+        candidate.score = Score(1.0 if result.passed else 0.0) if ran else Score.unsimulatable()
+        status = "solved" if result.passed else "budget_exhausted"
+        return status, candidate, [(0, [candidate.score.value])], None
 
 
-def _route_without_trace(evaluation: SimEval, events: EventLog) -> tuple[bool, str]:
+def _route_without_trace(
+    evaluation: SimEval, emit: Callable[[dict], None]
+) -> tuple[bool, str]:
     """Failure routing when no trace exists; returns (regenerate?, feedback)."""
     if evaluation.status in ("compile_failed", "sentinel"):
-        diags = evaluation.sim.diagnostics if evaluation.sim else ()
+        diags = evaluation.diagnostics
         tb_side = any(d.severity == "error" and named_kind(d) == "testbench" for d in diags)
-        events.emit(
-            {"event": "route", "reason": "compile_failed", "testbench_implicated": tb_side}
-        )
+        emit({"event": "route", "reason": "compile_failed", "testbench_implicated": tb_side})
         if tb_side:
             detail = "; ".join(d.render() for d in diags[:5])
             return True, f"testbench failed to compile with the RTL: {detail}"
@@ -608,121 +677,5 @@ def _route_without_trace(evaluation: SimEval, events: EventLog) -> tuple[bool, s
     reason = f"simulation did not produce a valid checkpoint log ({evaluation.status})"
     if evaluation.detail:
         reason += f": {evaluation.detail}"
-    events.emit({"event": "route", "reason": evaluation.status})
+    emit({"event": "route", "reason": evaluation.status})
     return True, reason
-
-
-def _debug_round(
-    team: AgentTeam,
-    selected: list[Candidate],
-    roots: list[int],
-    testbench: VerilogSource,
-    config: RunConfig,
-    cache: _SimCache,
-    events: EventLog,
-    round_index: int,
-    take_id: Callable[[], int],
-    map_fn: Callable,
-) -> list[Optional[Candidate]]:
-    """One trial per selected slot; slots without a usable trace skip.
-    ``roots`` holds each slot's lineage root."""
-
-    def make_trial(
-        slot: tuple[Candidate, int], emit: Callable[[dict], None]
-    ) -> Optional[VerilogSource]:
-        candidate, root = slot
-        if candidate.trace is None:
-            emit({"event": "trial_skipped", "round": round_index, "id": candidate.id})
-            return None
-        anchor = checkpoints.earliest_mismatch(candidate.trace)
-        if anchor is None:
-            return None
-        window = checkpoints.extract_window(candidate.trace, anchor, config.window_len)
-        try:
-            return team.debug_trial(
-                candidate.source,
-                window,
-                testbench,
-                round_index=round_index,
-                root_id=root,
-                emit=emit,
-            )
-        except (SyntaxUnfixable, NoCodeBlock) as exc:
-            # A trial that cannot even be repaired is discarded; the lineage
-            # keeps its current candidate and stays monotone.
-            emit(
-                {
-                    "event": "trial_failed",
-                    "round": round_index,
-                    "id": candidate.id,
-                    "reason": type(exc).__name__,
-                }
-            )
-            return None
-
-    sources = map_in_order(map_fn, make_trial, zip(selected, roots), events.emit)
-    trials: list[Optional[Candidate]] = []
-    for candidate, source in zip(selected, sources):
-        if source is None:
-            trials.append(None)
-            continue
-        # A cache hit: the trial's syntax probe already simulated it.
-        evaluation = cache.evaluate(source, f"debug_r{round_index}_c{candidate.id}")
-        trial = Candidate(
-            take_id(), source, evaluation.score, evaluation.trace, candidate.id, round_index
-        )
-        trials.append(trial)
-        events.emit(
-            {
-                "event": "trial",
-                "round": round_index,
-                "lineage": trial.lineage,
-                "id": trial.id,
-                "score": trial.score.value,
-            }
-        )
-    return trials
-
-
-def _run_vanilla(
-    problem: Problem,
-    spec_text: str,
-    config: RunConfig,
-    runtime: EngineRuntime,
-    events: EventLog,
-    team: AgentTeam,
-    allocator: WorkdirAllocator,
-) -> RunOutcome:
-    """One-pass baseline: a single generation, verified only against the
-    golden bench when one exists."""
-    rtl = team.generate_rtl_vanilla(spec_text)
-    candidate = Candidate(id=0, source=rtl)
-    transcript = Path(runtime.transcript_dir)
-    if problem.golden_testbench:
-        result = evaluate_golden(
-            rtl,
-            problem.golden_testbench,
-            runtime.sim_runner,
-            allocator.acquire("golden"),
-            runtime.golden_criterion,
-        )
-        events.emit({"event": "golden", "passed": result.passed, "reason": result.reason})
-        passed = result.passed
-        candidate.score = (
-            Score(1.0)
-            if passed
-            else (Score(0.0) if result.sim and result.sim.status == "ok" else Score.unsimulatable())
-        )
-        status = "solved" if passed else "budget_exhausted"
-        history = [(0, [candidate.score.value])]
-    else:
-        status = "budget_exhausted"
-        history = []
-    return RunOutcome(
-        status=status,
-        best=candidate,
-        score_history=history,
-        testbench=None,
-        transcript_dir=transcript,
-        llm_calls=team.llm_calls,
-    )

@@ -182,6 +182,28 @@ def write_sources(sources: list[VerilogSource], workdir: Path) -> list[Path]:
     return paths
 
 
+def _launch(cmd: list[str], cwd: Path, timeout: float) -> tuple[Optional[int], str, str, float]:
+    """Run ``cmd`` in ``cwd`` on a toolchain slot, killing it after ``timeout``.
+
+    Returns (exit status, or None on timeout; stdout; stderr; seconds). The
+    clock starts once the slot is held, so the seconds exclude the wait.
+    Raises OSError when the binary cannot be launched.
+    """
+    with TOOLCHAIN_SLOTS:
+        start = time.monotonic()
+        proc = subprocess.Popen(
+            cmd, cwd=str(cwd), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+        )
+        try:
+            stdout, stderr = proc.communicate(timeout=timeout)
+            status = proc.returncode
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            stdout, stderr = proc.communicate()
+            status = None
+        return status, stdout or "", stderr or "", time.monotonic() - start
+
+
 def compile_sources(
     sources: list[VerilogSource],
     workdir: str | Path,
@@ -211,32 +233,18 @@ def compile_sources(
     if ignore_missing:
         cmd.append("-i")
     cmd += ["-o", out.name, *[p.name for p in paths]]
+    timeout = config.sim_timeout + TIMEOUT_GRACE
     try:
-        with TOOLCHAIN_SLOTS:
-            proc = subprocess.run(
-                cmd,
-                cwd=str(workdir),
-                capture_output=True,
-                text=True,
-                timeout=config.sim_timeout + TIMEOUT_GRACE,
-            )
-    except subprocess.TimeoutExpired as exc:
-        raise CompileFailed(
-            [Diagnostic(file="", line=None, message=f"compiler timed out: {exc}")]
-        ) from exc
+        status, _, stderr, _ = _launch(cmd, workdir, timeout)
     except OSError as exc:
         raise ToolchainMissing(f"cannot launch compiler {cmd[0]}: {exc}") from exc
-    if proc.returncode != 0 or not out.exists():
-        diagnostics = [d for d in parse_diagnostics(proc.stderr) if d.severity == "error"]
-        if not diagnostics:
-            diagnostics = [
-                Diagnostic(
-                    file="",
-                    line=None,
-                    message=f"compiler exited with status {proc.returncode}",
-                )
-            ]
-        raise CompileFailed(diagnostics)
+    if status is None:
+        message = f"compiler timed out after {timeout} seconds"
+        raise CompileFailed([Diagnostic(file="", line=None, message=message)])
+    if status != 0 or not out.exists():
+        errors = [d for d in parse_diagnostics(stderr) if d.severity == "error"]
+        exit_line = Diagnostic(file="", line=None, message=f"compiler exited with status {status}")
+        raise CompileFailed(errors or [exit_line])
     return CompiledArtifact(runnable=out, workdir=workdir)
 
 
@@ -245,51 +253,27 @@ def simulate(
     timeout: Optional[float] = None,
     config: Optional[ToolchainConfig] = None,
 ) -> SimRun:
-    """Run a compiled artifact; capture stdout in full; kill on timeout."""
+    """Run a compiled artifact; capture stdout in full; kill on timeout.
+
+    ``wall_time`` is the simulator's own run time, not the wait for a slot.
+    """
     config = config or ToolchainConfig()
     timeout = config.sim_timeout if timeout is None else timeout
     vvp = config.resolve_vvp()
-    start = time.monotonic()
-    with TOOLCHAIN_SLOTS:
-        try:
-            proc = subprocess.Popen(
-                [vvp, artifact.runnable.name],
-                cwd=str(artifact.workdir),
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-            )
-        except OSError as exc:
-            raise ToolchainMissing(f"cannot launch simulator {vvp}: {exc}") from exc
-        try:
-            stdout, stderr = proc.communicate(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            stdout, stderr = proc.communicate()
-            wall = time.monotonic() - start
-            return SimRun(
-                status="timed_out",
-                stdout=stdout or "",
-                diagnostics=tuple(parse_diagnostics(stderr or "")),
-                wall_time=max(wall, timeout),
-            )
-    wall = time.monotonic() - start
-    if proc.returncode != 0:
-        diags = parse_diagnostics(stderr or "") or [
-            Diagnostic(file="", line=None, message=f"simulator exited with status {proc.returncode}")
+    cmd = [vvp, artifact.runnable.name]
+    try:
+        status, stdout, stderr, wall = _launch(cmd, artifact.workdir, timeout)
+    except OSError as exc:
+        raise ToolchainMissing(f"cannot launch simulator {vvp}: {exc}") from exc
+    diagnostics = parse_diagnostics(stderr)
+    if status is None:
+        return SimRun("timed_out", stdout, tuple(diagnostics), max(wall, timeout))
+    if status != 0:
+        diagnostics = diagnostics or [
+            Diagnostic(file="", line=None, message=f"simulator exited with status {status}")
         ]
-        return SimRun(
-            status="runtime_failed",
-            stdout=stdout or "",
-            diagnostics=tuple(diags),
-            wall_time=wall,
-        )
-    return SimRun(
-        status="ok",
-        stdout=stdout or "",
-        diagnostics=tuple(parse_diagnostics(stderr or "")),
-        wall_time=wall,
-    )
+        return SimRun("runtime_failed", stdout, tuple(diagnostics), wall)
+    return SimRun("ok", stdout, tuple(diagnostics), wall)
 
 
 def run_sim(
@@ -300,16 +284,10 @@ def run_sim(
 ) -> SimRun:
     """Compile then simulate; compile failure short-circuits simulation."""
     config = config or ToolchainConfig()
-    start = time.monotonic()
     try:
         artifact = compile_sources(sources, workdir, config)
     except CompileFailed as exc:
-        return SimRun(
-            status="compile_failed",
-            stdout="",
-            diagnostics=tuple(exc.diagnostics),
-            wall_time=time.monotonic() - start,
-        )
+        return SimRun(status="compile_failed", stdout="", diagnostics=tuple(exc.diagnostics))
     return simulate(artifact, timeout, config)
 
 

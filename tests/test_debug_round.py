@@ -1,6 +1,6 @@
 """Step 5 on the run executor: debug trials run concurrently, yet their ids
-and events follow slot order, so the event log is the same at any worker
-count."""
+and events follow slot order, so the event log does not depend on which
+trial answers first."""
 
 import json
 import threading
@@ -21,9 +21,11 @@ PREAMBLE = {
 class SlowDebugScript:
     """Samples 1-3 have 1-3 mismatches, so slot i holds root i + 1. Each debug
     trial keeps its lineage's score (a tie, so the trial survives); lower
-    root ids answer more slowly. Records the most debug calls in flight."""
+    root ids answer more slowly, or more quickly unless ``slowest_first``.
+    Records the most debug calls in flight."""
 
-    def __init__(self):
+    def __init__(self, slowest_first: bool = True):
+        self.slowest_first = slowest_first
         self.in_flight = 0
         self.max_in_flight = 0
         self._lock = threading.Lock()
@@ -37,14 +39,14 @@ class SlowDebugScript:
         with self._lock:
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
-        time.sleep(0.02 * (4 - root))
+        time.sleep(0.02 * (4 - root if self.slowest_first else root))
         with self._lock:
             self.in_flight -= 1
         return fenced(stub_dut(f"score:{root}:16", name=f"r{round_index}c{root}"))
 
 
-def run(templates, transcript, **config):
-    script = SlowDebugScript()
+def run(templates, transcript, slowest_first=True, **config):
+    script = SlowDebugScript(slowest_first)
     runtime = EngineRuntime(
         backend=ScriptedBackend(script),
         sim_runner=StubSimRunner(),
@@ -59,7 +61,7 @@ def run(templates, transcript, **config):
 
 
 def test_trial_ids_follow_slot_order(templates, tmp_path):
-    outcome, events, script = run(templates, tmp_path / "run", sim_workers=8)
+    outcome, events, script = run(templates, tmp_path / "run")
     assert outcome.status == "budget_exhausted"
     assert script.max_in_flight > 1
     trials = [e for e in events if e["event"] == "trial"]
@@ -72,23 +74,22 @@ def test_trial_ids_follow_slot_order(templates, tmp_path):
     assert tags == [f"debug/r{r}/c{c}" for r in (1, 2) for c in (1, 2, 3)]
 
 
-def test_event_log_independent_of_worker_count(templates, tmp_path):
+def test_event_log_independent_of_reply_order(templates, tmp_path):
     artifacts = {}
-    for workers in (1, 8):
-        transcript = tmp_path / f"w{workers}"
-        outcome, _, _ = run(templates, transcript, sim_workers=workers)
-        artifacts[workers] = (
+    for slowest_first in (False, True):
+        transcript = tmp_path / f"slowest_first_{slowest_first}"
+        outcome, _, script = run(templates, transcript, slowest_first)
+        assert script.max_in_flight > 1
+        artifacts[slowest_first] = (
             (transcript / "events.jsonl").read_bytes(),
             (transcript / "best.v").read_bytes(),
             outcome.llm_calls,
         )
-    assert artifacts[1] == artifacts[8]
+    assert artifacts[False] == artifacts[True]
 
 
 def test_single_agent_mode_keeps_one_trial_in_flight(templates, tmp_path):
-    outcome, events, script = run(
-        templates, tmp_path / "run", sim_workers=8, agent_mode="single"
-    )
+    outcome, events, script = run(templates, tmp_path / "run", agent_mode="single")
     assert outcome.status == "budget_exhausted"
     assert sum(e["event"] == "trial" for e in events) == 6
     assert script.max_in_flight == 1

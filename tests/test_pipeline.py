@@ -197,8 +197,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(max_debug_rounds=-1)
         with pytest.raises(ValueError):
-            RunConfig(sim_workers=0)
-        with pytest.raises(ValueError):
             RunConfig(max_tokens=0)
         with pytest.raises(ValueError):
             RunConfig(sim_timeout=0)
@@ -279,6 +277,63 @@ class TestJudgeRouting:
         assert len(regen_events) == 3  # third attempt hits the bound
         assert len([r for r in backend.requests if r.tag.startswith("testbench_gen")]) == 3
         assert outcome.best is not None  # best effort still reported
+
+    # A testbench reply with no fence, one with no module, and one whose
+    # syntax repair fails: (replies, exception, its message, calls made).
+    UNDELIVERABLE_TB = {
+        "no_fence": (
+            {"testbench_gen/gen0": "sorry, no code"},
+            "NoCodeBlock",
+            "reply contains no fenced code block",
+            1,
+        ),
+        "no_module": (
+            {"testbench_gen/gen0": fenced("assign y = 1;\n")},
+            "NoCodeBlock",
+            "source declares no module",
+            1,
+        ),
+        "unfixable": (
+            {
+                "testbench_gen/gen0": fenced(stub_tb() + "//ERR:3:bad port list\n"),
+                **{
+                    f"testbench_gen/gen0/fix{k}": fenced(stub_tb() + f"//ERR:{k}:bad\n")
+                    for k in range(1, 6)
+                },
+            },
+            "SyntaxUnfixable",
+            "syntax not fixed after 5 repair iterations: tb.v:5: error: bad",
+            6,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(UNDELIVERABLE_TB))
+    def test_undeliverable_testbench_is_regenerated(self, make_runtime, case):
+        replies, reason, feedback, calls = self.UNDELIVERABLE_TB[case]
+        script = {**replies, "testbench_gen/gen1": GOOD_TB, "rtl_gen/init1": CLEAN_RTL}
+        outcome, backend, runtime = run(script, make_runtime=make_runtime)
+        assert outcome.status == "solved"
+        assert outcome.llm_calls == len(backend.requests) == calls + 2
+        events = events_of(runtime)
+        assert {"event": "route", "reason": reason} in events
+        assert {"event": "tb_regen", "count": 1, "epoch": 0} in events
+        assert not any(e.get("label") == "initial_e0" for e in events)  # no step 2 at epoch 0
+        regen = next(r for r in backend.requests if r.tag == "testbench_gen/gen1")
+        assert feedback in regen.messages[-1].content
+
+    @pytest.mark.parametrize("case", list(UNDELIVERABLE_TB))
+    def test_undeliverable_testbench_exhausts_the_regen_budget(self, make_runtime, case):
+        replies, _, _, calls = self.UNDELIVERABLE_TB[case]
+        config = RunConfig(max_tb_regens=0)
+        outcome, backend, runtime = run(replies, config=config, make_runtime=make_runtime)
+        assert outcome.status == "tb_regen_exhausted"
+        assert outcome.best is None and outcome.score_history == []
+        assert outcome.llm_calls == len(backend.requests) == calls
+        events = events_of(runtime)
+        assert sum(e["event"] == "llm_call" for e in events) == calls
+        assert events[-1] == {
+            "event": "outcome", "status": "tb_regen_exhausted", "best_id": None, "best_score": None
+        }
 
     def test_judge_excerpt_follows_window_len(self, make_runtime):
         script = {

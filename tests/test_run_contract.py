@@ -1,0 +1,188 @@
+"""The outcome contract of any scripted run, and a finished run's state freed
+without the cyclic garbage collector."""
+
+import gc
+import json
+import re
+import time
+import zlib
+
+from hypothesis import given, settings, strategies as st
+
+from rtlforge.agents import AgentTeam
+from rtlforge.gateway import BackendError
+from rtlforge.pipeline import EngineRuntime, RunConfig, _SimCache, max_llm_calls, run_pipeline
+
+from fixtures import fenced, stub_counter_problem, stub_dut, stub_tb
+from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker
+
+STATUSES = {"solved", "budget_exhausted", "tb_regen_exhausted", "error"}
+KINDS = (
+    "clean",
+    "broken_then_fixed",
+    "no_fence",
+    "no_module",
+    "rtl_faulty",
+    "testbench_faulty",
+    "no_verdict",
+    "missing",
+)
+BEHAVIORS = (
+    "counter16",
+    "counter16:glitch@9",
+    "score:1:16",
+    "score:4:16",
+    "nochecks",
+    "crash",
+    "jointfail_tb",
+    "jointfail_dut",
+)
+_FIX_RE = re.compile(r"^(?P<parent>.*)/fix(?P<k>\d+)$")
+_SAMPLEFIX_RE = re.compile(r"^rtl_gen/samplefix/(?P<epoch>e\d+)/c(?P<i>\d+)$")
+
+
+class Script:
+    """Replies by tag: each tag's kind (and a DUT's behavior) is picked from
+    the drawn lists by a hash of the tag, so a tag always gets the same reply
+    whichever thread asks first. The first repair of a ``broken_then_fixed``
+    reply is clean."""
+
+    def __init__(self, kinds: list[str], behaviors: list[str]):
+        self.kinds = kinds
+        self.behaviors = behaviors
+
+    def pick(self, options, key: str):
+        return options[zlib.crc32(key.encode()) % len(options)]
+
+    def kind(self, key: str) -> str:
+        fix = _FIX_RE.match(key)
+        if fix and fix["k"] == "1":
+            parent = fix["parent"]
+            sample = _SAMPLEFIX_RE.match(parent)
+            if sample:
+                parent = f"rtl_gen/sample/{sample['epoch']}#{sample['i']}"
+            if self.kind(parent) == "broken_then_fixed":
+                return "clean"
+        return self.pick(self.kinds, key)
+
+    def reply(self, key: str) -> str:
+        kind = self.kind(key)
+        if kind == "missing":
+            raise BackendError(f"no scripted reply for {key!r}")
+        if kind in ("clean", "broken_then_fixed"):
+            err = 3 if kind == "broken_then_fixed" else 0
+            if key.startswith("testbench_gen/"):
+                return fenced(stub_tb() + (f"//ERR:{err}:bad port list\n" if err else ""))
+            return fenced(stub_dut(self.pick(self.behaviors, key), err_line=err))
+        return {
+            "no_fence": "sorry, no code",
+            "no_module": fenced("assign y = 1;\n"),
+            "rtl_faulty": "Expected values follow the spec.\nVERDICT: rtl_faulty",
+            "testbench_faulty": "The bench misdrives rst.\nVERDICT: testbench_faulty",
+            "no_verdict": "Hard to say which side is wrong.",
+        }[kind]
+
+    def __call__(self, request) -> list[str]:
+        n = request.params.n_completions
+        if n == 1:
+            return [self.reply(request.tag)]
+        return [self.reply(f"{request.tag}#{i}") for i in range(n)]
+
+
+@st.composite
+def scripted_runs(draw):
+    pool = draw(st.integers(1, 4))
+    config = RunConfig(
+        pool_size=pool,
+        top_k=draw(st.integers(1, pool)),
+        max_debug_rounds=draw(st.integers(0, 2)),
+        max_tb_regens=draw(st.integers(0, 2)),
+        agent_mode=draw(st.sampled_from(["multi", "single"])),
+    )
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=12))
+    behaviors = draw(st.lists(st.sampled_from(BEHAVIORS), min_size=1, max_size=4))
+    return config, Script(kinds, behaviors)
+
+
+def stub_runtime(script, templates, transcript) -> EngineRuntime:
+    return EngineRuntime(
+        backend=ScriptedBackend(script),
+        sim_runner=StubSimRunner(),
+        syntax_checker=StubSyntaxChecker(),
+        templates=templates,
+        transcript_dir=transcript,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(run=scripted_runs())
+def test_any_scripted_run_keeps_the_outcome_contract(run, templates, tmp_path_factory):
+    config, script = run
+    transcript = tmp_path_factory.mktemp("run")
+    outcome = run_pipeline(stub_counter_problem(), config, stub_runtime(script, templates, transcript))
+    events = [json.loads(line) for line in (transcript / "events.jsonl").read_text().splitlines()]
+    assert outcome.status in STATUSES
+    assert events[-1]["event"] == "outcome"
+    assert events[-1]["status"] == outcome.status
+    assert outcome.llm_calls == sum(e["event"] == "llm_call" for e in events)
+    assert outcome.llm_calls <= max_llm_calls(config)
+
+
+GOOD_TB = fenced(stub_tb())
+CLEAN_RTL = fenced(stub_dut("counter16"))
+GLITCH_RTL = fenced(stub_dut("counter16:glitch@9"))
+RTL_FAULTY = "Expected values follow the spec.\nVERDICT: rtl_faulty"
+TO_SAMPLING = {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": GLITCH_RTL, "judge/e0": RTL_FAULTY}
+SAMPLES = [fenced(stub_dut(f"score:{m}:16", name=f"cand{m}")) for m in (1, 2)]
+
+
+def test_finished_runs_leave_no_team_or_cache(templates, tmp_path):
+    """With the cyclic collector off, nothing of a run outlives it: a solved,
+    a budget-exhausted, and an errored run whose failure came from an executor
+    thread."""
+    runs = {
+        "solved": {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": CLEAN_RTL},
+        "budget_exhausted": {
+            **TO_SAMPLING,
+            "rtl_gen/sample/e0": SAMPLES,
+            "debug/r1/c1": fenced(stub_dut("score:1:16", name="trial")),
+        },
+        "error": {**TO_SAMPLING, "rtl_gen/sample/e0": SAMPLES},  # no debug reply
+    }
+    config = RunConfig(pool_size=2, top_k=1, max_debug_rounds=1)
+    gc.collect()
+    gc.disable()
+    try:
+        for status, script in runs.items():
+            runtime = stub_runtime(script, templates, tmp_path / status)
+            assert run_pipeline(stub_counter_problem(), config, runtime).status == status
+            alive = [o for o in gc.get_objects() if isinstance(o, (AgentTeam, _SimCache))]
+            assert alive == [], status
+    finally:
+        gc.enable()
+
+
+def test_calls_still_running_after_a_failure_are_logged(templates, tmp_path):
+    """Sample 0's repair fails while sample 1's is still asking for fixes:
+    every call sample 1 makes after the failure still gets its event."""
+    broken = [fenced(stub_dut("score:1:16", err_line=3)), fenced(stub_dut("score:2:16", err_line=3))]
+
+    def script(request):
+        if request.tag == "rtl_gen/sample/e0":
+            return broken
+        if request.tag == "rtl_gen/samplefix/e0/c0/fix1":
+            time.sleep(0.05)
+            raise BackendError("no reply")
+        if request.tag.startswith("rtl_gen/samplefix/e0/c1/"):
+            time.sleep(0.03)
+            return [broken[1]]
+        return [TO_SAMPLING[request.tag]]
+
+    outcome = run_pipeline(
+        stub_counter_problem(), RunConfig(pool_size=2), stub_runtime(script, templates, tmp_path)
+    )
+    events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+    assert outcome.status == "error"
+    assert outcome.llm_calls == 3 + 1 + 5  # steps 1-3, the sampling call, sample 1's fixes
+    assert outcome.llm_calls == sum(e["event"] == "llm_call" for e in events)
+    assert events[-1]["event"] == "outcome"

@@ -11,6 +11,7 @@ import threading
 import time
 from pathlib import Path
 
+from rtlforge import pipeline
 from rtlforge.pipeline import EngineRuntime, RunConfig, run_pipeline
 from rtlforge.simbridge import Diagnostic
 
@@ -118,13 +119,15 @@ def test_broken_sample_gets_the_joint_diagnostics(templates, tmp_path):
 
 
 class SlowRepairScript:
-    """Sample i needs 1 + i % 3 repairs; lower indices answer more slowly.
+    """Sample i needs 1 + i % 3 repairs; lower indices answer more slowly, or
+    more quickly unless ``slowest_first``.
 
     Records the highest number of repair calls in flight at once.
     """
 
-    def __init__(self, pool: int):
+    def __init__(self, pool: int, slowest_first: bool = True):
         self.pool = pool
+        self.slowest_first = slowest_first
         self.in_flight = 0
         self.max_in_flight = 0
         self._lock = threading.Lock()
@@ -142,30 +145,31 @@ class SlowRepairScript:
         with self._lock:
             self.in_flight += 1
             self.max_in_flight = max(self.max_in_flight, self.in_flight)
-        time.sleep(0.01 * (self.pool - i))
+        time.sleep(0.01 * (self.pool - i if self.slowest_first else i + 1))
         with self._lock:
             self.in_flight -= 1
         err_line = 0 if k == 1 + i % 3 else 3 + k
         return fenced(stub_dut(f"score:{i}:16", name=f"cand{i}", err_line=err_line))
 
 
-def test_concurrent_repair_matches_sequential_event_log(templates, tmp_path):
+def test_concurrent_repair_event_log_independent_of_reply_order(templates, tmp_path):
     pool = 6
     runs = {}
-    for workers in (1, 8):
-        script = SlowRepairScript(pool)
-        config = RunConfig(pool_size=pool, top_k=1, max_debug_rounds=0, sim_workers=workers)
-        outcome, _ = run(templates, tmp_path / f"w{workers}", script, config)
-        events = (tmp_path / f"w{workers}" / "events.jsonl").read_bytes()
-        runs[workers] = (events, outcome.llm_calls, script.max_in_flight)
+    for slowest_first in (False, True):
+        script = SlowRepairScript(pool, slowest_first)
+        config = RunConfig(pool_size=pool, top_k=1, max_debug_rounds=0)
+        transcript = tmp_path / f"slowest_first_{slowest_first}"
+        outcome, _ = run(templates, transcript, script, config)
+        events = (transcript / "events.jsonl").read_bytes()
+        runs[slowest_first] = (events, outcome.llm_calls, script.max_in_flight)
 
-    assert runs[1][0] == runs[8][0]
-    assert runs[1][1] == runs[8][1] == 3 + 1 + sum(1 + i % 3 for i in range(pool))
-    assert runs[1][2] == 1
-    assert runs[8][2] > 1
+    assert runs[False][0] == runs[True][0]
+    assert runs[False][1] == runs[True][1] == 3 + 1 + sum(1 + i % 3 for i in range(pool))
+    assert runs[False][2] > 1
+    assert runs[True][2] > 1
     tags = [
         e["tag"]
-        for e in map(json.loads, runs[8][0].decode().splitlines())
+        for e in map(json.loads, runs[True][0].decode().splitlines())
         if e["event"] == "llm_call" and "/samplefix/" in e["tag"]
     ]
     assert tags == [
@@ -175,16 +179,16 @@ def test_concurrent_repair_matches_sequential_event_log(templates, tmp_path):
 
 def test_single_agent_mode_repairs_in_order(templates, tmp_path):
     script = SlowRepairScript(4)
-    config = RunConfig(
-        pool_size=4, top_k=1, max_debug_rounds=0, sim_workers=8, agent_mode="single"
-    )
+    config = RunConfig(pool_size=4, top_k=1, max_debug_rounds=0, agent_mode="single")
     run(templates, tmp_path / "run", script, config)
     assert script.max_in_flight == 1
 
 
-def test_stress_duplicate_samples_simulated_once(templates, tmp_path):
+def test_stress_duplicate_samples_simulated_once(templates, tmp_path, monkeypatch):
     """Many more repair threads than cores, a tiny switch interval, and a pool
     of five distinct samples repeated: every distinct source simulates once."""
+    monkeypatch.setattr(pipeline, "RUN_WORKERS", 64)
+    assert pipeline.RUN_WORKERS > (os.cpu_count() or 1)
     clean = [fenced(stub_dut(f"score:{m}:16", name="dup")) for m in (1, 2, 3)]
     broken = [fenced(stub_dut("score:1:16", name="dup", err_line=e)) for e in (3, 4)]
     distinct = clean + broken
@@ -193,8 +197,7 @@ def test_stress_duplicate_samples_simulated_once(templates, tmp_path):
         "rtl_gen/sample/e0": [distinct[i % len(distinct)] for i in range(64)],
         **{f"rtl_gen/samplefix/e0/c{i}/fix1": clean[0] for i in range(64)},
     }
-    config = RunConfig(pool_size=64, top_k=3, max_debug_rounds=0, sim_workers=64)
-    assert config.sim_workers > (os.cpu_count() or 1)
+    config = RunConfig(pool_size=64, top_k=3, max_debug_rounds=0)
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -1,9 +1,12 @@
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from rtlforge import simbridge
 from rtlforge.simbridge import (
+    CompiledArtifact,
     CompileFailed,
     Diagnostic,
     ToolchainConfig,
@@ -141,6 +144,27 @@ class TestSimulate:
         artifact.runnable.unlink()
         run = simulate(artifact, config=stub_tool_config)
         assert run.status == "runtime_failed"
+
+    def test_wall_time_excludes_the_wait_for_a_slot(self, tmp_path, monkeypatch):
+        """Four 70 ms simulations on one slot run one after another; each
+        reports its own run time, not its time in the queue."""
+        vvp = tmp_path / "sleepy-vvp"
+        vvp.write_text("#!/bin/sh\nsleep 0.07\n", encoding="utf-8")
+        vvp.chmod(0o755)
+        config = ToolchainConfig(vvp_path=str(vvp))
+        monkeypatch.setattr(simbridge, "TOOLCHAIN_SLOTS", threading.BoundedSemaphore(1))
+
+        def one(i: int) -> float:
+            work = tmp_path / f"w{i}"
+            work.mkdir()
+            run = simulate(CompiledArtifact(work / "sim.vvp", work), config=config)
+            assert run.status == "ok"
+            return run.wall_time
+
+        lone = one(0)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            walls = list(pool.map(one, range(1, 5)))
+        assert all(wall < 2 * lone for wall in walls), (lone, walls)
 
 
 class TestRunSim:

@@ -1,8 +1,11 @@
 """Single-flight simulation cache: concurrent evaluations of one source share
-one simulation, and a raised error reaches every waiter without being cached."""
+one simulation, a raised error reaches every waiter without being cached, and
+an evaluation keeps the run's diagnostics but not its output."""
 
+import gc
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -82,3 +85,32 @@ def test_raised_error_reaches_waiters_and_is_not_cached(tmp_path):
     retry = cache.evaluate(_dut(), "cand")
     assert retry.status == "ok"
     assert runner.calls == 2
+
+
+class KeepingRunner(StubSimRunner):
+    """Stub runner that keeps a weak reference to each run it returns."""
+
+    def __init__(self):
+        super().__init__()
+        self.runs: list[weakref.ref] = []
+
+    def run(self, sources, workdir) -> SimRun:
+        sim = super().run(sources, workdir)
+        self.runs.append(weakref.ref(sim))
+        return sim
+
+
+def test_evaluation_keeps_diagnostics_not_the_run(tmp_path):
+    runner = KeepingRunner()
+    cache = _cache(runner, tmp_path)
+    clean = cache.evaluate(_dut(), "clean")
+    broken = cache.evaluate(
+        VerilogSource(kind="dut", top_module="counter4", code=stub_dut("score:2:8", err_line=3)),
+        "broken",
+    )
+    gc.collect()
+    assert len(runner.runs) == 2
+    assert all(ref() is None for ref in runner.runs)
+    assert clean.status == "ok" and clean.trace is not None
+    assert broken.status == "compile_failed"
+    assert [(d.file, d.line) for d in broken.diagnostics] == [("dut.v", 3)]
