@@ -1,5 +1,6 @@
 import pytest
 
+from rtlforge import agents
 from rtlforge.agents import (
     AgentTeam,
     NoCodeBlock,
@@ -212,6 +213,19 @@ class TestFixSyntax:
             team.fix_syntax(broken, team.conversation("rtl_gen"), "t")
         fix_calls = [r for r in backend.requests if "/fix" in r.tag]
         assert len(fix_calls) == 5  # never 4, never 6
+
+    def test_unfixable_message_names_the_cap_that_ran(self, monkeypatch):
+        # The loop and the message both read the module constant, so a
+        # lowered cap must show up in both the call count and the text.
+        monkeypatch.setattr(agents, "SYNTAX_FIX_CAP", 2)
+        script = {f"t/fix{k}": fenced(stub_dut("score:0:4", err_line=k)) for k in range(1, 4)}
+        team, backend = make_team(script)
+        broken = VerilogSource(
+            kind="dut", top_module="counter4", code=stub_dut("score:0:4", err_line=1)
+        )
+        with pytest.raises(SyntaxUnfixable, match="after 2 repair iterations"):
+            team.fix_syntax(broken, team.conversation("rtl_gen"), "t")
+        assert len(backend.requests) == 2
 
     def test_fenceless_reply_counts_as_failed_iteration(self):
         script = {f"t/fix{k}": "no code, rambling instead" for k in range(1, 6)}
