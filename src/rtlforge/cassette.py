@@ -66,19 +66,27 @@ def _entry_from_obj(obj: dict, line_no: int) -> CassetteEntry:
 
 
 def iter_entries(path: str | Path):
-    """Yield (line_no, CassetteEntry) for every line of the cassette."""
+    """Yield (line_no, CassetteEntry) for every line of the cassette.
+
+    A final line with no trailing newline that does not parse is what a
+    crash in the middle of an append leaves; its error says so.
+    """
     path = Path(path)
     if not path.exists():
         raise CassetteError(f"cassette not found: {path}")
     with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise CassetteError(f"cassette line {line_no}: invalid JSON ({exc})") from exc
+                if not raw.endswith("\n"):  # only the last line can lack one
+                    message = f"cassette line {line_no}: truncated final line ({exc})"
+                else:
+                    message = f"cassette line {line_no}: invalid JSON ({exc})"
+                raise CassetteError(message) from exc
             yield line_no, _entry_from_obj(obj, line_no)
 
 
@@ -90,10 +98,15 @@ def load_cassette(path: str | Path) -> dict[str, CassetteEntry]:
     return entries
 
 
-def append_entry(path: str | Path, entry: CassetteEntry) -> None:
+def open_for_append(path: str | Path):
+    """Open the cassette for appending, creating its directory if needed."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a", encoding="utf-8") as fh:
+    return path.open("a", encoding="utf-8")
+
+
+def append_entry(path: str | Path, entry: CassetteEntry) -> None:
+    with open_for_append(path) as fh:
         fh.write(entry.to_json() + "\n")
 
 
@@ -101,7 +114,8 @@ def verify_cassette(path: str | Path) -> list[str]:
     """Integrity-check a cassette; returns a list of problems (empty = clean).
 
     Checks per entry: required fields present, key consistent with
-    tag/request_digest, and no duplicate keys across the file.
+    tag/request_digest, and no duplicate keys across the file. A truncated
+    final line is reported by its line number.
     """
     problems: list[str] = []
     seen: dict[str, int] = {}

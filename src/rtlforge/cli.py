@@ -174,6 +174,11 @@ def _build_backend(cfg: dict):
     return live
 
 
+def _close_recording(backend) -> None:
+    if isinstance(backend, CassetteRecorder):
+        backend.close()
+
+
 def _build_runtime(
     cfg: dict, run_config: RunConfig, backend, transcript_dir: Path
 ) -> EngineRuntime:
@@ -217,7 +222,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     backend = _build_backend(cfg)
     runtime = _build_runtime(cfg, run_config, backend, out / "run")
-    outcome = run_pipeline(problem, run_config, runtime)
+    try:
+        outcome = run_pipeline(problem, run_config, runtime)
+    finally:
+        _close_recording(backend)
 
     summary = {
         "task_id": problem.task_id,
@@ -274,6 +282,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         else:
             print("interrupted before any run completed", file=sys.stderr)
         return 130
+    finally:
+        _close_recording(base_backend)
     report = emit_report(records, out, config_echo=echo)
     print(
         f"{len(report.problems)} problems, aggregate pass@1 = {report.aggregate_pass_at_1:.4f}"

@@ -48,7 +48,14 @@ class BackendError(GatewayError):
 
 
 class TransientBackendError(GatewayError):
-    """Retryable failure: transport error or HTTP 429/5xx."""
+    """Retryable failure: transport error or HTTP 429/5xx.
+
+    ``retry_after`` is the wait in seconds that the endpoint asked for, if any.
+    """
+
+    def __init__(self, message: str, retry_after: Optional[float] = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class RateLimitExhausted(GatewayError):
@@ -233,7 +240,9 @@ class HttpBackend:
         if resp.status_code in (401, 403):
             raise AuthError(f"endpoint rejected credential (HTTP {resp.status_code})")
         if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientBackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            raise TransientBackendError(
+                f"HTTP {resp.status_code}: {resp.text[:200]}", retry_after_s(resp)
+            )
         if resp.status_code != 200:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
@@ -248,6 +257,13 @@ class HttpBackend:
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
         return LlmResponse(completions=completions, usage=usage)
+
+
+def retry_after_s(resp) -> Optional[float]:
+    """The delta-seconds ``Retry-After`` of an HTTP 429 reply (RFC 9110
+    §10.2.3), or None; an HTTP-date is not honoured."""
+    value = resp.headers.get("Retry-After", "").strip()
+    return float(value) if resp.status_code == 429 and value.isdigit() else None
 
 
 class ReplayBackend:
@@ -266,11 +282,17 @@ class ReplayBackend:
 
 
 class CassetteRecorder:
-    """Wraps a backend and appends every call that ``complete`` accepts to a cassette."""
+    """Wraps a backend and appends every call that ``complete`` accepts to a cassette.
+
+    The cassette is opened once, at the first accepted reply; each entry is
+    one line, written and flushed under the lock. ``close`` ends the
+    recording.
+    """
 
     def __init__(self, inner: Backend, path):
         self.inner = inner
         self.path = path
+        self._fh = None
         self._lock = threading.Lock()
 
     def complete(self, request: LlmRequest) -> LlmResponse:
@@ -285,9 +307,18 @@ class CassetteRecorder:
             completions=response.completions,
             recorded_at=datetime.now(timezone.utc).isoformat(),
         )
+        line = entry.to_json() + "\n"
         with self._lock:
-            cassette_io.append_entry(self.path, entry)
+            if self._fh is None:
+                self._fh = cassette_io.open_for_append(self.path)
+            self._fh.write(line)
+            self._fh.flush()
         return response
+
+    def close(self) -> None:
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
 
 
 class NamespacedBackend:
@@ -307,7 +338,8 @@ class NamespacedBackend:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    # Exponential backoff on transport errors and HTTP 429/5xx only.
+    # Exponential backoff on transport errors and HTTP 429/5xx only; a
+    # longer Retry-After from the endpoint wins over the backoff delay.
     base_delay: float = 1.0
     factor: float = 2.0
     max_attempts: int = 5
@@ -337,7 +369,7 @@ def complete(
                 raise RateLimitExhausted(
                     f"gave up after {attempts} attempts: {exc}"
                 ) from exc
-            time.sleep(delay)
+            time.sleep(max(delay, exc.retry_after or 0.0))
             delay *= retry.factor
             continue
         wanted = request.params.n_completions

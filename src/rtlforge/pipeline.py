@@ -31,8 +31,10 @@ ids) and runs the steps as its methods; the ``RunOutcome`` is built in
 ``RUN_WORKERS`` (8) workers, or one in single-agent mode, whose roles share
 one conversation.
 
-Every simulation runs in its own directory under the transcript dir and
-every decision is appended to ``events.jsonl``. Once a testbench exists, the
+Every simulation gets its own flat workdir name under ``<transcript>/sim/``
+(``sim/rtl_gen.samplefix.e0.c3.check0.a0``), which only a toolchain that
+writes files creates, and every decision is appended to ``events.jsonl``
+through one open handle. Once a testbench exists, the
 syntax probe of a DUT is its joint compile-and-simulate with that testbench;
 the cached result is what scoring reads later, so each distinct DUT is
 compiled once. A failed joint compile sends its errors that name the DUT's
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import shutil
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -244,45 +247,71 @@ class EngineRuntime:
 
 
 class EventLog:
-    """Append-only JSON Lines event stream; deterministic (no timestamps)."""
+    """Append-only JSON Lines event stream; deterministic (no timestamps).
+
+    The file is opened once; each event is one line, written and flushed
+    under the lock, so it is readable as soon as ``emit`` returns. The run
+    closes the log when it ends.
+    """
 
     def __init__(self, path: Path):
         self.path = path
         self._lock = threading.Lock()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text("", encoding="utf-8")
+        self._fh = path.open("w", encoding="utf-8")
 
     def emit(self, event: dict) -> None:
-        with self._lock, self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+        line = json.dumps(event, sort_keys=True) + "\n"
+        with self._lock:
+            self._fh.write(line)
+            self._fh.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            self._fh.close()
+
+    def __enter__(self) -> "EventLog":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _flat_name(label: str) -> str:
+    """``label`` as one path component: ``/`` becomes ``.``; ``%`` and ``.``
+    are percent-escaped first, so distinct labels never share a name."""
+    return label.replace("%", "%25").replace(".", "%2E").replace("/", ".")
 
 
 class WorkdirAllocator:
-    """Hands out fresh ``<root>/<label>/attempt_<k>`` dirs, thread-safe.
+    """Hands out fresh flat workdir paths ``<root>/<label>.a<k>``, thread-safe.
 
-    Leftovers from an earlier run into the same output directory are skipped
-    rather than reused, so reruns stay auditable and never collide; an empty
-    leftover is reused. Only the choice of ``k`` holds the lock: the
-    directory is claimed with one ``mkdir`` outside it.
+    ``k`` counts each label's workdirs from 0; a ``/`` in the label becomes
+    ``.`` (``rtl_gen/init0/check0`` -> ``rtl_gen.init0.check0.a0``). The
+    allocator creates nothing: the seam that writes into a workdir creates
+    it, so an in-process toolchain touches no disk. The root is listed once,
+    at the first call, and every name already there is skipped, so a rerun
+    into the same output directory never reuses an earlier run's workdir.
     """
 
     def __init__(self, root: Path):
         self.root = Path(root)
         self._counts: dict[str, int] = {}
+        self._taken: Optional[set[str]] = None
         self._lock = threading.Lock()
 
     def acquire(self, label: str) -> Path:
-        while True:
-            with self._lock:
-                k = self._counts.get(label, 0)
-                self._counts[label] = k + 1
-            path = self.root / label / f"attempt_{k}"
-            try:
-                path.mkdir(parents=True)  # one mkdir once the label's directory exists
-            except FileExistsError:
-                if any(path.iterdir()):
-                    continue
-            return path
+        stem = _flat_name(label)
+        with self._lock:
+            if self._taken is None:
+                try:
+                    self._taken = set(os.listdir(self.root))
+                except FileNotFoundError:
+                    self._taken = set()
+            k = self._counts.get(label, 0)
+            while f"{stem}.a{k}" in self._taken:
+                k += 1
+            self._counts[label] = k + 1
+        return self.root / f"{stem}.a{k}"
 
 
 def _normalize_code(code: str) -> str:
@@ -372,39 +401,39 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
     failures (returns status="error" with a partial transcript instead)."""
     transcript = Path(runtime.transcript_dir)
     transcript.mkdir(parents=True, exist_ok=True)
-    events = EventLog(transcript / "events.jsonl")
-    events.emit(
-        {
-            "event": "run_start",
-            "task": problem.task_id,
-            "mode": config.agent_mode,
-            "profile": config.temp_profile,
-            "pool_size": config.pool_size,
-            "top_k": config.top_k,
-        }
-    )
-    run = _Run(problem, config, runtime, events)
-    # No task on this executor may queue work on it and wait for that work:
-    # at one worker the run would deadlock.
-    workers = 1 if config.agent_mode == "single" else RUN_WORKERS
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            status, best, history, testbench = run.execute(executor.map)
-    except EngineError as exc:
-        events.emit({"event": "outcome", "status": "error", "error": str(exc)})
-        calls = run.team.llm_calls if run.team else 0
-        return RunOutcome("error", None, [], None, llm_calls=calls, error=str(exc))
-    events.emit(
-        {
-            "event": "outcome",
-            "status": status,
-            "best_id": best.id if best else None,
-            "best_score": best.score.value if best and best.score else None,
-        }
-    )
-    if best is not None:
-        (transcript / "best.v").write_text(best.source.code, encoding="utf-8")
-    return RunOutcome(status, best, history, testbench, run.team.llm_calls)
+    with EventLog(transcript / "events.jsonl") as events:
+        events.emit(
+            {
+                "event": "run_start",
+                "task": problem.task_id,
+                "mode": config.agent_mode,
+                "profile": config.temp_profile,
+                "pool_size": config.pool_size,
+                "top_k": config.top_k,
+            }
+        )
+        run = _Run(problem, config, runtime, events)
+        # No task on this executor may queue work on it and wait for that work:
+        # at one worker the run would deadlock.
+        workers = 1 if config.agent_mode == "single" else RUN_WORKERS
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as executor:
+                status, best, history, testbench = run.execute(executor.map)
+        except EngineError as exc:
+            events.emit({"event": "outcome", "status": "error", "error": str(exc)})
+            calls = run.team.llm_calls if run.team else 0
+            return RunOutcome("error", None, [], None, llm_calls=calls, error=str(exc))
+        events.emit(
+            {
+                "event": "outcome",
+                "status": status,
+                "best_id": best.id if best else None,
+                "best_score": best.score.value if best and best.score else None,
+            }
+        )
+        if best is not None:
+            (transcript / "best.v").write_text(best.source.code, encoding="utf-8")
+        return RunOutcome(status, best, history, testbench, run.team.llm_calls)
 
 
 class _Probe:

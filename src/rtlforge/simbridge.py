@@ -169,16 +169,22 @@ def named_kind(diagnostic: Diagnostic) -> Optional[str]:
     return None if m is None else ("dut" if m.group(1) == "dut" else "testbench")
 
 
-def write_sources(sources: list[VerilogSource], workdir: Path) -> list[Path]:
-    """Write each source to ``dut.v``, ``dut1.v``, ... or ``tb.v``, ``tb1.v``, ..."""
+def source_names(sources: list[VerilogSource]) -> list[str]:
+    """File names ``dut.v``, ``dut1.v``, ... or ``tb.v``, ``tb1.v``, ... in order."""
     counts: dict[str, int] = {}
-    paths = []
+    names = []
     for source in sources:
         stem = _FILE_STEMS[source.kind]
         n = counts[stem] = counts.get(stem, -1) + 1
-        path = workdir / f"{stem}{n or ''}.v"
+        names.append(f"{stem}{n or ''}.v")
+    return names
+
+
+def write_sources(sources: list[VerilogSource], workdir: Path) -> list[Path]:
+    """Write each source to its ``source_names`` file in ``workdir``."""
+    paths = [workdir / name for name in source_names(sources)]
+    for source, path in zip(sources, paths):
         path.write_text(source.code, encoding="utf-8")
-        paths.append(path)
     return paths
 
 
@@ -212,6 +218,8 @@ def compile_sources(
 ) -> CompiledArtifact:
     """Compile sources in ``workdir``; returns a runnable simulation artifact.
 
+    ``workdir`` must be empty or absent: this is where a run's workdir is
+    created, with its parents, since the pipeline's allocator only names it.
     Raises CompileFailed with every parseable diagnostic on failure, and
     ToolchainMissing when no compiler can be resolved. ``ignore_missing``
     tells the compiler to treat unresolved module instantiations as black

@@ -120,6 +120,29 @@ class TestGenerate:
         assert summary["status"] == "solved"
         assert summary["config"]["pool_size"] == 2
 
+    def test_record_closes_its_cassette(
+        self, tmp_path, spec_files, stub_toolchain, monkeypatch
+    ):
+        from rtlforge import cli as cli_module
+
+        recorders = []
+
+        class Recorder(CassetteRecorder):
+            def __init__(self, inner, path):
+                super().__init__(inner, path)
+                recorders.append(self)
+
+        script = {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": CLEAN_RTL}
+        monkeypatch.setattr(cli_module, "HttpBackend", lambda **_: ScriptedBackend(script))
+        monkeypatch.setattr(cli_module, "CassetteRecorder", Recorder)
+        spec, _ = spec_files
+        cassette = tmp_path / "rec.jsonl"
+        args = ["generate", str(spec), "--out", str(tmp_path / "out"),
+                "--backend", "record", "--cassette", str(cassette)]
+        assert cli(args, stub_toolchain) == 0
+        assert len(recorders) == 1 and recorders[0]._fh.closed
+        assert main(["replay-verify", str(cassette)]) == 0
+
     def test_replay_reruns_byte_identical_outputs(
         self, tmp_path, spec_files, stub_toolchain, templates
     ):
@@ -484,6 +507,20 @@ class TestReplayVerify:
         cassette.write_text("\n".join(lines + [lines[0]]) + "\n", encoding="utf-8")
         assert main(["replay-verify", str(cassette)]) == 1
         assert "duplicate" in capsys.readouterr().err
+
+    def test_truncated_tail_reported_by_line_number(self, tmp_path, templates, capsys):
+        cassette = tmp_path / "cut.jsonl"
+        record_generate_cassette(
+            cassette,
+            {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": CLEAN_RTL},
+            RunConfig(pool_size=1, top_k=1),
+            templates,
+        )
+        lines = cassette.read_text().splitlines(keepends=True)
+        assert len(lines) == 2
+        cassette.write_text(lines[0] + lines[1][:40], encoding="utf-8")  # a cut append
+        assert main(["replay-verify", str(cassette)]) == 1
+        assert "cassette line 2: truncated final line" in capsys.readouterr().err
 
     def test_missing_cassette(self, tmp_path):
         assert main(["replay-verify", str(tmp_path / "ghost.jsonl")]) == 1

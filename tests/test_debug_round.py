@@ -5,6 +5,7 @@ trial answers first."""
 import json
 import threading
 import time
+from pathlib import Path
 
 from rtlforge.pipeline import EngineRuntime, RunConfig, run_pipeline
 
@@ -45,11 +46,11 @@ class SlowDebugScript:
         return fenced(stub_dut(f"score:{root}:16", name=f"r{round_index}c{root}"))
 
 
-def run(templates, transcript, slowest_first=True, **config):
+def run(templates, transcript, slowest_first=True, runner=None, **config):
     script = SlowDebugScript(slowest_first)
     runtime = EngineRuntime(
         backend=ScriptedBackend(script),
-        sim_runner=StubSimRunner(),
+        sim_runner=runner or StubSimRunner(),
         syntax_checker=StubSyntaxChecker(),
         templates=templates,
         transcript_dir=transcript,
@@ -95,11 +96,29 @@ def test_single_agent_mode_keeps_one_trial_in_flight(templates, tmp_path):
     assert script.max_in_flight == 1
 
 
+class WorkdirRecordingRunner(StubSimRunner):
+    """Stub runner that records the workdir of every simulation."""
+
+    def __init__(self):
+        super().__init__()
+        self.workdirs: list[Path] = []
+
+    def run(self, sources, workdir):
+        self.workdirs.append(Path(workdir))
+        return super().run(sources, workdir)
+
+
 def test_scoring_reads_only_probe_simulations(templates, tmp_path):
     """Every candidate and trial is scored from its syntax probe's cached
-    simulation, so no directory appears under a scoring label."""
-    outcome, events, _ = run(templates, tmp_path / "run")
+    simulation, so the runner is never handed a workdir of a scoring label
+    (``initial_e0``, ``sample_e0_c5``, ``debug_r1_c2``)."""
+    runner = WorkdirRecordingRunner()
+    outcome, events, _ = run(templates, tmp_path / "run", runner=runner)
     assert outcome.status == "budget_exhausted"
     assert sum(e["event"] == "trial" for e in events) == 6
-    labels = sorted(p.name for p in (tmp_path / "run" / "sim").iterdir())
-    assert labels == ["debug", "rtl_gen", "testbench_gen"]
+    names = [w.name for w in runner.workdirs]
+    assert all(w.parent == tmp_path / "run" / "sim" for w in runner.workdirs)
+    # The initial RTL, 3 samples and 6 trials, each simulated once, by its probe.
+    assert len(names) == 10 and len(set(names)) == 10
+    assert all(n.startswith(("rtl_gen.init0.", "rtl_gen.samplefix.", "debug.")) for n in names)
+    assert sum(n.startswith("debug.") for n in names) == 6

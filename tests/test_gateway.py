@@ -8,7 +8,9 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 from hypothesis import given, strategies as st
 
-from rtlforge.cassette import CassetteEntry, append_entry, load_cassette, verify_cassette
+from rtlforge.cassette import (
+    CassetteEntry, CassetteError, append_entry, load_cassette, verify_cassette,
+)
 from rtlforge.gateway import (
     AggregateFailure,
     AuthError,
@@ -278,6 +280,29 @@ class TestRecordReplay:
         complete(make_request(), recorder, FAST_RETRY)
         assert len(load_cassette(cassette)) == 1
 
+    def test_recorder_opens_once_and_flushes_each_entry(self, tmp_path, monkeypatch):
+        from rtlforge import cassette as cassette_io
+
+        opened = []
+        open_for_append = cassette_io.open_for_append
+        monkeypatch.setattr(
+            cassette_io, "open_for_append", lambda p: opened.append(p) or open_for_append(p)
+        )
+        cassette = tmp_path / "sub" / "rec.jsonl"
+        recorder = CassetteRecorder(_ScriptedTransport([["a"], ["b"], ["c"]]), cassette)
+        assert not cassette.exists()  # nothing is opened before the first reply
+        for i in range(3):
+            complete(make_request(tag=f"t/{i}"), recorder)
+            assert len(load_cassette(cassette)) == i + 1  # readable once returned
+        recorder.close()
+        assert opened == [cassette]
+        assert [e.tag for e in load_cassette(cassette).values()] == ["t/0", "t/1", "t/2"]
+
+    def test_close_without_entries_creates_nothing(self, tmp_path):
+        cassette = tmp_path / "rec.jsonl"
+        CassetteRecorder(_ScriptedTransport([]), cassette).close()
+        assert not cassette.exists()
+
     def test_recorder_skips_short_replies(self, tmp_path):
         cassette = tmp_path / "rec.jsonl"
         recorder = CassetteRecorder(_ScriptedTransport([["fine"], [], ["one"]]), cassette)
@@ -336,6 +361,25 @@ class TestCassetteVerify:
         cassette.write_text("not json\n", encoding="utf-8")
         assert any("invalid JSON" in p for p in verify_cassette(cassette))
 
+    def test_truncated_final_line_reported_by_line_number(self, tmp_path):
+        cassette = tmp_path / "c.jsonl"
+        record_entry(cassette, make_request(tag="a"), ["x"])
+        record_entry(cassette, make_request(tag="b"), ["y"])
+        text = cassette.read_text(encoding="utf-8")
+        cassette.write_text(text[: len(text) - 20], encoding="utf-8")  # an append cut short
+        assert len(verify_cassette(cassette)) == 1
+        assert verify_cassette(cassette)[0].startswith("cassette line 2: truncated final line")
+        with pytest.raises(CassetteError, match="line 2: truncated"):
+            load_cassette(cassette)
+
+    def test_bad_line_with_newline_is_invalid_json_even_last(self, tmp_path):
+        cassette = tmp_path / "c.jsonl"
+        record_entry(cassette, make_request(tag="a"), ["x"])
+        with cassette.open("a", encoding="utf-8") as fh:
+            fh.write('{"key": "cut\n')
+        with pytest.raises(CassetteError, match="line 2: invalid JSON"):
+            load_cassette(cassette)
+
 
 # ---------------------------------------------------------------------------
 # Live HTTP backend against a local stub endpoint
@@ -344,6 +388,7 @@ class TestCassetteVerify:
 class _StubHandler(BaseHTTPRequestHandler):
     script = []
     requests = []
+    retry_after = None  # Retry-After header value of the next refusal
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -354,6 +399,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         code = type(self).script.pop(0) if type(self).script else 200
         if code != 200:
             self.send_response(code)
+            if type(self).retry_after is not None:
+                self.send_header("Retry-After", type(self).retry_after)
+                type(self).retry_after = None  # on the first refusal only
             self.end_headers()
             return
         n = body.get("n", 1)
@@ -381,6 +429,7 @@ def stub_endpoint():
     thread.start()
     _StubHandler.script = []
     _StubHandler.requests = []
+    _StubHandler.retry_after = None
     yield f"http://127.0.0.1:{server.server_address[1]}/v1"
     server.shutdown()
 
@@ -399,6 +448,35 @@ class TestHttpBackend:
         assert response.attempts == 3
         assert response.completions == ("completion 0",)
         assert response.usage.prompt_tokens == 7
+
+    @pytest.mark.parametrize(
+        "retry_after, slept", [("3", [3.0, 0.5]), ("0", [0.5, 0.5]), ("soon", [0.5, 0.5])]
+    )
+    def test_429_retry_after_sets_the_least_wait(
+        self, stub_endpoint, monkeypatch, retry_after, slept
+    ):
+        import rtlforge.gateway as gateway
+
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        _StubHandler.script = [429, 429, 200]
+        _StubHandler.retry_after = retry_after
+        sleeps = []
+        monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+        backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
+        policy = RetryPolicy(base_delay=0.5, factor=1.0, max_attempts=5)
+        response = complete(make_request(), backend, policy)
+        assert response.attempts == 3
+        # The first 429 carries Retry-After; the second does not.
+        assert sleeps == slept
+
+    def test_retry_after_on_5xx_is_ignored(self, stub_endpoint, monkeypatch):
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        _StubHandler.script = [503]
+        _StubHandler.retry_after = "7"
+        backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
+        with pytest.raises(TransientBackendError) as err:
+            backend.complete(make_request())
+        assert err.value.retry_after is None
 
     def test_auth_rejected(self, stub_endpoint, monkeypatch):
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")

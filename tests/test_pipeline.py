@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rtlforge import checkpoints
+from rtlforge import checkpoints, pipeline
 from rtlforge.checkpoints import Score, extract_window, parse_trace, render_window
 from rtlforge.gateway import CassetteRecorder, ReplayBackend
 from rtlforge.pipeline import (
@@ -22,7 +22,7 @@ from rtlforge.pipeline import (
     should_terminate,
     update_selection,
 )
-from rtlforge.simbridge import VerilogSource
+from rtlforge.simbridge import ToolchainSimRunner, ToolchainSyntaxChecker, VerilogSource
 
 from fixtures import fenced, stub_counter_problem, stub_dut, stub_tb
 from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker, synth_counter_trace
@@ -136,25 +136,46 @@ class TestShouldTerminate:
 class TestWorkdirAllocator:
     def test_numbering_per_label(self, tmp_path):
         allocator = WorkdirAllocator(tmp_path / "sim")
-        assert allocator.acquire("a/check0") == tmp_path / "sim" / "a" / "check0" / "attempt_0"
-        assert allocator.acquire("a/check0").name == "attempt_1"
-        assert allocator.acquire("b").name == "attempt_0"
-        assert (tmp_path / "sim" / "a" / "check0" / "attempt_1").is_dir()
+        assert allocator.acquire("a/check0") == tmp_path / "sim" / "a.check0.a0"
+        assert allocator.acquire("a/check0").name == "a.check0.a1"
+        assert allocator.acquire("b").name == "b.a0"
+        assert not (tmp_path / "sim").exists()  # the allocator only names workdirs
+
+    def test_flat_names_are_injective(self, tmp_path):
+        allocator = WorkdirAllocator(tmp_path / "sim")
+        labels = ["a/b", "a.b", "a%2Eb", "a/b.a0", "a/.b", "a./b", "a", "a.a0"]
+        names = [allocator.acquire(label).name for label in labels]
+        assert len(set(names)) == len(labels)
+        assert all("/" not in name for name in names)
 
     def test_non_empty_leftover_is_skipped(self, tmp_path):
-        leftover = tmp_path / "sim" / "a" / "attempt_0"
+        leftover = tmp_path / "sim" / "a.a0"
         leftover.mkdir(parents=True)
         (leftover / "dut.v").write_text("// earlier run\n")
         allocator = WorkdirAllocator(tmp_path / "sim")
-        assert allocator.acquire("a").name == "attempt_1"
-        assert allocator.acquire("a").name == "attempt_2"
+        assert allocator.acquire("a").name == "a.a1"
+        assert allocator.acquire("a").name == "a.a2"
         assert (leftover / "dut.v").read_text() == "// earlier run\n"
 
-    def test_empty_leftover_is_reused(self, tmp_path):
-        (tmp_path / "sim" / "a" / "attempt_0").mkdir(parents=True)
+    def test_every_leftover_name_is_skipped(self, tmp_path):
+        (tmp_path / "sim" / "a.a0").mkdir(parents=True)
+        (tmp_path / "sim" / "a.a2").write_text("")
         allocator = WorkdirAllocator(tmp_path / "sim")
-        assert allocator.acquire("a").name == "attempt_0"
-        assert allocator.acquire("a").name == "attempt_1"
+        assert [allocator.acquire("a").name for _ in range(3)] == ["a.a1", "a.a3", "a.a4"]
+
+    def test_root_is_listed_once(self, tmp_path, monkeypatch):
+        import rtlforge.pipeline as pipeline
+
+        listed = []
+        listdir = pipeline.os.listdir
+        monkeypatch.setattr(pipeline.os, "listdir", lambda p: listed.append(p) or listdir(p))
+        (tmp_path / "sim").mkdir()
+        allocator = WorkdirAllocator(tmp_path / "sim")
+        for _ in range(3):
+            allocator.acquire("a")
+        (tmp_path / "sim" / "a.a3").mkdir()  # appears after the listing: not seen
+        assert allocator.acquire("a").name == "a.a3"
+        assert listed == [tmp_path / "sim"]
 
     def test_concurrent_acquires_get_distinct_directories(self, tmp_path):
         allocator = WorkdirAllocator(tmp_path / "sim")
@@ -177,8 +198,10 @@ class TestWorkdirAllocator:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(set(paths)) == 64
-        assert sorted(p.name for p in paths) == sorted(f"attempt_{k}" for k in range(64))
-        assert all(p.is_dir() for p in paths)
+        assert sorted(p.name for p in paths) == sorted(
+            f"rtl_gen.sample.check0.a{k}" for k in range(64)
+        )
+        assert all(p.parent == tmp_path / "sim" for p in paths)
 
 
 class TestRunConfig:
@@ -740,6 +763,92 @@ class TestMonotonicity:
             else:
                 assert outcome.status == "budget_exhausted"
                 assert len(got) - 1 == rounds
+
+
+class _OpenedLogs(pipeline.EventLog):
+    """An event log that keeps every instance and checks, after each emit,
+    that the event's line is already in the file."""
+
+    logs: list = []
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.logs.append(self)
+
+    def emit(self, event):
+        super().emit(event)
+        lines = self.path.read_text(encoding="utf-8").splitlines()
+        assert json.dumps(event, sort_keys=True) in lines
+
+
+class TestTranscriptFiles:
+    @pytest.fixture
+    def logs(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "EventLog", _OpenedLogs)
+        monkeypatch.setattr(_OpenedLogs, "logs", [])
+        return _OpenedLogs.logs
+
+    def test_event_log_closed_after_solved_run(self, make_runtime, logs):
+        script = {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": CLEAN_RTL}
+        outcome, _, runtime = run(script, make_runtime=make_runtime)
+        assert outcome.status == "solved"
+        assert len(logs) == 1 and logs[0]._fh.closed
+        assert events_of(runtime)[-1]["event"] == "outcome"
+
+    def test_event_log_closed_after_error_run(self, make_runtime, logs):
+        outcome, _, runtime = run({}, make_runtime=make_runtime)  # no reply for any tag
+        assert outcome.status == "error"
+        assert len(logs) == 1 and logs[0]._fh.closed
+        assert events_of(runtime)[-1] == {
+            "event": "outcome", "status": "error", "error": outcome.error
+        }
+
+    def test_each_event_readable_once_emitted(self, make_runtime, logs):
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": GLITCH_RTL,
+            "judge/e0": RTL_FAULTY,
+            "rtl_gen/sample/e0": [fenced(stub_dut(f"score:{m}:16", name=f"c{m}")) for m in (1, 2)],
+            "debug/r1/c1": fenced(stub_dut("score:0:16", name="fixed")),
+        }
+        config = RunConfig(pool_size=2, top_k=1, max_debug_rounds=2)
+        outcome, _, runtime = run(script, config=config, make_runtime=make_runtime)
+        assert outcome.status == "solved"
+        assert len(events_of(runtime)) > 10  # every one checked by _OpenedLogs.emit
+
+    def test_in_process_run_creates_no_workdir(self, make_runtime):
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": GLITCH_RTL,
+            "judge/e0": RTL_FAULTY,
+            "rtl_gen/sample/e0": [fenced(stub_dut(f"score:{m}:16", name=f"c{m}")) for m in (1, 2)],
+            "debug/r1/c1": fenced(stub_dut("score:1:16", name="same")),
+        }
+        config = RunConfig(pool_size=2, top_k=1, max_debug_rounds=1)
+        outcome, _, runtime = run(script, config=config, make_runtime=make_runtime)
+        assert outcome.status == "budget_exhausted"
+        assert sorted(p.name for p in runtime.transcript_dir.iterdir()) == [
+            "best.v", "events.jsonl"
+        ]
+
+    def test_subprocess_toolchain_gets_fresh_flat_workdirs(
+        self, tmp_path, templates, stub_tool_config
+    ):
+        script = {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": CLEAN_RTL}
+        runtime = EngineRuntime(
+            backend=ScriptedBackend(script),
+            sim_runner=ToolchainSimRunner(stub_tool_config),
+            syntax_checker=ToolchainSyntaxChecker(stub_tool_config),
+            templates=templates,
+            transcript_dir=tmp_path / "run",
+        )
+        assert run_pipeline(stub_counter_problem(), RunConfig(), runtime).status == "solved"
+        sim = tmp_path / "run" / "sim"
+        workdirs = {p.name: sorted(f.name for f in p.iterdir()) for p in sim.iterdir()}
+        assert workdirs == {
+            "testbench_gen.gen0.check0.a0": ["sim.vvp", "tb.v"],
+            "rtl_gen.init0.check0.a0": ["dut.v", "sim.vvp", "tb.v"],
+        }
 
 
 class TestDeterministicReplay:

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional
 
 from rtlforge.gateway import BackendError, LlmRequest, LlmResponse
-from rtlforge.simbridge import Diagnostic, SimRun, VerilogSource, write_sources
+from rtlforge.simbridge import Diagnostic, SimRun, VerilogSource, source_names
 
 from stubcore import behavior_of, error_markers, stdout_for
 from stubcore import synth_counter_trace  # noqa: F401  (tests import it from here)
@@ -62,12 +62,11 @@ class StubSimRunner:
     def run(self, sources: list[VerilogSource], workdir) -> SimRun:
         with self._lock:
             self.calls += 1
-        workdir = Path(workdir)
-        workdir.mkdir(parents=True, exist_ok=True)
-        paths = write_sources(sources, workdir)
+        # Like an in-process toolchain, it reads the sources, not the workdir,
+        # which it never creates.
         diagnostics: list[Diagnostic] = []
-        for source, path in zip(sources, paths):
-            diagnostics.extend(error_diagnostics(source.code, path.name))
+        for source, name in zip(sources, source_names(sources)):
+            diagnostics.extend(error_diagnostics(source.code, name))
         if diagnostics:
             return SimRun(status="compile_failed", stdout="", diagnostics=tuple(diagnostics))
         dut_text = "\n".join(s.code for s in sources if s.kind == "dut")

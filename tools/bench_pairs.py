@@ -1,0 +1,169 @@
+"""Alternating pairs of end-to-end replays: one checkout against another.
+
+    python3 tools/bench_pairs.py --root CHANGE --baseline-root PARENT \
+        --seeds 1301,1302 --seconds 45 [--workloads paper_subproc,llm_latency_bench] \
+        --out BENCH_replay.json
+
+Runs ``replaybench/run.py`` of each checkout once per seed and workload,
+alternating which side runs first, and records every run's end-to-end
+metrics and gate failures. Per workload and metric it writes each side's
+median and quartiles, the change's wins (pairs where it reads better, by the
+direction BENCHMARK.json declares; ties count for neither), the parent's
+IQR, and whether the change's median beats the parent's by more than that
+IQR. Toolchain figures come from the benchmark's stub compiler and
+simulator, not from iverilog/vvp.
+
+``tools/bench_trace_parse.py`` uses ``e2e`` for its end-to-end section.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+# The metrics kept from each end-to-end run, and which way is better.
+BETTER = {m["name"]: m["better"] for m in DECLARED["end_to_end"]}
+E2E_METRICS = tuple(BETTER)
+WORKLOADS = [w["name"] for w in DECLARED["workloads"]]
+
+
+def summary(values: list[float]) -> dict:
+    if len(values) > 1:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    else:
+        q1 = median = q3 = values[0]
+    return {"median": median, "q1": q1, "q3": q3, "min": min(values), "n": len(values)}
+
+
+def commit_of(path: Path) -> str:
+    """HEAD of the checkout holding ``path``, marked when files under it differ."""
+    git = ["git", "-C", str(path)]
+    proc = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True)
+    if proc.returncode != 0:
+        return "unknown"
+    dirty = subprocess.run([*git, "diff", "--quiet", "HEAD", "--", "."]).returncode != 0
+    return proc.stdout.strip() + ("+modified" if dirty else "")
+
+
+def e2e_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "replaybench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.splitlines()
+    if not lines:
+        raise SystemExit(f"{root}: replaybench printed nothing:\n{proc.stderr}")
+    result = json.loads(lines[-1])
+    return {
+        "seed": seed,
+        "failed": result["failed"],
+        **{name: result["metrics"][name]["value"] for name in E2E_METRICS},
+    }
+
+
+def e2e(root: Path, baseline_root: Path, seeds: list[int], seconds: float,
+        workloads: list[str]) -> dict:
+    """Every run of both checkouts, with per-side summaries per workload."""
+    roots = {"baseline": Path(baseline_root), "change": Path(root)}
+    out = {
+        "commits": {side: commit_of(path) for side, path in roots.items()},
+        "seeds": seeds,
+        "seconds": seconds,
+        "toolchain": "stub (replaybench/stubtool.py), not iverilog/vvp",
+        "workloads": {},
+    }
+    for workload in workloads:
+        runs = {"baseline": [], "change": []}
+        for i, seed in enumerate(seeds):
+            order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
+            for side in order:
+                runs[side].append(e2e_run(roots[side], workload, seed, seconds))
+                print(f"{workload} seed {seed} {side}: {runs[side][-1]}", file=sys.stderr)
+        out["workloads"][workload] = {
+            "pairs": len(seeds),
+            "change_wins_orchestrator_cpu_s": wins(runs, "orchestrator_cpu_s"),
+            **{
+                side: {
+                    "summary": {m: summary([r[m] for r in rs]) for m in E2E_METRICS},
+                    "failed": sum(r["failed"] for r in rs),
+                    "runs": rs,
+                }
+                for side, rs in runs.items()
+            },
+        }
+    return out
+
+
+def wins(runs: dict, metric: str) -> int:
+    """Pairs in which the change reads strictly better than the baseline."""
+    sign = 1 if BETTER[metric] == "lower" else -1
+    return sum(
+        sign * (c[metric] - b[metric]) < 0 for b, c in zip(runs["baseline"], runs["change"])
+    )
+
+
+def compare(workload: dict) -> dict:
+    """Per metric: medians, the change's wins, the parent's IQR, and whether
+    the change's median beats the parent's by more than that IQR."""
+    runs = {side: workload[side]["runs"] for side in ("baseline", "change")}
+    rows = {}
+    for metric in E2E_METRICS:
+        base, change = (workload[side]["summary"][metric] for side in ("baseline", "change"))
+        iqr = base["q3"] - base["q1"]
+        gain = base["median"] - change["median"]
+        if BETTER[metric] == "higher":
+            gain = -gain
+        rows[metric] = {
+            "better": BETTER[metric],
+            "baseline_median": base["median"],
+            "change_median": change["median"],
+            "baseline_iqr": iqr,
+            "median_gain": gain,
+            "change_wins": wins(runs, metric),
+            "gain_exceeds_baseline_iqr": gain > iqr,
+        }
+    return rows
+
+
+def ints(text: str) -> list[int]:
+    return [int(item) for item in text.split(",")]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", required=True, help="checkout of the change")
+    parser.add_argument("--baseline-root", required=True, help="checkout of its parent")
+    parser.add_argument("--seeds", type=ints, required=True)
+    parser.add_argument("--seconds", type=float, default=45.0)
+    parser.add_argument("--workloads", type=lambda s: s.split(","), default=WORKLOADS)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    end_to_end = e2e(args.root, args.baseline_root, args.seeds, args.seconds, args.workloads)
+    result = {
+        "topic": "end-to-end replays, change against parent (replaybench/run.py)",
+        "command": " ".join(["python3", sys.argv[0], *(sys.argv[1:] if argv is None else argv)]),
+        "machine": f"{os.cpu_count()} CPUs, {platform.machine()}, Python {platform.python_version()}",
+        "comparison": {
+            name: {"pairs": w["pairs"], "metrics": compare(w)}
+            for name, w in end_to_end["workloads"].items()
+        },
+        "end_to_end": end_to_end,
+    }
+    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    for name, rows in result["comparison"].items():
+        for metric, row in rows["metrics"].items():
+            print(f"{name:18s} {metric:20s} wins {row['change_wins']}/{rows['pairs']} "
+                  f"median {row['baseline_median']:.4g} -> {row['change_median']:.4g} "
+                  f"(parent IQR {row['baseline_iqr']:.3g})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

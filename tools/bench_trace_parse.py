@@ -22,10 +22,10 @@ reports microseconds per check and the memo hit rate, the share of CHECK
 lines answered from the memo.
 
 End to end: with ``--e2e-root`` and ``--e2e-baseline-root`` (two checkouts),
-runs ``replaybench/run.py`` of each checkout once per seed and workload,
-alternating which side runs first, and records every run's metrics with
-their medians and quartiles. Toolchain figures there come from the
-benchmark's stub compiler and simulator, not from iverilog/vvp.
+runs ``tools/bench_pairs.py``'s alternating pairs of ``replaybench/run.py``
+once per seed and workload, and records every run's metrics with their
+medians and quartiles. Toolchain figures there come from the benchmark's
+stub compiler and simulator, not from iverilog/vvp.
 
 The checked-in ``BENCH_trace_parse.json`` was written from a directory holding
 two clones, ``parent`` (the commit before the per-epoch line memo) and
@@ -40,21 +40,17 @@ import json
 import os
 import platform
 import random
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from bench_pairs import commit_of, e2e, ints, summary  # noqa: E402
 INPUTS, OUTPUTS, FAULT_EVERY = 3, 3, 50
 # The epoch case: step 4's pool on paper_subproc's trace shape.
 EPOCH_CANDIDATES, EPOCH_CHECKS, EPOCH_INPUTS, EPOCH_OUTPUTS = 20, 64, 2, 2
-# The metrics kept from each end-to-end run.
-E2E_METRICS = (
-    "orchestrator_cpu_s", "wall_s", "run_s_p50", "setup_s", "toolchain_cpu_s",
-    "peak_rss_mb", "llm_calls", "compiler_launches", "simulator_launches", "pass_at_1",
-)
 
 
 def render_trace(stim: str, faults: list[int]) -> str:
@@ -129,24 +125,6 @@ def time_epoch(repeats: int, seed: int) -> tuple[list[float], float | None]:
     return samples, None if memo is None else 1 - len(memo) / checks
 
 
-def summary(values: list[float]) -> dict:
-    if len(values) > 1:
-        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    else:
-        q1 = median = q3 = values[0]
-    return {"median": median, "q1": q1, "q3": q3, "min": min(values), "n": len(values)}
-
-
-def commit_of(path: Path) -> str:
-    """HEAD of the checkout holding ``path``, marked when files under it differ."""
-    git = ["git", "-C", str(path)]
-    proc = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True)
-    if proc.returncode != 0:
-        return "unknown"
-    dirty = subprocess.run([*git, "diff", "--quiet", "HEAD", "--", "."]).returncode != 0
-    return proc.stdout.strip() + ("+modified" if dirty else "")
-
-
 def micro(srcs: dict[str, Path], sizes: list[int], repeats: int, rounds: int, seed: int) -> dict:
     """Time each ``src/`` in ``rounds`` worker processes, alternating the order."""
     samples = {side: {str(n): [] for n in sizes} for side in srcs}
@@ -174,66 +152,12 @@ def micro(srcs: dict[str, Path], sizes: list[int], repeats: int, rounds: int, se
     }
 
 
-def e2e_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "replaybench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
-    if not lines:
-        raise SystemExit(f"{root}: replaybench printed nothing:\n{proc.stderr}")
-    result = json.loads(lines[-1])
-    return {
-        "seed": seed,
-        "failed": result["failed"],
-        **{name: result["metrics"][name]["value"] for name in E2E_METRICS},
-    }
-
-
-def e2e(args) -> dict:
-    roots = {"baseline": Path(args.e2e_baseline_root), "change": Path(args.e2e_root)}
-    out = {
-        "commits": {side: commit_of(root) for side, root in roots.items()},
-        "seeds": args.seeds,
-        "seconds": args.seconds,
-        "toolchain": "stub (replaybench/stubtool.py), not iverilog/vvp",
-        "workloads": {},
-    }
-    for workload in args.workloads:
-        runs = {"baseline": [], "change": []}
-        for i, seed in enumerate(args.seeds):
-            order = ("baseline", "change") if i % 2 == 0 else ("change", "baseline")
-            for side in order:
-                runs[side].append(e2e_run(roots[side], workload, seed, args.seconds))
-                print(f"{workload} seed {seed} {side}: {runs[side][-1]}", file=sys.stderr)
-        wins = sum(
-            c["orchestrator_cpu_s"] < b["orchestrator_cpu_s"]
-            for b, c in zip(runs["baseline"], runs["change"])
-        )
-        out["workloads"][workload] = {
-            "pairs": len(args.seeds),
-            "change_wins_orchestrator_cpu_s": wins,
-            **{
-                side: {
-                    "summary": {m: summary([r[m] for r in rs]) for m in E2E_METRICS},
-                    "failed": sum(r["failed"] for r in rs),
-                    "runs": rs,
-                }
-                for side, rs in runs.items()
-            },
-        }
-    return out
-
-
 def worker(args) -> int:
     sys.path.insert(0, str(Path(args.src).resolve()))
     sizes = {str(n): time_parse(n, args.repeats, args.seed) for n in args.checks}
     epoch, hit_rate = time_epoch(args.repeats, args.seed)
     print(json.dumps({"sizes": sizes, "epoch": epoch, "memo_hit_rate": hit_rate}))
     return 0
-
-
-def ints(text: str) -> list[int]:
-    return [int(item) for item in text.split(",")]
 
 
 def main(argv=None) -> int:
@@ -291,7 +215,9 @@ def main(argv=None) -> int:
             n: medians["baseline"][n] / median for n, median in medians["change"].items()
         }
     if args.e2e_root:
-        result["end_to_end"] = e2e(args)
+        result["end_to_end"] = e2e(
+            args.e2e_root, args.e2e_baseline_root, args.seeds, args.seconds, args.workloads
+        )
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(result["micro"].get("speedup", result["micro"]["change"]["us_per_check"])))
     return 0
