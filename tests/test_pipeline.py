@@ -164,8 +164,6 @@ class TestWorkdirAllocator:
         assert [allocator.acquire("a").name for _ in range(3)] == ["a.a1", "a.a3", "a.a4"]
 
     def test_root_is_listed_once(self, tmp_path, monkeypatch):
-        import rtlforge.pipeline as pipeline
-
         listed = []
         listdir = pipeline.os.listdir
         monkeypatch.setattr(pipeline.os, "listdir", lambda p: listed.append(p) or listdir(p))
