@@ -38,7 +38,6 @@ __all__ = [
     "evaluate_golden",
     "run_bench",
     "emit_report",
-    "load_report",
 ]
 
 
@@ -235,18 +234,3 @@ def emit_report(
 
     return report
 
-
-def load_report(out_dir: str | Path) -> BenchReport:
-    """Read back report.json (round-trip check and downstream tooling)."""
-    payload = json.loads((Path(out_dir) / "report.json").read_text(encoding="utf-8"))
-    stats = [
-        ProblemStats(
-            task_id=p["task_id"], n=p["n"], c_p=p["c_p"], pass_at_1=p["pass_at_1"]
-        )
-        for p in payload["problems"]
-    ]
-    return BenchReport(
-        problems=stats,
-        aggregate_pass_at_1=payload["aggregate_pass_at_1"],
-        config=payload.get("config", {}),
-    )

@@ -47,7 +47,9 @@ class CassetteEntry:
         )
 
 
-def _entry_from_obj(obj: dict, line_no: int) -> CassetteEntry:
+def _entry_from_obj(obj, line_no: int) -> CassetteEntry:
+    if not isinstance(obj, dict):
+        raise CassetteError(f"cassette line {line_no}: entry must be a JSON object")
     for field in REQUIRED_FIELDS:
         if field not in obj:
             raise CassetteError(f"cassette line {line_no}: missing field {field!r}")
@@ -99,15 +101,20 @@ def load_cassette(path: str | Path) -> dict[str, CassetteEntry]:
 
 
 def open_for_append(path: str | Path):
-    """Open the cassette for appending, creating its directory if needed."""
+    """Open the cassette for appending, creating its directory if needed.
+
+    A final line with no newline is what a crash in the middle of an append
+    leaves. It is cut back to the last newline first, so the next entry
+    starts a line of its own instead of corrupting that one.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a+b") as fh:
+        fh.seek(0)
+        data = fh.read()
+        if data and not data.endswith(b"\n"):
+            fh.truncate(data.rfind(b"\n") + 1)
     return path.open("a", encoding="utf-8")
-
-
-def append_entry(path: str | Path, entry: CassetteEntry) -> None:
-    with open_for_append(path) as fh:
-        fh.write(entry.to_json() + "\n")
 
 
 def verify_cassette(path: str | Path) -> list[str]:

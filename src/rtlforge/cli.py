@@ -91,8 +91,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     for flag, spec in _RUN_FLAGS.items():
         key = flag[2:].replace("-", "_")
         parser.add_argument(flag, **{**spec, "help": _help(spec["help"], key)})
-    parser.add_argument("--scrub", action="store_true", default=None,
-                        help="delete workdirs of successful simulations")
     parser.add_argument("--fanout-sampling", action="store_true", default=None,
                         help="sample candidates via n single-completion calls")
 
@@ -133,15 +131,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``; EngineError if unreadable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise EngineError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise EngineError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def merge_config(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags."""
     merged = dict(CONFIG_DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            file_cfg = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            file_cfg = json.loads(_read_text(config_path, "config file"))
+        except json.JSONDecodeError as exc:
             raise EngineError(f"cannot read config file {config_path}: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise EngineError(f"config file {config_path} must hold a JSON object")
         unknown = set(file_cfg) - set(CONFIG_DEFAULTS)
         if unknown:
             raise EngineError(f"unknown config keys: {sorted(unknown)}")
@@ -203,17 +213,13 @@ def _build_runtime(
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    spec_path = Path(args.spec_file)
-    if not spec_path.exists():
-        print(f"error: spec file not found: {spec_path}", file=sys.stderr)
-        return EXIT_ERROR
     problem = Problem(
-        task_id=args.task_id or spec_path.stem,
-        spec=spec_path.read_text(encoding="utf-8"),
-        golden_testbench=Path(args.golden_tb).read_text(encoding="utf-8")
+        task_id=args.task_id or Path(args.spec_file).stem,
+        spec=_read_text(args.spec_file, "spec file"),
+        golden_testbench=_read_text(args.golden_tb, "golden testbench")
         if args.golden_tb
         else None,
-        module_interface=Path(args.module_interface).read_text(encoding="utf-8")
+        module_interface=_read_text(args.module_interface, "module interface")
         if args.module_interface
         else None,
     )
@@ -295,11 +301,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def cmd_inspect_trace(args: argparse.Namespace) -> int:
     if args.window_len < 1:
         raise EngineError("window_len must be >= 1")
-    path = Path(args.stdout_file)
-    if not path.exists():
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return EXIT_ERROR
-    trace = checkpoints.parse_trace(path.read_text(encoding="utf-8"))
+    trace = checkpoints.parse_trace(_read_text(args.stdout_file, "simulation log"))
     value = checkpoints.score(trace)
     first = checkpoints.earliest_mismatch(trace)
     print(f"checks:        {trace.total_checks}")

@@ -29,6 +29,7 @@ from .errors import EngineError
 
 MAX_COMPLETIONS = 64
 MAX_TEMPERATURE = 2.0
+HTTP_TIMEOUT_S = 120.0  # connect and read timeout of each request, in seconds
 # LLM slots: requests in flight per process, shared by every HttpBackend;
 # a fan-out pool has at most this many threads.
 LLM_SLOTS = 8
@@ -200,15 +201,14 @@ class HttpBackend:
 
     The credential comes from the environment variable named by ``auth_env``
     and is never written to disk. All instances share ``LLM_SLOTS``
-    requests in flight.
+    requests in flight, and each request times out after ``HTTP_TIMEOUT_S``.
     """
 
-    def __init__(self, base_url: str, auth_env: str, timeout: float = 120.0):
+    def __init__(self, base_url: str, auth_env: str):
         if auth_env not in os.environ or not os.environ[auth_env]:
             raise AuthError(f"credential environment variable {auth_env!r} is not set")
         self.base_url = base_url.rstrip("/")
         self.auth_env = auth_env
-        self.timeout = timeout
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         import requests
@@ -233,7 +233,7 @@ class HttpBackend:
                     f"{self.base_url}/chat/completions",
                     json=payload,
                     headers=headers,
-                    timeout=self.timeout,
+                    timeout=HTTP_TIMEOUT_S,
                 )
             except requests.RequestException as exc:
                 raise TransientBackendError(f"transport error: {exc}") from exc
@@ -249,21 +249,23 @@ class HttpBackend:
             body = resp.json()
             choices = sorted(body["choices"], key=lambda c: c.get("index", 0))
             completions = tuple(str(c["message"]["content"]) for c in choices)
-            usage_obj = body.get("usage", {})
+            usage_obj = body.get("usage") or {}
             usage = Usage(
                 int(usage_obj.get("prompt_tokens", 0)),
                 int(usage_obj.get("completion_tokens", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed completion response: {exc}") from exc
         return LlmResponse(completions=completions, usage=usage)
 
 
 def retry_after_s(resp) -> Optional[float]:
     """The delta-seconds ``Retry-After`` of an HTTP 429 reply (RFC 9110
-    §10.2.3), or None; an HTTP-date is not honoured."""
+    §10.2.3), or None; an HTTP-date is not honoured. Headers decode as
+    latin-1, where ``"²".isdigit()`` holds too, so only ASCII digits count."""
     value = resp.headers.get("Retry-After", "").strip()
-    return float(value) if resp.status_code == 429 and value.isdigit() else None
+    seconds = resp.status_code == 429 and value.isascii() and value.isdigit()
+    return float(value) if seconds else None
 
 
 class ReplayBackend:

@@ -46,7 +46,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import shutil
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -60,7 +59,7 @@ from .agents import (
 )
 from .checkpoints import DEFAULT_WINDOW_LEN, CheckRecord, CheckTrace, Score, TraceError
 from .errors import EngineError
-from .gateway import Backend, RetryPolicy, DEFAULT_RETRY, SamplingParams
+from .gateway import MAX_COMPLETIONS, Backend, SamplingParams
 from .golden import GoldenCriterion, DEFAULT_CRITERION, evaluate_golden
 from .problems import Problem
 from .simbridge import Diagnostic, SimRun, VerilogSource, named_kind
@@ -72,14 +71,13 @@ class LineageMismatch(EngineError):
 
 @dataclass(frozen=True)
 class TempProfile:
-    name: str
     temperature: float
     top_p: float
     default_pool_size: int
 
 
-HIGH_TEMP = TempProfile("high", 0.85, 0.95, 20)
-LOW_TEMP = TempProfile("low", 0.0, 0.01, 1)
+HIGH_TEMP = TempProfile(0.85, 0.95, 20)
+LOW_TEMP = TempProfile(0.0, 0.01, 1)
 PROFILES = {"high": HIGH_TEMP, "low": LOW_TEMP}
 
 AGENT_MODES = ("multi", "single", "vanilla")
@@ -99,7 +97,6 @@ class RunConfig:
     sim_timeout: float = 30.0
     max_tokens: int = 4096
     seed: Optional[int] = None
-    scrub: bool = False
     fanout_sampling: bool = False
 
     def __post_init__(self):
@@ -109,8 +106,8 @@ class RunConfig:
             raise ValueError(f"unknown agent mode: {self.agent_mode!r}")
         if self.pool_size is None:
             self.pool_size = PROFILES[self.temp_profile].default_pool_size
-        if not (1 <= self.pool_size <= 64):
-            raise ValueError("pool_size must be in [1, 64]")
+        if not (1 <= self.pool_size <= MAX_COMPLETIONS):
+            raise ValueError(f"pool_size must be in [1, {MAX_COMPLETIONS}]")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         self.top_k = min(self.top_k, self.pool_size)
@@ -242,7 +239,6 @@ class EngineRuntime:
     templates: PromptLibrary = field(default_factory=PromptLibrary)
     model_id: str = "default"
     transcript_dir: Path = Path("out")
-    retry: RetryPolicy = DEFAULT_RETRY
     golden_criterion: GoldenCriterion = DEFAULT_CRITERION
 
 
@@ -342,11 +338,10 @@ class _SimCache:
     records.
     """
 
-    def __init__(self, runner: SimRunner, testbench: VerilogSource, allocator, scrub: bool):
+    def __init__(self, runner: SimRunner, testbench: VerilogSource, allocator):
         self.runner = runner
         self.testbench = testbench
         self.allocator = allocator
-        self.scrub = scrub
         self._results: dict[str, Future[SimEval]] = {}
         self._lines: dict[str, CheckRecord] = {}
         self._lock = threading.Lock()
@@ -373,18 +368,14 @@ class _SimCache:
         return result
 
     def _simulate(self, source: VerilogSource, label: str) -> SimEval:
-        workdir = self.allocator.acquire(label)
-        sim = self.runner.run([source, self.testbench], workdir)
+        sim = self.runner.run([source, self.testbench], self.allocator.acquire(label))
         if sim.status != "ok":
             return SimEval(Score.unsimulatable(), None, sim.status, "", sim.diagnostics)
         try:
             trace = checkpoints.parse_trace(sim.stdout, lines=self._lines)
-            result = SimEval(checkpoints.score(trace), trace, "ok", "", sim.diagnostics)
+            return SimEval(checkpoints.score(trace), trace, "ok", "", sim.diagnostics)
         except TraceError as exc:
-            result = SimEval(Score.unsimulatable(), None, "trace_error", str(exc), sim.diagnostics)
-        if self.scrub:
-            shutil.rmtree(workdir, ignore_errors=True)
-        return result
+            return SimEval(Score.unsimulatable(), None, "trace_error", str(exc), sim.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +476,6 @@ class _Run:
             model_id=self.runtime.model_id,
             params=self.config.params(),
             mode="single" if self.config.agent_mode == "single" else "multi",
-            retry=self.runtime.retry,
             event_sink=self.emit,
             fanout_sampling=self.config.fanout_sampling,
         )
@@ -543,9 +533,7 @@ class _Run:
     def first_shot(self, testbench: VerilogSource, epoch: int) -> tuple[Candidate, SimEval]:
         """Step 2: open the epoch's cache, then score one low-temperature RTL shot."""
         self.emit({"event": "step", "step": 2, "epoch": epoch})
-        self.probe.cache = _SimCache(
-            self.runtime.sim_runner, testbench, self.allocator, self.config.scrub
-        )
+        self.probe.cache = _SimCache(self.runtime.sim_runner, testbench, self.allocator)
         try:
             rtl = self.team.generate_rtl(self.spec, testbench, epoch=epoch)
         except (SyntaxUnfixable, NoCodeBlock):

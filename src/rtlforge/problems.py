@@ -66,62 +66,73 @@ def _check_unique(problems: list[Problem]) -> list[Problem]:
     return problems
 
 
+def _read(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read dataset file {path}: {exc}") from exc
+
+
+def _json_objects(path: Path):
+    """Yield (line_no, object) for each non-blank line of a JSON Lines file."""
+    for line_no, line in enumerate(_read(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("problem entry must be a JSON object", line_no)
+        yield line_no, obj
+
+
+def _text(obj: dict, key: str, line_no: int) -> Optional[str]:
+    """An optional text field: absent or null is None, anything else a string."""
+    value = obj.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ParseError(f"field {key!r} must be a string", line_no)
+    return value
+
+
 def _load_jsonl(path: Path) -> list[Problem]:
     problems = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
-            if not isinstance(obj, dict):
-                raise ParseError("problem entry must be a JSON object", line_no)
-            if not obj.get("task_id"):
-                raise ParseError("missing required field 'task_id'", line_no)
-            if not obj.get("spec"):
-                raise ParseError("missing required field 'spec'", line_no)
-            problems.append(
-                Problem(
-                    task_id=str(obj["task_id"]),
-                    spec=str(obj["spec"]),
-                    golden_testbench=obj.get("golden_testbench"),
-                    reference_solution=obj.get("reference_solution"),
-                    module_interface=obj.get("module_interface"),
-                )
+    for line_no, obj in _json_objects(path):
+        if not obj.get("task_id"):
+            raise ParseError("missing required field 'task_id'", line_no)
+        if not obj.get("spec"):
+            raise ParseError("missing required field 'spec'", line_no)
+        problems.append(
+            Problem(
+                task_id=str(obj["task_id"]),
+                spec=str(obj["spec"]),
+                golden_testbench=_text(obj, "golden_testbench", line_no),
+                reference_solution=_text(obj, "reference_solution", line_no),
+                module_interface=_text(obj, "module_interface", line_no),
             )
+        )
     return problems
 
 
 def _load_humaneval_jsonl(path: Path) -> list[Problem]:
     """HumanEval-shaped JSONL: prompt is the port stub, test the golden bench."""
     problems = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
-            task_id = obj.get("task_id")
-            if not task_id:
-                raise ParseError("missing required field 'task_id'", line_no)
-            spec = obj.get("detail_description") or obj.get("description") or obj.get("spec")
-            if not spec:
-                raise ParseError("no description field for task", line_no)
-            problems.append(
-                Problem(
-                    task_id=str(task_id),
-                    spec=str(spec),
-                    golden_testbench=obj.get("test"),
-                    reference_solution=obj.get("canonical_solution"),
-                    module_interface=obj.get("prompt"),
-                )
+    for line_no, obj in _json_objects(path):
+        task_id = obj.get("task_id")
+        if not task_id:
+            raise ParseError("missing required field 'task_id'", line_no)
+        spec = obj.get("detail_description") or obj.get("description") or obj.get("spec")
+        if not spec:
+            raise ParseError("no description field for task", line_no)
+        problems.append(
+            Problem(
+                task_id=str(task_id),
+                spec=str(spec),
+                golden_testbench=_text(obj, "test", line_no),
+                reference_solution=_text(obj, "canonical_solution", line_no),
+                module_interface=_text(obj, "prompt", line_no),
             )
+        )
     return problems
 
 
@@ -131,13 +142,13 @@ def _load_flat_dir(path: Path) -> list[Problem]:
     problems = []
     for prompt_file in sorted(path.glob("*_prompt.txt")):
         task_id = prompt_file.name[: -len("_prompt.txt")]
-        spec = prompt_file.read_text(encoding="utf-8")
+        spec = _read(prompt_file)
         if not spec.strip():
             raise ParseError(f"empty prompt file for task {task_id!r}")
 
         def sibling(suffix: str) -> Optional[str]:
             candidate = path / f"{task_id}{suffix}"
-            return candidate.read_text(encoding="utf-8") if candidate.exists() else None
+            return _read(candidate) if candidate.exists() else None
 
         problems.append(
             Problem(

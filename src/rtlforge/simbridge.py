@@ -22,6 +22,7 @@ from .errors import EngineError
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
 TIMEOUT_GRACE = 2.0
+COMPILE_ARGS = ("-g2012",)  # language standard passed to every compile
 # Toolchain slots: one per CPU, held by every compile and simulation of the
 # process, however many runs and ToolchainConfigs share it.
 TOOLCHAIN_SLOTS = threading.BoundedSemaphore(os.cpu_count() or 4)
@@ -94,10 +95,12 @@ class CompiledArtifact:
 
 @dataclass
 class ToolchainConfig:
+    """Where the compiler and simulator binaries are, and how long one
+    simulation may run; each compile gets ``TIMEOUT_GRACE`` more seconds."""
+
     compiler_path: Optional[str] = None
     vvp_path: Optional[str] = None
     sim_timeout: float = 30.0
-    compile_args: tuple[str, ...] = ("-g2012",)
 
     def resolve_compiler(self) -> str:
         # Absolute path: the process launches with cwd set to the workdir.
@@ -237,7 +240,7 @@ def compile_sources(
         raise ValueError(f"workdir is not empty: {workdir}")
     paths = write_sources(sources, workdir)
     out = workdir / "sim.vvp"
-    cmd = [compiler, *config.compile_args]
+    cmd = [compiler, *COMPILE_ARGS]
     if ignore_missing:
         cmd.append("-i")
     cmd += ["-o", out.name, *[p.name for p in paths]]
@@ -256,17 +259,14 @@ def compile_sources(
     return CompiledArtifact(runnable=out, workdir=workdir)
 
 
-def simulate(
-    artifact: CompiledArtifact,
-    timeout: Optional[float] = None,
-    config: Optional[ToolchainConfig] = None,
-) -> SimRun:
-    """Run a compiled artifact; capture stdout in full; kill on timeout.
+def simulate(artifact: CompiledArtifact, config: Optional[ToolchainConfig] = None) -> SimRun:
+    """Run a compiled artifact; capture stdout in full; kill it after
+    ``config.sim_timeout`` seconds.
 
     ``wall_time`` is the simulator's own run time, not the wait for a slot.
     """
     config = config or ToolchainConfig()
-    timeout = config.sim_timeout if timeout is None else timeout
+    timeout = config.sim_timeout
     vvp = config.resolve_vvp()
     cmd = [vvp, artifact.runnable.name]
     try:
@@ -287,16 +287,16 @@ def simulate(
 def run_sim(
     sources: list[VerilogSource],
     workdir: str | Path,
-    timeout: Optional[float] = None,
     config: Optional[ToolchainConfig] = None,
 ) -> SimRun:
-    """Compile then simulate; compile failure short-circuits simulation."""
+    """Compile then simulate, both under ``config``'s time limits; compile
+    failure short-circuits simulation."""
     config = config or ToolchainConfig()
     try:
         artifact = compile_sources(sources, workdir, config)
     except CompileFailed as exc:
         return SimRun(status="compile_failed", stdout="", diagnostics=tuple(exc.diagnostics))
-    return simulate(artifact, timeout, config)
+    return simulate(artifact, config)
 
 
 def check_syntax(

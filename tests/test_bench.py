@@ -8,7 +8,6 @@ from rtlforge.bench import (
     DomainError,
     TrialRecord,
     emit_report,
-    load_report,
     pass_at_k,
     run_bench,
 )
@@ -102,6 +101,40 @@ class TestLoadProblems:
         assert problems[0].spec == "a shift register"
         assert problems[0].module_interface == "module shift4(...);"
         assert problems[0].golden_testbench == "module tb; endmodule"
+
+    @pytest.mark.parametrize("dataset_format", ["jsonl", "verilogeval-v1"])
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("[1, 2]", "must be a JSON object"),
+            ('{"task_id": "t", "spec": "s", "golden_testbench": 5, "test": 5}', "must be a string"),
+        ],
+    )
+    def test_bad_line_names_its_number(self, tmp_path, dataset_format, row, message):
+        path = tmp_path / "set.jsonl"
+        good = json.dumps({"task_id": "ok", "spec": "a counter"})
+        path.write_text(good + "\n\n" + row + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=message) as err:
+            load_problems(path, dataset_format)
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "dataset_format, name",
+        [
+            ("jsonl", "."),
+            ("jsonl", "latin1.jsonl"),
+            ("verilogeval-v1", "."),
+            ("verilogeval-v1", "latin1.jsonl"),
+            ("verilogeval-v2", "flat"),
+        ],
+    )
+    def test_unreadable_path(self, tmp_path, dataset_format, name):
+        latin1 = b'{"task_id": "caf\xe9"}\n'
+        (tmp_path / "latin1.jsonl").write_bytes(latin1)
+        (tmp_path / "flat").mkdir()
+        (tmp_path / "flat" / "t_prompt.txt").write_bytes(latin1)
+        with pytest.raises(ParseError, match="cannot read dataset"):
+            load_problems(tmp_path / name, dataset_format)
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -232,12 +265,12 @@ class TestEmitReport:
             record("t2", 0, True),
         ]
         report = emit_report(records, tmp_path, config_echo={"pool_size": 4})
-        loaded = load_report(tmp_path)
-        assert loaded.aggregate_pass_at_1 == report.aggregate_pass_at_1
-        assert [(p.task_id, p.n, p.c_p, p.pass_at_1) for p in loaded.problems] == [
+        loaded = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+        assert loaded["aggregate_pass_at_1"] == report.aggregate_pass_at_1
+        assert [(p["task_id"], p["n"], p["c_p"], p["pass_at_1"]) for p in loaded["problems"]] == [
             (p.task_id, p.n, p.c_p, p.pass_at_1) for p in report.problems
         ]
-        assert loaded.config == {"pool_size": 4}
+        assert loaded["config"] == {"pool_size": 4}
 
     def test_aggregate_is_mean_of_per_problem_values(self, tmp_path):
         rng = random.Random(11)

@@ -83,7 +83,7 @@ class TestHelp:
         out = capsys.readouterr().out
         for flag in _RUN_FLAGS:
             assert flag in out, f"{flag} missing from {command} --help"
-        assert "--scrub" in out and "--fanout-sampling" in out
+        assert "--fanout-sampling" in out and "--scrub" not in out
 
 
 class TestGenerate:
@@ -430,6 +430,13 @@ class TestBadRunValues:
             (["generate", "{spec}", "--config", "{text_top_k}"], "invalid run configuration"),
             (["bench", "{dataset}", "--runs", "0"], "runs"),
             (["inspect-trace", "{glitch_log}", "--window-len", "0"], "window_len"),
+            (["generate", "{missing}"], "spec file not found: "),
+            (["generate", "{spec}", "--golden-tb", "{missing}"], "golden testbench not found"),
+            (["generate", "{spec}", "--module-interface", "{tmp}"], "cannot read module interface"),
+            (["generate", "{spec}", "--config", "{five}"], "must hold a JSON object"),
+            (["bench", "{dataset}", "--config", "{scrub}"], "unknown config keys: ['scrub']"),
+            (["inspect-trace", "{latin1_log}"], "cannot read simulation log"),
+            (["bench", "{tmp}"], "cannot read dataset"),
         ],
     )
     def test_error_line_and_exit_one(self, tmp_path, spec_files, capsys, argv, named):
@@ -439,6 +446,12 @@ class TestBadRunValues:
         bogus_mode.write_text(json.dumps({"mode": "bogus"}), encoding="utf-8")
         text_top_k = tmp_path / "text.json"
         text_top_k.write_text(json.dumps({"top_k": "3"}), encoding="utf-8")
+        five = tmp_path / "five.json"
+        five.write_text("5", encoding="utf-8")
+        scrub = tmp_path / "scrub.json"
+        scrub.write_text(json.dumps({"scrub": True}), encoding="utf-8")
+        latin1_log = tmp_path / "latin1.log"
+        latin1_log.write_bytes(b"CHECK caf\xe9\n")
         glitch_log = tmp_path / "sim.log"
         glitch_log.write_text(synth_counter_trace(glitch_at=9), encoding="utf-8")
         cassette = tmp_path / "empty.jsonl"
@@ -449,6 +462,11 @@ class TestBadRunValues:
             "text_top_k": text_top_k,
             "dataset": _bench_dataset(tmp_path)[0],
             "glitch_log": glitch_log,
+            "missing": tmp_path / "missing.v",
+            "tmp": tmp_path,
+            "five": five,
+            "scrub": scrub,
+            "latin1_log": latin1_log,
         }
         argv = [arg.format(**paths) for arg in argv]
         if argv[0] != "inspect-trace":

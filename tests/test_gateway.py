@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rtlforge.cassette import (
-    CassetteEntry, CassetteError, append_entry, load_cassette, verify_cassette,
+    CassetteEntry, CassetteError, load_cassette, verify_cassette,
 )
 from rtlforge.gateway import (
     AggregateFailure,
@@ -49,9 +49,14 @@ def make_request(tag="rtl_gen/0", content="write a counter", n=1, **params):
     )
 
 
+def append_line(path, entry):
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(entry.to_json() + "\n")
+
+
 def record_entry(path, request, completions):
     digest = request_digest(request)
-    append_entry(
+    append_line(
         path,
         CassetteEntry(
             key=f"{request.tag}:{digest}",
@@ -298,6 +303,24 @@ class TestRecordReplay:
         assert opened == [cassette]
         assert [e.tag for e in load_cassette(cassette).values()] == ["t/0", "t/1", "t/2"]
 
+    @pytest.mark.parametrize("keep, tags", [(-20, ["t/0", "t/2"]), (10, ["t/2"])])
+    def test_resume_cuts_a_partial_final_line(self, tmp_path, capsys, keep, tags):
+        from rtlforge.cli import main
+
+        cassette = tmp_path / "rec.jsonl"
+        recorder = CassetteRecorder(_ScriptedTransport([["a"], ["b"]]), cassette)
+        for i in range(2):
+            complete(make_request(tag=f"t/{i}"), recorder)
+        recorder.close()
+        data = cassette.read_bytes()
+        cassette.write_bytes(data[:keep])  # a crash in the middle of an append
+        recorder = CassetteRecorder(_ScriptedTransport([["c"]]), cassette)
+        complete(make_request(tag="t/2"), recorder)
+        recorder.close()
+        assert [e.tag for e in load_cassette(cassette).values()] == tags
+        assert main(["replay-verify", str(cassette)]) == 0
+        assert f"cassette ok: {len(tags)} entries" in capsys.readouterr().out
+
     def test_close_without_entries_creates_nothing(self, tmp_path):
         cassette = tmp_path / "rec.jsonl"
         CassetteRecorder(_ScriptedTransport([]), cassette).close()
@@ -339,7 +362,7 @@ class TestCassetteVerify:
 
     def test_bad_key_reported(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
-        append_entry(
+        append_line(
             cassette,
             CassetteEntry(
                 key="wrong", tag="t", request_digest="d", completions=("x",),
@@ -372,6 +395,16 @@ class TestCassetteVerify:
         with pytest.raises(CassetteError, match="line 2: truncated"):
             load_cassette(cassette)
 
+    @pytest.mark.parametrize("line", ["5", "[1, 2]", '"text"', "null"])
+    def test_non_object_line_is_named(self, tmp_path, line):
+        cassette = tmp_path / "c.jsonl"
+        record_entry(cassette, make_request(tag="a"), ["x"])
+        with cassette.open("a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(CassetteError, match="line 2: entry must be a JSON object"):
+            load_cassette(cassette)
+        assert verify_cassette(cassette) == ["cassette line 2: entry must be a JSON object"]
+
     def test_bad_line_with_newline_is_invalid_json_even_last(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
         record_entry(cassette, make_request(tag="a"), ["x"])
@@ -389,6 +422,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     script = []
     requests = []
     retry_after = None  # Retry-After header value of the next refusal
+    payload = None  # body of every 200 reply, in place of the well-formed one
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -405,7 +439,7 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             return
         n = body.get("n", 1)
-        payload = {
+        payload = type(self).payload or {
             "choices": [
                 {"index": i, "message": {"content": f"completion {i}"}} for i in range(n)
             ],
@@ -430,6 +464,7 @@ def stub_endpoint():
     _StubHandler.script = []
     _StubHandler.requests = []
     _StubHandler.retry_after = None
+    _StubHandler.payload = None
     yield f"http://127.0.0.1:{server.server_address[1]}/v1"
     server.shutdown()
 
@@ -450,7 +485,8 @@ class TestHttpBackend:
         assert response.usage.prompt_tokens == 7
 
     @pytest.mark.parametrize(
-        "retry_after, slept", [("3", [3.0, 0.5]), ("0", [0.5, 0.5]), ("soon", [0.5, 0.5])]
+        "retry_after, slept",
+        [("3", [3.0, 0.5]), ("0", [0.5, 0.5]), ("soon", [0.5, 0.5]), ("\u00b2", [0.5, 0.5])],
     )
     def test_429_retry_after_sets_the_least_wait(
         self, stub_endpoint, monkeypatch, retry_after, slept
@@ -477,6 +513,31 @@ class TestHttpBackend:
         with pytest.raises(TransientBackendError) as err:
             backend.complete(make_request())
         assert err.value.retry_after is None
+
+    def test_null_usage_counts_zero_tokens(self, stub_endpoint, monkeypatch):
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        _StubHandler.payload = {
+            "choices": [{"index": 0, "message": {"content": "ok"}}], "usage": None,
+        }
+        backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
+        response = backend.complete(make_request())
+        assert response.completions == ("ok",) and response.usage.prompt_tokens == 0
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"choices": [5]},
+            {"choices": ["text"]},
+            {"choices": [{"index": 0, "message": {"content": "ok"}}], "usage": 5},
+            ["not", "an", "object"],
+        ],
+    )
+    def test_malformed_reply_is_a_backend_error(self, stub_endpoint, monkeypatch, payload):
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        _StubHandler.payload = payload
+        backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
+        with pytest.raises(BackendError, match="malformed completion response"):
+            backend.complete(make_request())
 
     def test_auth_rejected(self, stub_endpoint, monkeypatch):
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")

@@ -37,7 +37,7 @@ class GatedRunner(StubSimRunner):
 
 def _cache(runner, tmp_path) -> _SimCache:
     testbench = VerilogSource(kind="testbench", top_module="counter4_tb", code=stub_tb())
-    return _SimCache(runner, testbench, WorkdirAllocator(tmp_path / "sim"), scrub=False)
+    return _SimCache(runner, testbench, WorkdirAllocator(tmp_path / "sim"))
 
 
 def _dut(trailing: str = "") -> VerilogSource:
