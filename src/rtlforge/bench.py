@@ -91,23 +91,21 @@ def run_trial(
 ) -> TrialRecord:
     """One pipeline run plus the official golden verification.
 
-    ``passed_golden`` is decided by the unmodified golden testbench under
-    ``runtime.golden_criterion`` when one exists; problems without a golden
-    bench fall back to the engine's own solved status.
+    ``passed_golden`` is decided by the unmodified golden testbench when one
+    exists. A vanilla run has already run that bench, so its status is the
+    verdict, as it is for a problem without a golden bench.
     """
     start = time.monotonic()
     outcome = run_pipeline(problem, config, runtime)
-    if problem.golden_testbench and outcome.best is not None:
+    if problem.golden_testbench and outcome.best is not None and config.agent_mode != "vanilla":
         # Disjoint from the pipeline's sim/ tree so reruns never collide.
         allocator = WorkdirAllocator(Path(runtime.transcript_dir) / "golden_check")
-        result = evaluate_golden(
+        passed = evaluate_golden(
             outcome.best.source,
             problem.golden_testbench,
             runtime.sim_runner,
             allocator.acquire("final"),
-            runtime.golden_criterion,
-        )
-        passed = result.passed
+        ).passed
     else:
         passed = outcome.status == "solved"
     return TrialRecord(

@@ -74,22 +74,23 @@ def iter_entries(path: str | Path):
     crash in the middle of an append leaves; its error says so.
     """
     path = Path(path)
-    if not path.exists():
-        raise CassetteError(f"cassette not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if not raw.endswith("\n"):  # only the last line can lack one
-                    message = f"cassette line {line_no}: truncated final line ({exc})"
-                else:
-                    message = f"cassette line {line_no}: invalid JSON ({exc})"
-                raise CassetteError(message) from exc
-            yield line_no, _entry_from_obj(obj, line_no)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    if not raw.endswith("\n"):  # only the last line can lack one
+                        message = f"cassette line {line_no}: truncated final line ({exc})"
+                    else:
+                        message = f"cassette line {line_no}: invalid JSON ({exc})"
+                    raise CassetteError(message) from exc
+                yield line_no, _entry_from_obj(obj, line_no)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CassetteError(f"cannot read cassette {path}: {exc}") from exc
 
 
 def load_cassette(path: str | Path) -> dict[str, CassetteEntry]:
@@ -117,8 +118,8 @@ def open_for_append(path: str | Path):
     return path.open("a", encoding="utf-8")
 
 
-def verify_cassette(path: str | Path) -> list[str]:
-    """Integrity-check a cassette; returns a list of problems (empty = clean).
+def verify_cassette(path: str | Path) -> tuple[list[str], int]:
+    """Integrity-check a cassette; returns its problems (empty = clean) and its key count.
 
     Checks per entry: required fields present, key consistent with
     tag/request_digest, and no duplicate keys across the file. A truncated
@@ -141,4 +142,4 @@ def verify_cassette(path: str | Path) -> list[str]:
                 seen[entry.key] = line_no
     except CassetteError as exc:
         problems.append(str(exc))
-    return problems
+    return problems, len(seen)

@@ -256,20 +256,13 @@ class WaveWindow:
 
 @dataclass(frozen=True)
 class Score:
-    """Normalized mismatch score in [0, 1]; 0 when not simulatable at all."""
+    """Normalized mismatch score in [0, 1]; 0 for a candidate that did not simulate."""
 
     value: float
-    simulatable: bool = True
 
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
             raise ValueError("score must lie in [0, 1]")
-        if not self.simulatable and self.value != 0.0:
-            raise ValueError("unsimulatable results must score 0")
-
-    @classmethod
-    def unsimulatable(cls) -> "Score":
-        return cls(0.0, simulatable=False)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .bench import emit_report, run_bench
 from .cassette import verify_cassette
 from .errors import EngineError
 from .gateway import CassetteRecorder, HttpBackend, NamespacedBackend, ReplayBackend
-from .golden import DEFAULT_CRITERION, GoldenCriterion
 from .pipeline import AGENT_MODES, PROFILES, EngineRuntime, RunConfig, run_pipeline
 from .agents import PromptLibrary
 from .problems import DATASET_FORMATS, Problem, load_problems
@@ -53,8 +52,6 @@ CONFIG_DEFAULTS = {
     "prompts_dir": None,
     "compiler_path": None,
     "vvp_path": None,
-    "golden_pass_pattern": DEFAULT_CRITERION.pass_pattern,
-    "golden_fail_pattern": DEFAULT_CRITERION.fail_pattern,
 }
 
 # Flags that shape a run; each sets the config key its name spells.
@@ -79,6 +76,17 @@ _RUN_FLAGS = {
     "--vvp-path": dict(help="simulation runtime binary (default: vvp on PATH)"),
 }
 
+_BENCH_FLAGS = {
+    "--dataset-format": dict(choices=list(DATASET_FORMATS), help="problem set layout"),
+    "--runs": dict(type=int, help="independent runs per problem"),
+    "--workers": dict(type=int, help="concurrent pipelines"),
+}
+
+
+def _key(flag: str) -> str:
+    """The config key a flag sets: ``--pool-size`` -> ``pool_size``."""
+    return flag[2:].replace("-", "_")
+
 
 def _help(text: str, key: str) -> str:
     """``text`` plus the key's built-in default, where it has one."""
@@ -86,11 +94,14 @@ def _help(text: str, key: str) -> str:
     return text if default is None else f"{text} (default: {default})"
 
 
+def _add_flags(parser: argparse.ArgumentParser, flags: dict) -> None:
+    for flag, spec in flags.items():
+        parser.add_argument(flag, **{**spec, "help": _help(spec["help"], _key(flag))})
+
+
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON config file (flags override it)")
-    for flag, spec in _RUN_FLAGS.items():
-        key = flag[2:].replace("-", "_")
-        parser.add_argument(flag, **{**spec, "help": _help(spec["help"], key)})
+    _add_flags(parser, _RUN_FLAGS)
     parser.add_argument("--fanout-sampling", action="store_true", default=None,
                         help="sample candidates via n single-completion calls")
 
@@ -112,13 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run the harness over a problem set")
     p_bench.add_argument("dataset", help="problem set path")
-    p_bench.add_argument("--dataset-format", choices=list(DATASET_FORMATS),
-                         help=_help("problem set layout", "dataset_format"))
-    p_bench.add_argument("--runs", type=int, help=_help("independent runs per problem", "runs"))
-    p_bench.add_argument("--workers", type=int, help=_help("concurrent pipelines", "workers"))
+    _add_flags(p_bench, _BENCH_FLAGS)
     p_bench.add_argument("--out", default="bench_out", help="output directory")
-    p_bench.add_argument("--golden-pass-pattern", help="golden bench pass regex")
-    p_bench.add_argument("--golden-fail-pattern", help="golden bench fail regex")
     _add_run_flags(p_bench)
 
     p_trace = sub.add_parser("inspect-trace", help="parse a checkpoint log")
@@ -131,8 +137,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str, what: str) -> str:
-    """The UTF-8 text of the ``what`` file at ``path``; EngineError if unreadable."""
+def _read_text(path: Optional[str], what: str) -> Optional[str]:
+    """The UTF-8 text of the ``what`` file at ``path``, or None; EngineError if unreadable."""
+    if path is None:
+        return None
     try:
         return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -155,12 +163,26 @@ def merge_config(args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(CONFIG_DEFAULTS)
         if unknown:
             raise EngineError(f"unknown config keys: {sorted(unknown)}")
+        for flag, spec in {**_RUN_FLAGS, **_BENCH_FLAGS}.items():
+            if _key(flag) in file_cfg:
+                _check_file_value(_key(flag), file_cfg[_key(flag)], spec)
         merged.update(file_cfg)
     for key in CONFIG_DEFAULTS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
     return merged
+
+
+def _check_file_value(key: str, value, spec: dict) -> None:
+    """Hold a config-file value to its flag's type and choices (an int is a float)."""
+    if value is None and CONFIG_DEFAULTS[key] is None:
+        return
+    kind, choices = spec.get("type", str), spec.get("choices")
+    typed = isinstance(value, (int, float) if kind is float else kind)
+    if isinstance(value, bool) or not typed or (choices and value not in choices):
+        what = f"one of {choices}" if choices else kind.__name__
+        raise EngineError(f"invalid run configuration: {key} must be {what}, got {value!r}")
 
 
 def _run_config(cfg: dict) -> RunConfig:
@@ -204,25 +226,20 @@ def _build_runtime(
         templates=PromptLibrary(cfg["prompts_dir"]),
         model_id=cfg["model"],
         transcript_dir=transcript_dir,
-        golden_criterion=GoldenCriterion(
-            pass_pattern=cfg["golden_pass_pattern"],
-            fail_pattern=cfg["golden_fail_pattern"],
-        ),
     )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
-    problem = Problem(
-        task_id=args.task_id or Path(args.spec_file).stem,
-        spec=_read_text(args.spec_file, "spec file"),
-        golden_testbench=_read_text(args.golden_tb, "golden testbench")
-        if args.golden_tb
-        else None,
-        module_interface=_read_text(args.module_interface, "module interface")
-        if args.module_interface
-        else None,
-    )
+    try:
+        problem = Problem(
+            task_id=args.task_id or Path(args.spec_file).stem,
+            spec=_read_text(args.spec_file, "spec file"),
+            golden_testbench=_read_text(args.golden_tb, "golden testbench"),
+            module_interface=_read_text(args.module_interface, "module interface"),
+        )
+    except ValueError as exc:
+        raise EngineError(f"invalid problem: {exc}") from exc
     run_config = _run_config(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -316,13 +333,11 @@ def cmd_inspect_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_replay_verify(args: argparse.Namespace) -> int:
-    problems = verify_cassette(args.cassette_file)
+    problems, entries = verify_cassette(args.cassette_file)
     if problems:
         for problem in problems:
-            print(problem, file=sys.stderr)
+            print(f"error: {problem}", file=sys.stderr)
         return EXIT_ERROR
-    text = Path(args.cassette_file).read_text(encoding="utf-8")
-    entries = sum(1 for line in text.splitlines() if line.strip())
     print(f"cassette ok: {entries} entries")
     return EXIT_OK
 

@@ -30,6 +30,7 @@ from .errors import EngineError
 MAX_COMPLETIONS = 64
 MAX_TEMPERATURE = 2.0
 HTTP_TIMEOUT_S = 120.0  # connect and read timeout of each request, in seconds
+DEFAULT_MAX_TOKENS = 4096  # completion token cap of a call
 # LLM slots: requests in flight per process, shared by every HttpBackend;
 # a fan-out pool has at most this many threads.
 LLM_SLOTS = 8
@@ -111,7 +112,7 @@ class SamplingParams:
     temperature: float = 0.0
     top_p: float = 1.0
     n_completions: int = 1
-    max_tokens: int = 4096
+    max_tokens: int = DEFAULT_MAX_TOKENS
     seed: Optional[int] = None
 
     def __post_init__(self):

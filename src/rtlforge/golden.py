@@ -1,8 +1,9 @@
 """Verification against an unmodified benchmark-supplied golden testbench.
 
-The golden bench is never edited; pass/fail is read from its own output
-convention via configurable patterns (benchmarks self-report a mismatch
-banner). Anything other than a clean run with a passing banner is a fail.
+The golden bench is never edited; pass/fail is read from the banner every
+VerilogEval golden bench prints, ``Mismatches: <n> in <m> samples``. A
+nonzero count fails, a zero count passes, and a fail line wins over a pass
+line. Anything other than a clean run with a passing banner is a fail.
 """
 
 from __future__ import annotations
@@ -10,38 +11,24 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .agents import parse_module_name, AgentError
-from .simbridge import SimRun, VerilogSource
+from .simbridge import VerilogSource
 
-
-@dataclass(frozen=True)
-class GoldenCriterion:
-    """Patterns applied to golden-bench stdout; fail wins over pass."""
-
-    pass_pattern: str = r"Mismatches:\s*0\b"
-    fail_pattern: str = r"Mismatches:\s*[1-9][0-9]*"
-
-
-DEFAULT_CRITERION = GoldenCriterion()
+PASS_RE = re.compile(r"Mismatches:\s*0\b")
+FAIL_RE = re.compile(r"Mismatches:\s*[1-9][0-9]*")
 
 
 @dataclass(frozen=True)
 class GoldenResult:
     passed: bool
     reason: str
-    sim: Optional[SimRun] = None
 
 
 def evaluate_golden(
-    rtl: VerilogSource,
-    golden_testbench: str,
-    sim_runner,
-    workdir: str | Path,
-    criterion: GoldenCriterion = DEFAULT_CRITERION,
+    rtl: VerilogSource, golden_testbench: str, sim_runner, workdir: str | Path
 ) -> GoldenResult:
-    """Compile the RTL with the golden bench and apply its pass criterion."""
+    """Compile the RTL with the golden bench and read its mismatch banner."""
     if not golden_testbench.strip():
         raise ValueError("golden testbench text is empty")
     if rtl.sentinel:
@@ -53,13 +40,13 @@ def evaluate_golden(
     bench = VerilogSource(kind="testbench", top_module=top, code=golden_testbench)
     sim = sim_runner.run([rtl, bench], workdir)
     if sim.status == "compile_failed":
-        return GoldenResult(False, "compile failed against golden testbench", sim)
+        return GoldenResult(False, "compile failed against golden testbench")
     if sim.status == "timed_out":
-        return GoldenResult(False, "golden simulation timed out", sim)
+        return GoldenResult(False, "golden simulation timed out")
     if sim.status != "ok":
-        return GoldenResult(False, f"golden simulation status: {sim.status}", sim)
-    if re.search(criterion.fail_pattern, sim.stdout):
-        return GoldenResult(False, "golden testbench reported mismatches", sim)
-    if re.search(criterion.pass_pattern, sim.stdout):
-        return GoldenResult(True, "golden testbench reported zero mismatches", sim)
-    return GoldenResult(False, "golden testbench printed no pass banner", sim)
+        return GoldenResult(False, f"golden simulation status: {sim.status}")
+    if FAIL_RE.search(sim.stdout):
+        return GoldenResult(False, "golden testbench reported mismatches")
+    if PASS_RE.search(sim.stdout):
+        return GoldenResult(True, "golden testbench reported zero mismatches")
+    return GoldenResult(False, "golden testbench printed no pass banner")

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -54,15 +55,15 @@ from typing import Callable, Optional, Protocol
 
 from . import checkpoints
 from .agents import (
-    SYNTAX_FIX_CAP, AgentTeam, NoCodeBlock, PromptLibrary, SyntaxChecker, SyntaxUnfixable,
+    SYNTAX_FIX_CAP, AgentTeam, NoCodeBlock, PromptLibrary, SyntaxUnfixable,
     map_in_order, unbuildable,
 )
 from .checkpoints import DEFAULT_WINDOW_LEN, CheckRecord, CheckTrace, Score, TraceError
 from .errors import EngineError
-from .gateway import MAX_COMPLETIONS, Backend, SamplingParams
-from .golden import GoldenCriterion, DEFAULT_CRITERION, evaluate_golden
+from .gateway import DEFAULT_MAX_TOKENS, MAX_COMPLETIONS, Backend, SamplingParams
+from .golden import evaluate_golden
 from .problems import Problem
-from .simbridge import Diagnostic, SimRun, VerilogSource, named_kind
+from .simbridge import DEFAULT_SIM_TIMEOUT, Diagnostic, SimRun, VerilogSource, named_kind
 
 
 class LineageMismatch(EngineError):
@@ -94,8 +95,8 @@ class RunConfig:
     temp_profile: str = "high"
     agent_mode: str = "multi"
     max_tb_regens: int = 2
-    sim_timeout: float = 30.0
-    max_tokens: int = 4096
+    sim_timeout: float = DEFAULT_SIM_TIMEOUT
+    max_tokens: int = DEFAULT_MAX_TOKENS
     seed: Optional[int] = None
     fanout_sampling: bool = False
 
@@ -106,6 +107,12 @@ class RunConfig:
             raise ValueError(f"unknown agent mode: {self.agent_mode!r}")
         if self.pool_size is None:
             self.pool_size = PROFILES[self.temp_profile].default_pool_size
+        for name in ("pool_size", "top_k", "max_debug_rounds", "window_len", "max_tb_regens",
+                     "max_tokens"):
+            if type(getattr(self, name)) is not int:  # a bool is no count
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if not isinstance(self.fanout_sampling, bool):
+            raise ValueError(f"fanout_sampling must be a bool, got {self.fanout_sampling!r}")
         if not (1 <= self.pool_size <= MAX_COMPLETIONS):
             raise ValueError(f"pool_size must be in [1, {MAX_COMPLETIONS}]")
         if self.top_k < 1:
@@ -117,10 +124,9 @@ class RunConfig:
             raise ValueError("max_tb_regens must be >= 0")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
-        if self.max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
-        if self.sim_timeout <= 0:
-            raise ValueError("sim_timeout must be > 0")
+        if not 0 < self.sim_timeout < math.inf:  # NaN fails both comparisons
+            raise ValueError("sim_timeout must be finite and > 0")
+        self.params()  # SamplingParams checks max_tokens
 
     @property
     def profile(self) -> TempProfile:
@@ -229,17 +235,19 @@ class SimRunner(Protocol):
     def run(self, sources: list[VerilogSource], workdir: str | Path) -> SimRun: ...
 
 
+WorkdirChecker = Callable[[VerilogSource, Path], list[Diagnostic]]  # _Probe wraps it
+
+
 @dataclass
 class EngineRuntime:
     """Everything a run needs besides the problem and the config."""
 
     backend: Backend
     sim_runner: SimRunner
-    syntax_checker: SyntaxChecker
+    syntax_checker: WorkdirChecker
     templates: PromptLibrary = field(default_factory=PromptLibrary)
     model_id: str = "default"
     transcript_dir: Path = Path("out")
-    golden_criterion: GoldenCriterion = DEFAULT_CRITERION
 
 
 class EventLog:
@@ -348,7 +356,7 @@ class _SimCache:
 
     def evaluate(self, source: VerilogSource, label: str) -> SimEval:
         if source.sentinel:
-            return SimEval(Score.unsimulatable(), None, "sentinel")
+            return SimEval(Score(0.0), None, "sentinel")
         key = _normalize_code(source.code)
         with self._lock:
             future = self._results.get(key)
@@ -370,12 +378,12 @@ class _SimCache:
     def _simulate(self, source: VerilogSource, label: str) -> SimEval:
         sim = self.runner.run([source, self.testbench], self.allocator.acquire(label))
         if sim.status != "ok":
-            return SimEval(Score.unsimulatable(), None, sim.status, "", sim.diagnostics)
+            return SimEval(Score(0.0), None, sim.status, "", sim.diagnostics)
         try:
             trace = checkpoints.parse_trace(sim.stdout, lines=self._lines)
             return SimEval(checkpoints.score(trace), trace, "ok", "", sim.diagnostics)
         except TraceError as exc:
-            return SimEval(Score.unsimulatable(), None, "trace_error", str(exc), sim.diagnostics)
+            return SimEval(Score(0.0), None, "trace_error", str(exc), sim.diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +443,7 @@ class _Probe:
     and is freed as soon as the run ends, without the cyclic collector.
     """
 
-    def __init__(self, checker: SyntaxChecker, allocator: WorkdirAllocator):
+    def __init__(self, checker: WorkdirChecker, allocator: WorkdirAllocator):
         self.checker = checker
         self.allocator = allocator
         self.cache: Optional[_SimCache] = None  # the current epoch's
@@ -665,16 +673,10 @@ class _Run:
         golden = self.problem.golden_testbench
         if not golden:
             return "budget_exhausted", candidate, [], None
-        result = evaluate_golden(
-            rtl,
-            golden,
-            self.runtime.sim_runner,
-            self.allocator.acquire("golden"),
-            self.runtime.golden_criterion,
-        )
+        workdir = self.allocator.acquire("golden")
+        result = evaluate_golden(rtl, golden, self.runtime.sim_runner, workdir)
         self.emit({"event": "golden", "passed": result.passed, "reason": result.reason})
-        ran = result.sim is not None and result.sim.status == "ok"
-        candidate.score = Score(1.0 if result.passed else 0.0) if ran else Score.unsimulatable()
+        candidate.score = Score(1.0 if result.passed else 0.0)
         status = "solved" if result.passed else "budget_exhausted"
         return status, candidate, [(0, [candidate.score.value])], None
 

@@ -21,6 +21,7 @@ from typing import Optional
 from .errors import EngineError
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
+DEFAULT_SIM_TIMEOUT = 30.0  # seconds one simulation may run
 TIMEOUT_GRACE = 2.0
 COMPILE_ARGS = ("-g2012",)  # language standard passed to every compile
 # Toolchain slots: one per CPU, held by every compile and simulation of the
@@ -100,7 +101,7 @@ class ToolchainConfig:
 
     compiler_path: Optional[str] = None
     vvp_path: Optional[str] = None
-    sim_timeout: float = 30.0
+    sim_timeout: float = DEFAULT_SIM_TIMEOUT
 
     def resolve_compiler(self) -> str:
         # Absolute path: the process launches with cwd set to the workdir.

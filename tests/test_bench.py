@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +226,17 @@ class TestEvaluateGolden:
         result = evaluate_golden(rtl, golden, StubSimRunner(), tmp_path / "g")
         assert not result.passed
 
+    def test_fail_banner_wins_over_pass_banner(self, tmp_path):
+        golden = (
+            "module g;\n"
+            "//TB_EMIT:counter16|Mismatches: 0 in 16 samples\n"
+            "//TB_EMIT:counter16|Mismatches: 12 in 16 samples\n"
+            "endmodule\n"
+        )
+        rtl = VerilogSource(kind="dut", top_module="counter4", code=stub_dut("counter16"))
+        result = evaluate_golden(rtl, golden, StubSimRunner(), tmp_path / "g")
+        assert not result.passed and "mismatches" in result.reason
+
 
 def record(task, run_index, passed, history=(1.0,)):
     return TrialRecord(
@@ -371,6 +383,33 @@ class TestRunBench:
             run_bench(self._problems(), config, factory, n_runs=1, records_sink=sink)
         assert len(sink) == 1 and sink[0].task_id == "easy"
         emit_report(sink, tmp_path / "partial")  # partial report still valid
+
+    @pytest.mark.parametrize("behavior, passed", [("counter16", True), ("counter16:glitch@9", False)])
+    def test_vanilla_trial_simulates_golden_once(self, tmp_path, templates, behavior, passed):
+        backend = ScriptedBackend({"rtl_gen/vanilla": fenced(stub_dut(behavior))})
+        workdirs = []
+
+        class RecordingRunner(StubSimRunner):
+            def run(self, sources, workdir):
+                workdirs.append(workdir)
+                return super().run(sources, workdir)
+
+        runner = RecordingRunner()
+
+        def factory(task_id, run_index):
+            return EngineRuntime(
+                backend=backend,
+                sim_runner=runner,
+                syntax_checker=StubSyntaxChecker(),
+                templates=templates,
+                transcript_dir=tmp_path / task_id,
+            )
+
+        config = RunConfig(agent_mode="vanilla")
+        records = run_bench(self._problems()[:1], config, factory)
+        assert [r.passed_golden for r in records] == [passed]
+        assert [w.relative_to(tmp_path) for w in workdirs] == [Path("easy/sim/golden.a0")]
+        assert not (tmp_path / "easy" / "golden_check").exists()
 
     def test_engine_error_recorded_as_attempted(self, tmp_path, templates):
         backend = ScriptedBackend({})  # every tag missing -> BackendError

@@ -11,7 +11,6 @@ from rtlforge.checkpoints import (
     MAX_LITERAL_WIDTH,
     NoChecksFound,
     NotAMismatch,
-    Score,
     SummaryMismatch,
     TraceError,
     earliest_mismatch,
@@ -351,12 +350,6 @@ class TestScore:
     def test_empty_trace_rejected(self):
         with pytest.raises(EmptyTrace):
             score(CheckTrace(records=(), total_checks=0, mismatches=0))
-
-    def test_unsimulatable_constructor(self):
-        s = Score.unsimulatable()
-        assert s.value == 0.0 and not s.simulatable
-        with pytest.raises(ValueError):
-            Score(0.5, simulatable=False)
 
     @given(
         tc=st.integers(min_value=1, max_value=10_000),

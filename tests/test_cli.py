@@ -437,6 +437,16 @@ class TestBadRunValues:
             (["bench", "{dataset}", "--config", "{scrub}"], "unknown config keys: ['scrub']"),
             (["inspect-trace", "{latin1_log}"], "cannot read simulation log"),
             (["bench", "{tmp}"], "cannot read dataset"),
+            (["replay-verify", "{tmp}"], "cannot read cassette"),
+            (["replay-verify", "{bom_cassette}"], "cannot read cassette"),
+            (["generate", "{spec}", "--cassette", "{bom_cassette}"], "cannot read cassette"),
+            (["generate", "{empty_spec}"], "spec must be non-empty"),
+            (["bench", "{dataset}", "--config", "{text_runs}"], "runs must be int"),
+            (["bench", "{dataset}", "--config", "{text_workers}"], "workers must be int"),
+            (["generate", "{spec}", "--config", "{float_pool}"], "pool_size must be int"),
+            (["generate", "{spec}", "--config", "{text_fanout}"], "fanout_sampling"),
+            (["bench", "{dataset}", "--config", "{spaced_backend}"], "backend must be one of"),
+            (["bench", "{dataset}", "--config", "{golden_pattern}"], "unknown config keys"),
         ],
     )
     def test_error_line_and_exit_one(self, tmp_path, spec_files, capsys, argv, named):
@@ -456,6 +466,20 @@ class TestBadRunValues:
         glitch_log.write_text(synth_counter_trace(glitch_at=9), encoding="utf-8")
         cassette = tmp_path / "empty.jsonl"
         cassette.write_text("", encoding="utf-8")
+        bom_cassette = tmp_path / "bom.jsonl"
+        bom_cassette.write_bytes(b"\xff\xfe")
+        empty_spec = tmp_path / "empty.txt"
+        empty_spec.write_text("", encoding="utf-8")
+        configs = {
+            "text_runs": {"runs": "2"},
+            "text_workers": {"workers": "2"},
+            "float_pool": {"pool_size": 2.5},
+            "text_fanout": {"fanout_sampling": "no"},
+            "spaced_backend": {"backend": "replay "},
+            "golden_pattern": {"golden_pass_pattern": "PASS"},
+        }
+        for name, cfg in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(cfg), encoding="utf-8")
         paths = {
             "spec": spec_files[0],
             "bogus_mode": bogus_mode,
@@ -467,11 +491,15 @@ class TestBadRunValues:
             "five": five,
             "scrub": scrub,
             "latin1_log": latin1_log,
+            "bom_cassette": bom_cassette,
+            "empty_spec": empty_spec,
+            **{name: tmp_path / f"{name}.json" for name in configs},
         }
         argv = [arg.format(**paths) for arg in argv]
-        if argv[0] != "inspect-trace":
-            argv += ["--out", str(tmp_path / "out"), "--backend", "replay",
-                     "--cassette", str(cassette)]
+        if argv[0] in ("generate", "bench"):
+            # Ahead of the case's own flags, which win.
+            argv[1:1] = ["--out", str(tmp_path / "out"), "--backend", "replay",
+                         "--cassette", str(cassette)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err

@@ -358,7 +358,7 @@ class TestCassetteVerify:
         cassette = tmp_path / "c.jsonl"
         record_entry(cassette, make_request(tag="a"), ["x"])
         record_entry(cassette, make_request(tag="b"), ["y"])
-        assert verify_cassette(cassette) == []
+        assert verify_cassette(cassette) == ([], 2)
 
     def test_bad_key_reported(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
@@ -369,20 +369,20 @@ class TestCassetteVerify:
                 recorded_at="now",
             ),
         )
-        problems = verify_cassette(cassette)
+        problems, _ = verify_cassette(cassette)
         assert len(problems) == 1 and "does not match" in problems[0]
 
     def test_duplicates_reported(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
         record_entry(cassette, make_request(tag="a"), ["x"])
         record_entry(cassette, make_request(tag="a"), ["y"])
-        problems = verify_cassette(cassette)
+        problems, _ = verify_cassette(cassette)
         assert any("duplicate" in p for p in problems)
 
     def test_invalid_json_reported(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
         cassette.write_text("not json\n", encoding="utf-8")
-        assert any("invalid JSON" in p for p in verify_cassette(cassette))
+        assert any("invalid JSON" in p for p in verify_cassette(cassette)[0])
 
     def test_truncated_final_line_reported_by_line_number(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
@@ -390,8 +390,9 @@ class TestCassetteVerify:
         record_entry(cassette, make_request(tag="b"), ["y"])
         text = cassette.read_text(encoding="utf-8")
         cassette.write_text(text[: len(text) - 20], encoding="utf-8")  # an append cut short
-        assert len(verify_cassette(cassette)) == 1
-        assert verify_cassette(cassette)[0].startswith("cassette line 2: truncated final line")
+        problems, _ = verify_cassette(cassette)
+        assert len(problems) == 1
+        assert problems[0].startswith("cassette line 2: truncated final line")
         with pytest.raises(CassetteError, match="line 2: truncated"):
             load_cassette(cassette)
 
@@ -403,7 +404,7 @@ class TestCassetteVerify:
             fh.write(line + "\n")
         with pytest.raises(CassetteError, match="line 2: entry must be a JSON object"):
             load_cassette(cassette)
-        assert verify_cassette(cassette) == ["cassette line 2: entry must be a JSON object"]
+        assert verify_cassette(cassette)[0] == ["cassette line 2: entry must be a JSON object"]
 
     def test_bad_line_with_newline_is_invalid_json_even_last(self, tmp_path):
         cassette = tmp_path / "c.jsonl"

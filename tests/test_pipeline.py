@@ -224,6 +224,16 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(sim_timeout=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("pool_size", 2.5), ("top_k", True), ("window_len", "8"), ("max_tokens", 1.0),
+         ("fanout_sampling", "no"), ("fanout_sampling", 1), ("sim_timeout", float("nan")),
+         ("sim_timeout", float("inf"))],
+    )
+    def test_mistyped_value_names_its_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: value})
+
     def test_echo_carries_profile_numbers(self):
         echo = RunConfig(temp_profile="low").echo()
         assert echo["temperature"] == 0.0 and echo["top_p"] == 0.01
