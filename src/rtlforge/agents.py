@@ -169,39 +169,6 @@ def parse_verdict(reply: str) -> JudgeVerdict:
     raise VerdictUnparseable("judge reply has no final VERDICT line")
 
 
-def map_in_order(map_fn: Callable, fn: Callable, items: Iterable, sink: Callable) -> list:
-    """``[fn(item, emit) for item in items]`` through ``map_fn``.
-
-    ``map_fn`` must yield results in item order (the pipeline passes its run
-    executor's ``map``). Each call's events are held back and passed to
-    ``sink`` in item order once the map ends, even if a call raised, so the
-    event log does not depend on which call finished first. A call still
-    running after a raise passes its later events straight to ``sink``.
-    """
-    items = list(items)
-    logs: list[Optional[list[dict]]] = [[] for _ in items]
-    lock = threading.Lock()
-
-    def call(i: int):
-        def emit(event: dict) -> None:
-            with lock:
-                if logs[i] is None:
-                    sink(event)
-                else:
-                    logs[i].append(event)
-
-        return fn(items[i], emit)
-
-    try:
-        return list(map_fn(call, range(len(items))))
-    finally:
-        with lock:
-            for i, events in enumerate(logs):
-                logs[i] = None
-                for event in events:
-                    sink(event)
-
-
 def unbuildable(what: str) -> VerilogSource:
     """Sentinel standing in for a DUT whose syntax could not be repaired."""
     return VerilogSource(
@@ -271,6 +238,12 @@ class AgentTeam:
                 self._convs[conv_id] = Conversation(role, conv_id, system)
             return self._convs[conv_id]
 
+    def forget(self, conv_ids: Iterable[str]) -> None:
+        """Drop these conversations; a later turn in one starts it afresh."""
+        with self._lock:
+            for conv_id in conv_ids:
+                self._convs.pop(conv_id, None)
+
     def _chat(
         self,
         conv: Conversation,
@@ -324,12 +297,15 @@ class AgentTeam:
         conv: Conversation,
         parent_tag: str,
         emit: Optional[Callable[[dict], None]] = None,
+        failed: Optional[Callable[[int], None]] = None,
     ) -> VerilogSource:
         """Compile; while broken, ask the owning agent to repair; cap 5 asks.
 
         A reply without a code fence counts as a failed iteration. Raises
         SyntaxUnfixable when the cap is reached with errors remaining.
-        ``emit`` receives the loop's events instead of the team's sink.
+        ``emit`` receives the loop's events instead of the team's sink;
+        ``failed(k)`` is called when repair attempt ``k`` leaves the source
+        broken.
         """
         if source.kind == "testbench":
             fix_role = "testbench_gen"
@@ -352,10 +328,13 @@ class AgentTeam:
             try:
                 current = self._source(reply, source.kind, source.top_module)
             except AgentError:
-                continue  # fence-less reply: a failed iteration
-            diagnostics = self.syntax_checker(current, f"{parent_tag}/check{k}")
-            if not diagnostics:
-                return current
+                pass  # fence-less reply: a failed iteration
+            else:
+                diagnostics = self.syntax_checker(current, f"{parent_tag}/check{k}")
+                if not diagnostics:
+                    return current
+            if failed is not None:
+                failed(k)
         raise SyntaxUnfixable(diagnostics)
 
     # -- role operations ------------------------------------------------------
@@ -405,16 +384,15 @@ class AgentTeam:
         reply = self._chat(self.conversation("rtl_gen"), user, "rtl_gen/vanilla")[0]
         return self._source(reply, "dut")
 
-    def sample_rtl_candidates(
+    def sample_rtl_replies(
         self,
         spec_text: str,
         testbench: VerilogSource,
         count: int,
         params: SamplingParams,
         epoch: int = 0,
-        map_fn: Callable[[Callable, Iterable], Iterable] = map,
-    ) -> list[VerilogSource]:
-        """Step 4 sampling: exactly ``count`` candidate sources.
+    ) -> list[str]:
+        """Step 4's sampling request: ``count`` completions, not yet repaired.
 
         The request is the rtl_gen conversation so far plus a user turn
         holding the specification and the testbench. In multi mode that
@@ -422,18 +400,14 @@ class AgentTeam:
         (step 2); in single mode, every earlier turn of the shared
         conversation. Only single mode records the sampling turn, keeping
         one representative completion so later turns see that code was
-        produced. Candidates whose syntax cannot be repaired are replaced by
-        flagged sentinel sources so the pool keeps its size.
-
-        Samples are repaired through ``map_in_order(map_fn, ...)``, so their
-        repair events reach the event log in sample order.
+        produced.
         """
         if count < 1:
             raise ValueError("candidate count must be >= 1")
         user = self.templates.render(
             "rtl_gen", "generate", spec=spec_text, testbench=testbench.code
         )
-        replies = self._chat(
+        return self._chat(
             self.conversation("rtl_gen"),
             user,
             f"rtl_gen/sample/e{epoch}",
@@ -441,19 +415,49 @@ class AgentTeam:
             record=self.mode == "single",
         )
 
-        def repair(item: tuple[int, str], emit: Callable[[dict], None]) -> VerilogSource:
-            i, reply = item
-            try:
-                return self.fix_syntax(
-                    self._source(reply, "dut"),
-                    self.conversation("rtl_gen", f"conv-rtlfix-e{epoch}-c{i}"),
-                    parent_tag=f"rtl_gen/samplefix/e{epoch}/c{i}",
-                    emit=emit,
-                )
-            except AgentError:
-                return unbuildable(f"sample {i}")
+    def repair_sample(
+        self,
+        reply: str,
+        index: int,
+        epoch: int = 0,
+        emit: Optional[Callable[[dict], None]] = None,
+        failed: Optional[Callable[[int], None]] = None,
+    ) -> VerilogSource:
+        """Sample ``index``'s reply through the repair loop, in the sample's
+        own repair conversation. A sample whose syntax cannot be repaired becomes a
+        flagged sentinel, so the pool keeps its size. ``emit`` and ``failed``
+        go to ``fix_syntax``."""
+        try:
+            return self.fix_syntax(
+                self._source(reply, "dut"),
+                self.conversation("rtl_gen", f"conv-rtlfix-e{epoch}-c{index}"),
+                parent_tag=f"rtl_gen/samplefix/e{epoch}/c{index}",
+                emit=emit,
+                failed=failed,
+            )
+        except AgentError:
+            return unbuildable(f"sample {index}")
 
-        return map_in_order(map_fn, repair, enumerate(replies), self._emit)
+    def sample_rtl_candidates(
+        self,
+        spec_text: str,
+        testbench: VerilogSource,
+        count: int,
+        params: SamplingParams,
+        epoch: int = 0,
+    ) -> list[VerilogSource]:
+        """Step 4 sampling: exactly ``count`` candidate sources, the replies
+        of ``sample_rtl_replies`` repaired one after another by
+        ``repair_sample``.
+
+        The pipeline does not wait for such a list: it submits each
+        ``repair_sample`` to its run executor, and in multi mode step 5
+        starts on a provisional top-K once at least top-K samples settled by
+        their first fix attempt and every other sample has failed it
+        (``pipeline._Run.speculate``).
+        """
+        replies = self.sample_rtl_replies(spec_text, testbench, count, params, epoch)
+        return [self.repair_sample(reply, i, epoch) for i, reply in enumerate(replies)]
 
     def judge(
         self,

@@ -24,6 +24,18 @@ Control flow per run:
    candidate per slot, plus the round index; each slot's lineage root is
    the id it was selected with in step 4 and never changes.
 
+   In multi mode step 5 starts before step 4's stragglers settle
+   (``_Run.speculate``): round 1 runs on the top-K of the samples that
+   settled by their first fix attempt, if there are at least K of them, and
+   round r once every sample still repairing has failed its r-th attempt
+   and that top-K is unchanged. Once every sample has settled, an unchanged
+   top-K confirms the rounds. A straggler that entered it discards them:
+   one ``speculation_discarded`` event, the discarded rounds' debug
+   conversations dropped, and step 5 again from round 1. Those decisions
+   rest on repair outcomes alone, and step 5's events are held until the
+   candidates' and the selection's are out, so the log does not depend on
+   timing.
+
 ``run_pipeline`` builds the event log and one ``_Run``, which holds the
 run's state (team, workdir allocator, the epoch's simulation cache, candidate
 ids) and runs the steps as its methods; the ``RunOutcome`` is built in
@@ -43,20 +55,20 @@ file back to the agent. Only testbenches get the standalone probe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterable, Optional, Protocol
 
 from . import checkpoints
 from .agents import (
-    SYNTAX_FIX_CAP, AgentTeam, NoCodeBlock, PromptLibrary, SyntaxUnfixable,
-    map_in_order, unbuildable,
+    SYNTAX_FIX_CAP, AgentTeam, NoCodeBlock, PromptLibrary, SyntaxUnfixable, unbuildable
 )
 from .checkpoints import DEFAULT_WINDOW_LEN, CheckRecord, CheckTrace, Score, TraceError
 from .errors import EngineError
@@ -124,8 +136,9 @@ class RunConfig:
             raise ValueError("max_tb_regens must be >= 0")
         if self.window_len < 1:
             raise ValueError("window_len must be >= 1")
-        if not 0 < self.sim_timeout < math.inf:  # NaN fails both comparisons
-            raise ValueError("sim_timeout must be finite and > 0")
+        # A bool is no timeout; NaN fails both comparisons.
+        if type(self.sim_timeout) not in (int, float) or not 0 < self.sim_timeout < math.inf:
+            raise ValueError(f"sim_timeout must be finite and > 0, got {self.sim_timeout!r}")
         self.params()  # SamplingParams checks max_tokens
 
     @property
@@ -146,15 +159,22 @@ class RunConfig:
 
 
 def max_llm_calls(config: RunConfig) -> int:
-    """Closed-form upper bound on LLM calls a run can issue."""
+    """Closed-form upper bound on LLM calls a run can issue.
+
+    In multi mode it also counts the debug rounds a displaced speculation
+    discards (see ``_Run.speculate``): at most ``SYNTAX_FIX_CAP - 1`` of them,
+    since round ``SYNTAX_FIX_CAP`` waits for every sample to settle.
+    """
     if config.agent_mode == "vanilla":
         return 1
     s = SYNTAX_FIX_CAP
     epochs = 1 + config.max_tb_regens
     per_epoch = (1 + s) + (1 + s) + 1  # testbench + fixes, initial RTL + fixes, judge
     sampling = config.pool_size * (1 + s)
-    debugging = config.max_debug_rounds * config.top_k * (1 + s)
-    return epochs * per_epoch + sampling + debugging
+    rounds = config.max_debug_rounds
+    if config.agent_mode == "multi":
+        rounds += min(config.max_debug_rounds, s - 1)
+    return epochs * per_epoch + sampling + rounds * config.top_k * (1 + s)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +406,133 @@ class _SimCache:
             return SimEval(Score(0.0), None, "trace_error", str(exc), sim.diagnostics)
 
 
+class HeldEvents:
+    """Events of ``count`` concurrent calls, held per call; ``release`` passes
+    them to ``sink`` in call order, so the event log does not depend on which
+    call finished first. A call still running after the release passes its
+    later events straight to ``sink``."""
+
+    def __init__(self, count: int, sink: Callable[[dict], None]):
+        self.sink = sink
+        self._logs: list[Optional[list[dict]]] = [[] for _ in range(count)]
+        self._lock = threading.Lock()
+
+    def emitter(self, i: int) -> Callable[[dict], None]:
+        """The event sink of call ``i``."""
+
+        def emit(event: dict) -> None:
+            with self._lock:
+                log = self._logs[i]
+                if log is None:
+                    self.sink(event)
+                else:
+                    log.append(event)
+
+        return emit
+
+    def release(self) -> None:
+        with self._lock:
+            for i, events in enumerate(self._logs):
+                self._logs[i] = None
+                for event in events or ():
+                    self.sink(event)
+
+
+def map_in_order(map_fn: Callable, fn: Callable, items: Iterable, sink: Callable) -> list:
+    """``[fn(item, emit) for item in items]`` through ``map_fn``.
+
+    ``map_fn`` must yield results in item order (the run passes its
+    executor's ``map``). Each call's events are held back and passed to
+    ``sink`` in item order once the map ends, even if a call raised (see
+    ``HeldEvents``).
+    """
+    items = list(items)
+    held = HeldEvents(len(items), sink)
+    try:
+        return list(map_fn(lambda i: fn(items[i], held.emitter(i)), range(len(items))))
+    finally:
+        held.release()
+
+
+class _Samples:
+    """Step-4 samples, repaired and scored on the run executor.
+
+    ``repair(i, emit, failed)`` returns sample ``i``'s candidate and calls
+    ``failed(k)`` each time its fix attempt ``k`` leaves it broken. The run
+    thread waits on those reports and on repairs ending, and on nothing that
+    depends on which repair ends first. Each sample's events are held until
+    ``events.release()`` passes them on in sample order.
+    """
+
+    def __init__(
+        self, count: int, repair: Callable, submit: Callable, sink: Callable[[dict], None]
+    ):
+        self.failed = [0] * count  # fix attempts each sample has failed so far
+        self.events = HeldEvents(count, sink)
+        self._cond = cond = threading.Condition()
+
+        def wake(_future: Future) -> None:
+            with cond:
+                cond.notify_all()
+
+        self.futures: list[Future] = []
+        for i in range(count):
+            future = submit(repair, i, self.events.emitter(i), functools.partial(self._fail, i))
+            future.add_done_callback(wake)
+            self.futures.append(future)
+
+    def __len__(self) -> int:
+        return len(self.failed)
+
+    def _fail(self, i: int, attempt: int) -> None:
+        with self._cond:
+            self.failed[i] = attempt
+            self._cond.notify_all()
+
+    def settled(self, attempt: float = math.inf) -> list[Candidate]:
+        """The candidates of the samples that failed fewer than ``attempt``
+        fix attempts, in sample order, once each of them has settled; by
+        default, of every sample.
+
+        A sample still repairing after failing attempt ``attempt`` can only
+        settle later, with as many failures, so the list depends on repair
+        outcomes alone. If one of those samples raised instead, wait for every
+        repair to end and raise the first sample's error.
+        """
+        futures, failed = self.futures, self.failed
+        with self._cond:
+            self._cond.wait_for(
+                lambda: all(f.done() for f, k in zip(futures, failed) if k < attempt)
+            )
+            counted = [f for f, k in zip(futures, failed) if k < attempt]
+        if all(f.exception() is None for f in counted):
+            return [f.result() for f in counted]
+        wait(futures)
+        error = next(f.exception() for f in futures if f.exception() is not None)
+        # The error's traceback holds this frame: drop every path from the
+        # frame back to the error, so the run is freed without the cyclic collector.
+        self.futures = futures = counted = []
+        try:
+            raise error
+        finally:
+            error = None
+
+
+@dataclass
+class _Lineages:
+    """Step 5's state: the selected list, one candidate per slot; each slot's
+    lineage root, the id it was selected with in step 4; the score history,
+    whose last entry is the current round."""
+
+    selected: list[Candidate]
+    roots: list[int]
+    history: list[tuple[int, list[float]]]
+
+    @property
+    def round(self) -> int:
+        return self.history[-1][0]
+
+
 # ---------------------------------------------------------------------------
 # The pipeline
 
@@ -417,7 +564,7 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
         workers = 1 if config.agent_mode == "single" else RUN_WORKERS
         try:
             with ThreadPoolExecutor(max_workers=workers) as executor:
-                status, best, history, testbench = run.execute(executor.map)
+                status, best, history, testbench = run.execute(executor)
         except EngineError as exc:
             events.emit({"event": "outcome", "status": "error", "error": str(exc)})
             calls = run.team.llm_calls if run.team else 0
@@ -473,10 +620,10 @@ class _Run:
         self.ids = itertools.count()
         self.team: Optional[AgentTeam] = None
 
-    def execute(self, map_fn: Callable) -> _Result:
+    def execute(self, executor: ThreadPoolExecutor) -> _Result:
         """Build the team, then run the baseline or steps 1-5; steps 4 and 5
-        fan out through ``map_fn``."""
-        self.map = map_fn
+        fan out on ``executor``."""
+        self.map, self.submit = executor.map, executor.submit
         self.team = AgentTeam(
             backend=self.runtime.backend,
             templates=self.runtime.templates,
@@ -555,58 +702,108 @@ class _Run:
 
     def refine(self, testbench: VerilogSource, epoch: int) -> _Result:
         """Step 4: sample, score and select the top-K; step 5: debug rounds
-        over the selected slots, whose lineage roots are their step-4 ids."""
+        over the selected slots, whose lineage roots are their step-4 ids.
+        Step 5 may start before every sample has settled (``speculate``); its
+        events wait until the candidates' are out."""
         config = self.config
         self.emit({"event": "step", "step": 4, "epoch": epoch})
-        sources = self.team.sample_rtl_candidates(
+        replies = self.team.sample_rtl_replies(
             self.spec,
             testbench,
             config.pool_size,
             config.params(config.profile.temperature, config.profile.top_p),
             epoch=epoch,
-            map_fn=self.map,
         )
-        candidates = []
-        for source in sources:
-            cid = next(self.ids)
-            # A cache hit: the sample's syntax probe already simulated it.
-            evaluation = self.probe.cache.evaluate(source, f"sample_e{epoch}_c{cid}")
-            candidates.append(Candidate(cid, source, evaluation.score, evaluation.trace))
-            score = evaluation.score.value
-            self.emit(
-                {"event": "candidate", "id": cid, "score": score, "sentinel": source.sentinel}
-            )
-        selected = select_top_k(candidates, config.top_k)
-        self.emit({"event": "selection", "ids": [c.id for c in selected]})
-        history: list[tuple[int, list[float]]] = [(0, [c.score.value for c in selected])]
-        self.emit({"event": "round_scores", "round": 0, "scores": history[0][1]})
+        ids = [next(self.ids) for _ in replies]
 
-        roots = [c.id for c in selected]
-        round_index = 0
+        def repair(
+            i: int, emit: Callable[[dict], None], failed: Callable[[int], None]
+        ) -> Candidate:
+            source = self.team.repair_sample(replies[i], i, epoch, emit, failed)
+            # A cache hit: the sample's syntax probe already simulated it.
+            evaluation = self.probe.cache.evaluate(source, f"sample_e{epoch}_c{ids[i]}")
+            return Candidate(ids[i], source, evaluation.score, evaluation.trace)
+
+        samples = _Samples(len(replies), repair, self.submit, self.emit)
+        held: list[dict] = []  # the speculative rounds' events
+        candidates: list[Candidate] = []
+        try:
+            lineages = self.speculate(samples, testbench, held.append)
+            candidates = samples.settled()
+        finally:  # after a failure, the candidate list is empty
+            samples.events.release()
+            for c in candidates:
+                score, sentinel = c.score.value, c.source.sentinel
+                self.emit({"event": "candidate", "id": c.id, "score": score, "sentinel": sentinel})
+            for event in held:
+                self.emit(event)
+        selected = select_top_k(candidates, config.top_k)
+        if lineages is not None and lineages.roots != [c.id for c in selected]:
+            self.emit(
+                {"event": "speculation_discarded", "ids": lineages.roots, "rounds": lineages.round}
+            )
+            self.team.forget(f"conv-debug-c{root}" for root in lineages.roots)
+            lineages = None
+        if lineages is None:
+            lineages = self.select(selected, self.emit)
         while True:
-            done, reason = should_terminate(selected, round_index, config)
+            done, reason = should_terminate(lineages.selected, lineages.round, config)
             if done:
                 break
-            round_index += 1
-            self.emit({"event": "step", "step": 5, "round": round_index})
-            trials = self.debug_round(selected, roots, testbench, round_index)
-            selected = update_selection(selected, trials)
-            scores = [c.score.value for c in selected]
-            history.append((round_index, scores))
-            self.emit({"event": "round_scores", "round": round_index, "scores": scores})
+            self.debug_round(lineages, testbench, self.emit)
+        best = max(lineages.selected, key=lambda c: (c.score.value, -c.id))
+        status = "solved" if reason == "solved" else "budget_exhausted"
+        return status, best, lineages.history, testbench
 
-        best = max(selected, key=lambda c: (c.score.value, -c.id))
-        return ("solved" if reason == "solved" else "budget_exhausted"), best, history, testbench
+    def speculate(
+        self, samples: _Samples, testbench: VerilogSource, emit: Callable[[dict], None]
+    ) -> Optional[_Lineages]:
+        """Step-5 rounds on a provisional top-K while stragglers still repair;
+        None if no round ran.
+
+        Multi mode only, and only when at least top-K samples settled by
+        their first fix attempt and some did not: the provisional top-K is
+        picked from those. Round r starts once round r-1 has not terminated
+        and every sample still repairing has failed fix attempt r, and only
+        if the top-K of the samples that settled by then is still the
+        provisional one. A sample that fails its last attempt settles as a
+        sentinel, so round ``SYNTAX_FIX_CAP`` always waits for every sample.
+        Every decision rests on repair outcomes, never on timing, so a replay
+        issues the same requests as its recording.
+        """
+        config, lineages = self.config, None
+        if config.agent_mode != "multi":
+            return None
+        for attempt in range(1, SYNTAX_FIX_CAP):
+            pool = samples.settled(attempt)
+            if len(pool) == len(samples) or len(pool) < config.top_k:
+                break  # no straggler left, or too few samples to pick from
+            top = select_top_k(pool, config.top_k)
+            if lineages is None:
+                if should_terminate(top, 0, config)[0]:
+                    break
+                lineages = self.select(top, emit)
+            elif [c.id for c in top] != lineages.roots:
+                break  # a straggler displaced the provisional top-K
+            self.debug_round(lineages, testbench, emit)
+            if should_terminate(lineages.selected, lineages.round, config)[0]:
+                break
+        return lineages
+
+    def select(self, selected: list[Candidate], emit: Callable[[dict], None]) -> _Lineages:
+        """Open step 5 on ``selected``: round 0 of its lineages."""
+        emit({"event": "selection", "ids": [c.id for c in selected]})
+        scores = [c.score.value for c in selected]
+        emit({"event": "round_scores", "round": 0, "scores": scores})
+        return _Lineages(selected, [c.id for c in selected], [(0, scores)])
 
     def debug_round(
-        self,
-        selected: list[Candidate],
-        roots: list[int],
-        testbench: VerilogSource,
-        round_index: int,
-    ) -> list[Optional[Candidate]]:
-        """One trial per selected slot; slots without a usable trace skip.
-        ``roots`` holds each slot's lineage root."""
+        self, lineages: _Lineages, testbench: VerilogSource, emit: Callable[[dict], None]
+    ) -> None:
+        """The next round: one trial per selected slot, slots without a usable
+        trace skip; per lineage the better of {trial, original} survives."""
+        round_index = lineages.round + 1
+        emit({"event": "step", "step": 5, "round": round_index})
 
         def make_trial(
             slot: tuple[Candidate, int], emit: Callable[[dict], None]
@@ -641,9 +838,10 @@ class _Run:
                 )
                 return None
 
-        sources = map_in_order(self.map, make_trial, zip(selected, roots), self.emit)
+        slots = zip(lineages.selected, lineages.roots)
+        sources = map_in_order(self.map, make_trial, slots, emit)
         trials: list[Optional[Candidate]] = []
-        for original, source in zip(selected, sources):
+        for original, source in zip(lineages.selected, sources):
             if source is None:
                 trials.append(None)
                 continue
@@ -654,7 +852,7 @@ class _Run:
                 next(self.ids), source, evaluation.score, evaluation.trace, original.id, round_index
             )
             trials.append(trial)
-            self.emit(
+            emit(
                 {
                     "event": "trial",
                     "round": round_index,
@@ -663,7 +861,10 @@ class _Run:
                     "score": trial.score.value,
                 }
             )
-        return trials
+        lineages.selected = update_selection(lineages.selected, trials)
+        scores = [c.score.value for c in lineages.selected]
+        lineages.history.append((round_index, scores))
+        emit({"event": "round_scores", "round": round_index, "scores": scores})
 
     def vanilla(self) -> _Result:
         """One-pass baseline: a single generation, verified only against the

@@ -20,6 +20,7 @@ STATUSES = {"solved", "budget_exhausted", "tb_regen_exhausted", "error"}
 KINDS = (
     "clean",
     "broken_then_fixed",
+    "broken_twice_then_fixed",
     "no_fence",
     "no_module",
     "rtl_faulty",
@@ -45,7 +46,9 @@ class Script:
     """Replies by tag: each tag's kind (and a DUT's behavior) is picked from
     the drawn lists by a hash of the tag, so a tag always gets the same reply
     whichever thread asks first. The first repair of a ``broken_then_fixed``
-    reply is clean."""
+    reply is clean, and the second of a ``broken_twice_then_fixed`` one, so
+    stragglers that settle late, and may displace step 5's provisional
+    top-K, are drawn too."""
 
     def __init__(self, kinds: list[str], behaviors: list[str]):
         self.kinds = kinds
@@ -56,21 +59,22 @@ class Script:
 
     def kind(self, key: str) -> str:
         fix = _FIX_RE.match(key)
-        if fix and fix["k"] == "1":
+        if fix:
             parent = fix["parent"]
             sample = _SAMPLEFIX_RE.match(parent)
             if sample:
                 parent = f"rtl_gen/sample/{sample['epoch']}#{sample['i']}"
-            if self.kind(parent) == "broken_then_fixed":
-                return "clean"
+            fixes = {"broken_then_fixed": 1, "broken_twice_then_fixed": 2}.get(self.kind(parent))
+            if fixes is not None and int(fix["k"]) <= fixes:
+                return "clean" if int(fix["k"]) == fixes else "broken_then_fixed"
         return self.pick(self.kinds, key)
 
     def reply(self, key: str) -> str:
         kind = self.kind(key)
         if kind == "missing":
             raise BackendError(f"no scripted reply for {key!r}")
-        if kind in ("clean", "broken_then_fixed"):
-            err = 3 if kind == "broken_then_fixed" else 0
+        if kind in ("clean", "broken_then_fixed", "broken_twice_then_fixed"):
+            err = 0 if kind == "clean" else 3
             if key.startswith("testbench_gen/"):
                 return fenced(stub_tb() + (f"//ERR:{err}:bad port list\n" if err else ""))
             return fenced(stub_dut(self.pick(self.behaviors, key), err_line=err))
