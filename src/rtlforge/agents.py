@@ -446,16 +446,7 @@ class AgentTeam:
         params: SamplingParams,
         epoch: int = 0,
     ) -> list[VerilogSource]:
-        """Step 4 sampling: exactly ``count`` candidate sources, the replies
-        of ``sample_rtl_replies`` repaired one after another by
-        ``repair_sample``.
-
-        The pipeline does not wait for such a list: it submits each
-        ``repair_sample`` to its run executor, and in multi mode step 5
-        starts on a provisional top-K once at least top-K samples settled by
-        their first fix attempt and every other sample has failed it
-        (``pipeline._Run.speculate``).
-        """
+        """Kept only because ``replaybench/tracing.py`` patches this name; no run calls it."""
         replies = self.sample_rtl_replies(spec_text, testbench, count, params, epoch)
         return [self.repair_sample(reply, i, epoch) for i, reply in enumerate(replies)]
 
@@ -486,11 +477,18 @@ class AgentTeam:
         testbench: VerilogSource,
         round_index: int,
         root_id: int,
+        restart: bool = False,
         emit: Optional[Callable[[dict], None]] = None,
     ) -> VerilogSource:
         """Step 5: one repair attempt on a selected candidate, in its
         lineage's debug thread; ``emit`` receives its events instead of the
-        team's sink."""
+        team's sink.
+
+        ``restart`` marks a round of step 5 run again after a discarded
+        speculation: its tag ends in ``.restart``, so a cassette keys it
+        apart from the discarded round's request, which can be the same
+        conversation word for word.
+        """
         if not window.records:
             raise ValueError("waveform window has no records")
         user = self.templates.render(
@@ -501,5 +499,5 @@ class AgentTeam:
             testbench=testbench.code,
         )
         conv = self.conversation("debug", f"conv-debug-c{root_id}")
-        tag = f"debug/r{round_index}/c{root_id}"
+        tag = f"debug/r{round_index}/c{root_id}" + (".restart" if restart else "")
         return self._turn(conv, user, tag, "dut", candidate.top_module, emit=emit)

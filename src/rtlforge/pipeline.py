@@ -31,10 +31,11 @@ Control flow per run:
    and that top-K is unchanged. Once every sample has settled, an unchanged
    top-K confirms the rounds. A straggler that entered it discards them:
    one ``speculation_discarded`` event, the discarded rounds' debug
-   conversations dropped, and step 5 again from round 1. Those decisions
-   rest on repair outcomes alone, and step 5's events are held until the
-   candidates' and the selection's are out, so the log does not depend on
-   timing.
+   conversations dropped, and step 5 again from round 1, with request tags
+   marked ``.restart``. Those decisions rest on repair outcomes alone, and
+   step 5's events are held until the candidates' and the selection's are
+   out, so the log does not depend on timing. A speculative round that
+   raises still waits for every sample, whose error comes first.
 
 ``run_pipeline`` builds the event log and one ``_Run``, which holds the
 run's state (team, workdir allocator, the epoch's simulation cache, candidate
@@ -497,7 +498,8 @@ class _Samples:
         A sample still repairing after failing attempt ``attempt`` can only
         settle later, with as many failures, so the list depends on repair
         outcomes alone. If one of those samples raised instead, wait for every
-        repair to end and raise the first sample's error.
+        repair to end and raise the first sample's error; the samples are
+        then dropped, and a later call returns [].
         """
         futures, failed = self.futures, self.failed
         with self._cond:
@@ -522,11 +524,13 @@ class _Samples:
 class _Lineages:
     """Step 5's state: the selected list, one candidate per slot; each slot's
     lineage root, the id it was selected with in step 4; the score history,
-    whose last entry is the current round."""
+    whose last entry is the current round; whether step 5 restarted after a
+    discarded speculation."""
 
     selected: list[Candidate]
     roots: list[int]
     history: list[tuple[int, list[float]]]
+    restart: bool = False
 
     @property
     def round(self) -> int:
@@ -725,27 +729,32 @@ class _Run:
             return Candidate(ids[i], source, evaluation.score, evaluation.trace)
 
         samples = _Samples(len(replies), repair, self.submit, self.emit)
-        held: list[dict] = []  # the speculative rounds' events
+        held = HeldEvents(1, self.emit)  # the speculative rounds' events
         candidates: list[Candidate] = []
         try:
-            lineages = self.speculate(samples, testbench, held.append)
-            candidates = samples.settled()
-        finally:  # after a failure, the candidate list is empty
+            try:
+                lineages = self.speculate(samples, testbench, held.emitter(0))
+            finally:
+                # Even after a speculative round failed, every sample settles
+                # first: a sample's error takes precedence, as without
+                # speculation, and no sample event comes after the release.
+                candidates = samples.settled()
+        finally:  # after a sample's failure, the candidate list is empty
             samples.events.release()
             for c in candidates:
                 score, sentinel = c.score.value, c.source.sentinel
                 self.emit({"event": "candidate", "id": c.id, "score": score, "sentinel": sentinel})
-            for event in held:
-                self.emit(event)
+            held.release()
         selected = select_top_k(candidates, config.top_k)
-        if lineages is not None and lineages.roots != [c.id for c in selected]:
+        restart = lineages is not None and lineages.roots != [c.id for c in selected]
+        if restart:
             self.emit(
                 {"event": "speculation_discarded", "ids": lineages.roots, "rounds": lineages.round}
             )
             self.team.forget(f"conv-debug-c{root}" for root in lineages.roots)
             lineages = None
         if lineages is None:
-            lineages = self.select(selected, self.emit)
+            lineages = self.select(selected, self.emit, restart)
         while True:
             done, reason = should_terminate(lineages.selected, lineages.round, config)
             if done:
@@ -790,12 +799,15 @@ class _Run:
                 break
         return lineages
 
-    def select(self, selected: list[Candidate], emit: Callable[[dict], None]) -> _Lineages:
-        """Open step 5 on ``selected``: round 0 of its lineages."""
+    def select(
+        self, selected: list[Candidate], emit: Callable[[dict], None], restart: bool = False
+    ) -> _Lineages:
+        """Open step 5 on ``selected``: round 0 of its lineages; ``restart``
+        after a discarded speculation."""
         emit({"event": "selection", "ids": [c.id for c in selected]})
         scores = [c.score.value for c in selected]
         emit({"event": "round_scores", "round": 0, "scores": scores})
-        return _Lineages(selected, [c.id for c in selected], [(0, scores)])
+        return _Lineages(selected, [c.id for c in selected], [(0, scores)], restart)
 
     def debug_round(
         self, lineages: _Lineages, testbench: VerilogSource, emit: Callable[[dict], None]
@@ -823,6 +835,7 @@ class _Run:
                     testbench,
                     round_index=round_index,
                     root_id=root,
+                    restart=lineages.restart,
                     emit=emit,
                 )
             except (SyntaxUnfixable, NoCodeBlock) as exc:

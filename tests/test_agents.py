@@ -239,18 +239,22 @@ class TestFixSyntax:
 
 
 class TestSampling:
-    def _tb(self):
-        return VerilogSource(kind="testbench", top_module="t", code=stub_tb())
+    def _sample(self, team, count):
+        """Step 4 as a run does it: one sampling request, then each reply
+        through its own repair loop."""
+        tb = VerilogSource(kind="testbench", top_module="t", code=stub_tb())
+        replies = team.sample_rtl_replies("spec", tb, count, team.params)
+        return [team.repair_sample(reply, i) for i, reply in enumerate(replies)]
 
     def test_singleton(self):
         team, _ = make_team({"rtl_gen/sample/e0": [fenced(stub_dut("score:0:4"))]})
-        out = team.sample_rtl_candidates("spec", self._tb(), 1, team.params)
+        out = self._sample(team, 1)
         assert len(out) == 1
 
     def test_twenty_in_recorded_order(self):
         replies = [fenced(stub_dut(f"score:{i}:20", name=f"cand{i}")) for i in range(20)]
         team, _ = make_team({"rtl_gen/sample/e0": replies})
-        out = team.sample_rtl_candidates("spec", self._tb(), 20, team.params)
+        out = self._sample(team, 20)
         assert [s.top_module for s in out] == [f"cand{i}" for i in range(20)]
 
     def test_unfixable_becomes_flagged_sentinel(self):
@@ -260,7 +264,7 @@ class TestSampling:
             fenced(stub_dut("score:0:4", name="ok2")),
         ]
         team, _ = make_team({"rtl_gen/sample/e0": replies})
-        out = team.sample_rtl_candidates("spec", self._tb(), 3, team.params)
+        out = self._sample(team, 3)
         assert len(out) == 3
         assert not out[0].sentinel and not out[2].sentinel
         assert out[1].sentinel
@@ -274,14 +278,14 @@ class TestSampling:
             }
         )
         team, _ = make_team(script)
-        out = team.sample_rtl_candidates("spec", self._tb(), 1, team.params)
+        out = self._sample(team, 1)
         assert out[0].sentinel
 
     @pytest.mark.parametrize("count", [1, 2, 7, 64])
     def test_output_length_always_count(self, count):
         replies = [fenced(stub_dut("score:0:4")) for _ in range(count)]
         team, _ = make_team({"rtl_gen/sample/e0": replies})
-        out = team.sample_rtl_candidates("spec", self._tb(), count, team.params)
+        out = self._sample(team, count)
         assert len(out) == count
 
 

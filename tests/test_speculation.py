@@ -7,9 +7,14 @@ import json
 import threading
 import time
 
+import pytest
+
 from rtlforge.agents import AgentTeam
 from rtlforge.checkpoints import Score
-from rtlforge.gateway import BackendError, LlmResponse, request_key
+from rtlforge.cassette import verify_cassette
+from rtlforge.gateway import (
+    BackendError, CassetteRecorder, LlmResponse, ReplayBackend, request_digest, request_key
+)
 from rtlforge.pipeline import (
     Candidate, EngineRuntime, RunConfig, _SimCache, max_llm_calls, run_pipeline, select_top_k
 )
@@ -142,10 +147,105 @@ def test_displacing_straggler_restarts_step5_on_the_true_top_k(templates, tmp_pa
     def turns(tag):
         return [len(r.messages) for r in backend.requests if r.tag == tag]
 
-    assert turns("debug/r1/c1") == [2, 2]  # discarded, restarted: system + user
-    assert turns("debug/r2/c1") == [4]  # one earlier exchange, the restarted round's
+    # The restarted rounds' tags carry a mark, so a cassette keys the
+    # discarded and the restarted round 1 of root 1 apart.
+    assert turns("debug/r1/c1") == [2]  # discarded: system + user
+    assert turns("debug/r1/c1.restart") == [2]  # restarted, the same two turns
+    assert turns("debug/r2/c1.restart") == [4]  # one earlier exchange, the restarted round's
     assert turns("debug/r1/c2") == [2]
-    assert turns("debug/r1/c4") == [2]
+    assert turns("debug/r1/c4.restart") == [2]
+    assert not any(r.tag.startswith("debug/r2/c2") for r in backend.requests)
+
+
+class DriftingScript(TimedScript):
+    """A model that answers a prompt it has seen before differently: the
+    second time, its debug trial improves on the candidate."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen: set[str] = set()
+
+    def complete(self, request):
+        if request.tag.startswith("debug/") and "/fix" not in request.tag:
+            digest = request_digest(request)
+            with self._lock:
+                again = digest in self.seen
+                self.seen.add(digest)
+            if again:
+                return LlmResponse(completions=(fenced(stub_dut("score:2:16", name="better")),))
+        return super().complete(request)
+
+
+def test_displaced_speculation_records_a_cassette_that_replays_byte_for_byte(
+    templates, tmp_path
+):
+    """The discarded and the restarted round 1 of root 1 ask the same
+    conversation, and the live model answers them differently. The
+    recording keys them apart, and its replay writes the same log."""
+    config = RunConfig(pool_size=4, top_k=2, max_debug_rounds=2)
+    cassette = tmp_path / "cassette.jsonl"
+    recorder = CassetteRecorder(DriftingScript([3, 4, 5, 1], [0, 0, 0, 2], slow_fixes), cassette)
+    recorded, events = run(templates, tmp_path / "recording", recorder, config)
+    recorder.close()
+    assert any(e["event"] == "speculation_discarded" for e in events)
+    problems, keys = verify_cassette(cassette)
+    assert problems == []
+    assert keys == recorded.llm_calls
+
+    replayed, _ = run(templates, tmp_path / "replay", ReplayBackend(cassette), config)
+    log = (tmp_path / "recording" / "events.jsonl").read_bytes()
+    assert (tmp_path / "replay" / "events.jsonl").read_bytes() == log
+    assert b'"score": 0.875' in log  # the restarted trial's drifted answer
+    assert (replayed.status, replayed.llm_calls) == (recorded.status, recorded.llm_calls)
+
+
+class FailingTags(TimedScript):
+    """``failures`` maps a tag to the error message its request fails with."""
+
+    def __init__(self, failures, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.failures = failures
+
+    def reply(self, tag):
+        if tag in self.failures:
+            raise BackendError(self.failures[tag])
+        return super().reply(tag)
+
+
+@pytest.mark.parametrize(
+    "failures, error",
+    [
+        ({"debug/r1/c1": "trial lost"}, "trial lost"),
+        # The straggler's error wins, as it would had round 1 waited for it.
+        ({"debug/r1/c1": "trial lost", "rtl_gen/samplefix/e0/c2/fix2": "no reply"}, "no reply"),
+    ],
+)
+def test_failed_speculative_round_waits_for_the_stragglers(templates, tmp_path, failures, error):
+    """A speculative round 1 fails while sample 2 still repairs: the run
+    waits for every sample before it ends as an error, logs every call and
+    each candidate before step 5, and nothing of the run outlives it."""
+    config = RunConfig(pool_size=3, top_k=2, max_debug_rounds=2)
+    backend = FailingTags(failures, [3, 4, 5], [0, 0, 3], slow_fixes)
+    gc.collect()
+    gc.disable()
+    try:
+        outcome, events = run(templates, tmp_path / "run", backend, config)
+        alive = [o for o in gc.get_objects() if isinstance(o, (AgentTeam, _SimCache))]
+    finally:
+        gc.enable()
+    assert alive == []
+    assert outcome.status == "error" and error in outcome.error
+    assert outcome.llm_calls == sum(e["event"] == "llm_call" for e in events)
+    assert events[-1]["event"] == "outcome"
+    kinds = [e["event"] for e in events]
+    fixes = [e["tag"] for e in events if "/samplefix/" in e.get("tag", "")]
+    if "rtl_gen/samplefix/e0/c2/fix2" in failures:
+        assert "candidate" not in kinds
+        assert fixes == ["rtl_gen/samplefix/e0/c2/fix1"]
+    else:
+        assert kinds.count("candidate") == 3
+        assert kinds.index("selection") > max(i for i, k in enumerate(kinds) if k == "candidate")
+        assert fixes == [f"rtl_gen/samplefix/e0/c2/fix{k}" for k in (1, 2, 3)]
 
 
 def test_too_few_early_samples_run_no_speculative_round(templates, tmp_path):
