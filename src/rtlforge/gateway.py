@@ -342,7 +342,8 @@ class NamespacedBackend:
 @dataclass(frozen=True)
 class RetryPolicy:
     # Exponential backoff on transport errors and HTTP 429/5xx only; a
-    # longer Retry-After from the endpoint wins over the backoff delay.
+    # longer Retry-After from the endpoint wins over the backoff delay, and
+    # one longer than HTTP_TIMEOUT_S ends the retries.
     base_delay: float = 1.0
     factor: float = 2.0
     max_attempts: int = 5
@@ -371,6 +372,11 @@ def complete(
             if attempts >= retry.max_attempts:
                 raise RateLimitExhausted(
                     f"gave up after {attempts} attempts: {exc}"
+                ) from exc
+            if (exc.retry_after or 0.0) > HTTP_TIMEOUT_S:
+                raise RateLimitExhausted(
+                    f"gave up after {attempts} attempts: the endpoint asked to wait "
+                    f"{exc.retry_after:g} s, over the {HTTP_TIMEOUT_S:g} s limit"
                 ) from exc
             time.sleep(max(delay, exc.retry_after or 0.0))
             delay *= retry.factor

@@ -33,16 +33,17 @@ Control flow per run:
    one ``speculation_discarded`` event, the discarded rounds' debug
    conversations dropped, and step 5 again from round 1, with request tags
    marked ``.restart``. Those decisions rest on repair outcomes alone, and
-   step 5's events are held until the candidates' and the selection's are
-   out, so the log does not depend on timing. A speculative round that
-   raises still waits for every sample, whose error comes first.
+   the speculative rounds' events are logged after the candidates', so the
+   log does not depend on timing. A speculative round that raises still
+   waits for every sample, whose error comes first.
 
 ``run_pipeline`` builds the event log and one ``_Run``, which holds the
 run's state (team, workdir allocator, the epoch's simulation cache, candidate
 ids) and runs the steps as its methods; the ``RunOutcome`` is built in
 ``run_pipeline`` alone. Steps 4 and 5 fan out on one executor per run with
 ``RUN_WORKERS`` (8) workers, or one in single-agent mode, whose roles share
-one conversation.
+one conversation. Each fan-out is one ``_Batch``: its events and its error
+come out only after all of its calls have ended, in call order.
 
 Every simulation gets its own flat workdir name under ``<transcript>/sim/``
 (``sim/rtl_gen.samplefix.e0.c3.check0.a0``), which only a toolchain that
@@ -124,6 +125,8 @@ class RunConfig:
                      "max_tokens"):
             if type(getattr(self, name)) is not int:  # a bool is no count
                 raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        if self.seed is not None and type(self.seed) is not int:
+            raise ValueError(f"seed must be an int or None, got {self.seed!r}")
         if not isinstance(self.fanout_sampling, bool):
             raise ValueError(f"fanout_sampling must be a bool, got {self.fanout_sampling!r}")
         if not (1 <= self.pool_size <= MAX_COMPLETIONS):
@@ -407,69 +410,22 @@ class _SimCache:
             return SimEval(Score(0.0), None, "trace_error", str(exc), sim.diagnostics)
 
 
-class HeldEvents:
-    """Events of ``count`` concurrent calls, held per call; ``release`` passes
-    them to ``sink`` in call order, so the event log does not depend on which
-    call finished first. A call still running after the release passes its
-    later events straight to ``sink``."""
+class _Batch:
+    """``fn(item, emit, failed)`` for each of ``items``, run concurrently on
+    ``submit``. ``emit`` is the call's event sink; ``failed(k)`` reports
+    that the call's fix attempt ``k`` left it broken, which ``settled``
+    waits on (step 4's samples).
 
-    def __init__(self, count: int, sink: Callable[[dict], None]):
+    One rule: the batch's events go to ``sink``, in item order, and its first
+    error (in item order) is raised, only after every call in the batch has
+    ended. So neither the log nor the error depends on which call ends first.
+    """
+
+    def __init__(self, fn: Callable, items: Iterable, submit: Callable, sink: Callable):
+        items = list(items)
         self.sink = sink
-        self._logs: list[Optional[list[dict]]] = [[] for _ in range(count)]
-        self._lock = threading.Lock()
-
-    def emitter(self, i: int) -> Callable[[dict], None]:
-        """The event sink of call ``i``."""
-
-        def emit(event: dict) -> None:
-            with self._lock:
-                log = self._logs[i]
-                if log is None:
-                    self.sink(event)
-                else:
-                    log.append(event)
-
-        return emit
-
-    def release(self) -> None:
-        with self._lock:
-            for i, events in enumerate(self._logs):
-                self._logs[i] = None
-                for event in events or ():
-                    self.sink(event)
-
-
-def map_in_order(map_fn: Callable, fn: Callable, items: Iterable, sink: Callable) -> list:
-    """``[fn(item, emit) for item in items]`` through ``map_fn``.
-
-    ``map_fn`` must yield results in item order (the run passes its
-    executor's ``map``). Each call's events are held back and passed to
-    ``sink`` in item order once the map ends, even if a call raised (see
-    ``HeldEvents``).
-    """
-    items = list(items)
-    held = HeldEvents(len(items), sink)
-    try:
-        return list(map_fn(lambda i: fn(items[i], held.emitter(i)), range(len(items))))
-    finally:
-        held.release()
-
-
-class _Samples:
-    """Step-4 samples, repaired and scored on the run executor.
-
-    ``repair(i, emit, failed)`` returns sample ``i``'s candidate and calls
-    ``failed(k)`` each time its fix attempt ``k`` leaves it broken. The run
-    thread waits on those reports and on repairs ending, and on nothing that
-    depends on which repair ends first. Each sample's events are held until
-    ``events.release()`` passes them on in sample order.
-    """
-
-    def __init__(
-        self, count: int, repair: Callable, submit: Callable, sink: Callable[[dict], None]
-    ):
-        self.failed = [0] * count  # fix attempts each sample has failed so far
-        self.events = HeldEvents(count, sink)
+        self.failed = [0] * len(items)  # fix attempts each call has failed so far
+        self.logs: list[list[dict]] = [[] for _ in items]
         self._cond = cond = threading.Condition()
 
         def wake(_future: Future) -> None:
@@ -477,8 +433,8 @@ class _Samples:
                 cond.notify_all()
 
         self.futures: list[Future] = []
-        for i in range(count):
-            future = submit(repair, i, self.events.emitter(i), functools.partial(self._fail, i))
+        for i, item in enumerate(items):
+            future = submit(fn, item, self.logs[i].append, functools.partial(self._fail, i))
             future.add_done_callback(wake)
             self.futures.append(future)
 
@@ -490,16 +446,14 @@ class _Samples:
             self.failed[i] = attempt
             self._cond.notify_all()
 
-    def settled(self, attempt: float = math.inf) -> list[Candidate]:
-        """The candidates of the samples that failed fewer than ``attempt``
-        fix attempts, in sample order, once each of them has settled; by
-        default, of every sample.
+    def settled(self, attempt: int) -> list:
+        """The results of the calls that failed fewer than ``attempt`` fix
+        attempts, in item order, once each of them has ended; [] if one of
+        them raised.
 
-        A sample still repairing after failing attempt ``attempt`` can only
-        settle later, with as many failures, so the list depends on repair
-        outcomes alone. If one of those samples raised instead, wait for every
-        repair to end and raise the first sample's error; the samples are
-        then dropped, and a later call returns [].
+        A call still running after failing attempt ``attempt`` can only end
+        later, with as many failures, so the list depends on the calls'
+        outcomes alone.
         """
         futures, failed = self.futures, self.failed
         with self._cond:
@@ -507,13 +461,23 @@ class _Samples:
                 lambda: all(f.done() for f, k in zip(futures, failed) if k < attempt)
             )
             counted = [f for f, k in zip(futures, failed) if k < attempt]
-        if all(f.exception() is None for f in counted):
-            return [f.result() for f in counted]
-        wait(futures)
-        error = next(f.exception() for f in futures if f.exception() is not None)
+        if any(f.exception() is not None for f in counted):
+            return []
+        return [f.result() for f in counted]
+
+    def results(self) -> list:
+        """Every call's result, in item order, once all have ended and their
+        events are logged; raises the first call's error instead, if one raised."""
+        wait(self.futures)
+        for log in self.logs:
+            for event in log:
+                self.sink(event)
+        error = next((f.exception() for f in self.futures if f.exception() is not None), None)
+        if error is None:
+            return [f.result() for f in self.futures]
         # The error's traceback holds this frame: drop every path from the
         # frame back to the error, so the run is freed without the cyclic collector.
-        self.futures = futures = counted = []
+        self.futures = []
         try:
             raise error
         finally:
@@ -627,7 +591,7 @@ class _Run:
     def execute(self, executor: ThreadPoolExecutor) -> _Result:
         """Build the team, then run the baseline or steps 1-5; steps 4 and 5
         fan out on ``executor``."""
-        self.map, self.submit = executor.map, executor.submit
+        self.submit = executor.submit
         self.team = AgentTeam(
             backend=self.runtime.backend,
             templates=self.runtime.templates,
@@ -707,8 +671,10 @@ class _Run:
     def refine(self, testbench: VerilogSource, epoch: int) -> _Result:
         """Step 4: sample, score and select the top-K; step 5: debug rounds
         over the selected slots, whose lineage roots are their step-4 ids.
-        Step 5 may start before every sample has settled (``speculate``); its
-        events wait until the candidates' are out."""
+        Step 5 may start before every sample has settled (``speculate``).
+        The samples are one batch, whose events and error come out only after
+        every sample has ended; then the candidates are logged, and only then
+        the speculative rounds' events."""
         config = self.config
         self.emit({"event": "step", "step": 4, "epoch": epoch})
         replies = self.team.sample_rtl_replies(
@@ -728,23 +694,23 @@ class _Run:
             evaluation = self.probe.cache.evaluate(source, f"sample_e{epoch}_c{ids[i]}")
             return Candidate(ids[i], source, evaluation.score, evaluation.trace)
 
-        samples = _Samples(len(replies), repair, self.submit, self.emit)
-        held = HeldEvents(1, self.emit)  # the speculative rounds' events
+        samples = _Batch(repair, range(len(replies)), self.submit, self.emit)
+        speculated: list[dict] = []  # the speculative rounds' events
         candidates: list[Candidate] = []
         try:
             try:
-                lineages = self.speculate(samples, testbench, held.emitter(0))
+                lineages = self.speculate(samples, testbench, speculated.append)
             finally:
-                # Even after a speculative round failed, every sample settles
+                # Even after a speculative round failed, every sample ends
                 # first: a sample's error takes precedence, as without
-                # speculation, and no sample event comes after the release.
-                candidates = samples.settled()
+                # speculation.
+                candidates = samples.results()
         finally:  # after a sample's failure, the candidate list is empty
-            samples.events.release()
             for c in candidates:
                 score, sentinel = c.score.value, c.source.sentinel
                 self.emit({"event": "candidate", "id": c.id, "score": score, "sentinel": sentinel})
-            held.release()
+            for event in speculated:
+                self.emit(event)
         selected = select_top_k(candidates, config.top_k)
         restart = lineages is not None and lineages.roots != [c.id for c in selected]
         if restart:
@@ -765,7 +731,7 @@ class _Run:
         return status, best, lineages.history, testbench
 
     def speculate(
-        self, samples: _Samples, testbench: VerilogSource, emit: Callable[[dict], None]
+        self, samples: _Batch, testbench: VerilogSource, emit: Callable[[dict], None]
     ) -> Optional[_Lineages]:
         """Step-5 rounds on a provisional top-K while stragglers still repair;
         None if no round ran.
@@ -778,7 +744,10 @@ class _Run:
         provisional one. A sample that fails its last attempt settles as a
         sentinel, so round ``SYNTAX_FIX_CAP`` always waits for every sample.
         Every decision rests on repair outcomes, never on timing, so a replay
-        issues the same requests as its recording.
+        issues the same requests as its recording. If a counted sample
+        raised, no further round starts. Each round's trials are one batch,
+        whose events (to ``emit``) and error come out only after all of its
+        trials have ended.
         """
         config, lineages = self.config, None
         if config.agent_mode != "multi":
@@ -818,7 +787,7 @@ class _Run:
         emit({"event": "step", "step": 5, "round": round_index})
 
         def make_trial(
-            slot: tuple[Candidate, int], emit: Callable[[dict], None]
+            slot: tuple[Candidate, int], emit: Callable[[dict], None], _failed: Callable
         ) -> Optional[VerilogSource]:
             candidate, root = slot
             if candidate.trace is None:
@@ -852,7 +821,7 @@ class _Run:
                 return None
 
         slots = zip(lineages.selected, lineages.roots)
-        sources = map_in_order(self.map, make_trial, slots, emit)
+        sources = _Batch(make_trial, slots, self.submit, emit).results()
         trials: list[Optional[Candidate]] = []
         for original, source in zip(lineages.selected, sources):
             if source is None:

@@ -1,0 +1,105 @@
+"""How ``tools/bench_pairs.py`` judges a change against its parent: the
+change's wins per pair, and whether its median gain exceeds the parent's
+interquartile range, each in the direction BENCHMARK.json declares."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def workload(tool, baseline: dict, change: dict) -> dict:
+    """A workload as ``e2e`` writes it. Each side maps a metric to its value
+    in each pair; a metric it does not name reads 1.0 in every run."""
+    out = {}
+    for side, values in (("baseline", baseline), ("change", change)):
+        pairs = len(next(iter(values.values())))
+        runs = [
+            {m: values.get(m, [1.0] * pairs)[i] for m in tool.E2E_METRICS} for i in range(pairs)
+        ]
+        summary = {m: tool.summary([r[m] for r in runs]) for m in tool.E2E_METRICS}
+        out[side] = {"runs": runs, "summary": summary}
+    return out
+
+
+def runs_of(data: dict) -> dict:
+    return {side: data[side]["runs"] for side in ("baseline", "change")}
+
+
+def test_directions_come_from_the_declared_benchmark(tool):
+    assert tool.BETTER["wall_s"] == "lower"
+    assert tool.BETTER["pass_at_1"] == "higher"
+
+
+def test_wins_count_strictly_better_pairs_and_ties_for_neither(tool):
+    data = workload(
+        tool,
+        {"wall_s": [3.0, 3.0, 3.0, 3.0], "pass_at_1": [0.5, 0.5, 0.5, 0.5]},
+        {"wall_s": [2.5, 3.0, 3.5, 2.0], "pass_at_1": [0.75, 0.5, 0.25, 0.75]},
+    )
+    runs = runs_of(data)
+    # Lower is better: 2.5 and 2.0 win, 3.0 ties, 3.5 loses.
+    assert tool.wins(runs, "wall_s") == 2
+    # Higher is better: both 0.75 win, 0.5 ties, 0.25 loses.
+    assert tool.wins(runs, "pass_at_1") == 2
+    swapped = {"baseline": runs["change"], "change": runs["baseline"]}
+    assert tool.wins(swapped, "wall_s") == 1
+    assert tool.wins(swapped, "pass_at_1") == 1
+    # Every metric left at 1.0 ties in every pair.
+    assert tool.wins(runs, "llm_calls") == 0
+
+
+@pytest.mark.parametrize(
+    "change, gain, exceeds",
+    [
+        ([1.0, 2.0, 3.0, 4.0, 5.0], 3.0, True),
+        # A gain equal to the parent's IQR (7 - 5) is not enough.
+        ([3.0, 4.0, 4.0, 5.0, 6.0], 2.0, False),
+        ([7.0, 8.0, 9.0, 10.0, 11.0], -3.0, False),
+    ],
+)
+def test_lower_metric_gain_is_judged_against_the_parent_iqr(tool, change, gain, exceeds):
+    data = workload(tool, {"wall_s": [4.0, 5.0, 6.0, 7.0, 8.0]}, {"wall_s": change})
+    row = tool.compare(data)["wall_s"]
+    assert row["better"] == "lower"
+    assert (row["baseline_median"], row["baseline_iqr"]) == (6.0, 2.0)
+    assert row["median_gain"] == gain
+    assert row["gain_exceeds_baseline_iqr"] is exceeds
+    assert row["change_wins"] == tool.wins(runs_of(data), "wall_s")
+
+
+@pytest.mark.parametrize(
+    "change, gain, exceeds, wins",
+    [
+        ([0.75] * 5, 0.25, True, 4),
+        # Same median, zero parent IQR: no gain, one win, three ties.
+        ([0.5] * 5, 0.0, False, 1),
+        ([0.25] * 5, -0.25, False, 0),
+    ],
+)
+def test_higher_metric_gain_is_judged_against_the_parent_iqr(tool, change, gain, exceeds, wins):
+    data = workload(tool, {"pass_at_1": [0.25, 0.5, 0.5, 0.5, 0.75]}, {"pass_at_1": change})
+    row = tool.compare(data)["pass_at_1"]
+    assert row["better"] == "higher"
+    assert (row["baseline_median"], row["baseline_iqr"]) == (0.5, 0.0)
+    assert row["median_gain"] == gain
+    assert row["gain_exceeds_baseline_iqr"] is exceeds
+    assert row["change_wins"] == wins
+
+
+def test_compare_reports_every_declared_metric(tool):
+    data = workload(tool, {"wall_s": [1.0, 1.0]}, {"wall_s": [1.0, 1.0]})
+    rows = tool.compare(data)
+    assert set(rows) == set(tool.E2E_METRICS)
+    assert not any(row["gain_exceeds_baseline_iqr"] for row in rows.values())
+    assert all(row["change_wins"] == 0 for row in rows.values())

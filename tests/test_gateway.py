@@ -506,6 +506,23 @@ class TestHttpBackend:
         # The first 429 carries Retry-After; the second does not.
         assert sleeps == slept
 
+    @pytest.mark.parametrize("retry_after", ["86400", "9" * 20])
+    def test_429_retry_after_beyond_the_request_timeout_gives_up(
+        self, stub_endpoint, monkeypatch, retry_after
+    ):
+        import rtlforge.gateway as gateway
+
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        _StubHandler.script = [429, 200]
+        _StubHandler.retry_after = retry_after
+        sleeps = []
+        monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+        backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
+        with pytest.raises(RateLimitExhausted) as err:
+            complete(make_request(), backend, RetryPolicy(base_delay=0.5, max_attempts=5))
+        assert f"wait {float(retry_after):g} s" in str(err.value)
+        assert sleeps == [] and len(_StubHandler.requests) == 1
+
     def test_retry_after_on_5xx_is_ignored(self, stub_endpoint, monkeypatch):
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
         _StubHandler.script = [503]

@@ -228,7 +228,8 @@ class TestRunConfig:
         "field, value",
         [("pool_size", 2.5), ("top_k", True), ("window_len", "8"), ("max_tokens", 1.0),
          ("fanout_sampling", "no"), ("fanout_sampling", 1), ("sim_timeout", float("nan")),
-         ("sim_timeout", float("inf")), ("sim_timeout", True)],
+         ("sim_timeout", float("inf")), ("sim_timeout", True), ("seed", True), ("seed", 1.5),
+         ("seed", "7")],
     )
     def test_mistyped_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -221,31 +221,42 @@ class FailingTags(TimedScript):
     ],
 )
 def test_failed_speculative_round_waits_for_the_stragglers(templates, tmp_path, failures, error):
-    """A speculative round 1 fails while sample 2 still repairs: the run
-    waits for every sample before it ends as an error, logs every call and
-    each candidate before step 5, and nothing of the run outlives it."""
+    """A speculative round 1 fails while sample 2 still repairs (slow fixes),
+    or after sample 2 has ended (slow trials). Either way the run waits for
+    every sample before it ends as an error, logs every call and each
+    candidate before step 5, writes the same log, and nothing of the run
+    outlives it."""
     config = RunConfig(pool_size=3, top_k=2, max_debug_rounds=2)
-    backend = FailingTags(failures, [3, 4, 5], [0, 0, 3], slow_fixes)
-    gc.collect()
-    gc.disable()
-    try:
-        outcome, events = run(templates, tmp_path / "run", backend, config)
-        alive = [o for o in gc.get_objects() if isinstance(o, (AgentTeam, _SimCache))]
-    finally:
-        gc.enable()
-    assert alive == []
-    assert outcome.status == "error" and error in outcome.error
-    assert outcome.llm_calls == sum(e["event"] == "llm_call" for e in events)
-    assert events[-1]["event"] == "outcome"
-    kinds = [e["event"] for e in events]
-    fixes = [e["tag"] for e in events if "/samplefix/" in e.get("tag", "")]
-    if "rtl_gen/samplefix/e0/c2/fix2" in failures:
-        assert "candidate" not in kinds
-        assert fixes == ["rtl_gen/samplefix/e0/c2/fix1"]
-    else:
-        assert kinds.count("candidate") == 3
-        assert kinds.index("selection") > max(i for i, k in enumerate(kinds) if k == "candidate")
-        assert fixes == [f"rtl_gen/samplefix/e0/c2/fix{k}" for k in (1, 2, 3)]
+    schedules = {
+        "slow_fixes": slow_fixes,
+        "slow_trials": lambda tag: 0.05 if tag.startswith("debug/") else 0.0,
+    }
+    logs = {}
+    for name, delay in schedules.items():
+        backend = FailingTags(failures, [3, 4, 5], [0, 0, 3], delay)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome, events = run(templates, tmp_path / name, backend, config)
+            alive = [o for o in gc.get_objects() if isinstance(o, (AgentTeam, _SimCache))]
+        finally:
+            gc.enable()
+        assert alive == []
+        assert outcome.status == "error" and error in outcome.error
+        assert outcome.llm_calls == sum(e["event"] == "llm_call" for e in events)
+        assert events[-1]["event"] == "outcome"
+        kinds = [e["event"] for e in events]
+        fixes = [e["tag"] for e in events if "/samplefix/" in e.get("tag", "")]
+        if "rtl_gen/samplefix/e0/c2/fix2" in failures:
+            assert "candidate" not in kinds
+            assert fixes == ["rtl_gen/samplefix/e0/c2/fix1"]
+        else:
+            assert kinds.count("candidate") == 3
+            last_candidate = max(i for i, k in enumerate(kinds) if k == "candidate")
+            assert kinds.index("selection") > last_candidate
+            assert fixes == [f"rtl_gen/samplefix/e0/c2/fix{k}" for k in (1, 2, 3)]
+        logs[name] = ((tmp_path / name / "events.jsonl").read_bytes(), outcome.llm_calls)
+    assert logs["slow_fixes"] == logs["slow_trials"]
 
 
 def test_too_few_early_samples_run_no_speculative_round(templates, tmp_path):
