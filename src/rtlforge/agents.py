@@ -297,7 +297,7 @@ class AgentTeam:
         conv: Conversation,
         parent_tag: str,
         emit: Optional[Callable[[dict], None]] = None,
-        failed: Optional[Callable[[int], None]] = None,
+        failed: Optional[Callable[[int], bool]] = None,
     ) -> VerilogSource:
         """Compile; while broken, ask the owning agent to repair; cap 5 asks.
 
@@ -305,7 +305,8 @@ class AgentTeam:
         SyntaxUnfixable when the cap is reached with errors remaining.
         ``emit`` receives the loop's events instead of the team's sink;
         ``failed(k)`` is called when repair attempt ``k`` leaves the source
-        broken.
+        broken, and may wait; if it returns False, the loop asks for no
+        more repairs and raises SyntaxUnfixable.
         """
         if source.kind == "testbench":
             fix_role = "testbench_gen"
@@ -333,8 +334,8 @@ class AgentTeam:
                 diagnostics = self.syntax_checker(current, f"{parent_tag}/check{k}")
                 if not diagnostics:
                     return current
-            if failed is not None:
-                failed(k)
+            if failed is not None and not failed(k):
+                break
         raise SyntaxUnfixable(diagnostics)
 
     # -- role operations ------------------------------------------------------
@@ -421,12 +422,12 @@ class AgentTeam:
         index: int,
         epoch: int = 0,
         emit: Optional[Callable[[dict], None]] = None,
-        failed: Optional[Callable[[int], None]] = None,
+        failed: Optional[Callable[[int], bool]] = None,
     ) -> VerilogSource:
         """Sample ``index``'s reply through the repair loop, in the sample's
-        own repair conversation. A sample whose syntax cannot be repaired becomes a
-        flagged sentinel, so the pool keeps its size. ``emit`` and ``failed``
-        go to ``fix_syntax``."""
+        own repair conversation. A sample whose syntax cannot be repaired, or
+        whose repair ``failed`` stops, becomes a flagged sentinel, so the pool
+        keeps its size. ``emit`` and ``failed`` go to ``fix_syntax``."""
         try:
             return self.fix_syntax(
                 self._source(reply, "dut"),

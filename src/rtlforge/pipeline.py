@@ -28,8 +28,13 @@ Control flow per run:
    (``_Run.speculate``): round 1 runs on the top-K of the samples that
    settled by their first fix attempt, if there are at least K of them, and
    round r once every sample still repairing has failed its r-th attempt
-   and that top-K is unchanged. Once every sample has settled, an unchanged
-   top-K confirms the rounds. A straggler that entered it discards them:
+   and that top-K is unchanged. A straggler that failed attempt 1 starts
+   attempt 2 with round 1, and one that failed attempt r > 1 starts attempt
+   r+1 once round r-1 has ended. A perfect score among the samples settled
+   by attempt 1 (however many), or in a speculative round, solves the run:
+   the stragglers still broken stop as sentinels, and the rounds stand. Else,
+   once every sample has settled, an unchanged top-K confirms the rounds,
+   and a straggler that entered it discards them:
    one ``speculation_discarded`` event, the discarded rounds' debug
    conversations dropped, and step 5 again from round 1, with request tags
    marked ``.restart``. Those decisions rest on repair outcomes alone, and
@@ -41,9 +46,9 @@ Control flow per run:
 run's state (team, workdir allocator, the epoch's simulation cache, candidate
 ids) and runs the steps as its methods; the ``RunOutcome`` is built in
 ``run_pipeline`` alone. Steps 4 and 5 fan out on one executor per run with
-``RUN_WORKERS`` (8) workers, or one in single-agent mode, whose roles share
-one conversation. Each fan-out is one ``_Batch``: its events and its error
-come out only after all of its calls have ended, in call order.
+one worker per sample, or one in single-agent mode, whose roles share one
+conversation. Each fan-out is one ``_Batch``: its events and its error come
+out only after all of its calls have ended, in call order.
 
 Every simulation gets its own flat workdir name under ``<transcript>/sim/``
 (``sim/rtl_gen.samplefix.e0.c3.check0.a0``), which only a toolchain that
@@ -414,18 +419,28 @@ class _Batch:
     """``fn(item, emit, failed)`` for each of ``items``, run concurrently on
     ``submit``. ``emit`` is the call's event sink; ``failed(k)`` reports
     that the call's fix attempt ``k`` left it broken, which ``settled``
-    waits on (step 4's samples).
+    waits on (step 4's samples), and returns whether the call goes on.
 
     One rule: the batch's events go to ``sink``, in item order, and its first
     error (in item order) is raised, only after every call in the batch has
     ended. So neither the log nor the error depends on which call ends first.
+
+    A ``paced`` batch holds a call that failed attempt ``k`` (below
+    ``SYNTAX_FIX_CAP``) in ``failed(k)`` until ``decide(k)`` or ``release``,
+    which its caller must reach. A call that failed attempt ``stop`` or
+    later stops; ``release(stop)`` sets it once, together with the decision
+    that stop marks.
     """
 
-    def __init__(self, fn: Callable, items: Iterable, submit: Callable, sink: Callable):
+    def __init__(
+        self, fn: Callable, items: Iterable, submit: Callable, sink: Callable, paced: bool = False
+    ):
         items = list(items)
         self.sink = sink
         self.failed = [0] * len(items)  # fix attempts each call has failed so far
         self.logs: list[list[dict]] = [[] for _ in items]
+        self.decided = 0 if paced else math.inf  # fix attempts whose decision is made
+        self.stop = math.inf
         self._cond = cond = threading.Condition()
 
         def wake(_future: Future) -> None:
@@ -441,9 +456,25 @@ class _Batch:
     def __len__(self) -> int:
         return len(self.failed)
 
-    def _fail(self, i: int, attempt: int) -> None:
+    def _fail(self, i: int, attempt: int) -> bool:
         with self._cond:
             self.failed[i] = attempt
+            self._cond.notify_all()
+            if attempt < SYNTAX_FIX_CAP:
+                self._cond.wait_for(lambda: self.decided >= attempt)
+            return attempt < self.stop
+
+    def decide(self, attempt: int) -> None:
+        """Let the calls that failed ``attempt`` start their next attempt."""
+        with self._cond:
+            self.decided = attempt
+            self._cond.notify_all()
+
+    def release(self, stop: float = math.inf) -> None:
+        """Decide every attempt: the calls that failed attempt ``stop`` or
+        later stop, the others go on."""
+        with self._cond:
+            self.decided, self.stop = math.inf, stop
             self._cond.notify_all()
 
     def settled(self, attempt: int) -> list:
@@ -504,8 +535,6 @@ class _Lineages:
 # ---------------------------------------------------------------------------
 # The pipeline
 
-RUN_WORKERS = 8  # the run executor's workers; single-agent mode uses one
-
 # What each of a run's paths ends with: (status, best, score history, testbench).
 _Result = tuple[str, Optional[Candidate], list[tuple[int, list[float]]], Optional[VerilogSource]]
 
@@ -528,8 +557,10 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
         )
         run = _Run(problem, config, runtime, events)
         # No task on this executor may queue work on it and wait for that work:
-        # at one worker the run would deadlock.
-        workers = 1 if config.agent_mode == "single" else RUN_WORKERS
+        # at one worker the run would deadlock. A sample waiting for a step-5
+        # decision holds its worker, and a round starts only once top-K
+        # samples have ended, so one worker per sample leaves room for its trials.
+        workers = 1 if config.agent_mode == "single" else config.pool_size
         try:
             with ThreadPoolExecutor(max_workers=workers) as executor:
                 status, best, history, testbench = run.execute(executor)
@@ -674,7 +705,9 @@ class _Run:
         Step 5 may start before every sample has settled (``speculate``).
         The samples are one batch, whose events and error come out only after
         every sample has ended; then the candidates are logged, and only then
-        the speculative rounds' events."""
+        the speculative rounds' events. Speculative rounds that solved the
+        run stand as they are; other speculative rounds stand only if the
+        true top-K is the provisional one."""
         config = self.config
         self.emit({"event": "step", "step": 4, "epoch": epoch})
         replies = self.team.sample_rtl_replies(
@@ -687,14 +720,14 @@ class _Run:
         ids = [next(self.ids) for _ in replies]
 
         def repair(
-            i: int, emit: Callable[[dict], None], failed: Callable[[int], None]
+            i: int, emit: Callable[[dict], None], failed: Callable[[int], bool]
         ) -> Candidate:
             source = self.team.repair_sample(replies[i], i, epoch, emit, failed)
             # A cache hit: the sample's syntax probe already simulated it.
             evaluation = self.probe.cache.evaluate(source, f"sample_e{epoch}_c{ids[i]}")
             return Candidate(ids[i], source, evaluation.score, evaluation.trace)
 
-        samples = _Batch(repair, range(len(replies)), self.submit, self.emit)
+        samples = _Batch(repair, range(len(replies)), self.submit, self.emit, paced=True)
         speculated: list[dict] = []  # the speculative rounds' events
         candidates: list[Candidate] = []
         try:
@@ -712,7 +745,13 @@ class _Run:
             for event in speculated:
                 self.emit(event)
         selected = select_top_k(candidates, config.top_k)
-        restart = lineages is not None and lineages.roots != [c.id for c in selected]
+        # A speculative solve ends the run on its own rounds, as a perfect
+        # score does in step 2; other rounds stand only on the true top-K.
+        restart = (
+            lineages is not None
+            and samples.stop == math.inf
+            and lineages.roots != [c.id for c in selected]
+        )
         if restart:
             self.emit(
                 {"event": "speculation_discarded", "ids": lineages.roots, "rounds": lineages.round}
@@ -743,29 +782,48 @@ class _Run:
         if the top-K of the samples that settled by then is still the
         provisional one. A sample that fails its last attempt settles as a
         sentinel, so round ``SYNTAX_FIX_CAP`` always waits for every sample.
-        Every decision rests on repair outcomes, never on timing, so a replay
-        issues the same requests as its recording. If a counted sample
-        raised, no further round starts. Each round's trials are one batch,
-        whose events (to ``emit``) and error come out only after all of its
-        trials have ended.
+        If a counted sample raised, no further round starts.
+
+        The samples are paced against these decisions, which is what lets a
+        solve stop them: one that failed attempt r waits, before attempt r+1,
+        until round r-1 has ended without solving the run (for r = 1, until
+        round 1 starts). If a sample settled by attempt 1 scores 1, or round
+        r-1 does, every sample that fails attempt r or later stops there.
+        Any other end lets the waiting samples repair freely. So a sample
+        waits on a slower round, never on another sample after its first
+        attempt. Every decision rests on repair outcomes and round scores,
+        never on timing, so a replay issues the same requests as its
+        recording. Each round's trials are one batch, whose events (to
+        ``emit``) and error come out only after all of its trials have ended.
         """
-        config, lineages = self.config, None
-        if config.agent_mode != "multi":
-            return None
-        for attempt in range(1, SYNTAX_FIX_CAP):
-            pool = samples.settled(attempt)
-            if len(pool) == len(samples) or len(pool) < config.top_k:
-                break  # no straggler left, or too few samples to pick from
-            top = select_top_k(pool, config.top_k)
-            if lineages is None:
-                if should_terminate(top, 0, config)[0]:
+        config, lineages, stop = self.config, None, math.inf
+        try:
+            if config.agent_mode != "multi":
+                return None
+            for attempt in range(1, SYNTAX_FIX_CAP):
+                pool = samples.settled(attempt)
+                if len(pool) == len(samples):
+                    break  # no straggler left
+                top = select_top_k(pool, config.top_k) if pool else []
+                if lineages is None:
+                    done, reason = should_terminate(top, 0, config)
+                    if reason == "solved":  # a settled sample scores 1
+                        stop = attempt
+                    if done or len(pool) < config.top_k:
+                        break  # or too few samples to pick from
+                    lineages = self.select(top, emit)
+                    samples.decide(attempt)  # the next fix attempts start with round 1
+                elif [c.id for c in top] != lineages.roots:
+                    break  # a straggler displaced the provisional top-K
+                self.debug_round(lineages, testbench, emit)
+                done, reason = should_terminate(lineages.selected, lineages.round, config)
+                if reason == "solved":
+                    stop = attempt + 1
+                if done:
                     break
-                lineages = self.select(top, emit)
-            elif [c.id for c in top] != lineages.roots:
-                break  # a straggler displaced the provisional top-K
-            self.debug_round(lineages, testbench, emit)
-            if should_terminate(lineages.selected, lineages.round, config)[0]:
-                break
+                samples.decide(attempt + 1)  # no sample stops at its next attempt
+        finally:
+            samples.release(stop)  # no sample waits on a decision any more
         return lineages
 
     def select(

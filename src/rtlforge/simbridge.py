@@ -8,9 +8,11 @@ working directory so concurrent simulations never interfere.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import shutil
+import signal
 import subprocess
 import threading
 import time
@@ -198,18 +200,33 @@ def _launch(cmd: list[str], cwd: Path, timeout: float) -> tuple[Optional[int], s
     Returns (exit status, or None on timeout; stdout; stderr; seconds). The
     clock starts once the slot is held, so the seconds exclude the wait.
     Raises OSError when the binary cannot be launched.
+
+    The tool runs in its own process group, and a timeout kills the whole
+    group: ``iverilog`` runs ``ivlpp`` and ``ivl`` as children, which hold
+    the output pipes until they end. So the terminal's signals (Ctrl-C, a
+    hangup) no longer reach the tools, and any other way out of the wait,
+    such as a KeyboardInterrupt, kills the group too before it propagates.
     """
     with TOOLCHAIN_SLOTS:
         start = time.monotonic()
         proc = subprocess.Popen(
-            cmd, cwd=str(cwd), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+            cmd,
+            cwd=str(cwd),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
         )
         try:
             stdout, stderr = proc.communicate(timeout=timeout)
             status = proc.returncode
-        except subprocess.TimeoutExpired:
-            proc.kill()
+        except BaseException as exc:
+            # Until it is reaped, the leader keeps the group alive to be killed.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
             stdout, stderr = proc.communicate()
+            if not isinstance(exc, subprocess.TimeoutExpired):
+                raise
             status = None
         return status, stdout or "", stderr or "", time.monotonic() - start
 

@@ -7,9 +7,9 @@ import re
 import time
 import zlib
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rtlforge.agents import AgentTeam
+from rtlforge.agents import SYNTAX_FIX_CAP, AgentTeam
 from rtlforge.gateway import BackendError
 from rtlforge.pipeline import EngineRuntime, RunConfig, _SimCache, max_llm_calls, run_pipeline
 
@@ -21,6 +21,7 @@ KINDS = (
     "clean",
     "broken_then_fixed",
     "broken_twice_then_fixed",
+    "never_fixed",
     "no_fence",
     "no_module",
     "rtl_faulty",
@@ -38,6 +39,12 @@ BEHAVIORS = (
     "jointfail_tb",
     "jointfail_dut",
 )
+# Repairs a reply of each broken kind needs; a never-fixed one outlasts the cap.
+FIXES_NEEDED = {
+    "broken_then_fixed": 1,
+    "broken_twice_then_fixed": 2,
+    "never_fixed": SYNTAX_FIX_CAP + 1,
+}
 _FIX_RE = re.compile(r"^(?P<parent>.*)/fix(?P<k>\d+)$")
 _SAMPLEFIX_RE = re.compile(r"^rtl_gen/samplefix/(?P<epoch>e\d+)/c(?P<i>\d+)$")
 
@@ -48,7 +55,8 @@ class Script:
     whichever thread asks first. The first repair of a ``broken_then_fixed``
     reply is clean, and the second of a ``broken_twice_then_fixed`` one, so
     stragglers that settle late, and may displace step 5's provisional
-    top-K, are drawn too."""
+    top-K, are drawn too; no repair of a ``never_fixed`` reply is clean, so
+    stragglers that a speculative solve stops are drawn as well."""
 
     def __init__(self, kinds: list[str], behaviors: list[str]):
         self.kinds = kinds
@@ -64,7 +72,7 @@ class Script:
             sample = _SAMPLEFIX_RE.match(parent)
             if sample:
                 parent = f"rtl_gen/sample/{sample['epoch']}#{sample['i']}"
-            fixes = {"broken_then_fixed": 1, "broken_twice_then_fixed": 2}.get(self.kind(parent))
+            fixes = FIXES_NEEDED.get(self.kind(parent))
             if fixes is not None and int(fix["k"]) <= fixes:
                 return "clean" if int(fix["k"]) == fixes else "broken_then_fixed"
         return self.pick(self.kinds, key)
@@ -73,7 +81,7 @@ class Script:
         kind = self.kind(key)
         if kind == "missing":
             raise BackendError(f"no scripted reply for {key!r}")
-        if kind in ("clean", "broken_then_fixed", "broken_twice_then_fixed"):
+        if kind == "clean" or kind in FIXES_NEEDED:
             err = 0 if kind == "clean" else 3
             if key.startswith("testbench_gen/"):
                 return fenced(stub_tb() + (f"//ERR:{err}:bad port list\n" if err else ""))
@@ -118,8 +126,26 @@ def stub_runtime(script, templates, transcript) -> EngineRuntime:
     )
 
 
+# Drawn runs rarely reach step 4 in multi mode, so two runs in which a
+# speculative solve stops a never-fixed straggler are pinned: a settled
+# sample scores 1 (it stops after fix 1), and round 1 solves (after fix 2).
 @settings(max_examples=50, deadline=None)
 @given(run=scripted_runs())
+@example(
+    run=(
+        RunConfig(pool_size=3, top_k=1, max_debug_rounds=2),
+        Script(["clean", "never_fixed", "rtl_faulty"], ["score:1:16", "counter16"]),
+    )
+)
+@example(
+    run=(
+        RunConfig(pool_size=2, top_k=1, max_debug_rounds=2),
+        Script(
+            ["never_fixed", "clean", "broken_then_fixed", "rtl_faulty"],
+            ["score:1:16", "counter16"],
+        ),
+    )
+)
 def test_any_scripted_run_keeps_the_outcome_contract(run, templates, tmp_path_factory):
     config, script = run
     transcript = tmp_path_factory.mktemp("run")

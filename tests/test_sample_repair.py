@@ -5,13 +5,11 @@ testbench, and the samples are repaired concurrently without changing the
 event log."""
 
 import json
-import os
 import sys
 import threading
 import time
 from pathlib import Path
 
-from rtlforge import pipeline
 from rtlforge.pipeline import EngineRuntime, RunConfig, run_pipeline
 from rtlforge.simbridge import Diagnostic
 
@@ -116,15 +114,17 @@ def test_broken_sample_gets_the_joint_diagnostics(templates, tmp_path):
 
 
 class SlowRepairScript:
-    """Sample i needs 1 + i % 3 repairs; lower indices answer more slowly, or
-    more quickly unless ``slowest_first``.
+    """Sample i needs 1 + i % 3 repairs and has i + ``mismatches`` mismatching
+    checkpoints out of 16; lower indices answer more slowly, or more quickly
+    unless ``slowest_first``.
 
     Records the highest number of repair calls in flight at once.
     """
 
-    def __init__(self, pool: int, slowest_first: bool = True):
+    def __init__(self, pool: int, slowest_first: bool = True, mismatches: int = 0):
         self.pool = pool
         self.slowest_first = slowest_first
+        self.mismatches = mismatches
         self.in_flight = 0
         self.max_in_flight = 0
         self._lock = threading.Lock()
@@ -132,7 +132,7 @@ class SlowRepairScript:
     def __call__(self, request):
         if request.tag == "rtl_gen/sample/e0":
             return [
-                fenced(stub_dut(f"score:{i}:16", name=f"cand{i}", err_line=3))
+                fenced(stub_dut(self.score(i), name=f"cand{i}", err_line=3))
                 for i in range(self.pool)
             ]
         if "/samplefix/" not in request.tag:
@@ -146,31 +146,55 @@ class SlowRepairScript:
         with self._lock:
             self.in_flight -= 1
         err_line = 0 if k == 1 + i % 3 else 3 + k
-        return fenced(stub_dut(f"score:{i}:16", name=f"cand{i}", err_line=err_line))
+        return fenced(stub_dut(self.score(i), name=f"cand{i}", err_line=err_line))
+
+    def score(self, i: int) -> str:
+        return f"score:{i + self.mismatches}:16"
 
 
-def test_concurrent_repair_event_log_independent_of_reply_order(templates, tmp_path):
-    pool = 6
+def concurrent_repair_runs(templates, tmp_path, pool: int, mismatches: int) -> dict:
+    """Both reply orders of ``SlowRepairScript``: (events, LLM calls, most
+    repairs in flight) for each value of ``slowest_first``."""
     runs = {}
     for slowest_first in (False, True):
-        script = SlowRepairScript(pool, slowest_first)
+        script = SlowRepairScript(pool, slowest_first, mismatches)
         config = RunConfig(pool_size=pool, top_k=1, max_debug_rounds=0)
         transcript = tmp_path / f"slowest_first_{slowest_first}"
         outcome, _ = run(templates, transcript, script, config)
         events = (transcript / "events.jsonl").read_bytes()
         runs[slowest_first] = (events, outcome.llm_calls, script.max_in_flight)
-
     assert runs[False][0] == runs[True][0]
-    assert runs[False][1] == runs[True][1] == 3 + 1 + sum(1 + i % 3 for i in range(pool))
     assert runs[False][2] > 1
     assert runs[True][2] > 1
-    tags = [
+    return runs
+
+
+def sample_fix_tags(events: bytes) -> list[str]:
+    return [
         e["tag"]
-        for e in map(json.loads, runs[True][0].decode().splitlines())
+        for e in map(json.loads, events.decode().splitlines())
         if e["event"] == "llm_call" and "/samplefix/" in e["tag"]
     ]
-    assert tags == [
+
+
+def test_concurrent_repair_event_log_independent_of_reply_order(templates, tmp_path):
+    pool = 6
+    runs = concurrent_repair_runs(templates, tmp_path, pool, mismatches=1)
+    assert runs[False][1] == runs[True][1] == 3 + 1 + sum(1 + i % 3 for i in range(pool))
+    assert sample_fix_tags(runs[True][0]) == [
         f"rtl_gen/samplefix/e0/c{i}/fix{k}" for i in range(pool) for k in range(1, 2 + i % 3)
+    ]
+
+
+def test_concurrent_repair_stops_at_a_perfect_first_fix(templates, tmp_path):
+    """Sample 0 settles at its first fix with a perfect score, which solves
+    the run: every sample still broken after its first fix stops there, in
+    either reply order."""
+    pool = 6
+    runs = concurrent_repair_runs(templates, tmp_path, pool, mismatches=0)
+    assert runs[False][1] == runs[True][1] == 3 + 1 + pool
+    assert sample_fix_tags(runs[True][0]) == [
+        f"rtl_gen/samplefix/e0/c{i}/fix1" for i in range(pool)
     ]
 
 
@@ -181,11 +205,10 @@ def test_single_agent_mode_repairs_in_order(templates, tmp_path):
     assert script.max_in_flight == 1
 
 
-def test_stress_duplicate_samples_simulated_once(templates, tmp_path, monkeypatch):
-    """Many more repair threads than cores, a tiny switch interval, and a pool
-    of five distinct samples repeated: every distinct source simulates once."""
-    monkeypatch.setattr(pipeline, "RUN_WORKERS", 64)
-    assert pipeline.RUN_WORKERS > (os.cpu_count() or 1)
+def test_stress_duplicate_samples_simulated_once(templates, tmp_path):
+    """Many more repair threads than cores (one per sample), a tiny switch
+    interval, and a pool of five distinct samples repeated: every distinct
+    source simulates once."""
     clean = [fenced(stub_dut(f"score:{m}:16", name="dup")) for m in (1, 2, 3)]
     broken = [fenced(stub_dut("score:1:16", name="dup", err_line=e)) for e in (3, 4)]
     distinct = clean + broken

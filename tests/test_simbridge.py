@@ -1,6 +1,9 @@
+import os
+import subprocess
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,19 @@ from fixtures import (
     stub_dut,
     stub_tb,
 )
+
+
+def live_members(group: int) -> list[int]:
+    """The pids of process group ``group`` that have not exited."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:
+            continue  # the process exited while the directory was listed
+        if int(fields[2]) == group and fields[0] != "Z":
+            pids.append(int(stat.parent.name))
+    return pids
 
 
 def dut(behavior="score:0:16", err_line=0):
@@ -133,6 +149,56 @@ class TestSimulate:
         assert run.status == "timed_out"
         assert run.wall_time >= 1.0
         assert elapsed < 1.0 + 2.0  # timeout + grace
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process groups from /proc")
+    def test_timeout_kills_the_tools_children(self, tmp_path):
+        """A simulator whose child outlives it: the child holds the output
+        pipes, yet the timeout returns on time and ends the whole group."""
+        vvp = tmp_path / "forking-vvp"
+        vvp.write_text("#!/bin/sh\necho $$ > group\nsleep 3 &\nsleep 3\n", encoding="utf-8")
+        vvp.chmod(0o755)
+        config = ToolchainConfig(vvp_path=str(vvp), sim_timeout=0.5)
+        start = time.monotonic()
+        run = simulate(CompiledArtifact(tmp_path / "sim.vvp", tmp_path), config)
+        elapsed = time.monotonic() - start
+        assert run.status == "timed_out"
+        assert elapsed < 2.0
+        group = int((tmp_path / "group").read_text())
+        deadline = time.monotonic() + 2.0
+        while live_members(group) and time.monotonic() < deadline:
+            time.sleep(0.02)  # SIGKILL is delivered asynchronously
+        assert live_members(group) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process groups from /proc")
+    def test_interrupt_kills_the_tools_group(self, tmp_path, monkeypatch):
+        """The tool's group does not get the terminal's SIGINT, so a
+        KeyboardInterrupt in the wait ends the group before it propagates."""
+        vvp = tmp_path / "forking-vvp"
+        vvp.write_text("#!/bin/sh\necho $$ > group\nsleep 3 &\nsleep 3\n", encoding="utf-8")
+        vvp.chmod(0o755)
+        group_file = tmp_path / "group"
+        communicate = subprocess.Popen.communicate
+
+        def interrupted(proc, input=None, timeout=None):
+            if timeout is None:  # the wait after the kill
+                return communicate(proc, input)
+            deadline = time.monotonic() + 2.0
+            while not (group_file.exists() and group_file.read_text().strip()):
+                assert time.monotonic() < deadline, "the tool never started"
+                time.sleep(0.02)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        config = ToolchainConfig(vvp_path=str(vvp), sim_timeout=10.0)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            simulate(CompiledArtifact(tmp_path / "sim.vvp", tmp_path), config)
+        assert time.monotonic() - start < 2.5
+        group = int(group_file.read_text())
+        deadline = time.monotonic() + 2.0
+        while live_members(group) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live_members(group) == []
 
     def test_runtime_failure(self, tmp_path, stub_tool_config):
         run = run_sim([dut("crash"), tb()], tmp_path / "w", config=stub_tool_config)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from rtlforge.agents import AgentTeam
+from rtlforge.agents import SYNTAX_FIX_CAP, AgentTeam
 from rtlforge.checkpoints import Score
 from rtlforge.cassette import verify_cassette
 from rtlforge.gateway import (
@@ -28,18 +28,21 @@ PREAMBLE = {
     "judge/e0": "Expected values follow the spec.\nVERDICT: rtl_faulty",
 }
 TRIAL = fenced(stub_dut("score:6:16", name="trial"))  # worse than every sample
+SOLVING_TRIAL = fenced(stub_dut("score:0:16", name="trial"))
+NEVER = SYNTAX_FIX_CAP + 1  # fixes a sample that never compiles would need
 
 
 class TimedScript:
     """Backend for a pool of samples with the given mismatch counts (of 16
     checks), where sample i needs ``fixes[i]`` syntax fixes. ``delay(tag)``
-    sets how long each reply takes. Records each request and when it
-    started and returned."""
+    sets how long each reply takes; every debug trial replies ``trial``.
+    Records each request and when it started and returned."""
 
-    def __init__(self, mismatches, fixes, delay=lambda tag: 0.0):
+    def __init__(self, mismatches, fixes, delay=lambda tag: 0.0, trial=TRIAL):
         self.mismatches = mismatches
         self.fixes = fixes
         self.delay = delay
+        self.trial = trial
         self.requests = []
         self.times: list[tuple[str, float, float]] = []  # (tag, start, end)
         self._lock = threading.Lock()
@@ -56,7 +59,7 @@ class TimedScript:
             i, k = int(sample[1:]), int(fix[3:])
             return [self.sample(i, 0 if k == self.fixes[i] else 3 + k)]
         if tag.startswith("debug/"):
-            return [TRIAL]
+            return [self.trial]
         return [PREAMBLE[tag]]
 
     def complete(self, request):
@@ -71,6 +74,10 @@ class TimedScript:
 
 def slow_fixes(tag: str) -> float:
     return 0.05 if "/samplefix/" in tag else 0.0
+
+
+def slow_trials(tag: str) -> float:
+    return 0.05 if tag.startswith("debug/") else 0.0
 
 
 def run(templates, transcript, backend, config):
@@ -93,7 +100,7 @@ def test_timing_changes_no_artifact_and_step5_overlaps_the_straggler(templates, 
     config = RunConfig(pool_size=4, top_k=2, max_debug_rounds=3)
     schedules = {
         "slow_fixes": lambda tag: 0.15 if "/samplefix/" in tag else 0.0,
-        "slow_trials": lambda tag: 0.05 if tag.startswith("debug/") else 0.0,
+        "slow_trials": slow_trials,
     }
     runs = {}
     for name, delay in schedules.items():
@@ -229,7 +236,7 @@ def test_failed_speculative_round_waits_for_the_stragglers(templates, tmp_path, 
     config = RunConfig(pool_size=3, top_k=2, max_debug_rounds=2)
     schedules = {
         "slow_fixes": slow_fixes,
-        "slow_trials": lambda tag: 0.05 if tag.startswith("debug/") else 0.0,
+        "slow_trials": slow_trials,
     }
     logs = {}
     for name, delay in schedules.items():
@@ -297,3 +304,105 @@ def test_failed_straggler_during_speculation_ends_the_run_in_band(templates, tmp
     assert outcome.llm_calls == 3 + 1 + 1 + 2  # steps 1-3, sampling, a fix, round 1
     assert outcome.llm_calls == sum(e["event"] == "llm_call" for e in events)
     assert events[-1]["event"] == "outcome"
+
+
+def test_speculative_solve_stops_the_straggler(templates, tmp_path):
+    """Sample 3 never compiles, and round 1, which ran while it repaired,
+    solves the run: its second failed fix is its last. Whether its fixes or
+    the trials answer slowly, the run writes the same log and asks the same
+    requests, and nothing of the run outlives it."""
+    config = RunConfig(pool_size=4, top_k=2, max_debug_rounds=3)
+    runs = {}
+    for name, delay in (("slow_fixes", slow_fixes), ("slow_trials", slow_trials)):
+        backend = TimedScript([3, 4, 5, 12], [0, 0, 0, NEVER], delay, SOLVING_TRIAL)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome, events = run(templates, tmp_path / name, backend, config)
+            alive = [o for o in gc.get_objects() if isinstance(o, (AgentTeam, _SimCache))]
+        finally:
+            gc.enable()
+        assert alive == []
+        assert outcome.status == "solved"
+        fixes = [e["tag"] for e in events if "/samplefix/" in e.get("tag", "")]
+        assert fixes == ["rtl_gen/samplefix/e0/c3/fix1", "rtl_gen/samplefix/e0/c3/fix2"]
+        straggler = next(e for e in events if e["event"] == "candidate" and e["id"] == 4)
+        assert straggler["sentinel"] is True
+        assert [e["round"] for e in events if e["event"] == "round_scores"] == [0, 1]
+        keys = sorted(request_key(r) for r in backend.requests)
+        runs[name] = ((tmp_path / name / "events.jsonl").read_bytes(), keys, outcome.llm_calls)
+    assert runs["slow_fixes"] == runs["slow_trials"]
+    assert runs["slow_fixes"][2] == 3 + 1 + 2 + 2  # steps 1-3, sampling, two fixes, round 1
+
+
+def test_speculative_solve_is_not_displaced(templates, tmp_path):
+    """Sample 3 settles at its second fix with the best score while round 1
+    on the provisional top-K solves the run: the run ends on round 1, with
+    no second selection and nothing discarded."""
+    config = RunConfig(pool_size=4, top_k=2, max_debug_rounds=2)
+    backend = TimedScript([3, 4, 5, 1], [0, 0, 0, 2], slow_fixes, SOLVING_TRIAL)
+    outcome, events = run(templates, tmp_path / "run", backend, config)
+    assert outcome.status == "solved"
+    assert outcome.score_history[-1][0] == 1
+    assert outcome.best.lineage in (1, 2)
+    assert [e["ids"] for e in events if e["event"] == "selection"] == [[1, 2]]
+    assert not any(e["event"] == "speculation_discarded" for e in events)
+    assert any(e["event"] == "candidate" and e["id"] == 4 and e["score"] == 15 / 16 for e in events)
+    assert outcome.llm_calls == 3 + 1 + 2 + 2
+
+
+def test_more_waiting_stragglers_than_old_worker_count_do_not_starve(templates, tmp_path):
+    """Ten of twelve samples need three fixes each, and each waits for step
+    5's decision after every failed fix. The run still ends, with the same
+    log whether the fixes or the trials answer slowly."""
+    config = RunConfig(pool_size=12, top_k=2, max_debug_rounds=3)
+    logs = {}
+    for name, delay in (("slow_fixes", slow_fixes), ("slow_trials", slow_trials)):
+        backend = TimedScript([1, 2, *range(4, 14)], [0, 0, *[3] * 10], delay)
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(run(templates, tmp_path / name, backend, config)),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), f"{name}: the run did not end"
+        outcome, events = result[0]
+        assert outcome.status == "budget_exhausted"
+        assert outcome.llm_calls == 3 + 1 + 10 * 3 + 3 * 2
+        logs[name] = (tmp_path / name / "events.jsonl").read_bytes()
+    assert logs["slow_fixes"] == logs["slow_trials"]
+
+
+def test_perfect_sample_stops_the_stragglers_with_fewer_than_k_settled(templates, tmp_path):
+    """Only sample 0 settles at once, fewer than top-K = 2, but it scores 1:
+    no round is needed, so the stragglers stop after their first fix."""
+    config = RunConfig(pool_size=3, top_k=2, max_debug_rounds=1)
+    backend = TimedScript([0, 4, 5], [0, NEVER, NEVER], slow_fixes)
+    outcome, events = run(templates, tmp_path / "run", backend, config)
+    assert outcome.status == "solved"
+    fixes = [e["tag"] for e in events if "/samplefix/" in e.get("tag", "")]
+    assert fixes == ["rtl_gen/samplefix/e0/c1/fix1", "rtl_gen/samplefix/e0/c2/fix1"]
+    assert outcome.llm_calls == 3 + 1 + 2  # steps 1-3, sampling, two fixes
+
+
+def test_a_straggler_waits_on_rounds_not_on_other_stragglers(templates, tmp_path):
+    """Samples 2 and 3 never compile, and sample 3's fixes answer slowly.
+    Once round 1 has ended without solving the run, sample 2 asks for its
+    third fix without waiting for sample 3 to fail its second. The log is
+    the one the run writes when the trials are the slow replies."""
+    config = RunConfig(pool_size=4, top_k=2, max_debug_rounds=3)
+    schedules = {
+        "slow_straggler": lambda tag: 0.15 if "/samplefix/e0/c3/" in tag else 0.0,
+        "slow_trials": slow_trials,
+    }
+    runs = {}
+    for name, delay in schedules.items():
+        backend = TimedScript([3, 4, 5, 12], [0, 0, NEVER, NEVER], delay)
+        outcome, _ = run(templates, tmp_path / name, backend, config)
+        assert outcome.status == "budget_exhausted"
+        log = (tmp_path / name / "events.jsonl").read_bytes()
+        runs[name] = (log, {tag: (start, end) for tag, start, end in backend.times})
+    assert runs["slow_straggler"][0] == runs["slow_trials"][0]
+    times = runs["slow_straggler"][1]
+    assert times["rtl_gen/samplefix/e0/c2/fix3"][0] < times["rtl_gen/samplefix/e0/c3/fix2"][1]
