@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .checkpoints import (
     DEFAULT_WINDOW_LEN, CheckTrace, WaveWindow, render_excerpt, render_window
@@ -226,8 +226,9 @@ class AgentTeam:
         """The history a turn of ``role`` joins, created on first use.
 
         Multi mode keys histories by ``conv_id`` (default ``conv-<role>``):
-        ``conv-debug-c<root>`` per lineage, ``conv-rtlfix-e<epoch>-c<i>`` per
-        step-4 sample. Single mode maps every call to ``conv-shared``.
+        ``conv-debug-c<root>`` per lineage (``.restart`` appended after a
+        discarded speculation), ``conv-rtlfix-e<epoch>-c<i>`` per step-4
+        sample. Single mode maps every call to ``conv-shared``.
         """
         if self.mode == "single":
             role, conv_id = "single", "conv-shared"
@@ -237,12 +238,6 @@ class AgentTeam:
                 system = self.templates.text(role, "system")
                 self._convs[conv_id] = Conversation(role, conv_id, system)
             return self._convs[conv_id]
-
-    def forget(self, conv_ids: Iterable[str]) -> None:
-        """Drop these conversations; a later turn in one starts it afresh."""
-        with self._lock:
-            for conv_id in conv_ids:
-                self._convs.pop(conv_id, None)
 
     def _chat(
         self,
@@ -385,7 +380,7 @@ class AgentTeam:
         reply = self._chat(self.conversation("rtl_gen"), user, "rtl_gen/vanilla")[0]
         return self._source(reply, "dut")
 
-    def sample_rtl_replies(
+    def sample_rtl_candidates(
         self,
         spec_text: str,
         testbench: VerilogSource,
@@ -393,7 +388,8 @@ class AgentTeam:
         params: SamplingParams,
         epoch: int = 0,
     ) -> list[str]:
-        """Step 4's sampling request: ``count`` completions, not yet repaired.
+        """Step 4's sampling request: ``count`` completions, not yet repaired;
+        the pipeline hands each to ``repair_sample`` concurrently.
 
         The request is the rtl_gen conversation so far plus a user turn
         holding the specification and the testbench. In multi mode that
@@ -439,18 +435,6 @@ class AgentTeam:
         except AgentError:
             return unbuildable(f"sample {index}")
 
-    def sample_rtl_candidates(
-        self,
-        spec_text: str,
-        testbench: VerilogSource,
-        count: int,
-        params: SamplingParams,
-        epoch: int = 0,
-    ) -> list[VerilogSource]:
-        """Kept only because ``replaybench/tracing.py`` patches this name; no run calls it."""
-        replies = self.sample_rtl_replies(spec_text, testbench, count, params, epoch)
-        return [self.repair_sample(reply, i, epoch) for i, reply in enumerate(replies)]
-
     def judge(
         self,
         spec_text: str,
@@ -486,9 +470,10 @@ class AgentTeam:
         team's sink.
 
         ``restart`` marks a round of step 5 run again after a discarded
-        speculation: its tag ends in ``.restart``, so a cassette keys it
-        apart from the discarded round's request, which can be the same
-        conversation word for word.
+        speculation: its conversation id and its tag end in ``.restart``. So
+        the restarted lineage starts a fresh conversation, and a cassette
+        keys its request apart from the discarded round's, which can be the
+        same conversation word for word.
         """
         if not window.records:
             raise ValueError("waveform window has no records")
@@ -499,6 +484,7 @@ class AgentTeam:
             rtl=candidate.code,
             testbench=testbench.code,
         )
-        conv = self.conversation("debug", f"conv-debug-c{root_id}")
-        tag = f"debug/r{round_index}/c{root_id}" + (".restart" if restart else "")
+        mark = ".restart" if restart else ""
+        conv = self.conversation("debug", f"conv-debug-c{root_id}{mark}")
+        tag = f"debug/r{round_index}/c{root_id}{mark}"
         return self._turn(conv, user, tag, "dut", candidate.top_module, emit=emit)

@@ -77,7 +77,7 @@ class ReplayMiss(GatewayError):
 
 
 class ShortResponse(GatewayError):
-    """Backend returned fewer completions than requested."""
+    """Backend returned fewer completions than requested, or an empty one."""
 
 
 class AggregateFailure(GatewayError):
@@ -249,7 +249,7 @@ class HttpBackend:
         try:
             body = resp.json()
             choices = sorted(body["choices"], key=lambda c: c.get("index", 0))
-            completions = tuple(str(c["message"]["content"]) for c in choices)
+            completions = tuple(str(c["message"]["content"] or "") for c in choices)
             usage_obj = body.get("usage") or {}
             usage = Usage(
                 int(usage_obj.get("prompt_tokens", 0)),
@@ -300,7 +300,7 @@ class CassetteRecorder:
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         response = self.inner.complete(request)
-        if len(response.completions) < request.params.n_completions:
+        if _rejection(request, response):
             return response
         digest = request_digest(request)
         entry = cassette_io.CassetteEntry(
@@ -352,6 +352,17 @@ class RetryPolicy:
 DEFAULT_RETRY = RetryPolicy()
 
 
+def _rejection(request: LlmRequest, response: LlmResponse) -> Optional[str]:
+    """Why ``complete`` rejects ``response``: fewer completions than
+    requested, or an empty one among them; None if it accepts it."""
+    wanted = request.params.n_completions
+    if len(response.completions) < wanted:
+        return f"backend returned {len(response.completions)} completions, requested {wanted}"
+    if not all(response.completions[:wanted]):
+        return "backend returned an empty completion"
+    return None
+
+
 def complete(
     request: LlmRequest,
     backend: Backend,
@@ -359,8 +370,8 @@ def complete(
 ) -> LlmResponse:
     """Issue one completion request; retry transients; enforce cardinality.
 
-    Returns exactly ``request.params.n_completions`` completions or raises
-    ShortResponse. ``attempts`` counts every try including the successful one.
+    Returns exactly ``request.params.n_completions`` non-empty completions or
+    raises ShortResponse. ``attempts`` counts every try including the successful one.
     """
     attempts = 0
     delay = retry.base_delay
@@ -381,14 +392,11 @@ def complete(
             time.sleep(max(delay, exc.retry_after or 0.0))
             delay *= retry.factor
             continue
-        wanted = request.params.n_completions
-        if len(response.completions) < wanted:
-            raise ShortResponse(
-                f"backend returned {len(response.completions)} completions, "
-                f"requested {wanted} (tag {request.tag!r})"
-            )
+        rejection = _rejection(request, response)
+        if rejection:
+            raise ShortResponse(f"{rejection} (tag {request.tag!r})")
         return LlmResponse(
-            completions=response.completions[:wanted],
+            completions=response.completions[: request.params.n_completions],
             attempts=attempts,
             usage=response.usage,
         )

@@ -22,25 +22,9 @@ Control flow per run:
    {trial, original} survives (ties prefer the trial). Repeat until a score
    hits 1 or the round budget is spent. The state is the selected list, one
    candidate per slot, plus the round index; each slot's lineage root is
-   the id it was selected with in step 4 and never changes.
-
-   In multi mode step 5 starts before step 4's stragglers settle
-   (``_Run.speculate``): round 1 runs on the top-K of the samples that
-   settled by their first fix attempt, if there are at least K of them, and
-   round r once every sample still repairing has failed its r-th attempt
-   and that top-K is unchanged. A straggler that failed attempt 1 starts
-   attempt 2 with round 1, and one that failed attempt r > 1 starts attempt
-   r+1 once round r-1 has ended. A perfect score among the samples settled
-   by attempt 1 (however many), or in a speculative round, solves the run:
-   the stragglers still broken stop as sentinels, and the rounds stand. Else,
-   once every sample has settled, an unchanged top-K confirms the rounds,
-   and a straggler that entered it discards them:
-   one ``speculation_discarded`` event, the discarded rounds' debug
-   conversations dropped, and step 5 again from round 1, with request tags
-   marked ``.restart``. Those decisions rest on repair outcomes alone, and
-   the speculative rounds' events are logged after the candidates', so the
-   log does not depend on timing. A speculative round that raises still
-   waits for every sample, whose error comes first.
+   the id it was selected with in step 4 and never changes. In multi mode
+   step 5 starts before step 4's stragglers settle; ``_Run.speculate``
+   states the rule.
 
 ``run_pipeline`` builds the event log and one ``_Run``, which holds the
 run's state (team, workdir allocator, the epoch's simulation cache, candidate
@@ -425,21 +409,20 @@ class _Batch:
     error (in item order) is raised, only after every call in the batch has
     ended. So neither the log nor the error depends on which call ends first.
 
-    A ``paced`` batch holds a call that failed attempt ``k`` (below
-    ``SYNTAX_FIX_CAP``) in ``failed(k)`` until ``decide(k)`` or ``release``,
-    which its caller must reach. A call that failed attempt ``stop`` or
-    later stops; ``release(stop)`` sets it once, together with the decision
-    that stop marks.
+    ``failed(k)`` holds a call that failed attempt ``k`` (below
+    ``SYNTAX_FIX_CAP``) until ``decide(k)`` or ``release``: whoever makes a
+    batch whose calls report failures must reach one of them. A call that
+    failed attempt ``stop`` or later stops; ``release(stop)`` sets it once,
+    together with the decision that stop marks. Step 5's trials never
+    report a failure, so nothing decides for them.
     """
 
-    def __init__(
-        self, fn: Callable, items: Iterable, submit: Callable, sink: Callable, paced: bool = False
-    ):
+    def __init__(self, fn: Callable, items: Iterable, submit: Callable, sink: Callable):
         items = list(items)
         self.sink = sink
         self.failed = [0] * len(items)  # fix attempts each call has failed so far
         self.logs: list[list[dict]] = [[] for _ in items]
-        self.decided = 0 if paced else math.inf  # fix attempts whose decision is made
+        self.decided = 0  # fix attempts whose decision is made
         self.stop = math.inf
         self._cond = cond = threading.Condition()
 
@@ -452,9 +435,6 @@ class _Batch:
             future = submit(fn, item, self.logs[i].append, functools.partial(self._fail, i))
             future.add_done_callback(wake)
             self.futures.append(future)
-
-    def __len__(self) -> int:
-        return len(self.failed)
 
     def _fail(self, i: int, attempt: int) -> bool:
         with self._cond:
@@ -705,12 +685,10 @@ class _Run:
         Step 5 may start before every sample has settled (``speculate``).
         The samples are one batch, whose events and error come out only after
         every sample has ended; then the candidates are logged, and only then
-        the speculative rounds' events. Speculative rounds that solved the
-        run stand as they are; other speculative rounds stand only if the
-        true top-K is the provisional one."""
+        the speculative rounds' events."""
         config = self.config
         self.emit({"event": "step", "step": 4, "epoch": epoch})
-        replies = self.team.sample_rtl_replies(
+        replies = self.team.sample_rtl_candidates(
             self.spec,
             testbench,
             config.pool_size,
@@ -727,7 +705,7 @@ class _Run:
             evaluation = self.probe.cache.evaluate(source, f"sample_e{epoch}_c{ids[i]}")
             return Candidate(ids[i], source, evaluation.score, evaluation.trace)
 
-        samples = _Batch(repair, range(len(replies)), self.submit, self.emit, paced=True)
+        samples = _Batch(repair, range(len(replies)), self.submit, self.emit)
         speculated: list[dict] = []  # the speculative rounds' events
         candidates: list[Candidate] = []
         try:
@@ -756,7 +734,6 @@ class _Run:
             self.emit(
                 {"event": "speculation_discarded", "ids": lineages.roots, "rounds": lineages.round}
             )
-            self.team.forget(f"conv-debug-c{root}" for root in lineages.roots)
             lineages = None
         if lineages is None:
             lineages = self.select(selected, self.emit, restart)
@@ -795,6 +772,13 @@ class _Run:
         never on timing, so a replay issues the same requests as its
         recording. Each round's trials are one batch, whose events (to
         ``emit``) and error come out only after all of its trials have ended.
+
+        Once every sample has settled, ``refine`` keeps the rounds if one
+        solved the run or the true top-K is the provisional one. Else one
+        ``speculation_discarded`` event follows them, and step 5 starts again
+        from round 1 on the true top-K, in debug conversations and with
+        request tags marked ``.restart``. A speculative round that raises
+        still waits for every sample, whose error comes first.
         """
         config, lineages, stop = self.config, None, math.inf
         try:
@@ -802,7 +786,7 @@ class _Run:
                 return None
             for attempt in range(1, SYNTAX_FIX_CAP):
                 pool = samples.settled(attempt)
-                if len(pool) == len(samples):
+                if len(pool) == len(samples.futures):
                     break  # no straggler left
                 top = select_top_k(pool, config.top_k) if pool else []
                 if lineages is None:
@@ -851,9 +835,7 @@ class _Run:
             if candidate.trace is None:
                 emit({"event": "trial_skipped", "round": round_index, "id": candidate.id})
                 return None
-            anchor = checkpoints.earliest_mismatch(candidate.trace)
-            if anchor is None:
-                return None
+            anchor = checkpoints.earliest_mismatch(candidate.trace)  # it scores < 1, so one exists
             window = checkpoints.extract_window(candidate.trace, anchor, self.config.window_len)
             try:
                 return self.team.debug_trial(

@@ -198,7 +198,9 @@ def _launch(cmd: list[str], cwd: Path, timeout: float) -> tuple[Optional[int], s
     """Run ``cmd`` in ``cwd`` on a toolchain slot, killing it after ``timeout``.
 
     Returns (exit status, or None on timeout; stdout; stderr; seconds). The
-    clock starts once the slot is held, so the seconds exclude the wait.
+    clock starts once the slot is held, so the seconds exclude the wait. The
+    output is decoded as UTF-8 with undecodable bytes replaced: a design may
+    print any byte (``$display("%c", 8'hff)``).
     Raises OSError when the binary cannot be launched.
 
     The tool runs in its own process group, and a timeout kills the whole
@@ -214,7 +216,8 @@ def _launch(cmd: list[str], cwd: Path, timeout: float) -> tuple[Optional[int], s
             cwd=str(cwd),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            text=True,
+            encoding="utf-8",
+            errors="replace",
             start_new_session=True,
         )
         try:

@@ -243,7 +243,7 @@ class TestSampling:
         """Step 4 as a run does it: one sampling request, then each reply
         through its own repair loop."""
         tb = VerilogSource(kind="testbench", top_module="t", code=stub_tb())
-        replies = team.sample_rtl_replies("spec", tb, count, team.params)
+        replies = team.sample_rtl_candidates("spec", tb, count, team.params)
         return [team.repair_sample(reply, i) for i, reply in enumerate(replies)]
 
     def test_singleton(self):

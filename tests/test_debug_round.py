@@ -133,6 +133,7 @@ def test_batch_logs_in_item_order_after_every_call_under_contention():
             for items, error in ((range(0, 64, 2), None), (range(64), "5")):
                 ended, sink = [], []
                 batch = _Batch(call, items, executor.submit, sink.append)
+                batch.release()  # no call waits on a decision
                 if error is None:
                     assert batch.settled(1) == [] and batch.results() == [2 * i for i in items]
                 else:

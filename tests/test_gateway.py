@@ -328,12 +328,16 @@ class TestRecordReplay:
 
     def test_recorder_skips_short_replies(self, tmp_path):
         cassette = tmp_path / "rec.jsonl"
-        recorder = CassetteRecorder(_ScriptedTransport([["fine"], [], ["one"]]), cassette)
+        recorder = CassetteRecorder(
+            _ScriptedTransport([["fine"], [], ["one"], ["two", ""]]), cassette
+        )
         complete(make_request(tag="a/0"), recorder)
         with pytest.raises(ShortResponse):
             complete(make_request(tag="a/1"), recorder)
         with pytest.raises(ShortResponse):
             complete(make_request(tag="a/2", n=2), recorder)
+        with pytest.raises(ShortResponse, match="empty completion"):
+            complete(make_request(tag="a/3", n=2), recorder)
         assert [e.tag for e in load_cassette(cassette).values()] == ["a/0"]
 
 
@@ -540,6 +544,14 @@ class TestHttpBackend:
         backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
         response = backend.complete(make_request())
         assert response.completions == ("ok",) and response.usage.prompt_tokens == 0
+
+    def test_null_content_is_an_empty_completion(self, stub_endpoint, monkeypatch):
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        _StubHandler.payload = {"choices": [{"index": 0, "message": {"content": None}}]}
+        backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
+        assert backend.complete(make_request()).completions == ("",)
+        with pytest.raises(ShortResponse, match="empty completion"):
+            complete(make_request(), backend, FAST_RETRY)
 
     @pytest.mark.parametrize(
         "payload",

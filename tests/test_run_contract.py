@@ -7,6 +7,7 @@ import re
 import time
 import zlib
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rtlforge.agents import SYNTAX_FIX_CAP, AgentTeam
@@ -39,12 +40,24 @@ BEHAVIORS = (
     "jointfail_tb",
     "jointfail_dut",
 )
+# Drawn behaviors lean to the correct counter, so samples and debug trials
+# that solve the run, and stop stragglers, are drawn too.
+DRAWN_BEHAVIORS = ("counter16",) * 3 + BEHAVIORS
 # Repairs a reply of each broken kind needs; a never-fixed one outlasts the cap.
 FIXES_NEEDED = {
     "broken_then_fixed": 1,
     "broken_twice_then_fixed": 2,
     "never_fixed": SYNTAX_FIX_CAP + 1,
 }
+GOOD_TB = fenced(stub_tb())
+CLEAN_RTL = fenced(stub_dut("counter16"))
+GLITCH_RTL = fenced(stub_dut("counter16:glitch@9"))
+RTL_FAULTY = "Expected values follow the spec.\nVERDICT: rtl_faulty"
+# Per role, the step 1-3 reply that leads on to sampling.
+PROCEED = {"testbench_gen": GOOD_TB, "rtl_gen": GLITCH_RTL, "judge": RTL_FAULTY}
+# Steps 1-3 draw their kinds from these, three in four times "proceed".
+EARLY_KINDS = ("proceed",) * (3 * len(KINDS)) + KINDS
+_EARLY_RE = re.compile(r"^(testbench_gen/gen|rtl_gen/init|judge/e)\d+$")
 _FIX_RE = re.compile(r"^(?P<parent>.*)/fix(?P<k>\d+)$")
 _SAMPLEFIX_RE = re.compile(r"^rtl_gen/samplefix/(?P<epoch>e\d+)/c(?P<i>\d+)$")
 
@@ -52,14 +65,17 @@ _SAMPLEFIX_RE = re.compile(r"^rtl_gen/samplefix/(?P<epoch>e\d+)/c(?P<i>\d+)$")
 class Script:
     """Replies by tag: each tag's kind (and a DUT's behavior) is picked from
     the drawn lists by a hash of the tag, so a tag always gets the same reply
-    whichever thread asks first. The first repair of a ``broken_then_fixed``
-    reply is clean, and the second of a ``broken_twice_then_fixed`` one, so
-    stragglers that settle late, and may displace step 5's provisional
-    top-K, are drawn too; no repair of a ``never_fixed`` reply is clean, so
-    stragglers that a speculative solve stops are drawn as well."""
+    whichever thread asks first. The first requests of steps 1-3 pick from
+    ``early``; the samples, every repair and the debug trials from ``late``.
+    The first repair of a ``broken_then_fixed`` reply is clean, and the
+    second of a ``broken_twice_then_fixed`` one, so stragglers that settle
+    late, and may displace step 5's provisional top-K, are drawn too; no
+    repair of a ``never_fixed`` reply is clean, so stragglers that a
+    speculative solve stops are drawn as well."""
 
-    def __init__(self, kinds: list[str], behaviors: list[str]):
-        self.kinds = kinds
+    def __init__(self, early: list[str], late: list[str], behaviors: list[str]):
+        self.early = early
+        self.late = late
         self.behaviors = behaviors
 
     def pick(self, options, key: str):
@@ -75,10 +91,12 @@ class Script:
             fixes = FIXES_NEEDED.get(self.kind(parent))
             if fixes is not None and int(fix["k"]) <= fixes:
                 return "clean" if int(fix["k"]) == fixes else "broken_then_fixed"
-        return self.pick(self.kinds, key)
+        return self.pick(self.early if _EARLY_RE.match(key) else self.late, key)
 
     def reply(self, key: str) -> str:
         kind = self.kind(key)
+        if kind == "proceed":
+            return PROCEED[key.split("/")[0]]
         if kind == "missing":
             raise BackendError(f"no scripted reply for {key!r}")
         if kind == "clean" or kind in FIXES_NEEDED:
@@ -89,7 +107,7 @@ class Script:
         return {
             "no_fence": "sorry, no code",
             "no_module": fenced("assign y = 1;\n"),
-            "rtl_faulty": "Expected values follow the spec.\nVERDICT: rtl_faulty",
+            "rtl_faulty": RTL_FAULTY,
             "testbench_faulty": "The bench misdrives rst.\nVERDICT: testbench_faulty",
             "no_verdict": "Hard to say which side is wrong.",
         }[kind]
@@ -111,9 +129,10 @@ def scripted_runs(draw):
         max_tb_regens=draw(st.integers(0, 2)),
         agent_mode=draw(st.sampled_from(["multi", "single"])),
     )
-    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=12))
-    behaviors = draw(st.lists(st.sampled_from(BEHAVIORS), min_size=1, max_size=4))
-    return config, Script(kinds, behaviors)
+    early = draw(st.lists(st.sampled_from(EARLY_KINDS), min_size=1, max_size=6))
+    late = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=12))
+    behaviors = draw(st.lists(st.sampled_from(DRAWN_BEHAVIORS), min_size=1, max_size=4))
+    return config, Script(early, late, behaviors)
 
 
 def stub_runtime(script, templates, transcript) -> EngineRuntime:
@@ -126,22 +145,22 @@ def stub_runtime(script, templates, transcript) -> EngineRuntime:
     )
 
 
-# Drawn runs rarely reach step 4 in multi mode, so two runs in which a
-# speculative solve stops a never-fixed straggler are pinned: a settled
-# sample scores 1 (it stops after fix 1), and round 1 solves (after fix 2).
+# A speculative solve that stops a never-fixed straggler is rare among drawn
+# runs, so two such runs are pinned: a settled sample scores 1 (it stops
+# after fix 1), and round 1 solves (after fix 2).
 @settings(max_examples=50, deadline=None)
 @given(run=scripted_runs())
 @example(
     run=(
         RunConfig(pool_size=3, top_k=1, max_debug_rounds=2),
-        Script(["clean", "never_fixed", "rtl_faulty"], ["score:1:16", "counter16"]),
+        Script(*[["clean", "never_fixed", "rtl_faulty"]] * 2, ["score:1:16", "counter16"]),
     )
 )
 @example(
     run=(
         RunConfig(pool_size=2, top_k=1, max_debug_rounds=2),
         Script(
-            ["never_fixed", "clean", "broken_then_fixed", "rtl_faulty"],
+            *[["never_fixed", "clean", "broken_then_fixed", "rtl_faulty"]] * 2,
             ["score:1:16", "counter16"],
         ),
     )
@@ -158,10 +177,6 @@ def test_any_scripted_run_keeps_the_outcome_contract(run, templates, tmp_path_fa
     assert outcome.llm_calls <= max_llm_calls(config)
 
 
-GOOD_TB = fenced(stub_tb())
-CLEAN_RTL = fenced(stub_dut("counter16"))
-GLITCH_RTL = fenced(stub_dut("counter16:glitch@9"))
-RTL_FAULTY = "Expected values follow the spec.\nVERDICT: rtl_faulty"
 TO_SAMPLING = {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": GLITCH_RTL, "judge/e0": RTL_FAULTY}
 SAMPLES = [fenced(stub_dut(f"score:{m}:16", name=f"cand{m}")) for m in (1, 2)]
 
@@ -216,3 +231,15 @@ def test_calls_still_running_after_a_failure_are_logged(templates, tmp_path):
     assert outcome.llm_calls == 3 + 1 + 5  # steps 1-3, the sampling call, sample 1's fixes
     assert outcome.llm_calls == sum(e["event"] == "llm_call" for e in events)
     assert events[-1]["event"] == "outcome"
+
+
+@pytest.mark.parametrize("tag", ["testbench_gen/gen0", "judge/e0"])
+def test_an_empty_completion_ends_the_run_in_band(tag, templates, tmp_path):
+    """A reply of "" (a live endpoint may send one, a cassette may hold one)
+    is rejected by the gateway: the run ends with status "error"."""
+    replies = {**TO_SAMPLING, tag: ""}
+    runtime = stub_runtime(lambda request: [replies[request.tag]], templates, tmp_path)
+    outcome = run_pipeline(stub_counter_problem(), RunConfig(pool_size=2), runtime)
+    assert outcome.status == "error" and "empty completion" in outcome.error
+    events = [json.loads(line) for line in (tmp_path / "events.jsonl").read_text().splitlines()]
+    assert events[-1] == {"event": "outcome", "status": "error", "error": outcome.error}

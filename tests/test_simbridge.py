@@ -150,6 +150,17 @@ class TestSimulate:
         assert run.wall_time >= 1.0
         assert elapsed < 1.0 + 2.0  # timeout + grace
 
+    def test_output_that_is_not_utf8_is_decoded(self, tmp_path):
+        """A simulator printing byte 0xFF (``$display("%c", 8'hff)``) still
+        gives a run, with the byte replaced."""
+        vvp = tmp_path / "ff-vvp"
+        vvp.write_text("#!/bin/sh\nprintf 'x\\377y\\n'\nprintf '\\377\\n' >&2\n", encoding="utf-8")
+        vvp.chmod(0o755)
+        config = ToolchainConfig(vvp_path=str(vvp))
+        run = simulate(CompiledArtifact(tmp_path / "sim.vvp", tmp_path), config)
+        assert run.status == "ok"
+        assert run.stdout == "x\ufffdy\n"
+
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process groups from /proc")
     def test_timeout_kills_the_tools_children(self, tmp_path):
         """A simulator whose child outlives it: the child holds the output
