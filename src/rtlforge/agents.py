@@ -299,9 +299,10 @@ class AgentTeam:
         A reply without a code fence counts as a failed iteration. Raises
         SyntaxUnfixable when the cap is reached with errors remaining.
         ``emit`` receives the loop's events instead of the team's sink;
-        ``failed(k)`` is called when repair attempt ``k`` leaves the source
-        broken, and may wait; if it returns False, the loop asks for no
-        more repairs and raises SyntaxUnfixable.
+        ``failed(k)`` is called when check ``k`` leaves the source broken:
+        check 0 is the probe before any repair, check k follows repair
+        attempt k. The call may wait; if it returns False, the loop asks for
+        no more repairs and raises SyntaxUnfixable.
         """
         if source.kind == "testbench":
             fix_role = "testbench_gen"
@@ -311,9 +312,11 @@ class AgentTeam:
             fix_role = "rtl_gen"
         current = source
         diagnostics = self.syntax_checker(current, f"{parent_tag}/check0")
-        if not diagnostics:
-            return current
-        for k in range(1, SYNTAX_FIX_CAP + 1):
+        k = 0
+        while diagnostics:
+            if (failed is not None and not failed(k)) or k == SYNTAX_FIX_CAP:
+                raise SyntaxUnfixable(diagnostics)
+            k += 1
             user = self.templates.render(
                 fix_role,
                 "fix_syntax",
@@ -324,14 +327,9 @@ class AgentTeam:
             try:
                 current = self._source(reply, source.kind, source.top_module)
             except AgentError:
-                pass  # fence-less reply: a failed iteration
-            else:
-                diagnostics = self.syntax_checker(current, f"{parent_tag}/check{k}")
-                if not diagnostics:
-                    return current
-            if failed is not None and not failed(k):
-                break
-        raise SyntaxUnfixable(diagnostics)
+                continue  # fence-less reply: a failed iteration
+            diagnostics = self.syntax_checker(current, f"{parent_tag}/check{k}")
+        return current
 
     # -- role operations ------------------------------------------------------
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -341,9 +342,11 @@ class NamespacedBackend:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    # Exponential backoff on transport errors and HTTP 429/5xx only; a
-    # longer Retry-After from the endpoint wins over the backoff delay, and
-    # one longer than HTTP_TIMEOUT_S ends the retries.
+    # Exponential backoff on transport errors and HTTP 429/5xx only, with
+    # full jitter: retry k sleeps a uniform draw in [0, base_delay *
+    # factor**k], so requests refused together do not retry together. A
+    # Retry-After from the endpoint is the least wait, and one longer than
+    # HTTP_TIMEOUT_S ends the retries.
     base_delay: float = 1.0
     factor: float = 2.0
     max_attempts: int = 5
@@ -389,7 +392,7 @@ def complete(
                     f"gave up after {attempts} attempts: the endpoint asked to wait "
                     f"{exc.retry_after:g} s, over the {HTTP_TIMEOUT_S:g} s limit"
                 ) from exc
-            time.sleep(max(delay, exc.retry_after or 0.0))
+            time.sleep(max(random.uniform(0.0, delay), exc.retry_after or 0.0))
             delay *= retry.factor
             continue
         rejection = _rejection(request, response)

@@ -154,9 +154,10 @@ class RunConfig:
 def max_llm_calls(config: RunConfig) -> int:
     """Closed-form upper bound on LLM calls a run can issue.
 
-    In multi mode it also counts the debug rounds a displaced speculation
-    discards (see ``_Run.speculate``): at most ``SYNTAX_FIX_CAP - 1`` of them,
-    since round ``SYNTAX_FIX_CAP`` waits for every sample to settle.
+    In multi mode it also counts what step 5 may ask and then discard (see
+    ``_Run.speculate``): the debug rounds of a displaced speculation, at most
+    ``SYNTAX_FIX_CAP - 1`` of them, since round ``SYNTAX_FIX_CAP`` waits for
+    every sample to settle; and one lead trial.
     """
     if config.agent_mode == "vanilla":
         return 1
@@ -164,10 +165,11 @@ def max_llm_calls(config: RunConfig) -> int:
     epochs = 1 + config.max_tb_regens
     per_epoch = (1 + s) + (1 + s) + 1  # testbench + fixes, initial RTL + fixes, judge
     sampling = config.pool_size * (1 + s)
-    rounds = config.max_debug_rounds
+    trials = config.max_debug_rounds * config.top_k
     if config.agent_mode == "multi":
-        rounds += min(config.max_debug_rounds, s - 1)
-    return epochs * per_epoch + sampling + rounds * config.top_k * (1 + s)
+        trials += min(config.max_debug_rounds, s - 1) * config.top_k
+        trials += min(config.max_debug_rounds, 1)  # the lead
+    return epochs * per_epoch + sampling + trials * (1 + s)
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +404,9 @@ class _SimCache:
 class _Batch:
     """``fn(item, emit, failed)`` for each of ``items``, run concurrently on
     ``submit``. ``emit`` is the call's event sink; ``failed(k)`` reports
-    that the call's fix attempt ``k`` left it broken, which ``settled``
-    waits on (step 4's samples), and returns whether the call goes on.
+    that the call's check ``k`` left it broken (check 0 probes the source
+    before any fix, check k follows fix attempt k), which ``settled`` waits
+    on (step 4's samples), and returns whether the call goes on.
 
     One rule: the batch's events go to ``sink``, in item order, and its first
     error (in item order) is raised, only after every call in the batch has
@@ -411,7 +414,8 @@ class _Batch:
 
     ``failed(k)`` holds a call that failed attempt ``k`` (below
     ``SYNTAX_FIX_CAP``) until ``decide(k)`` or ``release``: whoever makes a
-    batch whose calls report failures must reach one of them. A call that
+    batch whose calls report failures must reach one of them. Check 0 is
+    decided from the start, so ``failed(0)`` never waits. A call that
     failed attempt ``stop`` or later stops; ``release(stop)`` sets it once,
     together with the decision that stop marks. Step 5's trials never
     report a failure, so nothing decides for them.
@@ -420,7 +424,7 @@ class _Batch:
     def __init__(self, fn: Callable, items: Iterable, submit: Callable, sink: Callable):
         items = list(items)
         self.sink = sink
-        self.failed = [0] * len(items)  # fix attempts each call has failed so far
+        self.failed = [-1] * len(items)  # the last check each call failed so far
         self.logs: list[list[dict]] = [[] for _ in items]
         self.decided = 0  # fix attempts whose decision is made
         self.stop = math.inf
@@ -457,21 +461,22 @@ class _Batch:
             self.decided, self.stop = math.inf, stop
             self._cond.notify_all()
 
-    def settled(self, attempt: int) -> list:
-        """The results of the calls that failed fewer than ``attempt`` fix
-        attempts, in item order, once each of them has ended; [] if one of
-        them raised.
+    def settled(self, check: int) -> list:
+        """The results of the calls whose last failed check is below
+        ``check``, in item order, once each of them has ended; [] if one of
+        them raised. ``settled(0)`` holds the calls that passed check 0,
+        ``settled(r)`` those that failed fewer than r fix attempts.
 
-        A call still running after failing attempt ``attempt`` can only end
+        A call still running after failing check ``check`` can only end
         later, with as many failures, so the list depends on the calls'
         outcomes alone.
         """
         futures, failed = self.futures, self.failed
         with self._cond:
             self._cond.wait_for(
-                lambda: all(f.done() for f, k in zip(futures, failed) if k < attempt)
+                lambda: all(f.done() for f, k in zip(futures, failed) if k < check)
             )
-            counted = [f for f, k in zip(futures, failed) if k < attempt]
+            counted = [f for f, k in zip(futures, failed) if k < check]
         if any(f.exception() is not None for f in counted):
             return []
         return [f.result() for f in counted]
@@ -512,6 +517,60 @@ class _Lineages:
         return self.history[-1][0]
 
 
+# A slot's debug trial, with its evaluation; None when the slot has no trace
+# or the trial could not be repaired.
+_Trial = Optional[tuple[VerilogSource, SimEval]]
+
+
+class _Lead:
+    """Round 1's trial of one step-4 sample, submitted before round 1 starts
+    (see ``_Run.speculate``). Its events are held until the first round 1
+    takes it or it is discarded."""
+
+    def __init__(self, candidate: Candidate, trial: Callable, submit: Callable):
+        self.root = candidate.id
+        self.events: list[dict] = []
+        self.future: Optional[Future] = submit(
+            trial, (candidate, candidate.id), self.events.append, None
+        )
+
+    def solves(self) -> bool:
+        """Wait for the trial; whether it scores 1 (a trial that raised does not)."""
+        if self.future.exception() is not None:
+            return False
+        result: _Trial = self.future.result()
+        return result is not None and result[1].score.value == 1.0
+
+    def offer(self, lineages: _Lineages, emit: Callable[[dict], None]) -> Optional["_Lead"]:
+        """The lead, if the first round 1 of ``lineages`` uses it: its root
+        is selected and the round is no restart. Else it is discarded here."""
+        if self.root in lineages.roots and not lineages.restart:
+            return self
+        self.discard(emit)
+        return None
+
+    def take(self, emit: Callable[[dict], None]) -> Future:
+        """Wait for the trial, pass its held events to ``emit`` and hand over
+        its future."""
+        wait([self.future])
+        for event in self.events:
+            emit(event)
+        future, self.future = self.future, None
+        return future
+
+    def discard(self, emit: Callable[[dict], None]) -> None:
+        """Log the held events and one ``lead_discarded`` event; then raise
+        the trial's error, if it raised."""
+        error = self.take(emit).exception()
+        emit({"event": "lead_discarded", "id": self.root})
+        if error is not None:
+            # As in ``_Batch.results``: no path from this frame to the error.
+            try:
+                raise error
+            finally:
+                error = None
+
+
 # ---------------------------------------------------------------------------
 # The pipeline
 
@@ -540,6 +599,8 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
         # at one worker the run would deadlock. A sample waiting for a step-5
         # decision holds its worker, and a round starts only once top-K
         # samples have ended, so one worker per sample leaves room for its trials.
+        # The lead trial is queued only after its own sample has ended, and
+        # round 1's other trials only after the lead has, so it needs no more.
         workers = 1 if config.agent_mode == "single" else config.pool_size
         try:
             with ThreadPoolExecutor(max_workers=workers) as executor:
@@ -708,14 +769,19 @@ class _Run:
         samples = _Batch(repair, range(len(replies)), self.submit, self.emit)
         speculated: list[dict] = []  # the speculative rounds' events
         candidates: list[Candidate] = []
+        lead: Optional[_Lead] = None  # a lead no speculative round took
         try:
             try:
-                lineages = self.speculate(samples, testbench, speculated.append)
+                lineages, lead = self.speculate(samples, testbench, speculated.append)
             finally:
                 # Even after a speculative round failed, every sample ends
                 # first: a sample's error takes precedence, as without
                 # speculation.
                 candidates = samples.results()
+        except BaseException:
+            if lead is not None:
+                lead.take(speculated.append)  # its calls are logged; the error stands
+            raise
         finally:  # after a sample's failure, the candidate list is empty
             for c in candidates:
                 score, sentinel = c.score.value, c.source.sentinel
@@ -741,16 +807,22 @@ class _Run:
             done, reason = should_terminate(lineages.selected, lineages.round, config)
             if done:
                 break
-            self.debug_round(lineages, testbench, self.emit)
+            if lead is not None:
+                lead = lead.offer(lineages, self.emit)
+            self.debug_round(lineages, testbench, self.emit, lead)
+            lead = None
+        if lead is not None:  # no round 1 ran
+            lead.discard(self.emit)
         best = max(lineages.selected, key=lambda c: (c.score.value, -c.id))
         status = "solved" if reason == "solved" else "budget_exhausted"
         return status, best, lineages.history, testbench
 
     def speculate(
         self, samples: _Batch, testbench: VerilogSource, emit: Callable[[dict], None]
-    ) -> Optional[_Lineages]:
+    ) -> tuple[Optional[_Lineages], Optional[_Lead]]:
         """Step-5 rounds on a provisional top-K while stragglers still repair;
-        None if no round ran.
+        returns their lineages (None if no round ran) and the lead if no
+        round took it.
 
         Multi mode only, and only when at least top-K samples settled by
         their first fix attempt and some did not: the provisional top-K is
@@ -761,17 +833,30 @@ class _Run:
         sentinel, so round ``SYNTAX_FIX_CAP`` always waits for every sample.
         If a counted sample raised, no further round starts.
 
+        The lead: once every sample has ended or failed its probe (check 0),
+        none raised and some failed it, the best sample that passed it
+        starts its round-1 trial at once, alongside the others' first fix,
+        if it scores below 1 and has a trace (multi mode, and only with a
+        round budget). The first round 1, speculative or not, waits for it
+        before it asks anything else. If the lead's root is selected and the
+        round is no ``.restart``, the lead is that slot's trial; if it also
+        scores 1, it solves the run and no other slot asks for a trial.
+        Otherwise, or when no round 1 runs, the lead is discarded: its
+        events are logged, then one ``lead_discarded`` event. A lead that
+        raises fails its round, or the run where it is discarded.
+
         The samples are paced against these decisions, which is what lets a
         solve stop them: one that failed attempt r waits, before attempt r+1,
         until round r-1 has ended without solving the run (for r = 1, until
-        round 1 starts). If a sample settled by attempt 1 scores 1, or round
-        r-1 does, every sample that fails attempt r or later stops there.
-        Any other end lets the waiting samples repair freely. So a sample
-        waits on a slower round, never on another sample after its first
-        attempt. Every decision rests on repair outcomes and round scores,
-        never on timing, so a replay issues the same requests as its
-        recording. Each round's trials are one batch, whose events (to
-        ``emit``) and error come out only after all of its trials have ended.
+        round 1 starts, after the lead). If a sample settled by attempt 1
+        scores 1, or the lead, or round r-1 does, every sample that fails
+        attempt r or later stops there (the lead at r = 1). Any other end
+        lets the waiting samples repair freely. So a sample waits on a
+        slower round, never on another sample after its first attempt.
+        Every decision rests on repair outcomes and round scores, never on
+        timing, so a replay issues the same requests as its recording. Each
+        round's trials are one batch, whose events (to ``emit``) and error
+        come out only after all of its trials have ended.
 
         Once every sample has settled, ``refine`` keeps the rounds if one
         solved the run or the true top-K is the provisional one. Else one
@@ -780,10 +865,16 @@ class _Run:
         request tags marked ``.restart``. A speculative round that raises
         still waits for every sample, whose error comes first.
         """
-        config, lineages, stop = self.config, None, math.inf
+        config, lineages, lead, stop = self.config, None, None, math.inf
         try:
             if config.agent_mode != "multi":
-                return None
+                return None, None
+            clean = samples.settled(0)
+            if config.max_debug_rounds and 0 < len(clean) < len(samples.futures):
+                best = select_top_k(clean, 1)[0]
+                if best.score.value < 1 and best.trace is not None:
+                    trial = functools.partial(self.trial, testbench, 1, False)
+                    lead = _Lead(best, trial, self.submit)
             for attempt in range(1, SYNTAX_FIX_CAP):
                 pool = samples.settled(attempt)
                 if len(pool) == len(samples.futures):
@@ -796,19 +887,25 @@ class _Run:
                     if done or len(pool) < config.top_k:
                         break  # or too few samples to pick from
                     lineages = self.select(top, emit)
-                    samples.decide(attempt)  # the next fix attempts start with round 1
+                    if lead is not None:
+                        lead = lead.offer(lineages, emit)
+                    if lead is not None and lead.solves():
+                        stop = attempt
+                    else:
+                        samples.decide(attempt)  # the next fix attempts start with round 1
                 elif [c.id for c in top] != lineages.roots:
                     break  # a straggler displaced the provisional top-K
-                self.debug_round(lineages, testbench, emit)
+                self.debug_round(lineages, testbench, emit, lead)
+                lead = None
                 done, reason = should_terminate(lineages.selected, lineages.round, config)
                 if reason == "solved":
-                    stop = attempt + 1
+                    stop = min(stop, attempt + 1)
                 if done:
                     break
                 samples.decide(attempt + 1)  # no sample stops at its next attempt
         finally:
             samples.release(stop)  # no sample waits on a decision any more
-        return lineages
+        return lineages, lead
 
     def select(
         self, selected: list[Candidate], emit: Callable[[dict], None], restart: bool = False
@@ -820,56 +917,80 @@ class _Run:
         emit({"event": "round_scores", "round": 0, "scores": scores})
         return _Lineages(selected, [c.id for c in selected], [(0, scores)], restart)
 
+    def trial(
+        self,
+        testbench: VerilogSource,
+        round_index: int,
+        restart: bool,
+        slot: tuple[Candidate, int],
+        emit: Callable[[dict], None],
+        _failed: Optional[Callable],
+    ) -> _Trial:
+        """Round ``round_index``'s trial of one slot: its candidate and
+        lineage root. ``_failed`` is the batch's, which no trial calls."""
+        candidate, root = slot
+        if candidate.trace is None:
+            emit({"event": "trial_skipped", "round": round_index, "id": candidate.id})
+            return None
+        anchor = checkpoints.earliest_mismatch(candidate.trace)  # it scores < 1, so one exists
+        window = checkpoints.extract_window(candidate.trace, anchor, self.config.window_len)
+        try:
+            source = self.team.debug_trial(
+                candidate.source,
+                window,
+                testbench,
+                round_index=round_index,
+                root_id=root,
+                restart=restart,
+                emit=emit,
+            )
+        except (SyntaxUnfixable, NoCodeBlock) as exc:
+            # A trial that cannot even be repaired is discarded; the
+            # lineage keeps its current candidate and stays monotone.
+            emit(
+                {
+                    "event": "trial_failed",
+                    "round": round_index,
+                    "id": candidate.id,
+                    "reason": type(exc).__name__,
+                }
+            )
+            return None
+        # A cache hit: the trial's syntax probe already simulated it.
+        return source, self.probe.cache.evaluate(source, f"debug_r{round_index}_c{candidate.id}")
+
     def debug_round(
-        self, lineages: _Lineages, testbench: VerilogSource, emit: Callable[[dict], None]
+        self,
+        lineages: _Lineages,
+        testbench: VerilogSource,
+        emit: Callable[[dict], None],
+        lead: Optional[_Lead] = None,
     ) -> None:
         """The next round: one trial per selected slot, slots without a usable
-        trace skip; per lineage the better of {trial, original} survives."""
+        trace skip; per lineage the better of {trial, original} survives.
+        ``lead``, from ``_Lead.offer``, is round 1's trial of its root's slot;
+        if it scores 1, no other slot asks for a trial."""
         round_index = lineages.round + 1
         emit({"event": "step", "step": 5, "round": round_index})
+        slots = list(zip(lineages.selected, lineages.roots))
+        if lead is not None and lead.solves():
+            slots = [slot for slot in slots if slot[1] == lead.root]
 
-        def make_trial(
-            slot: tuple[Candidate, int], emit: Callable[[dict], None], _failed: Callable
-        ) -> Optional[VerilogSource]:
-            candidate, root = slot
-            if candidate.trace is None:
-                emit({"event": "trial_skipped", "round": round_index, "id": candidate.id})
-                return None
-            anchor = checkpoints.earliest_mismatch(candidate.trace)  # it scores < 1, so one exists
-            window = checkpoints.extract_window(candidate.trace, anchor, self.config.window_len)
-            try:
-                return self.team.debug_trial(
-                    candidate.source,
-                    window,
-                    testbench,
-                    round_index=round_index,
-                    root_id=root,
-                    restart=lineages.restart,
-                    emit=emit,
-                )
-            except (SyntaxUnfixable, NoCodeBlock) as exc:
-                # A trial that cannot even be repaired is discarded; the
-                # lineage keeps its current candidate and stays monotone.
-                emit(
-                    {
-                        "event": "trial_failed",
-                        "round": round_index,
-                        "id": candidate.id,
-                        "reason": type(exc).__name__,
-                    }
-                )
-                return None
+        def submit(fn: Callable, slot: tuple[Candidate, int], emit, failed) -> Future:
+            if lead is not None and slot[1] == lead.root:
+                return lead.take(emit)
+            return self.submit(fn, slot, emit, failed)
 
-        slots = zip(lineages.selected, lineages.roots)
-        sources = _Batch(make_trial, slots, self.submit, emit).results()
+        trial = functools.partial(self.trial, testbench, round_index, lineages.restart)
+        made = _Batch(trial, slots, submit, emit).results()
+        by_root: dict[int, _Trial] = {root: result for (_, root), result in zip(slots, made)}
         trials: list[Optional[Candidate]] = []
-        for original, source in zip(lineages.selected, sources):
-            if source is None:
+        for original, root in zip(lineages.selected, lineages.roots):
+            result = by_root.get(root)
+            if result is None:
                 trials.append(None)
                 continue
-            # A cache hit: the trial's syntax probe already simulated it.
-            label = f"debug_r{round_index}_c{original.id}"
-            evaluation = self.probe.cache.evaluate(source, label)
+            source, evaluation = result
             trial = Candidate(
                 next(self.ids), source, evaluation.score, evaluation.trace, original.id, round_index
             )

@@ -194,6 +194,29 @@ class TestRetry:
             complete(make_request(), backend, FAST_RETRY)
         assert backend.calls == FAST_RETRY.max_attempts
 
+    def test_backoff_is_jittered_and_retry_after_is_its_floor(self, monkeypatch):
+        """Retry k sleeps a uniform draw in [0, base_delay * factor**k], so
+        requests refused together spread out; a Retry-After is never undercut."""
+        import rtlforge.gateway as gateway
+
+        draws = iter([0.25, 0.9, 0.0, 0.5])  # the fraction of each backoff drawn
+        bounds, sleeps = [], []
+
+        def uniform(low, high):
+            bounds.append((low, high))
+            return low + next(draws) * (high - low)
+
+        monkeypatch.setattr(gateway.random, "uniform", uniform)
+        monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+        refusals = [TransientBackendError("429"), TransientBackendError("429", retry_after=3.0),
+                    TransientBackendError("503"), TransientBackendError("429", retry_after=1.0)]
+        backend = _ScriptedTransport([*refusals, ["ok"]])
+        policy = RetryPolicy(base_delay=1.0, factor=2.0, max_attempts=5)
+        assert complete(make_request(), backend, policy).attempts == 5
+        assert bounds == [(0.0, 1.0), (0.0, 2.0), (0.0, 4.0), (0.0, 8.0)]
+        assert sleeps == [0.25, 3.0, 0.0, 4.0]  # the floor wins at retry 1, the draw at retry 3
+        assert len(set(sleeps)) == len(sleeps)
+
     def test_non_transient_not_retried(self):
         backend = _ScriptedTransport([BackendError("bad request"), ["never"]])
         with pytest.raises(BackendError):
@@ -503,6 +526,7 @@ class TestHttpBackend:
         _StubHandler.retry_after = retry_after
         sleeps = []
         monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
+        monkeypatch.setattr(gateway.random, "uniform", lambda low, high: high)  # no jitter
         backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
         policy = RetryPolicy(base_delay=0.5, factor=1.0, max_attempts=5)
         response = complete(make_request(), backend, policy)

@@ -147,7 +147,8 @@ def stub_runtime(script, templates, transcript) -> EngineRuntime:
 
 # A speculative solve that stops a never-fixed straggler is rare among drawn
 # runs, so two such runs are pinned: a settled sample scores 1 (it stops
-# after fix 1), and round 1 solves (after fix 2).
+# after fix 1), and round 1 solves (after fix 2). No drawn run starts a lead
+# trial, so two runs whose lead solves, and is discarded, are pinned too.
 @settings(max_examples=50, deadline=None)
 @given(run=scripted_runs())
 @example(
@@ -162,6 +163,24 @@ def stub_runtime(script, templates, transcript) -> EngineRuntime:
         Script(
             *[["never_fixed", "clean", "broken_then_fixed", "rtl_faulty"]] * 2,
             ["score:1:16", "counter16"],
+        ),
+    )
+)
+@example(
+    run=(
+        RunConfig(pool_size=3, top_k=2, max_debug_rounds=1),
+        Script(
+            *[["broken_then_fixed", "rtl_faulty", "clean"]] * 2,
+            ["counter16", "counter16:glitch@9"],
+        ),
+    )
+)
+@example(
+    run=(
+        RunConfig(pool_size=3, top_k=2, max_debug_rounds=1),
+        Script(
+            *[["rtl_faulty", "clean", "rtl_faulty", "broken_twice_then_fixed"]] * 2,
+            ["score:1:16", "score:1:16", "counter16"],
         ),
     )
 )

@@ -15,6 +15,7 @@ from rtlforge.cassette import verify_cassette
 from rtlforge.gateway import (
     BackendError, CassetteRecorder, LlmResponse, ReplayBackend, request_digest, request_key
 )
+from rtlforge import pipeline
 from rtlforge.pipeline import (
     Candidate, EngineRuntime, RunConfig, _SimCache, max_llm_calls, run_pipeline, select_top_k
 )
@@ -228,11 +229,12 @@ class FailingTags(TimedScript):
     ],
 )
 def test_failed_speculative_round_waits_for_the_stragglers(templates, tmp_path, failures, error):
-    """A speculative round 1 fails while sample 2 still repairs (slow fixes),
-    or after sample 2 has ended (slow trials). Either way the run waits for
-    every sample before it ends as an error, logs every call and each
-    candidate before step 5, writes the same log, and nothing of the run
-    outlives it."""
+    """The lead, ``debug/r1/c1``, fails while sample 2 makes its first fix;
+    speculative round 1, which it belongs to, fails with it while sample 2
+    still repairs (slow fixes), or after sample 2 has ended (slow trials).
+    Either way the run waits for every sample before it ends as an error,
+    logs every call and each candidate before step 5, writes the same log,
+    and nothing of the run outlives it."""
     config = RunConfig(pool_size=3, top_k=2, max_debug_rounds=2)
     schedules = {
         "slow_fixes": slow_fixes,
@@ -268,14 +270,14 @@ def test_failed_speculative_round_waits_for_the_stragglers(templates, tmp_path, 
 
 def test_too_few_early_samples_run_no_speculative_round(templates, tmp_path):
     """Only one of three samples settles at once, fewer than top-K = 2: round 1
-    waits for every sample."""
+    waits for every sample. Only that sample's trial, the lead, starts early."""
     config = RunConfig(pool_size=3, top_k=2, max_debug_rounds=1)
     backend = TimedScript([3, 4, 5], [0, 2, 2], slow_fixes)
     outcome, events = run(templates, tmp_path / "run", backend, config)
     assert outcome.status == "budget_exhausted"
-    first_trial = min(start for tag, start, _ in backend.times if tag.startswith("debug/"))
     last_fix = max(end for tag, _, end in backend.times if "/samplefix/" in tag)
-    assert first_trial >= last_fix
+    early = [tag for tag, start, _ in backend.times if "debug/" in tag and start < last_fix]
+    assert early in ([], ["debug/r1/c1"])
     assert not any(e["event"] == "speculation_discarded" for e in events)
 
 
@@ -307,10 +309,10 @@ def test_failed_straggler_during_speculation_ends_the_run_in_band(templates, tmp
 
 
 def test_speculative_solve_stops_the_straggler(templates, tmp_path):
-    """Sample 3 never compiles, and round 1, which ran while it repaired,
-    solves the run: its second failed fix is its last. Whether its fixes or
-    the trials answer slowly, the run writes the same log and asks the same
-    requests, and nothing of the run outlives it."""
+    """Sample 3 never compiles, and round 1's lead trial, which ran while it
+    repaired, solves the run: its first failed fix is its last. Whether its
+    fixes or the trials answer slowly, the run writes the same log and asks
+    the same requests, and nothing of the run outlives it."""
     config = RunConfig(pool_size=4, top_k=2, max_debug_rounds=3)
     runs = {}
     for name, delay in (("slow_fixes", slow_fixes), ("slow_trials", slow_trials)):
@@ -325,26 +327,34 @@ def test_speculative_solve_stops_the_straggler(templates, tmp_path):
         assert alive == []
         assert outcome.status == "solved"
         fixes = [e["tag"] for e in events if "/samplefix/" in e.get("tag", "")]
-        assert fixes == ["rtl_gen/samplefix/e0/c3/fix1", "rtl_gen/samplefix/e0/c3/fix2"]
+        assert fixes == ["rtl_gen/samplefix/e0/c3/fix1"]
         straggler = next(e for e in events if e["event"] == "candidate" and e["id"] == 4)
         assert straggler["sentinel"] is True
         assert [e["round"] for e in events if e["event"] == "round_scores"] == [0, 1]
         keys = sorted(request_key(r) for r in backend.requests)
         runs[name] = ((tmp_path / name / "events.jsonl").read_bytes(), keys, outcome.llm_calls)
     assert runs["slow_fixes"] == runs["slow_trials"]
-    assert runs["slow_fixes"][2] == 3 + 1 + 2 + 2  # steps 1-3, sampling, two fixes, round 1
+    assert runs["slow_fixes"][2] == 3 + 1 + 1 + 1  # steps 1-3, sampling, a fix, the lead
+
+
+class SecondSlotSolves(TimedScript):
+    """Round 1's trial of root 2 solves the run; the lead's, of root 1, does not."""
+
+    def reply(self, tag):
+        return [SOLVING_TRIAL] if tag == "debug/r1/c2" else super().reply(tag)
 
 
 def test_speculative_solve_is_not_displaced(templates, tmp_path):
     """Sample 3 settles at its second fix with the best score while round 1
-    on the provisional top-K solves the run: the run ends on round 1, with
-    no second selection and nothing discarded."""
+    on the provisional top-K solves the run, through a trial other than the
+    lead's: the run ends on round 1, with no second selection and nothing
+    discarded."""
     config = RunConfig(pool_size=4, top_k=2, max_debug_rounds=2)
-    backend = TimedScript([3, 4, 5, 1], [0, 0, 0, 2], slow_fixes, SOLVING_TRIAL)
+    backend = SecondSlotSolves([3, 4, 5, 1], [0, 0, 0, 2], slow_fixes)
     outcome, events = run(templates, tmp_path / "run", backend, config)
     assert outcome.status == "solved"
     assert outcome.score_history[-1][0] == 1
-    assert outcome.best.lineage in (1, 2)
+    assert outcome.best.lineage == 2
     assert [e["ids"] for e in events if e["event"] == "selection"] == [[1, 2]]
     assert not any(e["event"] == "speculation_discarded" for e in events)
     assert any(e["event"] == "candidate" and e["id"] == 4 and e["score"] == 15 / 16 for e in events)
@@ -406,3 +416,187 @@ def test_a_straggler_waits_on_rounds_not_on_other_stragglers(templates, tmp_path
     assert runs["slow_straggler"][0] == runs["slow_trials"][0]
     times = runs["slow_straggler"][1]
     assert times["rtl_gen/samplefix/e0/c2/fix3"][0] < times["rtl_gen/samplefix/e0/c3/fix2"][1]
+
+
+# ---------------------------------------------------------------------------
+# The lead: round 1's trial of the best sample that passed its probe, asked
+# while the samples that failed it make their first fix.
+
+
+@pytest.fixture
+def leads(monkeypatch):
+    """The lineage roots of the lead trials the runs start."""
+    roots = []
+
+    class RecordedLead(pipeline._Lead):
+        def __init__(self, candidate, *args):
+            roots.append(candidate.id)
+            super().__init__(candidate, *args)
+
+    monkeypatch.setattr(pipeline, "_Lead", RecordedLead)
+    return roots
+
+
+def debug_tags(backend):
+    return sorted(r.tag for r in backend.requests if r.tag.startswith("debug/"))
+
+
+def test_a_solving_lead_ends_the_run_without_other_trials_or_second_fixes(
+    templates, tmp_path, leads
+):
+    """Sample 2 needs two fixes; the lead, sample 0's trial, solves the run.
+    Round 1 asks for no other trial and sample 2 for no second fix, whether
+    the fixes or the trials answer slowly; nothing of the run outlives it."""
+    config = RunConfig(pool_size=3, top_k=2, max_debug_rounds=2)
+    runs = {}
+    for name, delay in (("slow_fixes", slow_fixes), ("slow_trials", slow_trials)):
+        backend = TimedScript([3, 4, 12], [0, 0, 2], delay, SOLVING_TRIAL)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome, events = run(templates, tmp_path / name, backend, config)
+            alive = [o for o in gc.get_objects() if isinstance(o, (AgentTeam, _SimCache))]
+        finally:
+            gc.enable()
+        assert alive == []
+        assert outcome.status == "solved" and outcome.best.lineage == 1
+        assert debug_tags(backend) == ["debug/r1/c1"]
+        fixes = [e["tag"] for e in events if "/samplefix/" in e.get("tag", "")]
+        assert fixes == ["rtl_gen/samplefix/e0/c2/fix1"]
+        assert [e["lineage"] for e in events if e["event"] == "trial"] == [1]
+        assert outcome.score_history == [(0, [13 / 16, 12 / 16]), (1, [1.0, 12 / 16])]
+        keys = sorted(request_key(r) for r in backend.requests)
+        runs[name] = ((tmp_path / name / "events.jsonl").read_bytes(), keys, outcome.llm_calls)
+    assert runs["slow_fixes"] == runs["slow_trials"]
+    assert runs["slow_fixes"][2] == 3 + 1 + 1 + 1  # steps 1-3, sampling, a fix, the lead
+    assert leads == [1, 1]
+
+
+def test_a_lead_that_does_not_solve_is_round_1s_trial_of_its_slot(templates, tmp_path, leads):
+    """The lead starts before the straggler's first fix has returned, and
+    round 1 uses it as root 1's trial: the run asks round 1 once per slot
+    and writes the same log whichever replies are slow."""
+    config = RunConfig(pool_size=4, top_k=2, max_debug_rounds=2)
+    runs = {}
+    for name, delay in (("slow_fixes", slow_fixes), ("slow_trials", slow_trials)):
+        backend = TimedScript([3, 4, 5, 12], [0, 0, 0, 2], delay)
+        outcome, events = run(templates, tmp_path / name, backend, config)
+        assert outcome.status == "budget_exhausted"
+        assert debug_tags(backend) == ["debug/r1/c1", "debug/r1/c2", "debug/r2/c1", "debug/r2/c2"]
+        assert not any(e["event"] == "lead_discarded" for e in events)
+        runs[name] = ((tmp_path / name / "events.jsonl").read_bytes(), outcome.llm_calls, backend)
+    assert runs["slow_fixes"][:2] == runs["slow_trials"][:2]
+    assert runs["slow_fixes"][1] == 3 + 1 + 2 + 2 * 2
+    times = {tag: (start, end) for tag, start, end in runs["slow_fixes"][2].times}
+    assert times["debug/r1/c1"][0] < times["rtl_gen/samplefix/e0/c3/fix1"][1]
+    assert leads == [1, 1]
+
+
+class FailingLead(TimedScript):
+    def reply(self, tag):
+        if tag == "debug/r1/c1":
+            raise BackendError("lead lost")
+        return super().reply(tag)
+
+
+@pytest.mark.parametrize(
+    "script, mismatches, fixes, status",
+    [
+        # Sample 1 settles at its first fix with the better score: top-1 is
+        # root 2 while sample 2 still repairs.
+        (TimedScript, [5, 1, 12], [0, 1, 2], "budget_exhausted"),
+        # Sample 1 settles at its first fix with a perfect score: no round 1.
+        (TimedScript, [5, 0, 12], [0, 1, 2], "solved"),
+        # No straggler is left after the first fixes; top-1 is root 2.
+        (TimedScript, [5, 1, 12], [0, 1, 1], "budget_exhausted"),
+        # The discarded lead failed: the run ends as an error.
+        (FailingLead, [5, 1, 12], [0, 1, 2], "error"),
+    ],
+)
+def test_a_lead_whose_root_is_not_selected_is_discarded(
+    templates, tmp_path, leads, script, mismatches, fixes, status
+):
+    """The lead, root 1's trial, is discarded: its events are logged, then one
+    ``lead_discarded`` event. Its call counts, within the bound, and the run
+    writes the same log whichever replies are slow."""
+    config = RunConfig(pool_size=3, top_k=1, max_debug_rounds=1)
+    logs = {}
+    for name, delay in (("slow_fixes", slow_fixes), ("slow_trials", slow_trials)):
+        backend = script(mismatches, fixes, delay)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome, events = run(templates, tmp_path / name, backend, config)
+            alive = [o for o in gc.get_objects() if isinstance(o, (AgentTeam, _SimCache))]
+        finally:
+            gc.enable()
+        assert alive == []
+        assert outcome.status == status
+        discarded = [e for e in events if e["event"] == "lead_discarded"]
+        assert discarded == [{"event": "lead_discarded", "id": 1}]
+        assert events[-1]["event"] == "outcome"
+        calls = [e["tag"] for e in events if e["event"] == "llm_call"]
+        assert outcome.llm_calls == len(calls) <= max_llm_calls(config)
+        held = events[events.index(discarded[0]) - 1]  # the lead's call, if it returned
+        if script is FailingLead:
+            assert "lead lost" in outcome.error and held["event"] != "llm_call"
+        else:
+            assert held["tag"] == "debug/r1/c1"
+        assert all(e["lineage"] != 1 for e in events if e["event"] == "trial")
+        logs[name] = (tmp_path / name / "events.jsonl").read_bytes()
+    assert logs["slow_fixes"] == logs["slow_trials"]
+    assert leads == [1, 1]
+
+
+def test_a_lead_no_round_took_is_logged_when_a_sample_fails(templates, tmp_path, leads):
+    """Too few samples settle for a speculative round, so the lead waits for
+    round 1; then a straggler's second fix fails. The run ends as an error
+    with the lead's call logged before the outcome, whichever replies are
+    slow, and nothing of the run outlives it."""
+
+    class FailingFix(TimedScript):
+        def reply(self, tag):
+            if tag == "rtl_gen/samplefix/e0/c1/fix2":
+                raise BackendError("no reply")
+            return super().reply(tag)
+
+    config = RunConfig(pool_size=3, top_k=2, max_debug_rounds=1)
+    logs = {}
+    for name, delay in (("slow_fixes", slow_fixes), ("slow_trials", slow_trials)):
+        backend = FailingFix([3, 4, 5], [0, 2, 2], delay)
+        gc.collect()
+        gc.disable()
+        try:
+            outcome, events = run(templates, tmp_path / name, backend, config)
+            alive = [o for o in gc.get_objects() if isinstance(o, (AgentTeam, _SimCache))]
+        finally:
+            gc.enable()
+        assert alive == []
+        assert outcome.status == "error" and "no reply" in outcome.error
+        calls = [e["tag"] for e in events if e["event"] == "llm_call"]
+        assert "debug/r1/c1" in calls and outcome.llm_calls == len(calls)
+        assert events[-1]["event"] == "outcome"
+        logs[name] = (tmp_path / name / "events.jsonl").read_bytes()
+    assert logs["slow_fixes"] == logs["slow_trials"]
+    assert leads == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "config, fixes",
+    [
+        (RunConfig(pool_size=3, top_k=2, max_debug_rounds=1, agent_mode="single"), [0, 0, 2]),
+        (RunConfig(pool_size=3, top_k=2, max_debug_rounds=0), [0, 0, 2]),
+        (RunConfig(pool_size=3, top_k=2, max_debug_rounds=1), [0, 0, 0]),
+    ],
+    ids=["single_mode", "no_round_budget", "no_straggler"],
+)
+def test_no_lead_without_a_straggler_a_round_budget_or_multi_mode(
+    templates, tmp_path, leads, config, fixes
+):
+    """Single mode, a run without debug rounds, and a pool in which every
+    sample passes its probe start no lead."""
+    backend = TimedScript([3, 4, 5], fixes)
+    outcome, events = run(templates, tmp_path / "run", backend, config)
+    assert outcome.status == "budget_exhausted"
+    assert leads == []
+    assert not any(e["event"] == "lead_discarded" for e in events)
