@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .checkpoints import (
     DEFAULT_WINDOW_LEN, CheckTrace, WaveWindow, render_excerpt, render_window
@@ -179,6 +179,21 @@ def unbuildable(what: str) -> VerilogSource:
     )
 
 
+class Repair(NamedTuple):
+    """Where a source stands in its repair loop, whose turns join ``conv``
+    under request tags ``<tag>/fix<k>``: after check ``k`` (check 0 probes
+    the source as given, check k follows fix attempt k), ``current`` has
+    ``diagnostics``, none once it is clean. ``source`` is the source as
+    given, whose kind and module name every fix keeps."""
+
+    source: VerilogSource
+    current: VerilogSource
+    diagnostics: list[Diagnostic]
+    conv: Conversation
+    tag: str
+    k: int = 0
+
+
 class AgentTeam:
     """The four collaborating roles, wired to one gateway backend.
 
@@ -286,50 +301,57 @@ class AgentTeam:
 
     # -- syntax repair loop ---------------------------------------------------
 
+    def probe(self, source: VerilogSource, conv: Conversation, tag: str) -> Repair:
+        """Check 0 of ``source``'s repair loop in ``conv``."""
+        return Repair(source, source, self.syntax_checker(source, f"{tag}/check0"), conv, tag)
+
+    def fix(self, repair: Repair, emit: Optional[Callable[[dict], None]] = None) -> Repair:
+        """Fix attempt ``repair.k + 1``: ask the owning agent to repair the
+        current source, then check the reply. A reply without a code fence
+        is a failed attempt that leaves the source as it was. ``emit``
+        receives the call's event instead of the team's sink."""
+        source, k = repair.source, repair.k + 1
+        if source.kind == "testbench":
+            fix_role = "testbench_gen"
+        elif repair.conv.role == "debug":
+            fix_role = "debug"
+        else:
+            fix_role = "rtl_gen"
+        user = self.templates.render(
+            fix_role,
+            "fix_syntax",
+            diagnostics="\n".join(d.render() for d in repair.diagnostics),
+            rtl=repair.current.code,
+        )
+        reply = self._chat(repair.conv, user, f"{repair.tag}/fix{k}", emit=emit)[0]
+        try:
+            current = self._source(reply, source.kind, source.top_module)
+        except AgentError:
+            return repair._replace(k=k)
+        diagnostics = self.syntax_checker(current, f"{repair.tag}/check{k}")
+        return repair._replace(current=current, diagnostics=diagnostics, k=k)
+
     def fix_syntax(
         self,
         source: VerilogSource,
         conv: Conversation,
         parent_tag: str,
         emit: Optional[Callable[[dict], None]] = None,
-        failed: Optional[Callable[[int], bool]] = None,
     ) -> VerilogSource:
-        """Compile; while broken, ask the owning agent to repair; cap 5 asks.
+        """Probe; while broken, ask the owning agent to repair; cap 5 asks.
 
-        A reply without a code fence counts as a failed iteration. Raises
-        SyntaxUnfixable when the cap is reached with errors remaining.
-        ``emit`` receives the loop's events instead of the team's sink;
-        ``failed(k)`` is called when check ``k`` leaves the source broken:
-        check 0 is the probe before any repair, check k follows repair
-        attempt k. The call may wait; if it returns False, the loop asks for
-        no more repairs and raises SyntaxUnfixable.
+        The loop of the testbench, the initial RTL and the debug trials;
+        step 4 takes a sample through it one attempt at a time
+        (``repair_sample``). Raises SyntaxUnfixable when the cap is reached
+        with errors remaining. ``emit`` receives the loop's events instead
+        of the team's sink.
         """
-        if source.kind == "testbench":
-            fix_role = "testbench_gen"
-        elif conv.role == "debug":
-            fix_role = "debug"
-        else:
-            fix_role = "rtl_gen"
-        current = source
-        diagnostics = self.syntax_checker(current, f"{parent_tag}/check0")
-        k = 0
-        while diagnostics:
-            if (failed is not None and not failed(k)) or k == SYNTAX_FIX_CAP:
-                raise SyntaxUnfixable(diagnostics)
-            k += 1
-            user = self.templates.render(
-                fix_role,
-                "fix_syntax",
-                diagnostics="\n".join(d.render() for d in diagnostics),
-                rtl=current.code,
-            )
-            reply = self._chat(conv, user, f"{parent_tag}/fix{k}", emit=emit)[0]
-            try:
-                current = self._source(reply, source.kind, source.top_module)
-            except AgentError:
-                continue  # fence-less reply: a failed iteration
-            diagnostics = self.syntax_checker(current, f"{parent_tag}/check{k}")
-        return current
+        repair = self.probe(source, conv, parent_tag)
+        while repair.diagnostics:
+            if repair.k == SYNTAX_FIX_CAP:
+                raise SyntaxUnfixable(repair.diagnostics)
+            repair = self.fix(repair, emit)
+        return repair.current
 
     # -- role operations ------------------------------------------------------
 
@@ -387,7 +409,7 @@ class AgentTeam:
         epoch: int = 0,
     ) -> list[str]:
         """Step 4's sampling request: ``count`` completions, not yet repaired;
-        the pipeline hands each to ``repair_sample`` concurrently.
+        the pipeline takes each through ``repair_sample``.
 
         The request is the rtl_gen conversation so far plus a user turn
         holding the specification and the testbench. In multi mode that
@@ -412,26 +434,29 @@ class AgentTeam:
 
     def repair_sample(
         self,
-        reply: str,
+        sample: str | Repair,
         index: int,
         epoch: int = 0,
         emit: Optional[Callable[[dict], None]] = None,
-        failed: Optional[Callable[[int], bool]] = None,
-    ) -> VerilogSource:
-        """Sample ``index``'s reply through the repair loop, in the sample's
-        own repair conversation. A sample whose syntax cannot be repaired, or
-        whose repair ``failed`` stops, becomes a flagged sentinel, so the pool
-        keeps its size. ``emit`` and ``failed`` go to ``fix_syntax``."""
+    ) -> Repair | VerilogSource:
+        """One attempt of sample ``index``'s repair loop, in the sample's own
+        repair conversation: given the sample's reply, its probe; given the
+        ``Repair`` of a broken sample, its next fix attempt and check.
+        Returns the ``Repair`` while the sample stays broken, else its
+        source; a reply without usable source, or an attempt the agent
+        cannot make, gives a flagged sentinel, so the pool keeps its size.
+        Whether a broken sample goes on is the caller's decision. ``emit``
+        receives the attempt's events."""
         try:
-            return self.fix_syntax(
-                self._source(reply, "dut"),
-                self.conversation("rtl_gen", f"conv-rtlfix-e{epoch}-c{index}"),
-                parent_tag=f"rtl_gen/samplefix/e{epoch}/c{index}",
-                emit=emit,
-                failed=failed,
-            )
+            if isinstance(sample, str):
+                source = self._source(sample, "dut")
+                conv = self.conversation("rtl_gen", f"conv-rtlfix-e{epoch}-c{index}")
+                repair = self.probe(source, conv, f"rtl_gen/samplefix/e{epoch}/c{index}")
+            else:
+                repair = self.fix(sample, emit)
         except AgentError:
             return unbuildable(f"sample {index}")
+        return repair if repair.diagnostics else repair.current
 
     def judge(
         self,

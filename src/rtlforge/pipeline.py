@@ -22,17 +22,17 @@ Control flow per run:
    {trial, original} survives (ties prefer the trial). Repeat until a score
    hits 1 or the round budget is spent. The state is the selected list, one
    candidate per slot, plus the round index; each slot's lineage root is
-   the id it was selected with in step 4 and never changes. In multi mode
-   step 5 starts before step 4's stragglers settle; ``_Run.speculate``
-   states the rule.
+   the id it was selected with in step 4 and never changes.
+
+``_Plan`` states the rule of steps 4 and 5, in multi mode with step 5
+starting before step 4's stragglers settle.
 
 ``run_pipeline`` builds the event log and one ``_Run``, which holds the
 run's state (team, workdir allocator, the epoch's simulation cache, candidate
 ids) and runs the steps as its methods; the ``RunOutcome`` is built in
-``run_pipeline`` alone. Steps 4 and 5 fan out on one executor per run with
-one worker per sample, or one in single-agent mode, whose roles share one
-conversation. Each fan-out is one ``_Batch``: its events and its error come
-out only after all of its calls have ended, in call order.
+``run_pipeline`` alone. Steps 4 and 5 run ``_Plan``'s tasks on one executor
+per run with one worker per sample, or one in single-agent mode, whose roles
+share one conversation.
 
 Every simulation gets its own flat workdir name under ``<transcript>/sim/``
 (``sim/rtl_gen.samplefix.e0.c3.check0.a0``), which only a toolchain that
@@ -46,20 +46,19 @@ file back to the agent. Only testbenches get the standalone probe.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Iterator, Optional, Protocol
 
 from . import checkpoints
 from .agents import (
-    SYNTAX_FIX_CAP, AgentTeam, NoCodeBlock, PromptLibrary, SyntaxUnfixable, unbuildable
+    SYNTAX_FIX_CAP, AgentTeam, NoCodeBlock, PromptLibrary, Repair, SyntaxUnfixable, unbuildable
 )
 from .checkpoints import DEFAULT_WINDOW_LEN, CheckRecord, CheckTrace, Score, TraceError
 from .errors import EngineError
@@ -155,9 +154,9 @@ def max_llm_calls(config: RunConfig) -> int:
     """Closed-form upper bound on LLM calls a run can issue.
 
     In multi mode it also counts what step 5 may ask and then discard (see
-    ``_Run.speculate``): the debug rounds of a displaced speculation, at most
+    ``_Plan``): the debug rounds of a displaced speculation, at most
     ``SYNTAX_FIX_CAP - 1`` of them, since round ``SYNTAX_FIX_CAP`` waits for
-    every sample to settle; and one lead trial.
+    every sample to end; and one lead trial.
     """
     if config.agent_mode == "vanilla":
         return 1
@@ -401,174 +400,339 @@ class _SimCache:
             return SimEval(Score(0.0), None, "trace_error", str(exc), sim.diagnostics)
 
 
-class _Batch:
-    """``fn(item, emit, failed)`` for each of ``items``, run concurrently on
-    ``submit``. ``emit`` is the call's event sink; ``failed(k)`` reports
-    that the call's check ``k`` left it broken (check 0 probes the source
-    before any fix, check k follows fix attempt k), which ``settled`` waits
-    on (step 4's samples), and returns whether the call goes on.
-
-    One rule: the batch's events go to ``sink``, in item order, and its first
-    error (in item order) is raised, only after every call in the batch has
-    ended. So neither the log nor the error depends on which call ends first.
-
-    ``failed(k)`` holds a call that failed attempt ``k`` (below
-    ``SYNTAX_FIX_CAP``) until ``decide(k)`` or ``release``: whoever makes a
-    batch whose calls report failures must reach one of them. Check 0 is
-    decided from the start, so ``failed(0)`` never waits. A call that
-    failed attempt ``stop`` or later stops; ``release(stop)`` sets it once,
-    together with the decision that stop marks. Step 5's trials never
-    report a failure, so nothing decides for them.
-    """
-
-    def __init__(self, fn: Callable, items: Iterable, submit: Callable, sink: Callable):
-        items = list(items)
-        self.sink = sink
-        self.failed = [-1] * len(items)  # the last check each call failed so far
-        self.logs: list[list[dict]] = [[] for _ in items]
-        self.decided = 0  # fix attempts whose decision is made
-        self.stop = math.inf
-        self._cond = cond = threading.Condition()
-
-        def wake(_future: Future) -> None:
-            with cond:
-                cond.notify_all()
-
-        self.futures: list[Future] = []
-        for i, item in enumerate(items):
-            future = submit(fn, item, self.logs[i].append, functools.partial(self._fail, i))
-            future.add_done_callback(wake)
-            self.futures.append(future)
-
-    def _fail(self, i: int, attempt: int) -> bool:
-        with self._cond:
-            self.failed[i] = attempt
-            self._cond.notify_all()
-            if attempt < SYNTAX_FIX_CAP:
-                self._cond.wait_for(lambda: self.decided >= attempt)
-            return attempt < self.stop
-
-    def decide(self, attempt: int) -> None:
-        """Let the calls that failed ``attempt`` start their next attempt."""
-        with self._cond:
-            self.decided = attempt
-            self._cond.notify_all()
-
-    def release(self, stop: float = math.inf) -> None:
-        """Decide every attempt: the calls that failed attempt ``stop`` or
-        later stop, the others go on."""
-        with self._cond:
-            self.decided, self.stop = math.inf, stop
-            self._cond.notify_all()
-
-    def settled(self, check: int) -> list:
-        """The results of the calls whose last failed check is below
-        ``check``, in item order, once each of them has ended; [] if one of
-        them raised. ``settled(0)`` holds the calls that passed check 0,
-        ``settled(r)`` those that failed fewer than r fix attempts.
-
-        A call still running after failing check ``check`` can only end
-        later, with as many failures, so the list depends on the calls'
-        outcomes alone.
-        """
-        futures, failed = self.futures, self.failed
-        with self._cond:
-            self._cond.wait_for(
-                lambda: all(f.done() for f, k in zip(futures, failed) if k < check)
-            )
-            counted = [f for f, k in zip(futures, failed) if k < check]
-        if any(f.exception() is not None for f in counted):
-            return []
-        return [f.result() for f in counted]
-
-    def results(self) -> list:
-        """Every call's result, in item order, once all have ended and their
-        events are logged; raises the first call's error instead, if one raised."""
-        wait(self.futures)
-        for log in self.logs:
-            for event in log:
-                self.sink(event)
-        error = next((f.exception() for f in self.futures if f.exception() is not None), None)
-        if error is None:
-            return [f.result() for f in self.futures]
-        # The error's traceback holds this frame: drop every path from the
-        # frame back to the error, so the run is freed without the cyclic collector.
-        self.futures = []
-        try:
-            raise error
-        finally:
-            error = None
-
-
-@dataclass
-class _Lineages:
-    """Step 5's state: the selected list, one candidate per slot; each slot's
-    lineage root, the id it was selected with in step 4; the score history,
-    whose last entry is the current round; whether step 5 restarted after a
-    discarded speculation."""
-
-    selected: list[Candidate]
-    roots: list[int]
-    history: list[tuple[int, list[float]]]
-    restart: bool = False
-
-    @property
-    def round(self) -> int:
-        return self.history[-1][0]
-
-
 # A slot's debug trial, with its evaluation; None when the slot has no trace
 # or the trial could not be repaired.
 _Trial = Optional[tuple[VerilogSource, SimEval]]
 
+RAISED = object()  # the outcome of a task that raised; the run loop keeps its error
 
-class _Lead:
-    """Round 1's trial of one step-4 sample, submitted before round 1 starts
-    (see ``_Run.speculate``). Its events are held until the first round 1
-    takes it or it is discarded."""
 
-    def __init__(self, candidate: Candidate, trial: Callable, submit: Callable):
-        self.root = candidate.id
-        self.events: list[dict] = []
-        self.future: Optional[Future] = submit(
-            trial, (candidate, candidate.id), self.events.append, None
-        )
+class _Plan:
+    """Steps 4 and 5 as one rule over task outcomes, with no threads, futures
+    or locks; ``_Run.refine`` runs it.
 
-    def solves(self) -> bool:
-        """Wait for the trial; whether it scores 1 (a trial that raised does not)."""
-        if self.future.exception() is not None:
-            return False
-        result: _Trial = self.future.result()
-        return result is not None and result[1].score.value == 1.0
+    ``sample_ids`` are the samples' candidate ids; ``ids`` yields the ids of
+    trial candidates. ``start`` and ``feed`` return the tasks to run, as
+    (key, candidate):
+    ``("sample", i)``, sample i's next attempt; ``("trial", r, root,
+    restart)``, round r's trial of the slot whose lineage root is ``root``
+    on ``candidate``; ``("lead", root)``, the lead (below). ``feed`` takes
+    one task's outcome with its events: for a sample, the check k it failed
+    or its candidate; for a trial, its ``_Trial``; ``RAISED`` for a task
+    that raised. ``log`` collects the events in the order the run writes
+    them. Once the rule ends, ``result`` holds (status, best, score
+    history), or ``error`` the key of the task whose error ends the run.
+    Every decision rests on outcomes alone, never on which task ends first,
+    so a replay issues its recording's requests.
 
-    def offer(self, lineages: _Lineages, emit: Callable[[dict], None]) -> Optional["_Lead"]:
-        """The lead, if the first round 1 of ``lineages`` uses it: its root
-        is selected and the round is no restart. Else it is discarded here."""
-        if self.root in lineages.roots and not lineages.restart:
-            return self
-        self.discard(emit)
+    Step 4: a sample's first attempt probes it (check 0), each later one
+    asks for fix k and checks it (check k), until it passes a check and
+    ends as a candidate. One that fails check ``SYNTAX_FIX_CAP`` ends as a
+    flagged sentinel. In single-agent mode, whose turns share one
+    conversation, the samples run one after another in item order. In
+    multi mode they run at once, and step 5 starts before they all end:
+
+    * The lead: once every sample has ended or failed its probe, none that
+      ended raised and some failed it, the best sample that passed it
+      starts its round-1 trial, if it scores below 1 and has a trace (only
+      with a round budget).
+    * Round r < ``SYNTAX_FIX_CAP`` on a provisional top-K starts once every
+      sample has ended or failed check r, and round r-1 has ended without
+      ending step 5. Round 1 needs at least top-K samples ended by then and
+      some not, none of them scoring 1, and selects the top-K of those;
+      round r > 1 needs that top-K unchanged. If a sample ended by then
+      raised, no round starts.
+    * Pacing: a sample that failed check 1 asks for its next fix once round
+      1 starts, one that failed check r > 1 once round r-1 has ended; so
+      after its first fix, what lets a waiting sample go on is a round's
+      end, or the end of the speculation. If a sample ended by fix 1 scores
+      1, or the lead does, every sample that fails check 1 or later stops
+      there as a sentinel; if round r-1 does, every one that fails check r
+      or later. When no further speculative round can start, the samples
+      go on freely.
+
+    The first round 1 waits for the lead before it asks anything else. If
+    the lead's root is selected, the lead is that slot's trial; if it also
+    scores 1, no other slot asks for a trial. Otherwise, or when no round 1
+    runs, the lead is discarded: its events are logged, then one
+    ``lead_discarded`` event.
+
+    Step 5, once every sample has ended: the speculative rounds stand if
+    one solved the run or the true top-K is the provisional one. Else one
+    ``speculation_discarded`` event follows them, and step 5 restarts from
+    round 1 on the true top-K, with trials marked ``.restart``. Rounds go on
+    until a score hits 1 or the round budget is spent.
+
+    The log: each sample's events in item order once every sample has
+    ended, one ``candidate`` event per sample, the speculative rounds'
+    events, then the later rounds'. A round's trials' events follow slot
+    order, once all of them have ended. The error: the first sample in
+    item order that raised, once every sample has ended; else the first
+    trial of a round in slot order that raised, once the round's trials
+    have ended, or a discarded lead that raised. After an error in a
+    speculative round, the samples go on freely, and the run ends once
+    every one has.
+    """
+
+    def __init__(self, config: RunConfig, sample_ids: list[int], ids: Iterator[int]):
+        self.config, self.sample_ids, self.ids = config, sample_ids, ids
+        self.multi = config.agent_mode == "multi"
+        self.fails = [-1] * len(sample_ids)  # the last check each sample failed
+        self.ended: list = [None] * len(sample_ids)  # each sample's candidate, or RAISED
+        self.logs: list[list[dict]] = [[] for _ in sample_ids]  # each sample's events
+        self.parked: list[int] = []  # samples waiting for a decision
+        self.decided = 0 if self.multi else math.inf  # failed check k <= decided: go on
+        self.stop = math.inf  # failed check k >= stop: stop
+        self.trials: dict[tuple, tuple] = {}  # each ended trial's (outcome, events)
+        self.roots: Optional[list[int]] = None  # step 5's lineage roots, once it opens
+        self.actions: list[tuple] = []
+        self.log: list[dict] = []
+        self.result: Optional[tuple] = None
+        self.error: Optional[tuple] = None
+        self.flow = self.rule()
+
+    def start(self) -> list[tuple]:
+        """The first tasks: every sample's probe, or sample 0's in single mode."""
+        next(self.flow)
+        return [(("sample", i), None) for i in range(len(self.sample_ids) if self.multi else 1)]
+
+    def feed(self, key: tuple, outcome, events: list[dict]) -> list[tuple]:
+        """Record one task's outcome and events; returns the tasks to start."""
+        if key[0] != "sample":
+            self.trials[key] = (outcome, events)
+        else:
+            i = key[1]
+            self.logs[i] += events
+            if isinstance(outcome, int):
+                self.fails[i] = outcome
+                self.pace(i)
+            else:
+                self.ended[i] = outcome
+            if not self.multi and self.ended[i] is not None and i + 1 < len(self.sample_ids):
+                self.actions.append((("sample", i + 1), None))  # single mode: the next sample
+        next(self.flow, None)
+        actions, self.actions = self.actions, []
+        return actions
+
+    def pace(self, i: int) -> None:
+        """Sample i, which failed check ``fails[i]``, stops as a sentinel,
+        asks for its next fix, or waits for a decision."""
+        k = self.fails[i]
+        if k >= min(self.stop, SYNTAX_FIX_CAP):
+            self.ended[i] = Candidate(self.sample_ids[i], unbuildable(f"sample {i}"), Score(0.0))
+        elif k <= self.decided:
+            self.actions.append((("sample", i), None))
+        else:
+            self.parked.append(i)
+
+    def decide(self, attempt: float, stop: float = math.inf) -> None:
+        """The samples that failed check ``attempt`` or earlier go on; from
+        now on, one that fails check ``stop`` or later stops."""
+        self.decided, self.stop = attempt, stop
+        parked, self.parked = sorted(self.parked), []
+        for i in parked:
+            self.pace(i)
+
+    def settled(self, check: int) -> Optional[list[Candidate]]:
+        """The candidates of the samples whose last failed check is below
+        ``check``, in item order, once each of them has ended; [] if one of
+        them raised. A sample that failed ``check`` can only end later, so
+        the list depends on outcomes alone."""
+        counted = [c for c, k in zip(self.ended, self.fails) if k < check]
+        if any(c is None for c in counted):
+            return None
+        return [] if any(c is RAISED for c in counted) else counted
+
+    def solves(self, key: tuple) -> bool:
+        outcome = self.trials[key][0]
+        return outcome is not None and outcome is not RAISED and outcome[1].score.value == 1.0
+
+    def rule(self):
+        """The rule above, resumed after every outcome; it yields while it
+        waits for one."""
+        config, n = self.config, len(self.sample_ids)
+        held: list[dict] = []  # the speculative rounds' events
+        lead: Optional[tuple] = None  # the key of a lead trial no round took
+        error: Optional[tuple] = None
+        stop = math.inf
+        if self.multi:
+            while (clean := self.settled(0)) is None:
+                yield
+            if config.max_debug_rounds and 0 < len(clean) < n:
+                best = select_top_k(clean, 1)[0]
+                if best.score.value < 1 and best.trace is not None:
+                    lead = ("lead", best.id)
+                    self.actions.append((lead, best))
+            for attempt in range(1, SYNTAX_FIX_CAP):
+                while (pool := self.settled(attempt)) is None:
+                    yield
+                if len(pool) == n:
+                    break  # no straggler left
+                top = select_top_k(pool, config.top_k) if pool else []
+                if self.roots is None:
+                    done, reason = should_terminate(top, 0, config)
+                    if reason == "solved":  # an ended sample scores 1
+                        stop = attempt
+                    if done or len(pool) < config.top_k:
+                        break
+                    self.select(top, held)
+                    lead, error = yield from self.offer(lead, held)
+                    if error is not None:
+                        break
+                    if lead is not None:
+                        while lead not in self.trials:
+                            yield
+                        if self.solves(lead):
+                            stop = attempt
+                    self.decide(attempt, stop)  # the next fixes start with round 1
+                elif [c.id for c in top] != self.roots:
+                    break  # a straggler displaced the provisional top-K
+                error, lead = (yield from self.debug_round(held, lead)), None
+                if error is not None:
+                    break
+                done, reason = should_terminate(self.selected, self.history[-1][0], config)
+                if reason == "solved":
+                    stop = min(stop, attempt + 1)
+                if done:
+                    break
+                self.decide(attempt + 1)
+            self.decide(math.inf, stop)
+        while any(c is None for c in self.ended):
+            yield
+        self.log += [event for events in self.logs for event in events]
+        failed = next((("sample", i) for i, c in enumerate(self.ended) if c is RAISED), None)
+        if failed is None:
+            for c in self.ended:
+                score, sentinel = c.score.value, c.source.sentinel
+                self.log.append(
+                    {"event": "candidate", "id": c.id, "score": score, "sentinel": sentinel}
+                )
+        elif lead is not None:  # its calls are logged; the sample's error stands
+            while lead not in self.trials:
+                yield
+            held += self.trials.pop(lead)[1]
+        self.log += held
+        self.error = failed or error
+        if self.error is not None:
+            return
+        selected = select_top_k(self.ended, config.top_k)
+        # A speculative solve ends the run on its own rounds, as a perfect
+        # score does in step 2; other rounds stand only on the true top-K.
+        restart = self.roots not in (None, [c.id for c in selected]) and stop == math.inf
+        if restart:
+            rounds = self.history[-1][0]
+            self.log.append({"event": "speculation_discarded", "ids": self.roots, "rounds": rounds})
+        if restart or self.roots is None:
+            self.select(selected, self.log, restart)
+        lead, error = yield from self.offer(lead, self.log)
+        while error is None:
+            done, reason = should_terminate(self.selected, self.history[-1][0], config)
+            if done:
+                break
+            error, lead = (yield from self.debug_round(self.log, lead)), None
+        self.error = error
+        if error is None:
+            best = max(self.selected, key=lambda c: (c.score.value, -c.id))
+            self.result = "solved" if reason == "solved" else "budget_exhausted", best, self.history
+
+    def select(self, selected: list[Candidate], log: list[dict], restart: bool = False) -> None:
+        """Open step 5 on ``selected``: round 0 of its lineages; ``restart``
+        after a discarded speculation. Step 5's state is the selected list,
+        one candidate per slot; each slot's lineage root, the id it was
+        selected with in step 4; the score history, whose last entry is the
+        current round; and ``restart``."""
+        self.selected, self.roots, self.restart = selected, [c.id for c in selected], restart
+        log.append({"event": "selection", "ids": self.roots})
+        scores = [c.score.value for c in selected]
+        log.append({"event": "round_scores", "round": 0, "scores": scores})
+        self.history = [(0, scores)]
+
+    def offer(self, lead: Optional[tuple], log: list[dict]):
+        """Offer the lead to the first round 1 of the selection, which takes
+        it if its root is selected and step 5 goes on; returns (the lead if
+        taken, the lead's key if it is discarded and raised). A discarded
+        lead's events are logged once it has ended, then one
+        ``lead_discarded`` event."""
+        if lead is None or lead[1] in self.roots and all(c.score.value < 1 for c in self.selected):
+            return lead, None
+        while lead not in self.trials:
+            yield
+        outcome, events = self.trials.pop(lead)
+        log += events
+        log.append({"event": "lead_discarded", "id": lead[1]})
+        return None, lead if outcome is RAISED else None
+
+    def debug_round(self, log: list[dict], lead: Optional[tuple] = None):
+        """The next round: one trial per selected slot; per lineage the better
+        of {trial, original} survives. ``lead`` is round 1's trial of its
+        root's slot; if it scores 1, no other slot asks for a trial. Returns
+        the key of the first trial in slot order that raised."""
+        round_index = self.history[-1][0] + 1
+        log.append({"event": "step", "step": 5, "round": round_index})
+        slots = list(zip(self.selected, self.roots))
+        if lead is not None:
+            while lead not in self.trials:
+                yield
+            if self.solves(lead):
+                slots = [slot for slot in slots if slot[1] == lead[1]]
+        keys = [("trial", round_index, root, self.restart) for _, root in slots]
+        keys = [lead if lead and key[2] == lead[1] else key for key in keys]
+        self.actions += [(key, c) for key, (c, _) in zip(keys, slots) if key != lead]
+        while any(key not in self.trials for key in keys):
+            yield
+        outcomes = [self.trials.pop(key) for key in keys]
+        for _, events in outcomes:
+            log += events
+        raised = [key for key, (outcome, _) in zip(keys, outcomes) if outcome is RAISED]
+        if raised:
+            return raised[0]
+        trials: list[Optional[Candidate]] = [None] * len(self.roots)
+        for (original, root), (outcome, _) in zip(slots, outcomes):
+            if outcome is None:
+                continue
+            source, evaluation = outcome
+            trial = Candidate(
+                next(self.ids), source, evaluation.score, evaluation.trace, original.id, round_index
+            )
+            trials[self.roots.index(root)] = trial
+            log.append(
+                {
+                    "event": "trial",
+                    "round": round_index,
+                    "lineage": trial.lineage,
+                    "id": trial.id,
+                    "score": trial.score.value,
+                }
+            )
+        self.selected = update_selection(self.selected, trials)
+        scores = [c.score.value for c in self.selected]
+        self.history.append((round_index, scores))
+        log.append({"event": "round_scores", "round": round_index, "scores": scores})
         return None
 
-    def take(self, emit: Callable[[dict], None]) -> Future:
-        """Wait for the trial, pass its held events to ``emit`` and hand over
-        its future."""
-        wait([self.future])
-        for event in self.events:
-            emit(event)
-        future, self.future = self.future, None
-        return future
 
-    def discard(self, emit: Callable[[dict], None]) -> None:
-        """Log the held events and one ``lead_discarded`` event; then raise
-        the trial's error, if it raised."""
-        error = self.take(emit).exception()
-        emit({"event": "lead_discarded", "id": self.root})
-        if error is not None:
-            # As in ``_Batch.results``: no path from this frame to the error.
-            try:
-                raise error
-            finally:
-                error = None
+def _drive(plan: _Plan, submit: Callable, task: Callable, emit: Callable[[dict], None]):
+    """Run ``plan`` to its end: start each of its tasks as ``task(key,
+    candidate, emit)`` on ``submit``, feed each outcome back as its task
+    ends, and pass the plan's events to ``emit`` as it logs them. Returns
+    the errors of the tasks that raised, by key."""
+    actions, pending, errors = plan.start(), {}, {}
+    while True:
+        for key, candidate in actions:
+            events: list[dict] = []
+            pending[submit(task, key, candidate, events.append)] = key, events
+        for event in plan.log:
+            emit(event)
+        plan.log.clear()
+        if not pending:
+            return errors
+        done, _ = wait(pending, return_when=FIRST_COMPLETED)
+        actions = []
+        for future in done:
+            key, events = pending.pop(future)
+            if future.exception() is not None:
+                errors[key] = future.exception()
+            actions += plan.feed(key, RAISED if key in errors else future.result(), events)
 
 
 # ---------------------------------------------------------------------------
@@ -595,12 +759,10 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
             }
         )
         run = _Run(problem, config, runtime, events)
-        # No task on this executor may queue work on it and wait for that work:
-        # at one worker the run would deadlock. A sample waiting for a step-5
-        # decision holds its worker, and a round starts only once top-K
-        # samples have ended, so one worker per sample leaves room for its trials.
-        # The lead trial is queued only after its own sample has ended, and
-        # round 1's other trials only after the lead has, so it needs no more.
+        # No task waits on another, so any worker count ends. With one worker
+        # per sample no task waits for a worker either: each sample has at
+        # most one task running, and a round's trials start only once top-K
+        # samples have ended (the lead, once one has).
         workers = 1 if config.agent_mode == "single" else config.pool_size
         try:
             with ThreadPoolExecutor(max_workers=workers) as executor:
@@ -741,12 +903,9 @@ class _Run:
         return initial, evaluation
 
     def refine(self, testbench: VerilogSource, epoch: int) -> _Result:
-        """Step 4: sample, score and select the top-K; step 5: debug rounds
-        over the selected slots, whose lineage roots are their step-4 ids.
-        Step 5 may start before every sample has settled (``speculate``).
-        The samples are one batch, whose events and error come out only after
-        every sample has ended; then the candidates are logged, and only then
-        the speculative rounds' events."""
+        """Step 4: sample, repair and score the pool; step 5: debug rounds on
+        its top-K. ``_Plan`` states the rule; here its tasks run on the
+        executor and each outcome goes back to it."""
         config = self.config
         self.emit({"event": "step", "step": 4, "epoch": epoch})
         replies = self.team.sample_rtl_candidates(
@@ -757,178 +916,38 @@ class _Run:
             epoch=epoch,
         )
         ids = [next(self.ids) for _ in replies]
+        states: list = list(replies)  # each sample's reply, its Repair, then its source
 
-        def repair(
-            i: int, emit: Callable[[dict], None], failed: Callable[[int], bool]
-        ) -> Candidate:
-            source = self.team.repair_sample(replies[i], i, epoch, emit, failed)
+        def task(key: tuple, candidate: Optional[Candidate], emit: Callable[[dict], None]):
+            if key[0] != "sample":
+                return self.trial(testbench, key, candidate, emit)
+            i = key[1]
+            state = states[i] = self.team.repair_sample(states[i], i, epoch, emit)
+            if isinstance(state, Repair):
+                return state.k
             # A cache hit: the sample's syntax probe already simulated it.
-            evaluation = self.probe.cache.evaluate(source, f"sample_e{epoch}_c{ids[i]}")
-            return Candidate(ids[i], source, evaluation.score, evaluation.trace)
+            evaluation = self.probe.cache.evaluate(state, f"sample_e{epoch}_c{ids[i]}")
+            return Candidate(ids[i], state, evaluation.score, evaluation.trace)
 
-        samples = _Batch(repair, range(len(replies)), self.submit, self.emit)
-        speculated: list[dict] = []  # the speculative rounds' events
-        candidates: list[Candidate] = []
-        lead: Optional[_Lead] = None  # a lead no speculative round took
-        try:
-            try:
-                lineages, lead = self.speculate(samples, testbench, speculated.append)
-            finally:
-                # Even after a speculative round failed, every sample ends
-                # first: a sample's error takes precedence, as without
-                # speculation.
-                candidates = samples.results()
-        except BaseException:
-            if lead is not None:
-                lead.take(speculated.append)  # its calls are logged; the error stands
-            raise
-        finally:  # after a sample's failure, the candidate list is empty
-            for c in candidates:
-                score, sentinel = c.score.value, c.source.sentinel
-                self.emit({"event": "candidate", "id": c.id, "score": score, "sentinel": sentinel})
-            for event in speculated:
-                self.emit(event)
-        selected = select_top_k(candidates, config.top_k)
-        # A speculative solve ends the run on its own rounds, as a perfect
-        # score does in step 2; other rounds stand only on the true top-K.
-        restart = (
-            lineages is not None
-            and samples.stop == math.inf
-            and lineages.roots != [c.id for c in selected]
-        )
-        if restart:
-            self.emit(
-                {"event": "speculation_discarded", "ids": lineages.roots, "rounds": lineages.round}
-            )
-            lineages = None
-        if lineages is None:
-            lineages = self.select(selected, self.emit, restart)
-        while True:
-            done, reason = should_terminate(lineages.selected, lineages.round, config)
-            if done:
-                break
-            if lead is not None:
-                lead = lead.offer(lineages, self.emit)
-            self.debug_round(lineages, testbench, self.emit, lead)
-            lead = None
-        if lead is not None:  # no round 1 ran
-            lead.discard(self.emit)
-        best = max(lineages.selected, key=lambda c: (c.score.value, -c.id))
-        status = "solved" if reason == "solved" else "budget_exhausted"
-        return status, best, lineages.history, testbench
-
-    def speculate(
-        self, samples: _Batch, testbench: VerilogSource, emit: Callable[[dict], None]
-    ) -> tuple[Optional[_Lineages], Optional[_Lead]]:
-        """Step-5 rounds on a provisional top-K while stragglers still repair;
-        returns their lineages (None if no round ran) and the lead if no
-        round took it.
-
-        Multi mode only, and only when at least top-K samples settled by
-        their first fix attempt and some did not: the provisional top-K is
-        picked from those. Round r starts once round r-1 has not terminated
-        and every sample still repairing has failed fix attempt r, and only
-        if the top-K of the samples that settled by then is still the
-        provisional one. A sample that fails its last attempt settles as a
-        sentinel, so round ``SYNTAX_FIX_CAP`` always waits for every sample.
-        If a counted sample raised, no further round starts.
-
-        The lead: once every sample has ended or failed its probe (check 0),
-        none raised and some failed it, the best sample that passed it
-        starts its round-1 trial at once, alongside the others' first fix,
-        if it scores below 1 and has a trace (multi mode, and only with a
-        round budget). The first round 1, speculative or not, waits for it
-        before it asks anything else. If the lead's root is selected and the
-        round is no ``.restart``, the lead is that slot's trial; if it also
-        scores 1, it solves the run and no other slot asks for a trial.
-        Otherwise, or when no round 1 runs, the lead is discarded: its
-        events are logged, then one ``lead_discarded`` event. A lead that
-        raises fails its round, or the run where it is discarded.
-
-        The samples are paced against these decisions, which is what lets a
-        solve stop them: one that failed attempt r waits, before attempt r+1,
-        until round r-1 has ended without solving the run (for r = 1, until
-        round 1 starts, after the lead). If a sample settled by attempt 1
-        scores 1, or the lead, or round r-1 does, every sample that fails
-        attempt r or later stops there (the lead at r = 1). Any other end
-        lets the waiting samples repair freely. So a sample waits on a
-        slower round, never on another sample after its first attempt.
-        Every decision rests on repair outcomes and round scores, never on
-        timing, so a replay issues the same requests as its recording. Each
-        round's trials are one batch, whose events (to ``emit``) and error
-        come out only after all of its trials have ended.
-
-        Once every sample has settled, ``refine`` keeps the rounds if one
-        solved the run or the true top-K is the provisional one. Else one
-        ``speculation_discarded`` event follows them, and step 5 starts again
-        from round 1 on the true top-K, in debug conversations and with
-        request tags marked ``.restart``. A speculative round that raises
-        still waits for every sample, whose error comes first.
-        """
-        config, lineages, lead, stop = self.config, None, None, math.inf
-        try:
-            if config.agent_mode != "multi":
-                return None, None
-            clean = samples.settled(0)
-            if config.max_debug_rounds and 0 < len(clean) < len(samples.futures):
-                best = select_top_k(clean, 1)[0]
-                if best.score.value < 1 and best.trace is not None:
-                    trial = functools.partial(self.trial, testbench, 1, False)
-                    lead = _Lead(best, trial, self.submit)
-            for attempt in range(1, SYNTAX_FIX_CAP):
-                pool = samples.settled(attempt)
-                if len(pool) == len(samples.futures):
-                    break  # no straggler left
-                top = select_top_k(pool, config.top_k) if pool else []
-                if lineages is None:
-                    done, reason = should_terminate(top, 0, config)
-                    if reason == "solved":  # a settled sample scores 1
-                        stop = attempt
-                    if done or len(pool) < config.top_k:
-                        break  # or too few samples to pick from
-                    lineages = self.select(top, emit)
-                    if lead is not None:
-                        lead = lead.offer(lineages, emit)
-                    if lead is not None and lead.solves():
-                        stop = attempt
-                    else:
-                        samples.decide(attempt)  # the next fix attempts start with round 1
-                elif [c.id for c in top] != lineages.roots:
-                    break  # a straggler displaced the provisional top-K
-                self.debug_round(lineages, testbench, emit, lead)
-                lead = None
-                done, reason = should_terminate(lineages.selected, lineages.round, config)
-                if reason == "solved":
-                    stop = min(stop, attempt + 1)
-                if done:
-                    break
-                samples.decide(attempt + 1)  # no sample stops at its next attempt
-        finally:
-            samples.release(stop)  # no sample waits on a decision any more
-        return lineages, lead
-
-    def select(
-        self, selected: list[Candidate], emit: Callable[[dict], None], restart: bool = False
-    ) -> _Lineages:
-        """Open step 5 on ``selected``: round 0 of its lineages; ``restart``
-        after a discarded speculation."""
-        emit({"event": "selection", "ids": [c.id for c in selected]})
-        scores = [c.score.value for c in selected]
-        emit({"event": "round_scores", "round": 0, "scores": scores})
-        return _Lineages(selected, [c.id for c in selected], [(0, scores)], restart)
+        plan = _Plan(config, ids, self.ids)
+        errors = _drive(plan, self.submit, task, self.emit)
+        if plan.error is not None:
+            # No local holds the error, so the run is freed without the
+            # cyclic collector.
+            raise errors.pop(plan.error)
+        return (*plan.result, testbench)
 
     def trial(
         self,
         testbench: VerilogSource,
-        round_index: int,
-        restart: bool,
-        slot: tuple[Candidate, int],
+        key: tuple,
+        candidate: Candidate,
         emit: Callable[[dict], None],
-        _failed: Optional[Callable],
     ) -> _Trial:
-        """Round ``round_index``'s trial of one slot: its candidate and
-        lineage root. ``_failed`` is the batch's, which no trial calls."""
-        candidate, root = slot
+        """The debug trial a ``_Plan`` key names, on the slot holding
+        ``candidate``: round r's trial of lineage root ``root``, or the lead,
+        which is round 1's."""
+        round_index, root, restart = key[1:] if key[0] == "trial" else (1, key[1], False)
         if candidate.trace is None:
             emit({"event": "trial_skipped", "round": round_index, "id": candidate.id})
             return None
@@ -958,56 +977,6 @@ class _Run:
             return None
         # A cache hit: the trial's syntax probe already simulated it.
         return source, self.probe.cache.evaluate(source, f"debug_r{round_index}_c{candidate.id}")
-
-    def debug_round(
-        self,
-        lineages: _Lineages,
-        testbench: VerilogSource,
-        emit: Callable[[dict], None],
-        lead: Optional[_Lead] = None,
-    ) -> None:
-        """The next round: one trial per selected slot, slots without a usable
-        trace skip; per lineage the better of {trial, original} survives.
-        ``lead``, from ``_Lead.offer``, is round 1's trial of its root's slot;
-        if it scores 1, no other slot asks for a trial."""
-        round_index = lineages.round + 1
-        emit({"event": "step", "step": 5, "round": round_index})
-        slots = list(zip(lineages.selected, lineages.roots))
-        if lead is not None and lead.solves():
-            slots = [slot for slot in slots if slot[1] == lead.root]
-
-        def submit(fn: Callable, slot: tuple[Candidate, int], emit, failed) -> Future:
-            if lead is not None and slot[1] == lead.root:
-                return lead.take(emit)
-            return self.submit(fn, slot, emit, failed)
-
-        trial = functools.partial(self.trial, testbench, round_index, lineages.restart)
-        made = _Batch(trial, slots, submit, emit).results()
-        by_root: dict[int, _Trial] = {root: result for (_, root), result in zip(slots, made)}
-        trials: list[Optional[Candidate]] = []
-        for original, root in zip(lineages.selected, lineages.roots):
-            result = by_root.get(root)
-            if result is None:
-                trials.append(None)
-                continue
-            source, evaluation = result
-            trial = Candidate(
-                next(self.ids), source, evaluation.score, evaluation.trace, original.id, round_index
-            )
-            trials.append(trial)
-            emit(
-                {
-                    "event": "trial",
-                    "round": round_index,
-                    "lineage": trial.lineage,
-                    "id": trial.id,
-                    "score": trial.score.value,
-                }
-            )
-        lineages.selected = update_selection(lineages.selected, trials)
-        scores = [c.score.value for c in lineages.selected]
-        lineages.history.append((round_index, scores))
-        emit({"event": "round_scores", "round": round_index, "scores": scores})
 
     def vanilla(self) -> _Result:
         """One-pass baseline: a single generation, verified only against the

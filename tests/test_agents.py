@@ -6,11 +6,14 @@ from rtlforge.agents import (
     NoCodeBlock,
     PromptError,
     PromptLibrary,
+    Repair,
+    SYNTAX_FIX_CAP,
     SyntaxUnfixable,
     VerdictUnparseable,
     extract_code_block,
     parse_module_name,
     parse_verdict,
+    unbuildable,
 )
 from rtlforge.checkpoints import extract_window, parse_trace
 from rtlforge.gateway import RetryPolicy, SamplingParams
@@ -241,10 +244,17 @@ class TestFixSyntax:
 class TestSampling:
     def _sample(self, team, count):
         """Step 4 as a run does it: one sampling request, then each reply
-        through its own repair loop."""
+        through its own repair loop, one attempt at a time; a sample still
+        broken at the cap becomes a sentinel."""
         tb = VerilogSource(kind="testbench", top_module="t", code=stub_tb())
         replies = team.sample_rtl_candidates("spec", tb, count, team.params)
-        return [team.repair_sample(reply, i) for i, reply in enumerate(replies)]
+        out = []
+        for i, reply in enumerate(replies):
+            state = team.repair_sample(reply, i)
+            while isinstance(state, Repair) and state.k < SYNTAX_FIX_CAP:
+                state = team.repair_sample(state, i)
+            out.append(unbuildable(f"sample {i}") if isinstance(state, Repair) else state)
+        return out
 
     def test_singleton(self):
         team, _ = make_team({"rtl_gen/sample/e0": [fenced(stub_dut("score:0:4"))]})

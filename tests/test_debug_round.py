@@ -6,13 +6,10 @@ import json
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import pytest
-
 from rtlforge.gateway import BackendError
-from rtlforge.pipeline import EngineRuntime, RunConfig, _Batch, run_pipeline
+from rtlforge.pipeline import EngineRuntime, RunConfig, run_pipeline
 
 from fixtures import fenced, stub_counter_problem, stub_dut, stub_tb
 from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker
@@ -112,35 +109,59 @@ def test_event_log_independent_of_reply_order(templates, tmp_path):
         assert artifacts[False] == artifacts[True], f"failing={failing}"
 
 
-def test_batch_logs_in_item_order_after_every_call_under_contention():
-    """More workers than cores and a short switch interval: each batch's
-    events reach the sink in item order, and its first error in item order
-    is raised, only once every call has ended."""
+def test_run_logs_in_item_order_after_every_call_under_contention(templates, tmp_path):
+    """64 samples, one worker each, and a short switch interval; each sample
+    asks for two fixes. The samples' events reach the log in item order and,
+    when samples 31 and 5 fail their second fix, sample 5's error ends the
+    run, only once every call has ended and been logged."""
+    pool = 64
 
-    def call(item, emit, failed):
-        for k in range(50):
-            emit({"item": item, "k": k})
-        failed(1)
-        ended.append(item)
-        if item in (31, 5):
-            raise ValueError(str(item))
-        return 2 * item
+    def script(request):
+        if request.tag == "rtl_gen/sample/e0":
+            return [fenced(stub_dut("score:1:16", name=f"c{i}", err_line=3)) for i in range(pool)]
+        if request.tag not in PREAMBLE:
+            sample, fix = request.tag.split("/")[-2:]
+            if fix == "fix2" and int(sample[1:]) in failing:
+                raise BackendError(f"{sample} lost")
+            return fenced(stub_dut("score:1:16", name=sample, err_line=3 * (fix == "fix1")))
+        return PREAMBLE[request.tag]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=16) as executor:
-            for items, error in ((range(0, 64, 2), None), (range(64), "5")):
-                ended, sink = [], []
-                batch = _Batch(call, items, executor.submit, sink.append)
-                batch.release()  # no call waits on a decision
-                if error is None:
-                    assert batch.settled(1) == [] and batch.results() == [2 * i for i in items]
-                else:
-                    with pytest.raises(ValueError, match=f"^{error}$"):
-                        batch.results()
-                assert sorted(ended) == list(items)
-                assert sink == [{"item": i, "k": k} for i in items for k in range(50)]
+        for failing in (set(), {31, 5}):
+            backend = ScriptedBackend(script)
+            runtime = EngineRuntime(
+                backend=backend,
+                sim_runner=StubSimRunner(),
+                syntax_checker=StubSyntaxChecker(),
+                templates=templates,
+                transcript_dir=tmp_path / f"failing_{len(failing)}",
+            )
+            config = RunConfig(pool_size=pool, top_k=3, max_debug_rounds=0)
+            result = []
+            worker = threading.Thread(
+                target=lambda: result.append(run_pipeline(stub_counter_problem(), config, runtime))
+            )
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive(), "the run did not end"
+            outcome = result[0]
+            log = (runtime.transcript_dir / "events.jsonl").read_text().splitlines()
+            events = [json.loads(line) for line in log]
+            if failing:
+                assert outcome.status == "error" and outcome.error.endswith("c5 lost")
+            else:
+                assert outcome.status == "budget_exhausted"
+            assert len(backend.requests) == 3 + 1 + 2 * pool
+            fixes = [e["tag"] for e in events if "/samplefix/" in e.get("tag", "")]
+            assert fixes == [
+                f"rtl_gen/samplefix/e0/c{i}/fix{k}"
+                for i in range(pool)
+                for k in (1, 2)
+                if k == 1 or i not in failing
+            ]
+            assert outcome.llm_calls == sum(e["event"] == "llm_call" for e in events)
     finally:
         sys.setswitchinterval(interval)
 

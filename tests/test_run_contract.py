@@ -6,6 +6,7 @@ import json
 import re
 import time
 import zlib
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,6 +44,8 @@ BEHAVIORS = (
 # Drawn behaviors lean to the correct counter, so samples and debug trials
 # that solve the run, and stop stragglers, are drawn too.
 DRAWN_BEHAVIORS = ("counter16",) * 3 + BEHAVIORS
+# Behaviors with a trace that score below 1: a clean sample with one can lead.
+TRACED_BELOW_1 = ("counter16:glitch@9", "score:1:16", "score:4:16")
 # Repairs a reply of each broken kind needs; a never-fixed one outlasts the cap.
 FIXES_NEEDED = {
     "broken_then_fixed": 1,
@@ -60,6 +63,7 @@ EARLY_KINDS = ("proceed",) * (3 * len(KINDS)) + KINDS
 _EARLY_RE = re.compile(r"^(testbench_gen/gen|rtl_gen/init|judge/e)\d+$")
 _FIX_RE = re.compile(r"^(?P<parent>.*)/fix(?P<k>\d+)$")
 _SAMPLEFIX_RE = re.compile(r"^rtl_gen/samplefix/(?P<epoch>e\d+)/c(?P<i>\d+)$")
+_SAMPLE_RE = re.compile(r"^rtl_gen/sample/e\d+#(?P<i>\d+)$")
 
 
 class Script:
@@ -71,15 +75,26 @@ class Script:
     second of a ``broken_twice_then_fixed`` one, so stragglers that settle
     late, and may displace step 5's provisional top-K, are drawn too; no
     repair of a ``never_fixed`` reply is clean, so stragglers that a
-    speculative solve stops are drawn as well."""
+    speculative solve stops are drawn as well. Sample i < len(``samples``)
+    has the (kind, behavior) ``samples[i]`` instead."""
 
-    def __init__(self, early: list[str], late: list[str], behaviors: list[str]):
+    def __init__(
+        self, early: list[str], late: list[str], behaviors: list[str], samples: tuple = ()
+    ):
         self.early = early
         self.late = late
         self.behaviors = behaviors
+        self.samples = samples
 
     def pick(self, options, key: str):
         return options[zlib.crc32(key.encode()) % len(options)]
+
+    def pinned(self, key: str) -> Optional[tuple[str, str]]:
+        """The (kind, behavior) of the sample ``key`` asks for, if pinned."""
+        sample = _SAMPLE_RE.match(key)
+        if sample and int(sample["i"]) < len(self.samples):
+            return self.samples[int(sample["i"])]
+        return None
 
     def kind(self, key: str) -> str:
         fix = _FIX_RE.match(key)
@@ -91,6 +106,8 @@ class Script:
             fixes = FIXES_NEEDED.get(self.kind(parent))
             if fixes is not None and int(fix["k"]) <= fixes:
                 return "clean" if int(fix["k"]) == fixes else "broken_then_fixed"
+        if self.pinned(key):
+            return self.pinned(key)[0]
         return self.pick(self.early if _EARLY_RE.match(key) else self.late, key)
 
     def reply(self, key: str) -> str:
@@ -103,7 +120,8 @@ class Script:
             err = 0 if kind == "clean" else 3
             if key.startswith("testbench_gen/"):
                 return fenced(stub_tb() + (f"//ERR:{err}:bad port list\n" if err else ""))
-            return fenced(stub_dut(self.pick(self.behaviors, key), err_line=err))
+            behavior = self.pinned(key)[1] if self.pinned(key) else self.pick(self.behaviors, key)
+            return fenced(stub_dut(behavior, err_line=err))
         return {
             "no_fence": "sorry, no code",
             "no_module": fenced("assign y = 1;\n"),
@@ -132,7 +150,14 @@ def scripted_runs(draw):
     early = draw(st.lists(st.sampled_from(EARLY_KINDS), min_size=1, max_size=6))
     late = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=12))
     behaviors = draw(st.lists(st.sampled_from(DRAWN_BEHAVIORS), min_size=1, max_size=4))
-    return config, Script(early, late, behaviors)
+    # Half the runs pin their first two samples: one passes its probe with a
+    # trace and a score below 1, the other fails it, so a lead trial starts.
+    samples = ()
+    if draw(st.booleans()):
+        leader = ("clean", draw(st.sampled_from(TRACED_BELOW_1)))
+        straggler = (draw(st.sampled_from(list(FIXES_NEEDED))), draw(st.sampled_from(BEHAVIORS)))
+        samples = (leader, straggler)
+    return config, Script(early, late, behaviors, samples)
 
 
 def stub_runtime(script, templates, transcript) -> EngineRuntime:
@@ -147,8 +172,8 @@ def stub_runtime(script, templates, transcript) -> EngineRuntime:
 
 # A speculative solve that stops a never-fixed straggler is rare among drawn
 # runs, so two such runs are pinned: a settled sample scores 1 (it stops
-# after fix 1), and round 1 solves (after fix 2). No drawn run starts a lead
-# trial, so two runs whose lead solves, and is discarded, are pinned too.
+# after fix 1), and round 1 solves (after fix 2). Two runs whose lead trial
+# solves, and is discarded, are pinned too.
 @settings(max_examples=50, deadline=None)
 @given(run=scripted_runs())
 @example(

@@ -425,15 +425,16 @@ def test_a_straggler_waits_on_rounds_not_on_other_stragglers(templates, tmp_path
 
 @pytest.fixture
 def leads(monkeypatch):
-    """The lineage roots of the lead trials the runs start."""
+    """The lineage roots of the lead trials the runs' plans start."""
     roots = []
+    feed = pipeline._Plan.feed
 
-    class RecordedLead(pipeline._Lead):
-        def __init__(self, candidate, *args):
-            roots.append(candidate.id)
-            super().__init__(candidate, *args)
+    def recording_feed(plan, *args):
+        actions = feed(plan, *args)
+        roots.extend(key[1] for key, _ in actions if key[0] == "lead")
+        return actions
 
-    monkeypatch.setattr(pipeline, "_Lead", RecordedLead)
+    monkeypatch.setattr(pipeline._Plan, "feed", recording_feed)
     return roots
 
 
