@@ -366,22 +366,15 @@ class AgentTeam:
         """Step 1: produce the checkpoint-logging testbench (or regenerate it)."""
         if not spec_text:
             raise ValueError("specification text must be non-empty")
-        if feedback is None:
-            user = self.templates.render(
-                "testbench_gen",
-                "generate",
-                spec=spec_text,
-                golden_tb=golden_tb or "(none)",
-            )
-        else:
-            user = self.templates.render(
-                "testbench_gen",
-                "regenerate",
-                spec=spec_text,
-                golden_tb=golden_tb or "(none)",
-                testbench=previous.code if previous else "(unavailable)",
-                feedback=feedback,
-            )
+        # generate.txt leaves the testbench and the feedback unused.
+        user = self.templates.render(
+            "testbench_gen",
+            "generate" if feedback is None else "regenerate",
+            spec=spec_text,
+            golden_tb=golden_tb or "(none)",
+            testbench=previous.code if previous else "(unavailable)",
+            feedback=feedback or "",
+        )
         conv = self.conversation("testbench_gen")
         return self._turn(conv, user, f"testbench_gen/gen{epoch}", "testbench")
 

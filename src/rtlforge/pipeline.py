@@ -485,6 +485,7 @@ class _Plan:
         self.stop = math.inf  # failed check k >= stop: stop
         self.trials: dict[tuple, tuple] = {}  # each ended trial's (outcome, events)
         self.roots: Optional[list[int]] = None  # step 5's lineage roots, once it opens
+        self.lead: Optional[tuple] = None  # the key of a lead trial no round has taken
         self.actions: list[tuple] = []
         self.log: list[dict] = []
         self.result: Optional[tuple] = None
@@ -514,6 +515,13 @@ class _Plan:
         actions, self.actions = self.actions, []
         return actions
 
+    def until(self, ready: Callable[[], object]):
+        """Waits for outcomes until ``ready()`` returns other than None, and
+        returns that; the rule's one wait."""
+        while (value := ready()) is None:
+            yield
+        return value
+
     def pace(self, i: int) -> None:
         """Sample i, which failed check ``fails[i]``, stops as a sentinel,
         asks for its next fix, or waits for a decision."""
@@ -525,15 +533,15 @@ class _Plan:
         else:
             self.parked.append(i)
 
-    def decide(self, attempt: float, stop: float = math.inf) -> None:
-        """The samples that failed check ``attempt`` or earlier go on; from
-        now on, one that fails check ``stop`` or later stops."""
-        self.decided, self.stop = attempt, stop
+    def decide(self, attempt: float) -> None:
+        """The samples that failed check ``attempt`` or earlier go on, unless
+        ``stop`` stops them."""
+        self.decided = attempt
         parked, self.parked = sorted(self.parked), []
         for i in parked:
             self.pace(i)
 
-    def settled(self, check: int) -> Optional[list[Candidate]]:
+    def settled(self, check: float) -> Optional[list[Candidate]]:
         """The candidates of the samples whose last failed check is below
         ``check``, in item order, once each of them has ended; [] if one of
         them raised. A sample that failed ``check`` can only end later, so
@@ -543,62 +551,43 @@ class _Plan:
             return None
         return [] if any(c is RAISED for c in counted) else counted
 
-    def solves(self, key: tuple) -> bool:
-        outcome = self.trials[key][0]
-        return outcome is not None and outcome is not RAISED and outcome[1].score.value == 1.0
-
     def rule(self):
-        """The rule above, resumed after every outcome; it yields while it
-        waits for one."""
+        """The rule above, resumed after every outcome."""
         config, n = self.config, len(self.sample_ids)
         held: list[dict] = []  # the speculative rounds' events
-        lead: Optional[tuple] = None  # the key of a lead trial no round took
-        error: Optional[tuple] = None
-        stop = math.inf
         if self.multi:
-            while (clean := self.settled(0)) is None:
-                yield
+            clean = yield from self.until(lambda: self.settled(0))
             if config.max_debug_rounds and 0 < len(clean) < n:
                 best = select_top_k(clean, 1)[0]
                 if best.score.value < 1 and best.trace is not None:
-                    lead = ("lead", best.id)
-                    self.actions.append((lead, best))
+                    self.lead = ("lead", best.id)
+                    self.actions.append((self.lead, best))
             for attempt in range(1, SYNTAX_FIX_CAP):
-                while (pool := self.settled(attempt)) is None:
-                    yield
+                pool = yield from self.until(lambda: self.settled(attempt))
                 if len(pool) == n:
                     break  # no straggler left
                 top = select_top_k(pool, config.top_k) if pool else []
                 if self.roots is None:
                     done, reason = should_terminate(top, 0, config)
                     if reason == "solved":  # an ended sample scores 1
-                        stop = attempt
+                        self.stop = attempt
                     if done or len(pool) < config.top_k:
                         break
-                    self.select(top, held)
-                    lead, error = yield from self.offer(lead, held)
-                    if error is not None:
-                        break
-                    if lead is not None:
-                        while lead not in self.trials:
-                            yield
-                        if self.solves(lead):
-                            stop = attempt
-                    self.decide(attempt, stop)  # the next fixes start with round 1
+                    yield from self.select(top, held)
                 elif [c.id for c in top] != self.roots:
                     break  # a straggler displaced the provisional top-K
-                error, lead = (yield from self.debug_round(held, lead)), None
-                if error is not None:
+                if self.error is None:
+                    yield from self.debug_round(held)
+                if self.error is not None:
                     break
                 done, reason = should_terminate(self.selected, self.history[-1][0], config)
                 if reason == "solved":
-                    stop = min(stop, attempt + 1)
+                    self.stop = min(self.stop, attempt + 1)
                 if done:
                     break
                 self.decide(attempt + 1)
-            self.decide(math.inf, stop)
-        while any(c is None for c in self.ended):
-            yield
+            self.decide(math.inf)
+        yield from self.until(lambda: self.settled(math.inf))
         self.log += [event for events in self.logs for event in events]
         failed = next((("sample", i) for i, c in enumerate(self.ended) if c is RAISED), None)
         if failed is None:
@@ -607,85 +596,83 @@ class _Plan:
                 self.log.append(
                     {"event": "candidate", "id": c.id, "score": score, "sentinel": sentinel}
                 )
-        elif lead is not None:  # its calls are logged; the sample's error stands
-            while lead not in self.trials:
-                yield
-            held += self.trials.pop(lead)[1]
+        elif self.lead is not None:  # its calls are logged; the sample's error stands
+            held += (yield from self.until(lambda: self.trials.pop(self.lead, None)))[1]
         self.log += held
-        self.error = failed or error
+        self.error = failed or self.error
         if self.error is not None:
             return
         selected = select_top_k(self.ended, config.top_k)
         # A speculative solve ends the run on its own rounds, as a perfect
         # score does in step 2; other rounds stand only on the true top-K.
-        restart = self.roots not in (None, [c.id for c in selected]) and stop == math.inf
+        restart = self.roots not in (None, [c.id for c in selected]) and self.stop == math.inf
         if restart:
             rounds = self.history[-1][0]
             self.log.append({"event": "speculation_discarded", "ids": self.roots, "rounds": rounds})
         if restart or self.roots is None:
-            self.select(selected, self.log, restart)
-        lead, error = yield from self.offer(lead, self.log)
-        while error is None:
+            yield from self.select(selected, self.log, restart)
+        while self.error is None:
             done, reason = should_terminate(self.selected, self.history[-1][0], config)
             if done:
-                break
-            error, lead = (yield from self.debug_round(self.log, lead)), None
-        self.error = error
-        if error is None:
-            best = max(self.selected, key=lambda c: (c.score.value, -c.id))
-            self.result = "solved" if reason == "solved" else "budget_exhausted", best, self.history
+                best = max(self.selected, key=lambda c: (c.score.value, -c.id))
+                status = "solved" if reason == "solved" else "budget_exhausted"
+                self.result = status, best, self.history
+                return
+            yield from self.debug_round(self.log)
 
-    def select(self, selected: list[Candidate], log: list[dict], restart: bool = False) -> None:
+    def select(self, selected: list[Candidate], log: list[dict], restart: bool = False):
         """Open step 5 on ``selected``: round 0 of its lineages; ``restart``
         after a discarded speculation. Step 5's state is the selected list,
         one candidate per slot; each slot's lineage root, the id it was
         selected with in step 4; the score history, whose last entry is the
-        current round; and ``restart``."""
+        current round; and ``restart``. The lead stays for round 1 if its
+        root is selected and step 5 goes on; else it is discarded once it
+        has ended, and its error, if it raised, ends the run."""
         self.selected, self.roots, self.restart = selected, [c.id for c in selected], restart
         log.append({"event": "selection", "ids": self.roots})
         scores = [c.score.value for c in selected]
         log.append({"event": "round_scores", "round": 0, "scores": scores})
         self.history = [(0, scores)]
-
-    def offer(self, lead: Optional[tuple], log: list[dict]):
-        """Offer the lead to the first round 1 of the selection, which takes
-        it if its root is selected and step 5 goes on; returns (the lead if
-        taken, the lead's key if it is discarded and raised). A discarded
-        lead's events are logged once it has ended, then one
-        ``lead_discarded`` event."""
-        if lead is None or lead[1] in self.roots and all(c.score.value < 1 for c in self.selected):
-            return lead, None
-        while lead not in self.trials:
-            yield
-        outcome, events = self.trials.pop(lead)
+        if self.lead is None or self.lead[1] in self.roots and 1.0 not in scores:
+            return
+        outcome, events = yield from self.until(lambda: self.trials.pop(self.lead, None))
         log += events
-        log.append({"event": "lead_discarded", "id": lead[1]})
-        return None, lead if outcome is RAISED else None
+        log.append({"event": "lead_discarded", "id": self.lead[1]})
+        if outcome is RAISED:
+            self.error = self.lead
+        self.lead = None
 
-    def debug_round(self, log: list[dict], lead: Optional[tuple] = None):
+    def debug_round(self, log: list[dict]):
         """The next round: one trial per selected slot; per lineage the better
-        of {trial, original} survives. ``lead`` is round 1's trial of its
-        root's slot; if it scores 1, no other slot asks for a trial. Returns
-        the key of the first trial in slot order that raised."""
+        of {trial, original} survives. A lead is round 1's trial of its
+        root's slot; if it scores 1, no other slot asks for a trial. A
+        speculative round 1 lets the samples that failed check 1 go on once
+        the lead has ended, or stops them if it solved the run. ``error``
+        becomes the key of the first trial in slot order that raised."""
         round_index = self.history[-1][0] + 1
         log.append({"event": "step", "step": 5, "round": round_index})
         slots = list(zip(self.selected, self.roots))
-        if lead is not None:
-            while lead not in self.trials:
-                yield
-            if self.solves(lead):
-                slots = [slot for slot in slots if slot[1] == lead[1]]
-        keys = [("trial", round_index, root, self.restart) for _, root in slots]
-        keys = [lead if lead and key[2] == lead[1] else key for key in keys]
-        self.actions += [(key, c) for key, (c, _) in zip(keys, slots) if key != lead]
-        while any(key not in self.trials for key in keys):
-            yield
+        keys = [("trial", round_index, root, self.restart) for root in self.roots]
+        solved = False
+        if self.lead is not None:
+            keys[self.roots.index(self.lead[1])] = self.lead
+            outcome = (yield from self.until(lambda: self.trials.get(self.lead)))[0]
+            solved = outcome is not None and outcome is not RAISED and outcome[1].score.value == 1
+        if solved:
+            slots, keys = [slots[keys.index(self.lead)]], [self.lead]
+        if self.decided == 0:  # a speculative round 1
+            self.stop = 1 if solved else math.inf
+            self.decide(1)
+        self.actions += [(key, c) for key, (c, _) in zip(keys, slots) if key != self.lead]
+        self.lead = None
+        yield from self.until(lambda: all(key in self.trials for key in keys) or None)
         outcomes = [self.trials.pop(key) for key in keys]
         for _, events in outcomes:
             log += events
         raised = [key for key, (outcome, _) in zip(keys, outcomes) if outcome is RAISED]
         if raised:
-            return raised[0]
+            self.error = raised[0]
+            return
         trials: list[Optional[Candidate]] = [None] * len(self.roots)
         for (original, root), (outcome, _) in zip(slots, outcomes):
             if outcome is None:
@@ -708,7 +695,6 @@ class _Plan:
         scores = [c.score.value for c in self.selected]
         self.history.append((round_index, scores))
         log.append({"event": "round_scores", "round": round_index, "scores": scores})
-        return None
 
 
 def _drive(plan: _Plan, submit: Callable, task: Callable, emit: Callable[[dict], None]):

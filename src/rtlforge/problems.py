@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import Optional
 
 from .errors import EngineError
@@ -49,6 +49,8 @@ class Problem:
             raise ValueError("task_id must be non-empty")
         if not self.spec:
             raise ValueError("spec must be non-empty")
+        if not (self.golden_testbench or "").strip():  # a blank bench is no bench
+            object.__setattr__(self, "golden_testbench", None)
 
     def spec_text(self) -> str:
         """Specification as handed to the agents, with the port stub inlined."""
@@ -95,16 +97,26 @@ def _text(obj: dict, key: str, line_no: int) -> Optional[str]:
     return value
 
 
+def _task_id(obj: dict, line_no: int) -> str:
+    """The entry's task id. A bench writes each task's runs under a directory
+    named by it, so an absolute id or one with a ``..`` part is refused."""
+    if not obj.get("task_id"):
+        raise ParseError("missing required field 'task_id'", line_no)
+    task_id = str(obj["task_id"])
+    if PurePath(task_id).is_absolute() or ".." in PurePath(task_id).parts:
+        raise ParseError(f"task_id {task_id!r} must be a relative path without '..'", line_no)
+    return task_id
+
+
 def _load_jsonl(path: Path) -> list[Problem]:
     problems = []
     for line_no, obj in _json_objects(path):
-        if not obj.get("task_id"):
-            raise ParseError("missing required field 'task_id'", line_no)
+        task_id = _task_id(obj, line_no)
         if not obj.get("spec"):
             raise ParseError("missing required field 'spec'", line_no)
         problems.append(
             Problem(
-                task_id=str(obj["task_id"]),
+                task_id=task_id,
                 spec=str(obj["spec"]),
                 golden_testbench=_text(obj, "golden_testbench", line_no),
                 reference_solution=_text(obj, "reference_solution", line_no),
@@ -118,15 +130,13 @@ def _load_humaneval_jsonl(path: Path) -> list[Problem]:
     """HumanEval-shaped JSONL: prompt is the port stub, test the golden bench."""
     problems = []
     for line_no, obj in _json_objects(path):
-        task_id = obj.get("task_id")
-        if not task_id:
-            raise ParseError("missing required field 'task_id'", line_no)
+        task_id = _task_id(obj, line_no)
         spec = obj.get("detail_description") or obj.get("description") or obj.get("spec")
         if not spec:
             raise ParseError("no description field for task", line_no)
         problems.append(
             Problem(
-                task_id=str(task_id),
+                task_id=task_id,
                 spec=str(spec),
                 golden_testbench=_text(obj, "test", line_no),
                 reference_solution=_text(obj, "canonical_solution", line_no),

@@ -137,6 +137,39 @@ class TestLoadProblems:
         with pytest.raises(ParseError, match="cannot read dataset"):
             load_problems(tmp_path / name, dataset_format)
 
+    def test_blank_golden_bench_is_no_bench(self, tmp_path):
+        rows = [
+            {"task_id": "a", "spec": "a counter", "golden_testbench": "\n"},
+            {"task_id": "b", "detail_description": "a mux", "test": " \t\n"},
+        ]
+        (tmp_path / "set.jsonl").write_text(json.dumps(rows[0]) + "\n", encoding="utf-8")
+        (tmp_path / "he.jsonl").write_text(json.dumps(rows[1]) + "\n", encoding="utf-8")
+        flat = tmp_path / "flat"
+        flat.mkdir()
+        (flat / "c_prompt.txt").write_text("a latch", encoding="utf-8")
+        (flat / "c_test.sv").write_text("\n", encoding="utf-8")
+        problems = [
+            *load_problems(tmp_path / "set.jsonl"),
+            *load_problems(tmp_path / "he.jsonl", "verilogeval-v1"),
+            *load_problems(flat, "verilogeval-v2"),
+            Problem(task_id="d", spec="an adder", golden_testbench="  "),
+        ]
+        assert [p.golden_testbench for p in problems] == [None] * 4
+
+    @pytest.mark.parametrize("dataset_format", ["jsonl", "verilogeval-v1"])
+    @pytest.mark.parametrize("task_id", ["/tmp/x", "../../x", "a/../../x", ".."])
+    def test_task_id_outside_the_run_directory_is_refused(
+        self, tmp_path, dataset_format, task_id
+    ):
+        path = tmp_path / "set.jsonl"
+        rows = [{"task_id": "a/b", "spec": "a counter"}, {"task_id": task_id, "spec": "a mux"}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="task_id") as err:
+            load_problems(path, dataset_format)
+        assert err.value.line == 2
+        path.write_text(json.dumps(rows[0]) + "\n", encoding="utf-8")
+        assert [p.task_id for p in load_problems(path, dataset_format)] == ["a/b"]
+
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text("", encoding="utf-8")
@@ -410,6 +443,31 @@ class TestRunBench:
         assert [r.passed_golden for r in records] == [passed]
         assert [w.relative_to(tmp_path) for w in workdirs] == [Path("easy/sim/golden.a0")]
         assert not (tmp_path / "easy" / "golden_check").exists()
+
+    @pytest.mark.parametrize("mode", ["vanilla", "multi"])
+    def test_blank_golden_bench_runs_as_none(self, tmp_path, templates, mode):
+        def script(request):
+            if "rtl_gen/vanilla" in request.tag:
+                return [fenced(stub_dut("counter16"))]
+            return self._script(request)
+
+        backend = ScriptedBackend(script)
+
+        def factory(task_id, run_index):
+            return EngineRuntime(
+                backend=backend,
+                sim_runner=StubSimRunner(),
+                syntax_checker=StubSyntaxChecker(),
+                templates=templates,
+                transcript_dir=tmp_path / task_id / str(run_index),
+            )
+
+        problem = Problem(task_id="blank", spec="a counter", golden_testbench="\n")
+        config = RunConfig(pool_size=1, top_k=1, max_debug_rounds=1, agent_mode=mode)
+        records = run_bench([problem], config, factory)
+        assert [r.status for r in records] == ["budget_exhausted"]
+        assert not records[0].passed_golden
+        assert not (tmp_path / "blank" / "0" / "golden_check").exists()
 
     def test_engine_error_recorded_as_attempted(self, tmp_path, templates):
         backend = ScriptedBackend({})  # every tag missing -> BackendError

@@ -107,6 +107,8 @@ def drive(world: World, seed: int):
     assert all(c is not None for c in plan.ended) and not plan.parked
     if config.agent_mode == "single":
         assert order == sorted(order)
+    # Every call the world made is logged, discarded or not, however the plan ends.
+    assert sum(e["event"] == "llm_call" for e in plan.log) == calls
     per_epoch = 2 * (1 + SYNTAX_FIX_CAP) + 1  # steps 1-3 of the one epoch
     assert per_epoch + 1 + calls <= max_llm_calls(config)
     check_solve_stop(plan, world, attempts, early_trials)
@@ -116,8 +118,10 @@ def drive(world: World, seed: int):
 def check_solve_stop(plan: _Plan, world: World, attempts: Counter, early_trials: list):
     """A solve while samples still repair stops each of them at the check it
     marks: check 1 after a sample ended by fix 1 or the lead scores 1,
-    check r + 1 after round r does. ``early_trials`` are the trials, the
-    lead's too, started while a sample had not ended."""
+    check r + 1 after round r does. A round in which a trial raised, the
+    lead's included, stops nothing: after its error the samples go on
+    freely. ``early_trials`` are the trials, the lead's too, started while
+    a sample had not ended."""
     config, stop = world.config, math.inf
     early = [c for c, k in zip(plan.ended, plan.fails) if k < 1]
     # Samples still repair when the samples ended by fix 1 are known.
@@ -129,9 +133,13 @@ def check_solve_stop(plan: _Plan, world: World, attempts: Counter, early_trials:
     if straggling and any(c.score.value == 1 for c in early):
         stop = 1
     taken = not any(e["event"] == "lead_discarded" for e in plan.log)
-    for key, candidate in early_trials:
-        outcome = world.trial(key, candidate)[0]
+    outcomes = [(key, world.trial(key, candidate)[0]) for key, candidate in early_trials]
+    # Each early trial belongs to a speculative round; the lead to round 1.
+    raised = {key[1] if key[0] == "trial" else 1 for key, o in outcomes if o is RAISED}
+    for key, outcome in outcomes:
         if outcome is None or outcome is RAISED or outcome[1].score.value < 1:
+            continue
+        if (key[1] if key[0] == "trial" else 1) in raised:
             continue
         if key[0] == "trial":
             stop = min(stop, key[1] + 1)
@@ -192,7 +200,9 @@ def pinned(pool, top_k, rounds, samples, trials):
 @settings(max_examples=150, deadline=None)
 @given(world=worlds())
 # The lead solves; the lead is discarded; a straggler displaces round 1;
-# round 2 solves and stops a straggler that never compiles at check 3.
+# round 2 solves and stops a straggler that never compiles at check 3;
+# round 1 solves, but another of its trials raises, so it stops nothing;
+# a straggler raises once the lead has started, whose calls still count.
 @example(pinned(3, 2, 2, [clean(1), clean(2), straggler(2)], [(0, 1)]))
 @example(pinned(3, 1, 1, [clean(3), straggler(1, 1), straggler(2)], [(2, 1)]))
 @example(pinned(4, 2, 2, [clean(1), clean(2), clean(3), straggler(2, 0)], [(2, 1)]))
@@ -201,6 +211,8 @@ def pinned(pool, top_k, rounds, samples, trials):
         4, 2, 3, [clean(1), clean(2), straggler(1, 3), straggler(NEVER)], [(0, 1), (3, 1), (3, 1)]
     )
 )
+@example(pinned(4, 2, 1, [clean(2), clean(2), straggler(2, 0), clean(1)], [("raise", 1), (0, 1)]))
+@example(pinned(2, 1, 1, [clean(2), straggler(1, raises=1)], [(1, 1)]))
 def test_any_arrival_order_gives_the_same_plan(world):
     runs = [drive(world, seed) for seed in range(SCHEDULES)]
     assert all(run == runs[0] for run in runs[1:])
