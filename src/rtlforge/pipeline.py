@@ -660,7 +660,7 @@ class _Plan:
             solved = outcome is not None and outcome is not RAISED and outcome[1].score.value == 1
         if solved:
             slots, keys = [slots[keys.index(self.lead)]], [self.lead]
-        if self.decided == 0:  # a speculative round 1
+        if self.decided == 0:  # a speculative round 1, which the stragglers wait on
             self.stop = 1 if solved else math.inf
             self.decide(1)
         self.actions += [(key, c) for key, (c, _) in zip(keys, slots) if key != self.lead]
