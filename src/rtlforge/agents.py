@@ -145,9 +145,14 @@ def extract_code_block(reply: str) -> str:
     return blocks[-1].strip("\n")
 
 
+def module_names(code: str) -> list[str]:
+    """Names of the modules the code declares, in order."""
+    return _MODULE_RE.findall(code)
+
+
 def parse_module_name(code: str, preferred: Optional[str] = None) -> str:
     """Name of the module the code declares; prefers ``preferred`` if declared."""
-    names = _MODULE_RE.findall(code)
+    names = module_names(code)
     if not names:
         raise NoCodeBlock("source declares no module")
     if preferred and preferred in names:

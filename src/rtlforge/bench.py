@@ -105,6 +105,7 @@ def run_trial(
             problem.golden_testbench,
             runtime.sim_runner,
             allocator.acquire("final"),
+            problem.reference_solution,
         ).passed
     else:
         passed = outcome.status == "solved"

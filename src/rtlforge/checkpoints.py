@@ -426,33 +426,7 @@ def render_window(window: WaveWindow) -> str:
     return "\n".join(lines)
 
 
-def format_trace(trace: CheckTrace) -> str:
-    """Emit a trace back out in the CHECK/SUMMARY grammar (round-trippable)."""
-
-    def pairs(mapping: dict[str, str]) -> str:
-        return ",".join(f"{k}={v}" for k, v in mapping.items())
-
-    lines = []
-    for r in trace.records:
-        status = "MATCH" if r.matched else "MISMATCH"
-        lines.append(
-            f"CHECK time={r.t} in:{pairs(r.inputs)} dut:{pairs(r.dut_outputs)} "
-            f"exp:{pairs(r.expected_outputs)} status={status}"
-        )
-    first = earliest_mismatch(trace)
-    lines.append(
-        f"SUMMARY total={trace.total_checks} mismatches={trace.mismatches} "
-        f"first_mismatch={'none' if first is None else first}"
-    )
-    return "\n".join(lines)
-
-
 def render_excerpt(trace: CheckTrace, window_len: int = DEFAULT_WINDOW_LEN) -> str:
-    """Human/LLM-readable excerpt: the window at the first mismatch, or a
-    short head of the trace when everything matched."""
-    first = earliest_mismatch(trace)
-    if first is not None:
-        return render_window(extract_window(trace, first, window_len))
-    head = trace.records[: window_len + 1]
-    partial = CheckTrace.from_records(head)
-    return format_trace(partial)
+    """The rendered window at the trace's first mismatch; raises
+    NotAMismatch when every check matched."""
+    return render_window(extract_window(trace, earliest_mismatch(trace), window_len))

@@ -11,12 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
-from .agents import parse_module_name, AgentError
+from .agents import module_names
 from .simbridge import VerilogSource
 
 PASS_RE = re.compile(r"Mismatches:\s*0\b")
 FAIL_RE = re.compile(r"Mismatches:\s*[1-9][0-9]*")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
 
 @dataclass(frozen=True)
@@ -26,19 +28,31 @@ class GoldenResult:
 
 
 def evaluate_golden(
-    rtl: VerilogSource, golden_testbench: str, sim_runner, workdir: str | Path
+    rtl: VerilogSource,
+    golden_testbench: str,
+    sim_runner,
+    workdir: str | Path,
+    reference: Optional[str] = None,
 ) -> GoldenResult:
-    """Compile the RTL with the golden bench and read its mismatch banner."""
+    """Compile the RTL with the golden bench and read its mismatch banner.
+
+    The problem's ``reference`` is compiled with them only when it declares
+    a module that the bench names and neither the bench nor the RTL declares,
+    as VerilogEval v2's ``RefModule``; a v1 body or a reference of the DUT's
+    own module stays out.
+    """
     if not golden_testbench.strip():
         raise ValueError("golden testbench text is empty")
     if rtl.sentinel:
         return GoldenResult(False, "candidate is an unbuildable sentinel")
-    try:
-        top = parse_module_name(golden_testbench)
-    except AgentError:
-        top = "golden_tb"
-    bench = VerilogSource(kind="testbench", top_module=top, code=golden_testbench)
-    sim = sim_runner.run([rtl, bench], workdir)
+    declared = module_names(golden_testbench)
+    top = (declared or ["golden_tb"])[0]
+    sources = [rtl, VerilogSource(kind="testbench", top_module=top, code=golden_testbench)]
+    named = set(_IDENT_RE.findall(golden_testbench)) - set(declared) - set(module_names(rtl.code))
+    needed = [name for name in module_names(reference or "") if name in named]
+    if needed:
+        sources.append(VerilogSource(kind="dut", top_module=needed[0], code=reference))
+    sim = sim_runner.run(sources, workdir)
     if sim.status == "compile_failed":
         return GoldenResult(False, "compile failed against golden testbench")
     if sim.status == "timed_out":

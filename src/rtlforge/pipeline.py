@@ -303,17 +303,17 @@ def _flat_name(label: str) -> str:
 class WorkdirAllocator:
     """Hands out fresh flat workdir paths ``<root>/<label>.a<k>``, thread-safe.
 
-    ``k`` counts each label's workdirs from 0; a ``/`` in the label becomes
-    ``.`` (``rtl_gen/init0/check0`` -> ``rtl_gen.init0.check0.a0``). The
+    ``k`` is the least not yet taken; a ``/`` in the label becomes ``.``
+    (``rtl_gen/init0/check0`` -> ``rtl_gen.init0.check0.a0``). The
     allocator creates nothing: the seam that writes into a workdir creates
-    it, so an in-process toolchain touches no disk. The root is listed once,
-    at the first call, and every name already there is skipped, so a rerun
-    into the same output directory never reuses an earlier run's workdir.
+    it, so an in-process toolchain touches no disk. Taken are the names it
+    handed out and those in the root at the first call, when the root is
+    listed once, so a rerun into the same output directory never reuses an
+    earlier run's workdir.
     """
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._counts: dict[str, int] = {}
         self._taken: Optional[set[str]] = None
         self._lock = threading.Lock()
 
@@ -325,10 +325,10 @@ class WorkdirAllocator:
                     self._taken = set(os.listdir(self.root))
                 except FileNotFoundError:
                     self._taken = set()
-            k = self._counts.get(label, 0)
+            k = 0
             while f"{stem}.a{k}" in self._taken:
                 k += 1
-            self._counts[label] = k + 1
+            self._taken.add(f"{stem}.a{k}")
         return self.root / f"{stem}.a{k}"
 
 
@@ -973,7 +973,8 @@ class _Run:
         if not golden:
             return "budget_exhausted", candidate, [], None
         workdir = self.allocator.acquire("golden")
-        result = evaluate_golden(rtl, golden, self.runtime.sim_runner, workdir)
+        reference = self.problem.reference_solution
+        result = evaluate_golden(rtl, golden, self.runtime.sim_runner, workdir, reference)
         self.emit({"event": "golden", "passed": result.passed, "reason": result.reason})
         candidate.score = Score(1.0 if result.passed else 0.0)
         status = "solved" if result.passed else "budget_exhausted"

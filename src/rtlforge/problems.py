@@ -6,9 +6,12 @@ Native format is JSON Lines, one object per problem:
      "reference_solution": "...", "module_interface": "..."}
 
 Only ``task_id`` and ``spec`` are required; unknown fields are ignored.
-Adapters also accept the two common spec-to-RTL benchmark layouts (a
-HumanEval-style JSONL and a flat directory of ``*_prompt.txt`` /
-``*_test.sv`` / ``*_ref.sv`` files).
+The HumanEval-style JSONL of VerilogEval v1 is read by the same loader: a
+per-format table (``_JSONL_KEYS``) names the keys that hold the spec (the
+first non-empty of several wins), the golden bench, the reference and the
+module interface. VerilogEval v2's flat directory of ``*_prompt.txt`` /
+``*_test.sv`` / ``*_ref.sv`` files has its own loader. Every layout's task
+ids pass the same check: a relative path without a ``..`` part.
 """
 
 from __future__ import annotations
@@ -97,50 +100,45 @@ def _text(obj: dict, key: str, line_no: int) -> Optional[str]:
     return value
 
 
-def _task_id(obj: dict, line_no: int) -> str:
-    """The entry's task id. A bench writes each task's runs under a directory
-    named by it, so an absolute id or one with a ``..`` part is refused."""
-    if not obj.get("task_id"):
-        raise ParseError("missing required field 'task_id'", line_no)
-    task_id = str(obj["task_id"])
+def _task_id(value, line_no: Optional[int] = None, file: Optional[Path] = None) -> str:
+    """A problem's task id. A bench writes each task's runs under a directory
+    named by it, so an empty or absolute id, or one with a ``..`` part, is
+    refused; the error names the entry's line or the file the id came from."""
+    where = f"{file}: " if file else ""
+    if not value:
+        raise ParseError(f"{where}missing required field 'task_id'", line_no)
+    task_id = str(value)
     if PurePath(task_id).is_absolute() or ".." in PurePath(task_id).parts:
-        raise ParseError(f"task_id {task_id!r} must be a relative path without '..'", line_no)
+        raise ParseError(
+            f"{where}task_id {task_id!r} must be a relative path without '..'", line_no
+        )
     return task_id
 
 
-def _load_jsonl(path: Path) -> list[Problem]:
-    problems = []
-    for line_no, obj in _json_objects(path):
-        task_id = _task_id(obj, line_no)
-        if not obj.get("spec"):
-            raise ParseError("missing required field 'spec'", line_no)
-        problems.append(
-            Problem(
-                task_id=task_id,
-                spec=str(obj["spec"]),
-                golden_testbench=_text(obj, "golden_testbench", line_no),
-                reference_solution=_text(obj, "reference_solution", line_no),
-                module_interface=_text(obj, "module_interface", line_no),
-            )
-        )
-    return problems
+# The keys of each JSON Lines format: the spec's (the first non-empty wins),
+# then the golden bench's, the reference's and the module interface's.
+_JSONL_KEYS = {
+    "jsonl": (("spec",), "golden_testbench", "reference_solution", "module_interface"),
+    "verilogeval-v1": (
+        ("detail_description", "description", "spec"), "test", "canonical_solution", "prompt"
+    ),
+}
 
 
-def _load_humaneval_jsonl(path: Path) -> list[Problem]:
-    """HumanEval-shaped JSONL: prompt is the port stub, test the golden bench."""
+def _load_jsonl(path: Path, spec_keys, bench, reference, interface) -> list[Problem]:
     problems = []
     for line_no, obj in _json_objects(path):
-        task_id = _task_id(obj, line_no)
-        spec = obj.get("detail_description") or obj.get("description") or obj.get("spec")
-        if not spec:
-            raise ParseError("no description field for task", line_no)
+        task_id = _task_id(obj.get("task_id"), line_no)
+        spec = next((obj[key] for key in spec_keys if obj.get(key)), None)
+        if spec is None:
+            raise ParseError(f"missing required field {' or '.join(map(repr, spec_keys))}", line_no)
         problems.append(
             Problem(
                 task_id=task_id,
                 spec=str(spec),
-                golden_testbench=_text(obj, "test", line_no),
-                reference_solution=_text(obj, "canonical_solution", line_no),
-                module_interface=_text(obj, "prompt", line_no),
+                golden_testbench=_text(obj, bench, line_no),
+                reference_solution=_text(obj, reference, line_no),
+                module_interface=_text(obj, interface, line_no),
             )
         )
     return problems
@@ -151,7 +149,7 @@ def _load_flat_dir(path: Path) -> list[Problem]:
     _ifc.txt siblings."""
     problems = []
     for prompt_file in sorted(path.glob("*_prompt.txt")):
-        task_id = prompt_file.name[: -len("_prompt.txt")]
+        task_id = _task_id(prompt_file.name[: -len("_prompt.txt")], file=prompt_file)
         spec = _read(prompt_file)
         if not spec.strip():
             raise ParseError(f"empty prompt file for task {task_id!r}")
@@ -179,10 +177,8 @@ def load_problems(path: str | Path, dataset_format: str = "jsonl") -> list[Probl
     path = Path(path)
     if not path.exists():
         raise ParseError(f"dataset not found: {path}")
-    if dataset_format == "jsonl":
-        return _check_unique(_load_jsonl(path))
-    if dataset_format == "verilogeval-v1":
-        return _check_unique(_load_humaneval_jsonl(path))
+    if dataset_format in _JSONL_KEYS:
+        return _check_unique(_load_jsonl(path, *_JSONL_KEYS[dataset_format]))
     if dataset_format == "verilogeval-v2":
         return _check_unique(_load_flat_dir(path))
     raise ParseError(f"unknown dataset format: {dataset_format!r}")

@@ -106,21 +106,19 @@ class ToolchainConfig:
     sim_timeout: float = DEFAULT_SIM_TIMEOUT
 
     def resolve_compiler(self) -> str:
-        # Absolute path: the process launches with cwd set to the workdir.
-        path = self.compiler_path or shutil.which("iverilog")
-        if not path or not Path(path).exists():
-            raise ToolchainMissing(
-                "Verilog compiler not found (set compiler_path or install iverilog)"
-            )
-        return str(Path(path).resolve())
+        return _resolve(self.compiler_path, "Verilog compiler", "compiler_path", "iverilog")
 
     def resolve_vvp(self) -> str:
-        path = self.vvp_path or shutil.which("vvp")
-        if not path or not Path(path).exists():
-            raise ToolchainMissing(
-                "simulation runtime not found (set vvp_path or install vvp)"
-            )
-        return str(Path(path).resolve())
+        return _resolve(self.vvp_path, "simulation runtime", "vvp_path", "vvp")
+
+
+def _resolve(path: Optional[str], what: str, setting: str, binary: str) -> str:
+    """Absolute path of ``path``, else of ``binary`` on PATH: the process
+    launches with cwd set to its workdir."""
+    path = path or shutil.which(binary)
+    if not path or not Path(path).exists():
+        raise ToolchainMissing(f"{what} not found (set {setting} or install {binary})")
+    return str(Path(path).resolve())
 
 
 def toolchain_available(config: Optional[ToolchainConfig] = None) -> bool:

@@ -11,6 +11,7 @@ from rtlforge.bench import (
     emit_report,
     pass_at_k,
     run_bench,
+    run_trial,
 )
 from rtlforge.golden import evaluate_golden
 from rtlforge.pipeline import EngineRuntime, RunConfig
@@ -63,6 +64,17 @@ class TestLoadProblems:
         with pytest.raises(ParseError) as err:
             load_problems(path)
         assert err.value.line == 2
+
+    def test_v1_missing_spec_names_the_keys_tried(self, tmp_path):
+        path = tmp_path / "set.jsonl"
+        path.write_text(json.dumps({"task_id": "a", "description": ""}) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_problems(path, "verilogeval-v1")
+        assert str(err.value) == (
+            "line 1: missing required field 'detail_description' or 'description' or 'spec'"
+        )
+        with pytest.raises(ParseError, match="^line 1: missing required field 'spec'$"):
+            load_problems(path, "jsonl")
 
     def test_invalid_json_line(self, tmp_path):
         path = tmp_path / "set.jsonl"
@@ -169,6 +181,14 @@ class TestLoadProblems:
         assert err.value.line == 2
         path.write_text(json.dumps(rows[0]) + "\n", encoding="utf-8")
         assert [p.task_id for p in load_problems(path, dataset_format)] == ["a/b"]
+
+    @pytest.mark.parametrize("name", ["..", ""])
+    def test_flat_dir_task_id_is_checked(self, tmp_path, name):
+        (tmp_path / "ok_prompt.txt").write_text("build a counter", encoding="utf-8")
+        (tmp_path / f"{name}_prompt.txt").write_text("build a mux", encoding="utf-8")
+        with pytest.raises(ParseError, match="task_id") as err:
+            load_problems(tmp_path, "verilogeval-v2")
+        assert str(tmp_path / f"{name}_prompt.txt") in str(err.value)
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -486,3 +506,81 @@ class TestRunBench:
         assert len(records) == 1
         assert not records[0].passed_golden
         assert records[0].status in ("error", "budget_exhausted") or records[0].status.startswith("error")
+
+
+class TestGoldenReference:
+    """VerilogEval v2's golden bench instantiates ``RefModule``, which only
+    the task's ``_ref.sv`` declares."""
+
+    REF = "module RefModule(input clk, input rst, output reg [3:0] q);\n// REF_MARKER\nendmodule\n"
+
+    def _golden(self):
+        return stub_golden_tb().replace(
+            "endmodule", "  RefModule ref0(.clk(1'b0), .rst(1'b0), .q());\nendmodule"
+        )
+
+    def _v2_problem(self, tmp_path):
+        d = tmp_path / "dataset"
+        d.mkdir()
+        (d / "Prob001_counter_prompt.txt").write_text("a counter", encoding="utf-8")
+        (d / "Prob001_counter_test.sv").write_text(self._golden(), encoding="utf-8")
+        (d / "Prob001_counter_ref.sv").write_text(self.REF, encoding="utf-8")
+        return load_problems(d, "verilogeval-v2")[0]
+
+    class Recorder(StubSimRunner):
+        def __init__(self):
+            super().__init__()
+            self.golden_sources = []
+
+        def run(self, sources, workdir):
+            if "golden" in str(workdir):
+                self.golden_sources.append([s.code for s in sources])
+            return super().run(sources, workdir)
+
+    @pytest.mark.parametrize(
+        "reference, compiled",
+        [
+            (REF, True),
+            ("  always @(posedge clk) q <= q + 1;\nendmodule\n", False),  # a v1 body
+            (stub_dut("counter16"), False),  # a reference of the DUT's own module
+            (None, False),
+        ],
+        ids=["v2_ref", "v1_body", "same_name", "none"],
+    )
+    def test_reference_compiled_only_when_the_bench_needs_it(self, tmp_path, reference, compiled):
+        rtl = VerilogSource(kind="dut", top_module="counter4", code=stub_dut("counter16"))
+        runner = self.Recorder()
+        result = evaluate_golden(rtl, self._golden(), runner, tmp_path / "golden", reference)
+        assert result.passed
+        expected = [rtl.code, self._golden()] + ([reference] if compiled else [])
+        assert runner.golden_sources == [expected]
+
+    @pytest.mark.parametrize("mode", ["multi", "vanilla"])
+    def test_v2_reference_reaches_the_golden_run_only(self, tmp_path, templates, mode):
+        problem = self._v2_problem(tmp_path)
+        assert problem.reference_solution == self.REF
+
+        def script(request):
+            if "rtl_gen/vanilla" in request.tag or "rtl_gen/init0" in request.tag:
+                return [fenced(stub_dut("counter16"))]
+            if "testbench_gen" in request.tag:
+                return [fenced(stub_tb())]
+            raise AssertionError(f"unexpected tag {request.tag}")
+
+        backend = ScriptedBackend(script)
+        runner = self.Recorder()
+        runtime = EngineRuntime(
+            backend=backend,
+            sim_runner=runner,
+            syntax_checker=StubSyntaxChecker(),
+            templates=templates,
+            transcript_dir=tmp_path / "run",
+        )
+        config = RunConfig(pool_size=1, top_k=1, max_debug_rounds=1, agent_mode=mode)
+        trial = run_trial(problem, 0, config, runtime)
+        assert trial.passed_golden
+        assert len(runner.golden_sources) == 1 and self.REF in runner.golden_sources[0]
+        assert backend.requests
+        assert not any(
+            "REF_MARKER" in m.content for r in backend.requests for m in r.messages
+        )

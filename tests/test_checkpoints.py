@@ -15,8 +15,8 @@ from rtlforge.checkpoints import (
     TraceError,
     earliest_mismatch,
     extract_window,
-    format_trace,
     parse_trace,
+    render_excerpt,
     render_window,
     score,
     value_bits,
@@ -162,17 +162,6 @@ class TestParseTrace:
         ):
             with pytest.raises(TraceError, match="^line 2: Exceeds the limit"):
                 parse_trace(check + summary + "\n")
-
-    def test_format_parse_round_trip(self):
-        rng = random.Random(7)
-        for _ in range(50):
-            stdout, n, mismatch_ts, _ = _generate_check_lines(rng)
-            trace = parse_trace(stdout)
-            again = parse_trace(format_trace(trace))
-            assert again.total_checks == trace.total_checks
-            assert again.mismatches == trace.mismatches
-            assert [r.t for r in again.records] == [r.t for r in trace.records]
-            assert [r.matched for r in again.records] == [r.matched for r in trace.records]
 
 
 class TestValueComparison:
@@ -490,3 +479,14 @@ class TestRenderWindow:
         assert "MATCH" in rows[0]
         assert "MISMATCH" in rows[1]
         assert "first mismatch" in rows[1]
+
+
+class TestRenderExcerpt:
+    def test_all_matched_trace_is_not_a_mismatch(self):
+        with pytest.raises(NotAMismatch):
+            render_excerpt(_make_trace([(0, True), (1, True)]))
+
+    def test_window_at_the_first_mismatch(self):
+        trace = _make_trace([(t, t not in (9, 11)) for t in range(14)])
+        assert render_excerpt(trace, 4) == render_window(extract_window(trace, 9, 4))
+        assert render_excerpt(trace) == render_window(extract_window(trace, 9, 8))

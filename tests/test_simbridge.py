@@ -133,6 +133,15 @@ class TestCompile:
         with pytest.raises(ToolchainMissing):
             compile_sources([dut()], tmp_path / "w", config)
 
+    def test_missing_binaries_name_their_setting(self):
+        config = ToolchainConfig(compiler_path="/nonexistent/iverilog", vvp_path="/nonexistent/vvp")
+        with pytest.raises(ToolchainMissing) as err:
+            config.resolve_compiler()
+        assert str(err.value) == "Verilog compiler not found (set compiler_path or install iverilog)"
+        with pytest.raises(ToolchainMissing) as err:
+            config.resolve_vvp()
+        assert str(err.value) == "simulation runtime not found (set vvp_path or install vvp)"
+
 
 class TestSimulate:
     def test_ok_captures_stdout(self, tmp_path, stub_tool_config):
