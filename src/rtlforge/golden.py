@@ -36,10 +36,12 @@ def evaluate_golden(
 ) -> GoldenResult:
     """Compile the RTL with the golden bench and read its mismatch banner.
 
-    The problem's ``reference`` is compiled with them only when it declares
-    a module that the bench names and neither the bench nor the RTL declares,
-    as VerilogEval v2's ``RefModule``; a v1 body or a reference of the DUT's
-    own module stays out.
+    The problem's ``reference`` is compiled with them only when the bench
+    names the RTL's own module and the reference declares a module that the
+    bench names and neither the bench nor the RTL declares, as VerilogEval
+    v2's ``RefModule``. A v1 body, a reference of the DUT's own module, or any
+    reference beside RTL whose module the bench does not name stays out, so
+    the reference never stands in for the DUT.
     """
     if not golden_testbench.strip():
         raise ValueError("golden testbench text is empty")
@@ -48,8 +50,9 @@ def evaluate_golden(
     declared = module_names(golden_testbench)
     top = (declared or ["golden_tb"])[0]
     sources = [rtl, VerilogSource(kind="testbench", top_module=top, code=golden_testbench)]
-    named = set(_IDENT_RE.findall(golden_testbench)) - set(declared) - set(module_names(rtl.code))
-    needed = [name for name in module_names(reference or "") if name in named]
+    named = set(_IDENT_RE.findall(golden_testbench)) - set(declared)
+    extra = named - set(module_names(rtl.code)) if rtl.top_module in named else set()
+    needed = [name for name in module_names(reference or "") if name in extra]
     if needed:
         sources.append(VerilogSource(kind="dut", top_module=needed[0], code=reference))
     sim = sim_runner.run(sources, workdir)

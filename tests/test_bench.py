@@ -538,20 +538,25 @@ class TestGoldenReference:
             return super().run(sources, workdir)
 
     @pytest.mark.parametrize(
-        "reference, compiled",
+        "reference, rtl_name, compiled",
         [
-            (REF, True),
-            ("  always @(posedge clk) q <= q + 1;\nendmodule\n", False),  # a v1 body
-            (stub_dut("counter16"), False),  # a reference of the DUT's own module
-            (None, False),
+            (REF, "counter4", True),
+            ("  always @(posedge clk) q <= q + 1;\nendmodule\n", "counter4", False),  # a v1 body
+            (stub_dut("counter16"), "counter4", False),  # a reference of the DUT's own module
+            (None, "counter4", False),
+            # The bench names counter4, the candidate declares top_module: the
+            # reference of counter4 must not stand in for the candidate.
+            (stub_dut("counter16"), "top_module", False),
+            (REF, "top_module", False),
         ],
-        ids=["v2_ref", "v1_body", "same_name", "none"],
+        ids=["v2_ref", "v1_body", "same_name", "none", "other_name", "other_name_v2_ref"],
     )
-    def test_reference_compiled_only_when_the_bench_needs_it(self, tmp_path, reference, compiled):
-        rtl = VerilogSource(kind="dut", top_module="counter4", code=stub_dut("counter16"))
+    def test_reference_compiled_only_when_the_bench_needs_it(
+        self, tmp_path, reference, rtl_name, compiled
+    ):
+        rtl = VerilogSource(kind="dut", top_module=rtl_name, code=stub_dut("counter16", rtl_name))
         runner = self.Recorder()
-        result = evaluate_golden(rtl, self._golden(), runner, tmp_path / "golden", reference)
-        assert result.passed
+        evaluate_golden(rtl, self._golden(), runner, tmp_path / "golden", reference)
         expected = [rtl.code, self._golden()] + ([reference] if compiled else [])
         assert runner.golden_sources == [expected]
 
