@@ -2,13 +2,17 @@
 
 Wraps two external binaries (an ``iverilog``-style compiler and a ``vvp``
 style runtime) behind structured results. Binary paths come from
-ToolchainConfig with PATH lookup as fallback; every run happens in its own
-working directory so concurrent simulations never interfere.
+ToolchainConfig with PATH lookup as fallback, resolved once per config on
+first use: a binary swapped on disk later in the run is not looked up again.
+Every run happens in its own working directory so concurrent simulations
+never interfere. The compiler's stdout is discarded; its stderr and both of
+the simulator's streams are captured.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 import re
 import shutil
@@ -96,20 +100,34 @@ class CompiledArtifact:
     workdir: Path
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToolchainConfig:
     """Where the compiler and simulator binaries are, and how long one
-    simulation may run; each compile gets ``TIMEOUT_GRACE`` more seconds."""
+    simulation may run; each compile gets ``TIMEOUT_GRACE`` more seconds.
+
+    Each binary is resolved once per config, on first use, and kept: a
+    binary swapped on disk later in the run is not looked up again, and one
+    deleted fails its next launch with ToolchainMissing. A failed resolution
+    is not kept, so the next call looks again.
+    """
 
     compiler_path: Optional[str] = None
     vvp_path: Optional[str] = None
     sim_timeout: float = DEFAULT_SIM_TIMEOUT
 
-    def resolve_compiler(self) -> str:
+    @functools.cached_property
+    def _compiler(self) -> str:
         return _resolve(self.compiler_path, "Verilog compiler", "compiler_path", "iverilog")
 
-    def resolve_vvp(self) -> str:
+    @functools.cached_property
+    def _vvp(self) -> str:
         return _resolve(self.vvp_path, "simulation runtime", "vvp_path", "vvp")
+
+    def resolve_compiler(self) -> str:
+        return self._compiler
+
+    def resolve_vvp(self) -> str:
+        return self._vvp
 
 
 def _resolve(path: Optional[str], what: str, setting: str, binary: str) -> str:
@@ -138,14 +156,16 @@ def parse_diagnostics(stderr: str) -> list[Diagnostic]:
     """Line-oriented parse of ``file:line: message`` toolchain stderr.
 
     Unparseable lines are kept verbatim (line=None) so no information the
-    repair loop could use is ever dropped.
+    repair loop could use is ever dropped. A line is a warning when its
+    message (the text after ``file:line:``, else the whole line) starts
+    with "warning"; a "warning" elsewhere, such as in a quoted identifier
+    (``Unknown module type: warning_led``), leaves it an error.
     """
     diagnostics: list[Diagnostic] = []
     for raw in stderr.splitlines():
         line = raw.strip()
         if not line:
             continue
-        severity = "warning" if "warning" in line.lower() else "error"
         m = _DIAG_RE.match(line)
         if m:
             msg = m.group("msg").strip()
@@ -154,12 +174,18 @@ def parse_diagnostics(stderr: str) -> list[Diagnostic]:
                     file=m.group("file"),
                     line=int(m.group("line")),
                     message=msg or line,
-                    severity=severity,
+                    severity=_severity(msg),
                 )
             )
         else:
-            diagnostics.append(Diagnostic(file="", line=None, message=line, severity=severity))
+            diagnostics.append(
+                Diagnostic(file="", line=None, message=line, severity=_severity(line))
+            )
     return diagnostics
+
+
+def _severity(message: str) -> str:
+    return "warning" if message.lower().startswith("warning") else "error"
 
 
 _FILE_STEMS = {"dut": "dut", "testbench": "tb"}
@@ -185,20 +211,31 @@ def source_names(sources: list[VerilogSource]) -> list[str]:
 
 
 def write_sources(sources: list[VerilogSource], workdir: Path) -> list[Path]:
-    """Write each source to its ``source_names`` file in ``workdir``."""
+    """Write each source to its ``source_names`` file in ``workdir``, as UTF-8."""
     paths = [workdir / name for name in source_names(sources)]
     for source, path in zip(sources, paths):
-        path.write_text(source.code, encoding="utf-8")
+        path.write_bytes(source.code.encode("utf-8"))
     return paths
 
 
-def _launch(cmd: list[str], cwd: Path, timeout: float) -> tuple[Optional[int], str, str, float]:
+def _decode(output: Optional[bytes]) -> str:
+    """``output`` as text mode's ``communicate`` gives it: UTF-8 with
+    undecodable bytes replaced, and CRLF and CR read as LF."""
+    if not output:
+        return ""
+    return output.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _launch(
+    cmd: list[str], cwd: Path, timeout: float, capture_stdout: bool = True
+) -> tuple[Optional[int], str, str, float]:
     """Run ``cmd`` in ``cwd`` on a toolchain slot, killing it after ``timeout``.
 
     Returns (exit status, or None on timeout; stdout; stderr; seconds). The
-    clock starts once the slot is held, so the seconds exclude the wait. The
-    output is decoded as UTF-8 with undecodable bytes replaced: a design may
-    print any byte (``$display("%c", 8'hff)``).
+    clock starts once the slot is held, so the seconds exclude the wait.
+    Without ``capture_stdout`` the tool's stdout goes to the null device and
+    reads as "". The pipes are read as bytes and each is decoded once by
+    ``_decode``: a design may print any byte (``$display("%c", 8'hff)``).
     Raises OSError when the binary cannot be launched.
 
     The tool runs in its own process group, and a timeout kills the whole
@@ -211,11 +248,9 @@ def _launch(cmd: list[str], cwd: Path, timeout: float) -> tuple[Optional[int], s
         start = time.monotonic()
         proc = subprocess.Popen(
             cmd,
-            cwd=str(cwd),
-            stdout=subprocess.PIPE,
+            cwd=cwd,
+            stdout=subprocess.PIPE if capture_stdout else subprocess.DEVNULL,
             stderr=subprocess.PIPE,
-            encoding="utf-8",
-            errors="replace",
             start_new_session=True,
         )
         try:
@@ -229,7 +264,7 @@ def _launch(cmd: list[str], cwd: Path, timeout: float) -> tuple[Optional[int], s
             if not isinstance(exc, subprocess.TimeoutExpired):
                 raise
             status = None
-        return status, stdout or "", stderr or "", time.monotonic() - start
+        return status, _decode(stdout), _decode(stderr), time.monotonic() - start
 
 
 def compile_sources(
@@ -254,9 +289,13 @@ def compile_sources(
     config = config or ToolchainConfig()
     compiler = config.resolve_compiler()
     workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    if any(workdir.iterdir()):
-        raise ValueError(f"workdir is not empty: {workdir}")
+    try:
+        os.mkdir(workdir)
+    except FileNotFoundError:
+        workdir.mkdir(parents=True)
+    except FileExistsError:
+        if os.listdir(workdir):
+            raise ValueError(f"workdir is not empty: {workdir}") from None
     paths = write_sources(sources, workdir)
     out = workdir / "sim.vvp"
     cmd = [compiler, *COMPILE_ARGS]
@@ -265,7 +304,7 @@ def compile_sources(
     cmd += ["-o", out.name, *[p.name for p in paths]]
     timeout = config.sim_timeout + TIMEOUT_GRACE
     try:
-        status, _, stderr, _ = _launch(cmd, workdir, timeout)
+        status, _, stderr, _ = _launch(cmd, workdir, timeout, capture_stdout=False)
     except OSError as exc:
         raise ToolchainMissing(f"cannot launch compiler {cmd[0]}: {exc}") from exc
     if status is None:

@@ -202,6 +202,23 @@ class TestWorkdirAllocator:
         assert all(p.parent == tmp_path / "sim" for p in paths)
 
 
+class TestProbe:
+    """The team's syntax probe on a DUT, over the subprocess stub toolchain."""
+
+    @pytest.mark.parametrize("module", ["counter", "warning_led"])
+    def test_error_naming_any_module_is_kept(self, tmp_path, stub_tool_config, module):
+        allocator = WorkdirAllocator(tmp_path / "sim")
+        probe = pipeline._Probe(ToolchainSyntaxChecker(stub_tool_config), allocator)
+        testbench = VerilogSource(kind="testbench", top_module="counter4_tb", code=stub_tb())
+        probe.cache = pipeline._SimCache(
+            ToolchainSimRunner(stub_tool_config), testbench, allocator
+        )
+        message = f"Unknown module type: {module}"
+        code = f"//ERR:2:{message}\n" + stub_dut("score:0:16")
+        diagnostics = probe(VerilogSource(kind="dut", top_module="counter4", code=code), "s0")
+        assert [(d.file, d.line, d.message) for d in diagnostics] == [("dut.v", 2, message)]
+
+
 class TestRunConfig:
     def test_pool_size_follows_profile(self):
         assert RunConfig(temp_profile="high").pool_size == 20

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import threading
 import time
@@ -89,6 +90,19 @@ class TestParseDiagnostics:
         diags = parse_diagnostics("dut.v:5: warning: implicit wire\n")
         assert diags[0].severity == "warning"
 
+    @pytest.mark.parametrize(
+        "line, severity",
+        [
+            ("dut.v:4: error: Unknown module type: warning_led", "error"),
+            ("dut.v:4: Unknown module type: warning_led", "error"),
+            ("dut.v:5: Warning: implicit wire", "warning"),
+            ("warning: some modules have no timescale", "warning"),
+            ("I give up on warning_led.", "error"),
+        ],
+    )
+    def test_warning_only_when_the_message_starts_with_it(self, line, severity):
+        assert [d.severity for d in parse_diagnostics(line + "\n")] == [severity]
+
     def test_blank_lines_skipped(self):
         assert parse_diagnostics("\n\n") == []
 
@@ -128,6 +142,47 @@ class TestCompile:
         with pytest.raises(ValueError):
             compile_sources([sentinel], tmp_path / "w", stub_tool_config)
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_absent_or_empty_workdir_taken(self, tmp_path, stub_tool_config, existing):
+        """An absent workdir is made with its missing parents; an empty one is used."""
+        work = tmp_path / "a" / "b" / "w"
+        if existing:
+            work.mkdir(parents=True)
+        artifact = compile_sources([dut(), tb()], work, stub_tool_config)
+        assert artifact.workdir == work
+        assert sorted(p.name for p in work.iterdir()) == ["dut.v", "sim.vvp", "tb.v"]
+
+    def test_each_binary_resolved_once_per_config(self, tmp_path, stub_tool_config, monkeypatch):
+        calls = []
+        resolve = simbridge._resolve
+
+        def counted(path, *args):
+            calls.append(path)
+            return resolve(path, *args)
+
+        monkeypatch.setattr(simbridge, "_resolve", counted)
+        for i in range(3):
+            assert run_sim([dut(), tb()], tmp_path / f"w{i}", stub_tool_config).status == "ok"
+            assert check_syntax(dut(), tmp_path / f"s{i}", stub_tool_config) == []
+        assert calls == [stub_tool_config.compiler_path, stub_tool_config.vvp_path]
+
+    def test_failed_resolution_is_not_kept(self, tmp_path, stub_toolchain):
+        compiler = tmp_path / "late-iverilog"
+        config = ToolchainConfig(compiler_path=str(compiler))
+        with pytest.raises(ToolchainMissing):
+            config.resolve_compiler()
+        shutil.copy(stub_toolchain[0], compiler)
+        assert config.resolve_compiler() == str(compiler.resolve())
+
+    def test_compiler_deleted_after_first_launch(self, tmp_path, stub_toolchain):
+        compiler = tmp_path / "doomed-iverilog"
+        shutil.copy(stub_toolchain[0], compiler)
+        config = ToolchainConfig(compiler_path=str(compiler))
+        compile_sources([dut(), tb()], tmp_path / "w0", config)
+        compiler.unlink()
+        with pytest.raises(ToolchainMissing, match="cannot launch compiler"):
+            compile_sources([dut(), tb()], tmp_path / "w1", config)
+
     def test_toolchain_missing(self, tmp_path):
         config = ToolchainConfig(compiler_path="/nonexistent/iverilog")
         with pytest.raises(ToolchainMissing):
@@ -161,14 +216,22 @@ class TestSimulate:
 
     def test_output_that_is_not_utf8_is_decoded(self, tmp_path):
         """A simulator printing byte 0xFF (``$display("%c", 8'hff)``) still
-        gives a run, with the byte replaced."""
+        gives a run, with the byte replaced; both streams read as text mode
+        reads them: carriage returns become newlines, UTF-8 stays intact."""
         vvp = tmp_path / "ff-vvp"
-        vvp.write_text("#!/bin/sh\nprintf 'x\\377y\\n'\nprintf '\\377\\n' >&2\n", encoding="utf-8")
+        out = "printf 'a\\r\\nb\\rc\\377\\342\\202\\254\\n'"
+        vvp.write_text(f"#!/bin/sh\n{out}\n{out} >&2\n", encoding="utf-8")
         vvp.chmod(0o755)
         config = ToolchainConfig(vvp_path=str(vvp))
         run = simulate(CompiledArtifact(tmp_path / "sim.vvp", tmp_path), config)
         assert run.status == "ok"
-        assert run.stdout == "x\ufffdy\n"
+        assert run.stdout == "a\nb\nc\ufffd\u20ac\n"
+        assert [d.message for d in run.diagnostics] == ["a", "b", "c\ufffd\u20ac"]
+        text_mode = subprocess.run(
+            [str(vvp)], capture_output=True, encoding="utf-8", errors="replace"
+        )
+        assert run.stdout == text_mode.stdout
+        assert run.diagnostics == tuple(parse_diagnostics(text_mode.stderr))
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process groups from /proc")
     def test_timeout_kills_the_tools_children(self, tmp_path):
