@@ -128,11 +128,11 @@ def run_bench(
     workers: int = 1,
     records_sink: Optional[list[TrialRecord]] = None,
 ) -> list[TrialRecord]:
-    """All problems x n_runs independent pipelines.
+    """All problems x n_runs independent pipelines, ``workers`` at a time.
 
-    Records are appended to ``records_sink`` as they complete, so an
-    interrupted run still has everything finished so far available for a
-    partial report (the interrupt is re-raised).
+    Records are appended to ``records_sink`` in job order as they complete,
+    so an interrupted run still has everything finished so far available for
+    a partial report (the interrupt is re-raised once the running jobs end).
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -152,19 +152,15 @@ def run_bench(
                 status=f"error: {exc}",
             )
 
-    if workers <= 1:
-        for job in jobs:
-            records.append(one(job))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(one, job) for job in jobs]
-            try:
-                for future in futures:
-                    records.append(future.result())
-            except KeyboardInterrupt:
-                for future in futures:
-                    future.cancel()
-                raise
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(one, job) for job in jobs]
+        try:
+            for future in futures:
+                records.append(future.result())
+        except KeyboardInterrupt:
+            for future in futures:
+                future.cancel()
+            raise
     return records
 
 

@@ -263,6 +263,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     )
     if outcome.best is not None:
         (out / "final.v").write_text(outcome.best.source.code, encoding="utf-8")
+    else:  # a rerun into this --out keeps no earlier run's final.v
+        (out / "final.v").unlink(missing_ok=True)
     if outcome.status == "solved":
         print(f"solved: {out / 'final.v'}")
         return EXIT_OK
@@ -277,6 +279,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     cfg = merge_config(args)
     if cfg["runs"] < 1:
         raise EngineError("runs must be >= 1")
+    if cfg["workers"] < 1:
+        raise EngineError("workers must be >= 1")
     problems = load_problems(args.dataset, cfg["dataset_format"])
     run_config = _run_config(cfg)
     out = Path(args.out)

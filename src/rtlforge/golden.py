@@ -38,10 +38,13 @@ def evaluate_golden(
 
     The problem's ``reference`` is compiled with them only when the bench
     names the RTL's own module and the reference declares a module that the
-    bench names and neither the bench nor the RTL declares, as VerilogEval
-    v2's ``RefModule``. A v1 body, a reference of the DUT's own module, or any
-    reference beside RTL whose module the bench does not name stays out, so
-    the reference never stands in for the DUT.
+    bench names and does not declare, other than the RTL's top module, as
+    VerilogEval v2's ``RefModule``. A v1 body, a reference of the DUT's own
+    module, or any reference beside RTL whose module the bench does not name
+    stays out, so the reference never stands in for the DUT. RTL that also
+    declares the reference's module gets the reference beside it all the
+    same, and the compile rejects the duplicate module: the RTL cannot grade
+    itself against its own ``RefModule``.
     """
     if not golden_testbench.strip():
         raise ValueError("golden testbench text is empty")
@@ -51,7 +54,7 @@ def evaluate_golden(
     top = (declared or ["golden_tb"])[0]
     sources = [rtl, VerilogSource(kind="testbench", top_module=top, code=golden_testbench)]
     named = set(_IDENT_RE.findall(golden_testbench)) - set(declared)
-    extra = named - set(module_names(rtl.code)) if rtl.top_module in named else set()
+    extra = named - {rtl.top_module} if rtl.top_module in named else set()
     needed = [name for name in module_names(reference or "") if name in extra]
     if needed:
         sources.append(VerilogSource(kind="dut", top_module=needed[0], code=reference))

@@ -733,6 +733,7 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
     failures (returns status="error" with a partial transcript instead)."""
     transcript = Path(runtime.transcript_dir)
     transcript.mkdir(parents=True, exist_ok=True)
+    (transcript / "best.v").unlink(missing_ok=True)  # a rerun keeps no earlier best.v
     with EventLog(transcript / "events.jsonl") as events:
         events.emit(
             {
@@ -993,8 +994,11 @@ def _route_without_trace(
             detail = "; ".join(d.render() for d in diags[:5])
             return True, f"testbench failed to compile with the RTL: {detail}"
         return False, "joint compilation failed on the RTL side"
+    # A crash or timeout has no detail; the simulator's stderr says why.
+    details = [evaluation.detail] if evaluation.detail else []
+    details += [d.render() for d in evaluation.diagnostics[:5]]
     reason = f"simulation did not produce a valid checkpoint log ({evaluation.status})"
-    if evaluation.detail:
-        reason += f": {evaluation.detail}"
+    if details:
+        reason += ": " + "; ".join(details)
     emit({"event": "route", "reason": evaluation.status})
     return True, reason

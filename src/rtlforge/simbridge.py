@@ -1,12 +1,15 @@
 """Verilog toolchain driver: compile and simulate in isolated workdirs.
 
 Wraps two external binaries (an ``iverilog``-style compiler and a ``vvp``
-style runtime) behind structured results. Binary paths come from
-ToolchainConfig with PATH lookup as fallback, resolved once per config on
-first use: a binary swapped on disk later in the run is not looked up again.
-Every run happens in its own working directory so concurrent simulations
-never interfere. The compiler's stdout is discarded; its stderr and both of
-the simulator's streams are captured.
+style runtime) behind plain values: a compile returns its error
+diagnostics, none when it built the workdir's ``sim.vvp``, and a simulation
+of that workdir returns a SimRun. Only a binary that cannot be found or
+launched raises (ToolchainMissing). Binary paths come from ToolchainConfig
+with PATH lookup as fallback, resolved once per config on first use: a
+binary swapped on disk later in the run is not looked up again. Every run
+happens in its own working directory so concurrent simulations never
+interfere. The compiler's stdout is discarded; its stderr and both of the
+simulator's streams are captured.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_$]*$")
 DEFAULT_SIM_TIMEOUT = 30.0  # seconds one simulation may run
 TIMEOUT_GRACE = 2.0
 COMPILE_ARGS = ("-g2012",)  # language standard passed to every compile
+RUNNABLE = "sim.vvp"  # what a compile builds in its workdir and a simulation runs
 # Toolchain slots: one per CPU, held by every compile and simulation of the
 # process, however many runs and ToolchainConfigs share it.
 TOOLCHAIN_SLOTS = threading.BoundedSemaphore(os.cpu_count() or 4)
@@ -37,15 +41,6 @@ TOOLCHAIN_SLOTS = threading.BoundedSemaphore(os.cpu_count() or 4)
 
 class ToolchainMissing(EngineError):
     """Compiler or simulator binary cannot be found."""
-
-
-class CompileFailed(EngineError):
-    """Compilation failed; carries every parseable diagnostic."""
-
-    def __init__(self, diagnostics: list["Diagnostic"]):
-        first = diagnostics[0].message if diagnostics else "unknown error"
-        super().__init__(f"compile failed: {first}")
-        self.diagnostics = diagnostics
 
 
 @dataclass(frozen=True)
@@ -95,20 +90,15 @@ class SimRun:
 
 
 @dataclass(frozen=True)
-class CompiledArtifact:
-    runnable: Path
-    workdir: Path
-
-
-@dataclass(frozen=True)
 class ToolchainConfig:
     """Where the compiler and simulator binaries are, and how long one
     simulation may run; each compile gets ``TIMEOUT_GRACE`` more seconds.
 
-    Each binary is resolved once per config, on first use, and kept: a
-    binary swapped on disk later in the run is not looked up again, and one
-    deleted fails its next launch with ToolchainMissing. A failed resolution
-    is not kept, so the next call looks again.
+    Each binary is resolved to an absolute path once per config, on first
+    use of ``compiler`` or ``vvp``, and kept: a binary swapped on disk later
+    in the run is not looked up again, and one deleted fails its next launch
+    with ToolchainMissing. A failed resolution is not kept, so the next use
+    looks again.
     """
 
     compiler_path: Optional[str] = None
@@ -116,18 +106,12 @@ class ToolchainConfig:
     sim_timeout: float = DEFAULT_SIM_TIMEOUT
 
     @functools.cached_property
-    def _compiler(self) -> str:
+    def compiler(self) -> str:
         return _resolve(self.compiler_path, "Verilog compiler", "compiler_path", "iverilog")
 
     @functools.cached_property
-    def _vvp(self) -> str:
+    def vvp(self) -> str:
         return _resolve(self.vvp_path, "simulation runtime", "vvp_path", "vvp")
-
-    def resolve_compiler(self) -> str:
-        return self._compiler
-
-    def resolve_vvp(self) -> str:
-        return self._vvp
 
 
 def _resolve(path: Optional[str], what: str, setting: str, binary: str) -> str:
@@ -142,9 +126,7 @@ def _resolve(path: Optional[str], what: str, setting: str, binary: str) -> str:
 def toolchain_available(config: Optional[ToolchainConfig] = None) -> bool:
     config = config or ToolchainConfig()
     try:
-        config.resolve_compiler()
-        config.resolve_vvp()
-        return True
+        return bool(config.compiler and config.vvp)
     except ToolchainMissing:
         return False
 
@@ -272,22 +254,24 @@ def compile_sources(
     workdir: str | Path,
     config: Optional[ToolchainConfig] = None,
     ignore_missing: bool = False,
-) -> CompiledArtifact:
-    """Compile sources in ``workdir``; returns a runnable simulation artifact.
+) -> tuple[Diagnostic, ...]:
+    """Compile sources into ``workdir``'s ``RUNNABLE``; returns the compile's
+    error diagnostics, empty when it was built.
 
     ``workdir`` must be empty or absent: this is where a run's workdir is
     created, with its parents, since the pipeline's allocator only names it.
-    Raises CompileFailed with every parseable diagnostic on failure, and
-    ToolchainMissing when no compiler can be resolved. ``ignore_missing``
-    tells the compiler to treat unresolved module instantiations as black
-    boxes (used to syntax-check a testbench before any DUT exists).
+    A failed compile returns every parseable error, else one line naming the
+    timeout or the exit status. Raises ToolchainMissing when no compiler can
+    be resolved or launched. ``ignore_missing`` tells the compiler to treat
+    unresolved module instantiations as black boxes (used to syntax-check a
+    testbench before any DUT exists).
     """
     if not sources:
         raise ValueError("no sources to compile")
     if any(s.sentinel for s in sources):
         raise ValueError("sentinel sources are not compilable")
     config = config or ToolchainConfig()
-    compiler = config.resolve_compiler()
+    compiler = config.compiler
     workdir = Path(workdir)
     try:
         os.mkdir(workdir)
@@ -297,11 +281,10 @@ def compile_sources(
         if os.listdir(workdir):
             raise ValueError(f"workdir is not empty: {workdir}") from None
     paths = write_sources(sources, workdir)
-    out = workdir / "sim.vvp"
     cmd = [compiler, *COMPILE_ARGS]
     if ignore_missing:
         cmd.append("-i")
-    cmd += ["-o", out.name, *[p.name for p in paths]]
+    cmd += ["-o", RUNNABLE, *[p.name for p in paths]]
     timeout = config.sim_timeout + TIMEOUT_GRACE
     try:
         status, _, stderr, _ = _launch(cmd, workdir, timeout, capture_stdout=False)
@@ -309,26 +292,26 @@ def compile_sources(
         raise ToolchainMissing(f"cannot launch compiler {cmd[0]}: {exc}") from exc
     if status is None:
         message = f"compiler timed out after {timeout} seconds"
-        raise CompileFailed([Diagnostic(file="", line=None, message=message)])
-    if status != 0 or not out.exists():
-        errors = [d for d in parse_diagnostics(stderr) if d.severity == "error"]
-        exit_line = Diagnostic(file="", line=None, message=f"compiler exited with status {status}")
-        raise CompileFailed(errors or [exit_line])
-    return CompiledArtifact(runnable=out, workdir=workdir)
+        return (Diagnostic(file="", line=None, message=message),)
+    if status == 0 and (workdir / RUNNABLE).exists():
+        return ()
+    errors = tuple(d for d in parse_diagnostics(stderr) if d.severity == "error")
+    exit_line = Diagnostic(file="", line=None, message=f"compiler exited with status {status}")
+    return errors or (exit_line,)
 
 
-def simulate(artifact: CompiledArtifact, config: Optional[ToolchainConfig] = None) -> SimRun:
-    """Run a compiled artifact; capture stdout in full; kill it after
-    ``config.sim_timeout`` seconds.
+def simulate(workdir: str | Path, config: Optional[ToolchainConfig] = None) -> SimRun:
+    """Run ``workdir``'s compiled ``RUNNABLE``; capture stdout in full; kill
+    it after ``config.sim_timeout`` seconds.
 
+    A runnable that is missing or crashes gives a "runtime_failed" SimRun.
     ``wall_time`` is the simulator's own run time, not the wait for a slot.
     """
     config = config or ToolchainConfig()
     timeout = config.sim_timeout
-    vvp = config.resolve_vvp()
-    cmd = [vvp, artifact.runnable.name]
+    vvp = config.vvp
     try:
-        status, stdout, stderr, wall = _launch(cmd, artifact.workdir, timeout)
+        status, stdout, stderr, wall = _launch([vvp, RUNNABLE], Path(workdir), timeout)
     except OSError as exc:
         raise ToolchainMissing(f"cannot launch simulator {vvp}: {exc}") from exc
     diagnostics = parse_diagnostics(stderr)
@@ -350,11 +333,10 @@ def run_sim(
     """Compile then simulate, both under ``config``'s time limits; compile
     failure short-circuits simulation."""
     config = config or ToolchainConfig()
-    try:
-        artifact = compile_sources(sources, workdir, config)
-    except CompileFailed as exc:
-        return SimRun(status="compile_failed", stdout="", diagnostics=tuple(exc.diagnostics))
-    return simulate(artifact, config)
+    errors = compile_sources(sources, workdir, config)
+    if errors:
+        return SimRun(status="compile_failed", stdout="", diagnostics=errors)
+    return simulate(workdir, config)
 
 
 def check_syntax(
@@ -368,11 +350,7 @@ def check_syntax(
     probe behind the bounded syntax-repair loop; testbenches are checkable
     before any DUT exists because unresolved instantiations are tolerated.
     """
-    try:
-        compile_sources([source], workdir, config, ignore_missing=True)
-    except CompileFailed as exc:
-        return list(exc.diagnostics)
-    return []
+    return list(compile_sources([source], workdir, config, ignore_missing=True))
 
 
 class ToolchainSimRunner:

@@ -13,10 +13,11 @@ from rtlforge.bench import (
     run_bench,
     run_trial,
 )
-from rtlforge.golden import evaluate_golden
+from rtlforge.agents import module_names
+from rtlforge.golden import GoldenResult, evaluate_golden
 from rtlforge.pipeline import EngineRuntime, RunConfig
 from rtlforge.problems import DuplicateTaskId, ParseError, Problem, load_problems
-from rtlforge.simbridge import VerilogSource
+from rtlforge.simbridge import Diagnostic, SimRun, VerilogSource
 
 from fixtures import fenced, stub_dut, stub_golden_tb, stub_tb
 from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker
@@ -559,6 +560,25 @@ class TestGoldenReference:
         evaluate_golden(rtl, self._golden(), runner, tmp_path / "golden", reference)
         expected = [rtl.code, self._golden()] + ([reference] if compiled else [])
         assert runner.golden_sources == [expected]
+
+    class DuplicateRejecting(StubSimRunner):
+        """Fails the compile, as iverilog does, when two sources declare one module."""
+
+        def run(self, sources, workdir):
+            names = [name for s in sources for name in module_names(s.code)]
+            if len(names) != len(set(names)):
+                error = Diagnostic(file="", line=None, message="module declared twice")
+                return SimRun(status="compile_failed", stdout="", diagnostics=(error,))
+            return super().run(sources, workdir)
+
+    def test_rtl_declaring_the_reference_module_cannot_grade_itself(self, tmp_path):
+        """RTL that brings its own ``RefModule`` still gets the reference
+        beside it, and the duplicate module fails the check."""
+        code = stub_dut("counter16") + self.REF
+        rtl = VerilogSource(kind="dut", top_module="counter4", code=code)
+        runner = self.DuplicateRejecting()
+        result = evaluate_golden(rtl, self._golden(), runner, tmp_path / "golden", self.REF)
+        assert result == GoldenResult(False, "compile failed against golden testbench")
 
     @pytest.mark.parametrize("mode", ["multi", "vanilla"])
     def test_v2_reference_reaches_the_golden_run_only(self, tmp_path, templates, mode):

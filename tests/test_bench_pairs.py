@@ -1,8 +1,10 @@
 """How ``tools/bench_pairs.py`` judges a change against its parent: the
 change's wins per pair, and whether its median gain exceeds the parent's
-interquartile range, each in the direction BENCHMARK.json declares."""
+interquartile range, each in the direction BENCHMARK.json declares; and how
+it reads each replay's result line."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -103,3 +105,32 @@ def test_compare_reports_every_declared_metric(tool):
     assert set(rows) == set(tool.E2E_METRICS)
     assert not any(row["gain_exceeds_baseline_iqr"] for row in rows.values())
     assert all(row["change_wins"] == 0 for row in rows.values())
+
+
+def fake_root(tmp_path, script: str) -> Path:
+    """A checkout whose ``replaybench/run.py`` is ``script``."""
+    root = tmp_path / "root"
+    (root / "replaybench").mkdir(parents=True)
+    (root / "replaybench" / "run.py").write_text(script, encoding="utf-8")
+    return root
+
+
+def test_a_crashed_replay_names_the_run_and_shows_its_stderr(tool, tmp_path):
+    root = fake_root(tmp_path, 'print("warming up")\nraise RuntimeError("replay crashed")\n')
+    with pytest.raises(SystemExit) as exit_info:
+        tool.e2e_run(root, "paper_subproc", 7, 1.0)
+    message = str(exit_info.value)
+    for part in (str(root), "paper_subproc seed 7", "status 1", "RuntimeError: replay crashed"):
+        assert part in message
+
+
+def test_a_failed_gate_is_recorded_as_failed(tool, tmp_path):
+    metrics = {name: {"value": 1.0} for name in tool.E2E_METRICS}
+    line = json.dumps({"correct": False, "attempted": 2, "failed": 1, "metrics": metrics})
+    root = fake_root(tmp_path, f"import sys\nprint({line!r})\nsys.exit(1)\n")
+    out = tool.e2e(root, root, [7], 1.0, ["paper_subproc"])["workloads"]["paper_subproc"]
+    assert set(out) == {"pairs", "baseline", "change"}
+    for side in ("baseline", "change"):
+        assert out[side]["failed"] == 1
+        run = {"seed": 7, "failed": 1, **dict.fromkeys(tool.E2E_METRICS, 1.0)}
+        assert out[side]["runs"] == [run]

@@ -206,6 +206,34 @@ class TestGenerate:
         assert code == 2
         assert (out / "final.v").exists()  # best-effort RTL still written
 
+    def test_rerun_without_a_best_leaves_no_earlier_rtl(
+        self, tmp_path, spec_files, stub_toolchain, templates
+    ):
+        """A solved run, then a rerun into the same --out that ends in a
+        replay miss: no final.v or best.v of the first run is left."""
+        spec, iface = spec_files
+        cassette = tmp_path / "solve.jsonl"
+        config = RunConfig(pool_size=2, top_k=1, max_debug_rounds=2)
+        script = {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": CLEAN_RTL}
+        record_generate_cassette(cassette, script, config, templates)
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "cli_out"
+        codes = [
+            cli(
+                ["generate", str(spec), "--task-id", "counter4",
+                 "--module-interface", str(iface), "--out", str(out),
+                 "--backend", "replay", "--cassette", str(tape),
+                 "--pool-size", "2", "--top-k", "1", "--max-debug-rounds", "2"],
+                stub_toolchain,
+            )
+            for tape in (cassette, empty)
+        ]
+        assert codes == [0, 1]
+        assert json.loads((out / "outcome.json").read_text())["status"] == "error"
+        assert not (out / "final.v").exists()
+        assert not (out / "run" / "best.v").exists()
+
     def test_missing_spec_file_exit_one(self, tmp_path, stub_toolchain, capsys):
         code = cli(
             ["generate", str(tmp_path / "nope.txt"), "--backend", "replay",
@@ -407,6 +435,40 @@ class TestBench:
             peak = max(peak, live)
         assert 1 < peak <= slots
 
+    @pytest.mark.parametrize(
+        "interrupted_run, message",
+        [(1, "interrupted; partial report for 1 runs written"),
+         (0, "interrupted before any run completed")],
+    )
+    def test_interrupt_writes_a_partial_report(
+        self, tmp_path, monkeypatch, capsys, interrupted_run, message
+    ):
+        """The interrupted job of three ends the bench with 130 and a report
+        of the runs before it."""
+        from rtlforge import bench
+
+        def trial(problem, run_index, config, runtime):
+            if run_index == interrupted_run:
+                raise KeyboardInterrupt
+            return bench.TrialRecord(problem.task_id, run_index, True, status="solved")
+
+        monkeypatch.setattr(bench, "run_trial", trial)
+        dataset, _ = _bench_dataset(tmp_path)
+        one_problem = tmp_path / "one.jsonl"
+        one_problem.write_text(dataset.read_text().splitlines()[0] + "\n", encoding="utf-8")
+        cassette = tmp_path / "empty.jsonl"
+        cassette.write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["bench", str(one_problem), "--out", str(out), "--runs", "3",
+                "--backend", "replay", "--cassette", str(cassette)]
+        assert main(argv) == 130
+        assert message in capsys.readouterr().err
+        if interrupted_run:
+            runs = json.loads((out / "report.json").read_text())["runs"]
+            assert [(r["task_id"], r["run_index"]) for r in runs] == [("counter_easy", 0)]
+        else:
+            assert not (out / "report.json").exists()
+
     def test_low_profile_echoed_in_report(self, tmp_path, stub_toolchain, templates):
         dataset, cassette = self._record(tmp_path, templates)
         out = tmp_path / "low_out"
@@ -447,6 +509,8 @@ class TestBadRunValues:
             (["generate", "{spec}", "--config", "{text_fanout}"], "fanout_sampling"),
             (["bench", "{dataset}", "--config", "{spaced_backend}"], "backend must be one of"),
             (["bench", "{dataset}", "--config", "{golden_pattern}"], "unknown config keys"),
+            (["bench", "{dataset}", "--workers", "0"], "workers must be >= 1"),
+            (["bench", "{dataset}", "--workers", "-3"], "workers must be >= 1"),
         ],
     )
     def test_error_line_and_exit_one(self, tmp_path, spec_files, capsys, argv, named):

@@ -456,6 +456,20 @@ class TestJudgeRouting:
         outcome, _, _ = run(script, make_runtime=make_runtime)
         assert outcome.status == "solved"
 
+    def test_crash_feedback_carries_the_simulator_diagnostics(self, make_runtime):
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": fenced(stub_dut("crash")),
+            "testbench_gen/gen1": GOOD_TB,
+            "rtl_gen/init1": CLEAN_RTL,
+        }
+        outcome, backend, runtime = run(script, make_runtime=make_runtime)
+        assert outcome.status == "solved"
+        assert {"event": "route", "reason": "runtime_failed"} in events_of(runtime)
+        regen = next(r for r in backend.requests if r.tag == "testbench_gen/gen1")
+        feedback = "(runtime_failed): <toolchain>: error: simulator crashed"
+        assert feedback in regen.messages[-1].content
+
     def test_tb_side_compile_failure_regenerates(self, make_runtime):
         script = {
             "testbench_gen/gen0": GOOD_TB,

@@ -10,8 +10,6 @@ import pytest
 
 from rtlforge import simbridge
 from rtlforge.simbridge import (
-    CompiledArtifact,
-    CompileFailed,
     Diagnostic,
     ToolchainConfig,
     ToolchainMissing,
@@ -109,8 +107,8 @@ class TestParseDiagnostics:
 
 class TestCompile:
     def test_success_produces_artifact(self, tmp_path, stub_tool_config):
-        artifact = compile_sources([dut(), tb()], tmp_path / "w", stub_tool_config)
-        assert artifact.runnable.exists()
+        assert compile_sources([dut(), tb()], tmp_path / "w", stub_tool_config) == ()
+        assert (tmp_path / "w" / "sim.vvp").exists()
 
     def test_failure_carries_all_diagnostics(self, tmp_path, stub_tool_config):
         broken = VerilogSource(
@@ -118,13 +116,13 @@ class TestCompile:
             top_module="counter4",
             code="//ERR:3:syntax error\n//ERR:9:unexpected endmodule\nmodule counter4; endmodule\n",
         )
-        with pytest.raises(CompileFailed) as err:
-            compile_sources([broken, tb()], tmp_path / "w", stub_tool_config)
-        lines = [d.line for d in err.value.diagnostics]
+        errors = compile_sources([broken, tb()], tmp_path / "w", stub_tool_config)
+        lines = [d.line for d in errors]
         assert lines[:2] == [3, 9]  # every parseable error, not just the first
-        assert all(d.severity == "error" and d.message for d in err.value.diagnostics)
+        assert all(d.severity == "error" and d.message for d in errors)
         # trailing unparseable stderr is kept verbatim rather than dropped
-        assert any(d.line is None and "give up" in d.message for d in err.value.diagnostics)
+        assert any(d.line is None and "give up" in d.message for d in errors)
+        assert not (tmp_path / "w" / "sim.vvp").exists()
 
     def test_empty_sources_rejected(self, tmp_path, stub_tool_config):
         with pytest.raises(ValueError):
@@ -148,8 +146,7 @@ class TestCompile:
         work = tmp_path / "a" / "b" / "w"
         if existing:
             work.mkdir(parents=True)
-        artifact = compile_sources([dut(), tb()], work, stub_tool_config)
-        assert artifact.workdir == work
+        assert compile_sources([dut(), tb()], work, stub_tool_config) == ()
         assert sorted(p.name for p in work.iterdir()) == ["dut.v", "sim.vvp", "tb.v"]
 
     def test_each_binary_resolved_once_per_config(self, tmp_path, stub_tool_config, monkeypatch):
@@ -170,18 +167,37 @@ class TestCompile:
         compiler = tmp_path / "late-iverilog"
         config = ToolchainConfig(compiler_path=str(compiler))
         with pytest.raises(ToolchainMissing):
-            config.resolve_compiler()
+            config.compiler
         shutil.copy(stub_toolchain[0], compiler)
-        assert config.resolve_compiler() == str(compiler.resolve())
+        assert config.compiler == str(compiler.resolve())
 
     def test_compiler_deleted_after_first_launch(self, tmp_path, stub_toolchain):
         compiler = tmp_path / "doomed-iverilog"
         shutil.copy(stub_toolchain[0], compiler)
         config = ToolchainConfig(compiler_path=str(compiler))
-        compile_sources([dut(), tb()], tmp_path / "w0", config)
+        assert compile_sources([dut(), tb()], tmp_path / "w0", config) == ()
         compiler.unlink()
         with pytest.raises(ToolchainMissing, match="cannot launch compiler"):
             compile_sources([dut(), tb()], tmp_path / "w1", config)
+
+    @pytest.mark.parametrize(
+        "script, message",
+        [
+            ("echo 'dut.v:1: warning: implicit wire' >&2\nexit 3", "compiler exited with status 3"),
+            ("exit 0", "compiler exited with status 0"),  # built no runnable
+            ("sleep 3", "compiler timed out after 0.3 seconds"),
+        ],
+        ids=["status", "no_runnable", "timeout"],
+    )
+    def test_failure_without_a_parseable_error(self, tmp_path, monkeypatch, script, message):
+        """A failed compile with no error line returns one line saying why."""
+        compiler = tmp_path / "fake-iverilog"
+        compiler.write_text(f"#!/bin/sh\n{script}\n", encoding="utf-8")
+        compiler.chmod(0o755)
+        monkeypatch.setattr(simbridge, "TIMEOUT_GRACE", 0.0)
+        config = ToolchainConfig(compiler_path=str(compiler), sim_timeout=0.3)
+        errors = compile_sources([dut()], tmp_path / "w", config)
+        assert errors == (Diagnostic(file="", line=None, message=message),)
 
     def test_toolchain_missing(self, tmp_path):
         config = ToolchainConfig(compiler_path="/nonexistent/iverilog")
@@ -191,10 +207,10 @@ class TestCompile:
     def test_missing_binaries_name_their_setting(self):
         config = ToolchainConfig(compiler_path="/nonexistent/iverilog", vvp_path="/nonexistent/vvp")
         with pytest.raises(ToolchainMissing) as err:
-            config.resolve_compiler()
+            config.compiler
         assert str(err.value) == "Verilog compiler not found (set compiler_path or install iverilog)"
         with pytest.raises(ToolchainMissing) as err:
-            config.resolve_vvp()
+            config.vvp
         assert str(err.value) == "simulation runtime not found (set vvp_path or install vvp)"
 
 
@@ -223,7 +239,7 @@ class TestSimulate:
         vvp.write_text(f"#!/bin/sh\n{out}\n{out} >&2\n", encoding="utf-8")
         vvp.chmod(0o755)
         config = ToolchainConfig(vvp_path=str(vvp))
-        run = simulate(CompiledArtifact(tmp_path / "sim.vvp", tmp_path), config)
+        run = simulate(tmp_path, config)
         assert run.status == "ok"
         assert run.stdout == "a\nb\nc\ufffd\u20ac\n"
         assert [d.message for d in run.diagnostics] == ["a", "b", "c\ufffd\u20ac"]
@@ -242,7 +258,7 @@ class TestSimulate:
         vvp.chmod(0o755)
         config = ToolchainConfig(vvp_path=str(vvp), sim_timeout=0.5)
         start = time.monotonic()
-        run = simulate(CompiledArtifact(tmp_path / "sim.vvp", tmp_path), config)
+        run = simulate(tmp_path, config)
         elapsed = time.monotonic() - start
         assert run.status == "timed_out"
         assert elapsed < 2.0
@@ -275,7 +291,7 @@ class TestSimulate:
         config = ToolchainConfig(vvp_path=str(vvp), sim_timeout=10.0)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            simulate(CompiledArtifact(tmp_path / "sim.vvp", tmp_path), config)
+            simulate(tmp_path, config)
         assert time.monotonic() - start < 2.5
         group = int(group_file.read_text())
         deadline = time.monotonic() + 2.0
@@ -289,9 +305,10 @@ class TestSimulate:
         assert run.diagnostics
 
     def test_deleted_artifact_is_runtime_failure(self, tmp_path, stub_tool_config):
-        artifact = compile_sources([dut(), tb()], tmp_path / "w", stub_tool_config)
-        artifact.runnable.unlink()
-        run = simulate(artifact, config=stub_tool_config)
+        work = tmp_path / "w"
+        assert compile_sources([dut(), tb()], work, stub_tool_config) == ()
+        (work / "sim.vvp").unlink()
+        run = simulate(work, config=stub_tool_config)
         assert run.status == "runtime_failed"
 
     def test_wall_time_excludes_the_wait_for_a_slot(self, tmp_path, monkeypatch):
@@ -306,7 +323,7 @@ class TestSimulate:
         def one(i: int) -> float:
             work = tmp_path / f"w{i}"
             work.mkdir()
-            run = simulate(CompiledArtifact(work / "sim.vvp", work), config=config)
+            run = simulate(work, config=config)
             assert run.status == "ok"
             return run.wall_time
 
@@ -393,9 +410,8 @@ class TestRealToolchain:
     def test_missing_semicolon_line_reported(self, tmp_path):
         code = "module broken(input a, output y);\n  wire t\n  assign y = a;\nendmodule\n"
         bad = VerilogSource(kind="dut", top_module="broken", code=code)
-        with pytest.raises(CompileFailed) as err:
-            compile_sources([bad], tmp_path / "w")
-        assert any(d.line == 3 for d in err.value.diagnostics)
+        errors = compile_sources([bad], tmp_path / "w")
+        assert any(d.line == 3 for d in errors)
 
     def test_forever_loop_times_out(self, tmp_path):
         tb_src = VerilogSource(

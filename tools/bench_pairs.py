@@ -58,9 +58,15 @@ def e2e_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
-    if not lines:
-        raise SystemExit(f"{root}: replaybench printed nothing:\n{proc.stderr}")
-    result = json.loads(lines[-1])
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        result = None
+    if not isinstance(result, dict):
+        # A gate failure still ends in a result line; a crash does not.
+        tail = "\n".join(proc.stderr.splitlines()[-20:])
+        raise SystemExit(f"{root}: replaybench {workload} seed {seed} exited with status "
+                         f"{proc.returncode} and no result line; stderr ends:\n{tail}")
     return {
         "seed": seed,
         "failed": result["failed"],
@@ -88,7 +94,6 @@ def e2e(root: Path, baseline_root: Path, seeds: list[int], seconds: float,
                 print(f"{workload} seed {seed} {side}: {runs[side][-1]}", file=sys.stderr)
         out["workloads"][workload] = {
             "pairs": len(seeds),
-            "change_wins_orchestrator_cpu_s": wins(runs, "orchestrator_cpu_s"),
             **{
                 side: {
                     "summary": {m: summary([r[m] for r in rs]) for m in E2E_METRICS},
