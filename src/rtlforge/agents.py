@@ -29,16 +29,7 @@ from .checkpoints import (
     DEFAULT_WINDOW_LEN, CheckTrace, WaveWindow, render_excerpt, render_window
 )
 from .errors import EngineError
-from .gateway import (
-    Backend,
-    ChatMessage,
-    LlmRequest,
-    RetryPolicy,
-    DEFAULT_RETRY,
-    SamplingParams,
-    complete,
-    complete_fanout,
-)
+from .gateway import Backend, ChatMessage, LlmRequest, SamplingParams, complete, complete_fanout
 from .simbridge import Diagnostic, VerilogSource
 
 ROLES = ("testbench_gen", "rtl_gen", "judge", "debug")
@@ -221,7 +212,6 @@ class AgentTeam:
         params: SamplingParams,
         model_id: str = "default",
         mode: str = "multi",
-        retry: RetryPolicy = DEFAULT_RETRY,
         event_sink: Optional[Callable[[dict], None]] = None,
         fanout_sampling: bool = False,
     ):
@@ -233,7 +223,6 @@ class AgentTeam:
         self.params = params
         self.model_id = model_id
         self.mode = mode
-        self.retry = retry
         self._emit = event_sink or (lambda event: None)
         self.fanout_sampling = fanout_sampling
         self.llm_calls = 0
@@ -275,7 +264,7 @@ class AgentTeam:
         n = params.n_completions
         fan_out = self.fanout_sampling and n > 1
         request = LlmRequest(self.model_id, conv.messages_with(user), params, tag)
-        response = (complete_fanout if fan_out else complete)(request, self.backend, self.retry)
+        response = (complete_fanout if fan_out else complete)(request, self.backend)
         with self._lock:
             self.llm_calls += n if fan_out else 1
         (emit or self._emit)(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -130,9 +130,10 @@ def run_bench(
 ) -> list[TrialRecord]:
     """All problems x n_runs independent pipelines, ``workers`` at a time.
 
-    Records are appended to ``records_sink`` in job order as they complete,
-    so an interrupted run still has everything finished so far available for
-    a partial report (the interrupt is re-raised once the running jobs end).
+    Records are appended to ``records_sink`` in job order as they complete.
+    On an interrupt the jobs not yet started are cancelled and the running
+    ones end; the sink then holds the record of every job that finished, in
+    job order, for a partial report, and the interrupt is re-raised.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -152,6 +153,7 @@ def run_bench(
                 status=f"error: {exc}",
             )
 
+    start = len(records)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(one, job) for job in jobs]
         try:
@@ -160,6 +162,10 @@ def run_bench(
         except KeyboardInterrupt:
             for future in futures:
                 future.cancel()
+            wait(futures)
+            records[start:] = [
+                f.result() for f in futures if not f.cancelled() and f.exception() is None
+            ]
             raise
     return records
 

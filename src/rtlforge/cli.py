@@ -149,6 +149,16 @@ def _read_text(path: Optional[str], what: str) -> Optional[str]:
         raise EngineError(f"cannot read {what} {path}: {exc}") from exc
 
 
+def _out_dir(path: str) -> Path:
+    """The output directory at ``path``, created; EngineError if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise EngineError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+    return out
+
+
 def merge_config(args: argparse.Namespace) -> dict:
     """defaults <- config file <- explicit flags."""
     merged = dict(CONFIG_DEFAULTS)
@@ -241,8 +251,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise EngineError(f"invalid problem: {exc}") from exc
     run_config = _run_config(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     backend = _build_backend(cfg)
     runtime = _build_runtime(cfg, run_config, backend, out / "run")
     try:
@@ -283,8 +292,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise EngineError("workers must be >= 1")
     problems = load_problems(args.dataset, cfg["dataset_format"])
     run_config = _run_config(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     base_backend = _build_backend(cfg)
     echo = {**cfg, **run_config.echo()}
 

@@ -340,19 +340,14 @@ class NamespacedBackend:
 # Gateway operations
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    # Exponential backoff on transport errors and HTTP 429/5xx only, with
-    # full jitter: retry k sleeps a uniform draw in [0, base_delay *
-    # factor**k], so requests refused together do not retry together. A
-    # Retry-After from the endpoint is the least wait, and one longer than
-    # HTTP_TIMEOUT_S ends the retries.
-    base_delay: float = 1.0
-    factor: float = 2.0
-    max_attempts: int = 5
-
-
-DEFAULT_RETRY = RetryPolicy()
+# Exponential backoff on transport errors and HTTP 429/5xx only, with full
+# jitter: retry k sleeps a uniform draw in [0, RETRY_BASE_S * RETRY_FACTOR**k],
+# so requests refused together do not retry together. A Retry-After from the
+# endpoint is the least wait, and one longer than HTTP_TIMEOUT_S ends the
+# retries; so does a failure of attempt RETRY_ATTEMPTS.
+RETRY_BASE_S = 1.0
+RETRY_FACTOR = 2.0
+RETRY_ATTEMPTS = 5
 
 
 def _rejection(request: LlmRequest, response: LlmResponse) -> Optional[str]:
@@ -366,24 +361,20 @@ def _rejection(request: LlmRequest, response: LlmResponse) -> Optional[str]:
     return None
 
 
-def complete(
-    request: LlmRequest,
-    backend: Backend,
-    retry: RetryPolicy = DEFAULT_RETRY,
-) -> LlmResponse:
+def complete(request: LlmRequest, backend: Backend) -> LlmResponse:
     """Issue one completion request; retry transients; enforce cardinality.
 
     Returns exactly ``request.params.n_completions`` non-empty completions or
     raises ShortResponse. ``attempts`` counts every try including the successful one.
     """
     attempts = 0
-    delay = retry.base_delay
+    delay = RETRY_BASE_S
     while True:
         attempts += 1
         try:
             response = backend.complete(request)
         except TransientBackendError as exc:
-            if attempts >= retry.max_attempts:
+            if attempts >= RETRY_ATTEMPTS:
                 raise RateLimitExhausted(
                     f"gave up after {attempts} attempts: {exc}"
                 ) from exc
@@ -393,7 +384,7 @@ def complete(
                     f"{exc.retry_after:g} s, over the {HTTP_TIMEOUT_S:g} s limit"
                 ) from exc
             time.sleep(max(random.uniform(0.0, delay), exc.retry_after or 0.0))
-            delay *= retry.factor
+            delay *= RETRY_FACTOR
             continue
         rejection = _rejection(request, response)
         if rejection:
@@ -405,11 +396,7 @@ def complete(
         )
 
 
-def complete_fanout(
-    request: LlmRequest,
-    backend: Backend,
-    retry: RetryPolicy = DEFAULT_RETRY,
-) -> LlmResponse:
+def complete_fanout(request: LlmRequest, backend: Backend) -> LlmResponse:
     """Multi-completion via n independent single-completion calls.
 
     Supports backends without native multi-completion. Sub-call i is tagged
@@ -418,12 +405,12 @@ def complete_fanout(
     """
     n = request.params.n_completions
     if n == 1:
-        return complete(request, backend, retry)
+        return complete(request, backend)
     sub_params = replace(request.params, n_completions=1)
 
     def one(i: int) -> LlmResponse:
         sub = replace(request, params=sub_params, tag=f"{request.tag}.{i}")
-        return complete(sub, backend, retry)
+        return complete(sub, backend)
 
     results: list[Optional[LlmResponse]] = [None] * n
     failures: dict[int, Exception] = {}

@@ -28,11 +28,11 @@ Control flow per run:
 starting before step 4's stragglers settle.
 
 ``run_pipeline`` builds the event log and one ``_Run``, which holds the
-run's state (team, workdir allocator, the epoch's simulation cache, candidate
-ids) and runs the steps as its methods; the ``RunOutcome`` is built in
-``run_pipeline`` alone. Steps 4 and 5 run ``_Plan``'s tasks on one executor
-per run with one worker per sample, or one in single-agent mode, whose roles
-share one conversation.
+run's state (team, workdir allocator, simulation cache, candidate ids) and
+runs the steps as its methods; the ``RunOutcome`` is built in
+``run_pipeline`` alone. ``_Run.refine`` runs ``_Plan``'s tasks of steps 4
+and 5 on an executor it builds, with one worker per sample, or one in
+single-agent mode, whose roles share one conversation.
 
 Every simulation gets its own flat workdir name under ``<transcript>/sim/``
 (``sim/rtl_gen.samplefix.e0.c3.check0.a0``), which only a toolchain that
@@ -249,7 +249,7 @@ class SimRunner(Protocol):
     def run(self, sources: list[VerilogSource], workdir: str | Path) -> SimRun: ...
 
 
-WorkdirChecker = Callable[[VerilogSource, Path], list[Diagnostic]]  # _Probe wraps it
+WorkdirChecker = Callable[[VerilogSource, Path], list[Diagnostic]]  # _SimCache wraps it
 
 
 @dataclass
@@ -348,25 +348,44 @@ class SimEval:
 
 
 class _SimCache:
-    """Simulates each distinct normalized source once per testbench epoch.
+    """A run's front to the toolchain, and its team's syntax checker.
 
-    Single-flight: the first caller for a source simulates it; callers that
-    arrive while it runs wait for its result, or get its exception. A
-    simulation that raises is not cached, so a later caller tries again.
+    ``open`` starts a testbench epoch; within it, each distinct normalized
+    source is simulated once with the epoch's testbench. Single-flight: the
+    first caller for a source simulates it; callers that arrive while it
+    runs wait for its result, or get its exception. A simulation that
+    raises is not cached, so a later caller tries again.
 
     Every candidate of an epoch runs the same stimulus, so their traces
     share most CHECK lines; the epoch's traces are parsed through one memo
     of those lines (``checkpoints.parse_trace``'s ``lines``) and share their
     records.
+
+    As the syntax checker, it gives a testbench the standalone check and a
+    DUT the verdict of its joint run in the epoch. It holds no reference
+    back to the run, so the run's state stays acyclic and is freed as soon
+    as the run ends, without the cyclic collector.
     """
 
-    def __init__(self, runner: SimRunner, testbench: VerilogSource, allocator):
+    def __init__(self, runner: SimRunner, checker: WorkdirChecker, allocator: WorkdirAllocator):
         self.runner = runner
-        self.testbench = testbench
+        self.checker = checker
         self.allocator = allocator
+        self._lock = threading.Lock()
+
+    def open(self, testbench: VerilogSource) -> None:
+        """Start the epoch of ``testbench``, with no results and no memo."""
+        self.testbench = testbench
         self._results: dict[str, Future[SimEval]] = {}
         self._lines: dict[str, CheckRecord] = {}
-        self._lock = threading.Lock()
+
+    def __call__(self, source: VerilogSource, label: str) -> list[Diagnostic]:
+        if source.kind == "testbench":
+            return self.checker(source, self.allocator.acquire(label))
+        # DUTs are generated only after the epoch's testbench exists.
+        evaluation = self.evaluate(source, label)
+        failed = evaluation.diagnostics if evaluation.status == "compile_failed" else ()
+        return [d for d in failed if d.severity == "error" and named_kind(d) == "dut"]
 
     def evaluate(self, source: VerilogSource, label: str) -> SimEval:
         if source.sentinel:
@@ -416,7 +435,7 @@ class _Plan:
     (key, candidate):
     ``("sample", i)``, sample i's next attempt; ``("trial", r, root,
     restart)``, round r's trial of the slot whose lineage root is ``root``
-    on ``candidate``; ``("lead", root)``, the lead (below). ``feed`` takes
+    on ``candidate``, the lead's (below) among them. ``feed`` takes
     one task's outcome with its events: for a sample, the check k it failed
     or its candidate; for a trial, its ``_Trial``; ``RAISED`` for a task
     that raised. ``log`` collects the events in the order the run writes
@@ -560,7 +579,7 @@ class _Plan:
             if config.max_debug_rounds and 0 < len(clean) < n:
                 best = select_top_k(clean, 1)[0]
                 if best.score.value < 1 and best.trace is not None:
-                    self.lead = ("lead", best.id)
+                    self.lead = ("trial", 1, best.id, False)
                     self.actions.append((self.lead, best))
             for attempt in range(1, SYNTAX_FIX_CAP):
                 pool = yield from self.until(lambda: self.settled(attempt))
@@ -633,11 +652,11 @@ class _Plan:
         scores = [c.score.value for c in selected]
         log.append({"event": "round_scores", "round": 0, "scores": scores})
         self.history = [(0, scores)]
-        if self.lead is None or self.lead[1] in self.roots and 1.0 not in scores:
+        if self.lead is None or self.lead[2] in self.roots and 1.0 not in scores:
             return
         outcome, events = yield from self.until(lambda: self.trials.pop(self.lead, None))
         log += events
-        log.append({"event": "lead_discarded", "id": self.lead[1]})
+        log.append({"event": "lead_discarded", "id": self.lead[2]})
         if outcome is RAISED:
             self.error = self.lead
         self.lead = None
@@ -654,8 +673,7 @@ class _Plan:
         slots = list(zip(self.selected, self.roots))
         keys = [("trial", round_index, root, self.restart) for root in self.roots]
         solved = False
-        if self.lead is not None:
-            keys[self.roots.index(self.lead[1])] = self.lead
+        if self.lead is not None:  # among the keys, since a lead is round 1's
             outcome = (yield from self.until(lambda: self.trials.get(self.lead)))[0]
             solved = outcome is not None and outcome is not RAISED and outcome[1].score.value == 1
         if solved:
@@ -746,14 +764,8 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
             }
         )
         run = _Run(problem, config, runtime, events)
-        # No task waits on another, so any worker count ends. With one worker
-        # per sample no task waits for a worker either: each sample has at
-        # most one task running, and a round's trials start only once top-K
-        # samples have ended (the lead, once one has).
-        workers = 1 if config.agent_mode == "single" else config.pool_size
         try:
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                status, best, history, testbench = run.execute(executor)
+            status, best, history, testbench = run.execute()
         except EngineError as exc:
             events.emit({"event": "outcome", "status": "error", "error": str(exc)})
             calls = run.team.llm_calls if run.team else 0
@@ -771,31 +783,9 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
         return RunOutcome(status, best, history, testbench, run.team.llm_calls)
 
 
-class _Probe:
-    """The team's syntax checker: testbenches get the standalone probe, a DUT
-    the verdict of its joint run in the epoch's cache.
-
-    It holds no reference back to the run, so the run's state stays acyclic
-    and is freed as soon as the run ends, without the cyclic collector.
-    """
-
-    def __init__(self, checker: WorkdirChecker, allocator: WorkdirAllocator):
-        self.checker = checker
-        self.allocator = allocator
-        self.cache: Optional[_SimCache] = None  # the current epoch's
-
-    def __call__(self, source: VerilogSource, label: str) -> list[Diagnostic]:
-        if source.kind == "testbench":
-            return self.checker(source, self.allocator.acquire(label))
-        # DUTs are generated only after the epoch's testbench and cache exist.
-        evaluation = self.cache.evaluate(source, label)
-        failed = evaluation.diagnostics if evaluation.status == "compile_failed" else ()
-        return [d for d in failed if d.severity == "error" and named_kind(d) == "dut"]
-
-
 class _Run:
-    """One run's state: the team, the workdir allocator, the current epoch's
-    cache and the candidate ids, which follow creation order."""
+    """One run's state: the team, the workdir allocator, the simulation cache
+    and the candidate ids, which follow creation order."""
 
     def __init__(
         self, problem: Problem, config: RunConfig, runtime: EngineRuntime, events: EventLog
@@ -805,18 +795,16 @@ class _Run:
         self.runtime = runtime
         self.emit = events.emit
         self.allocator = WorkdirAllocator(Path(runtime.transcript_dir) / "sim")
-        self.probe = _Probe(runtime.syntax_checker, self.allocator)  # holds the epoch's cache
+        self.cache = _SimCache(runtime.sim_runner, runtime.syntax_checker, self.allocator)
         self.ids = itertools.count()
         self.team: Optional[AgentTeam] = None
 
-    def execute(self, executor: ThreadPoolExecutor) -> _Result:
-        """Build the team, then run the baseline or steps 1-5; steps 4 and 5
-        fan out on ``executor``."""
-        self.submit = executor.submit
+    def execute(self) -> _Result:
+        """Build the team, then run the baseline or steps 1-5."""
         self.team = AgentTeam(
             backend=self.runtime.backend,
             templates=self.runtime.templates,
-            syntax_checker=self.probe,
+            syntax_checker=self.cache,
             model_id=self.runtime.model_id,
             params=self.config.params(),
             mode="single" if self.config.agent_mode == "single" else "multi",
@@ -877,13 +865,13 @@ class _Run:
     def first_shot(self, testbench: VerilogSource, epoch: int) -> tuple[Candidate, SimEval]:
         """Step 2: open the epoch's cache, then score one low-temperature RTL shot."""
         self.emit({"event": "step", "step": 2, "epoch": epoch})
-        self.probe.cache = _SimCache(self.runtime.sim_runner, testbench, self.allocator)
+        self.cache.open(testbench)
         try:
             rtl = self.team.generate_rtl(self.spec, testbench, epoch=epoch)
         except (SyntaxUnfixable, NoCodeBlock):
             rtl = unbuildable(f"initial RTL e{epoch}")  # scores 0; step 3 moves on
         label = f"initial_e{epoch}"
-        evaluation = self.probe.cache.evaluate(rtl, label)
+        evaluation = self.cache.evaluate(rtl, label)
         initial = Candidate(next(self.ids), rtl, evaluation.score, evaluation.trace)
         status, score = evaluation.status, initial.score.value
         self.emit({"event": "sim", "label": label, "status": status, "score": score})
@@ -891,7 +879,7 @@ class _Run:
 
     def refine(self, testbench: VerilogSource, epoch: int) -> _Result:
         """Step 4: sample, repair and score the pool; step 5: debug rounds on
-        its top-K. ``_Plan`` states the rule; here its tasks run on the
+        its top-K. ``_Plan`` states the rule; here its tasks run on an
         executor and each outcome goes back to it."""
         config = self.config
         self.emit({"event": "step", "step": 4, "epoch": epoch})
@@ -913,11 +901,17 @@ class _Run:
             if isinstance(state, Repair):
                 return state.k
             # A cache hit: the sample's syntax probe already simulated it.
-            evaluation = self.probe.cache.evaluate(state, f"sample_e{epoch}_c{ids[i]}")
+            evaluation = self.cache.evaluate(state, f"sample_e{epoch}_c{ids[i]}")
             return Candidate(ids[i], state, evaluation.score, evaluation.trace)
 
         plan = _Plan(config, ids, self.ids)
-        errors = _drive(plan, self.submit, task, self.emit)
+        # No task waits on another, so any worker count ends. With one worker
+        # per sample no task waits for a worker either: each sample has at
+        # most one task running, and a round's trials start only once top-K
+        # samples have ended (the lead, once one has).
+        workers = 1 if config.agent_mode == "single" else config.pool_size
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            errors = _drive(plan, executor.submit, task, self.emit)
         if plan.error is not None:
             # No local holds the error, so the run is freed without the
             # cyclic collector.
@@ -932,9 +926,8 @@ class _Run:
         emit: Callable[[dict], None],
     ) -> _Trial:
         """The debug trial a ``_Plan`` key names, on the slot holding
-        ``candidate``: round r's trial of lineage root ``root``, or the lead,
-        which is round 1's."""
-        round_index, root, restart = key[1:] if key[0] == "trial" else (1, key[1], False)
+        ``candidate``: round r's trial of lineage root ``root``."""
+        round_index, root, restart = key[1:]
         if candidate.trace is None:
             emit({"event": "trial_skipped", "round": round_index, "id": candidate.id})
             return None
@@ -963,7 +956,7 @@ class _Run:
             )
             return None
         # A cache hit: the trial's syntax probe already simulated it.
-        return source, self.probe.cache.evaluate(source, f"debug_r{round_index}_c{candidate.id}")
+        return source, self.cache.evaluate(source, f"debug_r{round_index}_c{candidate.id}")
 
     def vanilla(self) -> _Result:
         """One-pass baseline: a single generation, verified only against the

@@ -11,7 +11,8 @@ per-format table (``_JSONL_KEYS``) names the keys that hold the spec (the
 first non-empty of several wins), the golden bench, the reference and the
 module interface. VerilogEval v2's flat directory of ``*_prompt.txt`` /
 ``*_test.sv`` / ``*_ref.sv`` files has its own loader. Every layout's task
-ids pass the same check: a relative path without a ``..`` part.
+ids pass the same check: a relative path in normal form without a ``..``
+part.
 """
 
 from __future__ import annotations
@@ -102,15 +103,17 @@ def _text(obj: dict, key: str, line_no: int) -> Optional[str]:
 
 def _task_id(value, line_no: Optional[int] = None, file: Optional[Path] = None) -> str:
     """A problem's task id. A bench writes each task's runs under a directory
-    named by it, so an empty or absolute id, or one with a ``..`` part, is
-    refused; the error names the entry's line or the file the id came from."""
+    named by it, so an empty or absolute id, one with a ``..`` part, and one
+    that names its directory in another spelling (``a/.``, ``./a``, ``a//b``,
+    ``a/``, ``.``) are refused, since two such ids would share a directory;
+    the error names the entry's line or the file the id came from."""
     where = f"{file}: " if file else ""
     if not value:
         raise ParseError(f"{where}missing required field 'task_id'", line_no)
-    task_id = str(value)
-    if PurePath(task_id).is_absolute() or ".." in PurePath(task_id).parts:
+    task_id, path = str(value), PurePath(str(value))
+    if path.is_absolute() or ".." in path.parts or not path.parts or path.as_posix() != task_id:
         raise ParseError(
-            f"{where}task_id {task_id!r} must be a relative path without '..'", line_no
+            f"{where}task_id {task_id!r} must be a normalized relative path without '..'", line_no
         )
     return task_id
 

@@ -16,13 +16,12 @@ from rtlforge.agents import (
     unbuildable,
 )
 from rtlforge.checkpoints import extract_window, parse_trace
-from rtlforge.gateway import RetryPolicy, SamplingParams
+from rtlforge.gateway import SamplingParams
 from rtlforge.simbridge import VerilogSource
 
 from fixtures import fenced, stub_dut, stub_tb
 from toolstub import ScriptedBackend, StubSyntaxChecker, synth_counter_trace
 
-FAST_RETRY = RetryPolicy(base_delay=0.001, factor=1.0, max_attempts=3)
 LOW = SamplingParams(temperature=0.0, top_p=0.01)
 
 
@@ -34,7 +33,6 @@ def make_team(script, mode="multi", templates=None, sink=None):
         syntax_checker=StubSyntaxChecker(),
         params=LOW,
         mode=mode,
-        retry=FAST_RETRY,
         event_sink=sink,
     )
     return team, backend

@@ -170,7 +170,9 @@ class TestLoadProblems:
         assert [p.golden_testbench for p in problems] == [None] * 4
 
     @pytest.mark.parametrize("dataset_format", ["jsonl", "verilogeval-v1"])
-    @pytest.mark.parametrize("task_id", ["/tmp/x", "../../x", "a/../../x", ".."])
+    @pytest.mark.parametrize(
+        "task_id", ["/tmp/x", "../../x", "a/../../x", "..", "a/.", "./a", "a//b", "a/", "."]
+    )
     def test_task_id_outside_the_run_directory_is_refused(
         self, tmp_path, dataset_format, task_id
     ):
@@ -183,7 +185,7 @@ class TestLoadProblems:
         path.write_text(json.dumps(rows[0]) + "\n", encoding="utf-8")
         assert [p.task_id for p in load_problems(path, dataset_format)] == ["a/b"]
 
-    @pytest.mark.parametrize("name", ["..", ""])
+    @pytest.mark.parametrize("name", ["..", "", "."])
     def test_flat_dir_task_id_is_checked(self, tmp_path, name):
         (tmp_path / "ok_prompt.txt").write_text("build a counter", encoding="utf-8")
         (tmp_path / f"{name}_prompt.txt").write_text("build a mux", encoding="utf-8")

@@ -1,7 +1,8 @@
 """How ``tools/bench_pairs.py`` judges a change against its parent: the
-change's wins per pair, and whether its median gain exceeds the parent's
-interquartile range, each in the direction BENCHMARK.json declares; and how
-it reads each replay's result line."""
+change's wins per pair, whether its median gain exceeds the parent's
+interquartile range, and whether it regressed past the declared bound or
+the parent spreads too widely to tell, each in the direction BENCHMARK.json
+declares; and how it reads each replay's result line."""
 
 import importlib.util
 import json
@@ -99,12 +100,65 @@ def test_higher_metric_gain_is_judged_against_the_parent_iqr(tool, change, gain,
     assert row["change_wins"] == wins
 
 
+@pytest.mark.parametrize(
+    "change, regressed",
+    [
+        # The bound of wall_s is 0.25 of the parent's median of 6.0: 1.5 s.
+        ([7.6] * 5, True),
+        ([7.4] * 5, False),
+        ([5.0] * 5, False),
+    ],
+)
+def test_lower_metric_regresses_past_its_bound(tool, change, regressed):
+    data = workload(tool, {"wall_s": [5.9, 6.0, 6.0, 6.0, 6.1]}, {"wall_s": change})
+    row = tool.compare(data)["wall_s"]
+    assert row["bound"] == 0.25
+    assert row["regressed"] is regressed
+    assert row["unresolved"] is False
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(tool):
+    # IQR 2.0 against a bound of 0.25 * 6.0 = 1.5; the change overlaps the parent.
+    data = workload(
+        tool, {"wall_s": [4.0, 5.0, 6.0, 7.0, 8.0]}, {"wall_s": [5.0, 6.0, 6.0, 6.0, 7.0]}
+    )
+    row = tool.compare(data)["wall_s"]
+    assert row["regressed"] is False and row["unresolved"] is True
+
+
+def test_every_change_run_better_than_every_parent_run_resolves_a_wide_spread(tool):
+    data = workload(
+        tool, {"wall_s": [4.0, 5.0, 6.0, 7.0, 8.0]}, {"wall_s": [1.0, 2.0, 2.0, 3.0, 3.5]}
+    )
+    row = tool.compare(data)["wall_s"]
+    assert row["baseline_iqr"] > 0.25 * row["baseline_median"]
+    assert row["regressed"] is False and row["unresolved"] is False
+
+
+@pytest.mark.parametrize(
+    "change, regressed",
+    [
+        # The bound of pass_at_1 is 0.05 of the parent's median of 0.5: 0.025.
+        ([0.45] * 5, True),
+        ([0.49] * 5, False),
+        ([0.75] * 5, False),
+    ],
+)
+def test_higher_metric_regresses_past_its_bound(tool, change, regressed):
+    data = workload(tool, {"pass_at_1": [0.5] * 5}, {"pass_at_1": change})
+    row = tool.compare(data)["pass_at_1"]
+    assert row["bound"] == 0.05
+    assert row["regressed"] is regressed
+    assert row["unresolved"] is False
+
+
 def test_compare_reports_every_declared_metric(tool):
     data = workload(tool, {"wall_s": [1.0, 1.0]}, {"wall_s": [1.0, 1.0]})
     rows = tool.compare(data)
     assert set(rows) == set(tool.E2E_METRICS)
     assert not any(row["gain_exceeds_baseline_iqr"] for row in rows.values())
     assert all(row["change_wins"] == 0 for row in rows.values())
+    assert not any(row["regressed"] or row["unresolved"] for row in rows.values())
 
 
 def fake_root(tmp_path, script: str) -> Path:

@@ -437,18 +437,25 @@ class TestBench:
 
     @pytest.mark.parametrize(
         "interrupted_run, message",
-        [(1, "interrupted; partial report for 1 runs written"),
+        [(1, "interrupted; partial report for 2 runs written"),
          (0, "interrupted before any run completed")],
     )
     def test_interrupt_writes_a_partial_report(
         self, tmp_path, monkeypatch, capsys, interrupted_run, message
     ):
         """The interrupted job of three ends the bench with 130 and a report
-        of the runs before it."""
+        of every run that finished. Job 1, on two workers, raises once job 2
+        has started, so job 2 finishes after the interrupt and is reported;
+        job 0, on one worker, raises before any other job starts."""
         from rtlforge import bench
 
+        third_started = threading.Event()
+
         def trial(problem, run_index, config, runtime):
+            if run_index == 2:
+                third_started.set()
             if run_index == interrupted_run:
+                assert run_index == 0 or third_started.wait(30)
                 raise KeyboardInterrupt
             return bench.TrialRecord(problem.task_id, run_index, True, status="solved")
 
@@ -460,12 +467,15 @@ class TestBench:
         cassette.write_text("", encoding="utf-8")
         out = tmp_path / "out"
         argv = ["bench", str(one_problem), "--out", str(out), "--runs", "3",
+                "--workers", str(1 + interrupted_run),
                 "--backend", "replay", "--cassette", str(cassette)]
         assert main(argv) == 130
         assert message in capsys.readouterr().err
         if interrupted_run:
             runs = json.loads((out / "report.json").read_text())["runs"]
-            assert [(r["task_id"], r["run_index"]) for r in runs] == [("counter_easy", 0)]
+            assert [(r["task_id"], r["run_index"]) for r in runs] == [
+                ("counter_easy", 0), ("counter_easy", 2)
+            ]
         else:
             assert not (out / "report.json").exists()
 
@@ -511,6 +521,8 @@ class TestBadRunValues:
             (["bench", "{dataset}", "--config", "{golden_pattern}"], "unknown config keys"),
             (["bench", "{dataset}", "--workers", "0"], "workers must be >= 1"),
             (["bench", "{dataset}", "--workers", "-3"], "workers must be >= 1"),
+            (["generate", "{spec}", "--out", "{five}"], "cannot create output directory"),
+            (["bench", "{dataset}", "--out", "{five}"], "cannot create output directory"),
         ],
     )
     def test_error_line_and_exit_one(self, tmp_path, spec_files, capsys, argv, named):

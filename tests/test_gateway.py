@@ -8,6 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 from hypothesis import given, strategies as st
 
+from rtlforge import gateway
 from rtlforge.cassette import (
     CassetteEntry, CassetteError, load_cassette, verify_cassette,
 )
@@ -24,7 +25,6 @@ from rtlforge.gateway import (
     RateLimitExhausted,
     ReplayBackend,
     ReplayMiss,
-    RetryPolicy,
     SamplingParams,
     ShortResponse,
     TransientBackendError,
@@ -34,7 +34,11 @@ from rtlforge.gateway import (
     request_key,
 )
 
-FAST_RETRY = RetryPolicy(base_delay=0.001, factor=1.0, max_attempts=5)
+
+@pytest.fixture
+def no_sleep(monkeypatch):
+    """Retries go on at once: a backoff sleeps for no time."""
+    monkeypatch.setattr(gateway.time, "sleep", lambda seconds: None)
 
 
 def make_request(tag="rtl_gen/0", content="write a counter", n=1, **params):
@@ -180,25 +184,23 @@ class _ScriptedTransport:
 
 
 class TestRetry:
-    def test_transient_then_success(self):
+    def test_transient_then_success(self, no_sleep):
         backend = _ScriptedTransport(
             [TransientBackendError("429"), TransientBackendError("429"), ["ok"]]
         )
-        response = complete(make_request(), backend, FAST_RETRY)
+        response = complete(make_request(), backend)
         assert response.attempts == 3
         assert response.completions == ("ok",)
 
-    def test_exhaustion(self):
+    def test_exhaustion(self, no_sleep):
         backend = _ScriptedTransport([TransientBackendError("429")] * 10)
         with pytest.raises(RateLimitExhausted):
-            complete(make_request(), backend, FAST_RETRY)
-        assert backend.calls == FAST_RETRY.max_attempts
+            complete(make_request(), backend)
+        assert backend.calls == gateway.RETRY_ATTEMPTS
 
     def test_backoff_is_jittered_and_retry_after_is_its_floor(self, monkeypatch):
-        """Retry k sleeps a uniform draw in [0, base_delay * factor**k], so
-        requests refused together spread out; a Retry-After is never undercut."""
-        import rtlforge.gateway as gateway
-
+        """Retry k sleeps a uniform draw in [0, RETRY_BASE_S * RETRY_FACTOR**k],
+        so requests refused together spread out; a Retry-After is never undercut."""
         draws = iter([0.25, 0.9, 0.0, 0.5])  # the fraction of each backoff drawn
         bounds, sleeps = [], []
 
@@ -211,8 +213,7 @@ class TestRetry:
         refusals = [TransientBackendError("429"), TransientBackendError("429", retry_after=3.0),
                     TransientBackendError("503"), TransientBackendError("429", retry_after=1.0)]
         backend = _ScriptedTransport([*refusals, ["ok"]])
-        policy = RetryPolicy(base_delay=1.0, factor=2.0, max_attempts=5)
-        assert complete(make_request(), backend, policy).attempts == 5
+        assert complete(make_request(), backend).attempts == 5
         assert bounds == [(0.0, 1.0), (0.0, 2.0), (0.0, 4.0), (0.0, 8.0)]
         assert sleeps == [0.25, 3.0, 0.0, 4.0]  # the floor wins at retry 1, the draw at retry 3
         assert len(set(sleeps)) == len(sleeps)
@@ -220,7 +221,7 @@ class TestRetry:
     def test_non_transient_not_retried(self):
         backend = _ScriptedTransport([BackendError("bad request"), ["never"]])
         with pytest.raises(BackendError):
-            complete(make_request(), backend, FAST_RETRY)
+            complete(make_request(), backend)
         assert backend.calls == 1
 
 
@@ -231,8 +232,8 @@ class TestFanout:
         record_entry(cassette, request, ["only"])
         backend = ReplayBackend(cassette)
         assert (
-            complete_fanout(request, backend, FAST_RETRY).completions
-            == complete(request, backend, FAST_RETRY).completions
+            complete_fanout(request, backend).completions
+            == complete(request, backend).completions
         )
 
     def test_counting_stub_returns_issue_order(self):
@@ -247,7 +248,7 @@ class TestFanout:
                 return LlmResponse(completions=(str(value),))
 
         request = make_request(tag="fan", n=20)
-        response = complete_fanout(request, Counting(), FAST_RETRY)
+        response = complete_fanout(request, Counting())
         assert len(response.completions) == 20
         assert sorted(int(c) for c in response.completions) == list(range(20))
 
@@ -259,7 +260,7 @@ class TestFanout:
                 seen.append(request.tag)
                 return LlmResponse(completions=("x",))
 
-        complete_fanout(make_request(tag="fan", n=5), TagSpy(), FAST_RETRY)
+        complete_fanout(make_request(tag="fan", n=5), TagSpy())
         assert sorted(seen) == [f"fan.{i}" for i in range(5)]
 
     def test_partial_failure_names_index(self):
@@ -270,7 +271,7 @@ class TestFanout:
                 return LlmResponse(completions=("x",))
 
         with pytest.raises(AggregateFailure) as err:
-            complete_fanout(make_request(tag="fan", n=5), FailsAtThree(), FAST_RETRY)
+            complete_fanout(make_request(tag="fan", n=5), FailsAtThree())
         assert 3 in err.value.failures
         assert "3" in str(err.value)
 
@@ -300,12 +301,12 @@ class TestRecordReplay:
             replay = NamespacedBackend(ReplayBackend(cassette), f"task/run{run}/")
             assert complete(request, replay).completions == (text,)
 
-    def test_recorder_skips_failed_calls(self, tmp_path):
+    def test_recorder_skips_failed_calls(self, tmp_path, no_sleep):
         cassette = tmp_path / "rec.jsonl"
         recorder = CassetteRecorder(
             _ScriptedTransport([TransientBackendError("nope"), ["fine"]]), cassette
         )
-        complete(make_request(), recorder, FAST_RETRY)
+        complete(make_request(), recorder)
         assert len(load_cassette(cassette)) == 1
 
     def test_recorder_opens_once_and_flushes_each_entry(self, tmp_path, monkeypatch):
@@ -503,24 +504,22 @@ class TestHttpBackend:
         with pytest.raises(AuthError):
             HttpBackend("http://localhost:1", auth_env="RTLFORGE_TEST_KEY_MISSING")
 
-    def test_429_twice_then_success(self, stub_endpoint, monkeypatch):
+    def test_429_twice_then_success(self, stub_endpoint, monkeypatch, no_sleep):
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
         _StubHandler.script = [429, 429, 200]
         backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
-        response = complete(make_request(), backend, FAST_RETRY)
+        response = complete(make_request(), backend)
         assert response.attempts == 3
         assert response.completions == ("completion 0",)
         assert response.usage.prompt_tokens == 7
 
     @pytest.mark.parametrize(
         "retry_after, slept",
-        [("3", [3.0, 0.5]), ("0", [0.5, 0.5]), ("soon", [0.5, 0.5]), ("\u00b2", [0.5, 0.5])],
+        [("3", [3.0, 2.0]), ("0", [1.0, 2.0]), ("soon", [1.0, 2.0]), ("\u00b2", [1.0, 2.0])],
     )
     def test_429_retry_after_sets_the_least_wait(
         self, stub_endpoint, monkeypatch, retry_after, slept
     ):
-        import rtlforge.gateway as gateway
-
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
         _StubHandler.script = [429, 429, 200]
         _StubHandler.retry_after = retry_after
@@ -528,8 +527,7 @@ class TestHttpBackend:
         monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
         monkeypatch.setattr(gateway.random, "uniform", lambda low, high: high)  # no jitter
         backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
-        policy = RetryPolicy(base_delay=0.5, factor=1.0, max_attempts=5)
-        response = complete(make_request(), backend, policy)
+        response = complete(make_request(), backend)
         assert response.attempts == 3
         # The first 429 carries Retry-After; the second does not.
         assert sleeps == slept
@@ -538,8 +536,6 @@ class TestHttpBackend:
     def test_429_retry_after_beyond_the_request_timeout_gives_up(
         self, stub_endpoint, monkeypatch, retry_after
     ):
-        import rtlforge.gateway as gateway
-
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
         _StubHandler.script = [429, 200]
         _StubHandler.retry_after = retry_after
@@ -547,7 +543,7 @@ class TestHttpBackend:
         monkeypatch.setattr(gateway.time, "sleep", sleeps.append)
         backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
         with pytest.raises(RateLimitExhausted) as err:
-            complete(make_request(), backend, RetryPolicy(base_delay=0.5, max_attempts=5))
+            complete(make_request(), backend)
         assert f"wait {float(retry_after):g} s" in str(err.value)
         assert sleeps == [] and len(_StubHandler.requests) == 1
 
@@ -575,7 +571,7 @@ class TestHttpBackend:
         backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
         assert backend.complete(make_request()).completions == ("",)
         with pytest.raises(ShortResponse, match="empty completion"):
-            complete(make_request(), backend, FAST_RETRY)
+            complete(make_request(), backend)
 
     @pytest.mark.parametrize(
         "payload",
@@ -598,7 +594,7 @@ class TestHttpBackend:
         _StubHandler.script = [401]
         backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
         with pytest.raises(AuthError):
-            complete(make_request(), backend, FAST_RETRY)
+            complete(make_request(), backend)
 
     def test_instances_share_eight_requests_in_flight(self, monkeypatch):
         import requests
@@ -632,7 +628,7 @@ class TestHttpBackend:
     def test_wire_shape(self, stub_endpoint, monkeypatch):
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
         backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
-        complete(make_request(n=2, temperature=0.85, top_p=0.95), backend, FAST_RETRY)
+        complete(make_request(n=2, temperature=0.85, top_p=0.95), backend)
         sent = _StubHandler.requests[-1]
         assert sent["auth"] == "Bearer sk-test"
         body = sent["body"]

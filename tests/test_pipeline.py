@@ -207,12 +207,12 @@ class TestProbe:
 
     @pytest.mark.parametrize("module", ["counter", "warning_led"])
     def test_error_naming_any_module_is_kept(self, tmp_path, stub_tool_config, module):
-        allocator = WorkdirAllocator(tmp_path / "sim")
-        probe = pipeline._Probe(ToolchainSyntaxChecker(stub_tool_config), allocator)
-        testbench = VerilogSource(kind="testbench", top_module="counter4_tb", code=stub_tb())
-        probe.cache = pipeline._SimCache(
-            ToolchainSimRunner(stub_tool_config), testbench, allocator
+        probe = pipeline._SimCache(
+            ToolchainSimRunner(stub_tool_config),
+            ToolchainSyntaxChecker(stub_tool_config),
+            WorkdirAllocator(tmp_path / "sim"),
         )
+        probe.open(VerilogSource(kind="testbench", top_module="counter4_tb", code=stub_tb()))
         message = f"Unknown module type: {module}"
         code = f"//ERR:2:{message}\n" + stub_dut("score:0:16")
         diagnostics = probe(VerilogSource(kind="dut", top_module="counter4", code=code), "s0")

@@ -33,8 +33,8 @@ class Sample:
 class World:
     """The outcome of every task the plan may start, fixed by the script
     alone. A trial's outcome is picked from ``trials`` by a hash of its
-    request, (round, root, restart), so the lead and round 1's trial of its
-    root are the same request; each is ("raise" | "fail" | mismatches, calls)."""
+    request, (round, root, restart), which the lead shares with round 1's
+    trial of its root; each is ("raise" | "fail" | mismatches, calls)."""
 
     config: RunConfig
     samples: list[Sample]
@@ -52,7 +52,7 @@ class World:
         return Candidate(i + 1, source, score, TRACE if s.traced else None), events
 
     def trial(self, key: tuple, candidate: Candidate):
-        round_index, root, restart = key[1:] if key[0] == "trial" else (1, key[1], False)
+        round_index, root, restart = key[1:]
         if candidate.trace is None:
             return None, []
         request = f"r{round_index}/c{root}" + (".restart" if restart else "")
@@ -69,12 +69,14 @@ class World:
 def drive(world: World, seed: int):
     """Run the plan, letting a seeded scheduler pick which in-flight task
     ends next; checks the per-step properties and returns what must not
-    depend on the schedule."""
+    depend on the schedule, with the stop ``check_solve_stop`` held the
+    plan to."""
     config, n = world.config, len(world.samples)
     plan = _Plan(config, list(range(1, n + 1)), itertools.count(n + 1))
     rng = random.Random(seed)
     in_flight = plan.start()
     issued, attempts, calls, order, early_trials = Counter(), Counter(), 0, [], []
+    trial_keys = set()
     while in_flight:
         if config.agent_mode == "single":
             # One sample at a time, in item order: the shared history stays.
@@ -93,8 +95,13 @@ def drive(world: World, seed: int):
         actions = plan.feed(key, outcome, events)
         for action, arg in actions:
             issued[action, arg.id if arg else None] += 1
-            if action[0] != "sample" and any(c is None for c in plan.ended):
-                early_trials.append((action, arg))
+            if action[0] != "sample":
+                # The lead shares round 1's key; a second issue of a key
+                # would overwrite the first one's outcome.
+                assert action not in trial_keys
+                trial_keys.add(action)
+                if any(c is None for c in plan.ended):
+                    early_trials.append((action, arg, action == plan.lead))
             if action[0] == "sample":
                 order.append(action[1])
                 # After its first fix, a waiting sample goes on when a round
@@ -111,8 +118,8 @@ def drive(world: World, seed: int):
     assert sum(e["event"] == "llm_call" for e in plan.log) == calls
     per_epoch = 2 * (1 + SYNTAX_FIX_CAP) + 1  # steps 1-3 of the one epoch
     assert per_epoch + 1 + calls <= max_llm_calls(config)
-    check_solve_stop(plan, world, attempts, early_trials)
-    return issued, plan.log, plan.result, plan.error
+    stop = check_solve_stop(plan, world, attempts, early_trials)
+    return (issued, plan.log, plan.result, plan.error), stop
 
 
 def check_solve_stop(plan: _Plan, world: World, attempts: Counter, early_trials: list):
@@ -121,7 +128,11 @@ def check_solve_stop(plan: _Plan, world: World, attempts: Counter, early_trials:
     check r + 1 after round r does. A round in which a trial raised, the
     lead's included, stops nothing: after its error the samples go on
     freely. ``early_trials`` are the trials, the lead's too, started while
-    a sample had not ended."""
+    a sample had not ended, each as (key, candidate, lead). The lead shares
+    its key with round 1's trial of its root, so it is told apart by when
+    it was issued: before any round, so the plan still holds it as its
+    lead once the feed that issued it returns. Returns the stop the plan
+    is held to."""
     config, stop = world.config, math.inf
     early = [c for c, k in zip(plan.ended, plan.fails) if k < 1]
     # Samples still repair when the samples ended by fix 1 are known.
@@ -133,22 +144,22 @@ def check_solve_stop(plan: _Plan, world: World, attempts: Counter, early_trials:
     if straggling and any(c.score.value == 1 for c in early):
         stop = 1
     taken = not any(e["event"] == "lead_discarded" for e in plan.log)
-    outcomes = [(key, world.trial(key, candidate)[0]) for key, candidate in early_trials]
+    outcomes = [(key, lead, world.trial(key, c)[0]) for key, c, lead in early_trials]
     # Each early trial belongs to a speculative round; the lead to round 1.
-    raised = {key[1] if key[0] == "trial" else 1 for key, o in outcomes if o is RAISED}
-    for key, outcome in outcomes:
+    raised = {key[1] for key, _, outcome in outcomes if outcome is RAISED}
+    for key, lead, outcome in outcomes:
         if outcome is None or outcome is RAISED or outcome[1].score.value < 1:
             continue
-        if (key[1] if key[0] == "trial" else 1) in raised:
+        if key[1] in raised:
             continue
-        if key[0] == "trial":
+        if not lead:
             stop = min(stop, key[1] + 1)
         elif straggling and len(early) >= config.top_k and taken:
             stop = 1  # round 1 starts early and takes the lead
     assert plan.stop <= stop
     if plan.stop == math.inf:
-        return
-    stop = plan.stop  # the lead may have solved the run too
+        return stop
+    bound, stop = stop, plan.stop  # the lead may have solved the run too
     solved_rounds = {
         e["round"] for e in plan.log if e["event"] == "round_scores" and 1.0 in e["scores"]
     }
@@ -157,6 +168,7 @@ def check_solve_stop(plan: _Plan, world: World, attempts: Counter, early_trials:
         assert k <= stop and attempts[i] <= stop + 1
         if k == stop:
             assert plan.ended[i].source.sentinel
+    return bound
 
 
 samples = st.builds(
@@ -197,13 +209,16 @@ def pinned(pool, top_k, rounds, samples, trials):
     return World(RunConfig(pool_size=pool, top_k=top_k, max_debug_rounds=rounds), samples, trials)
 
 
+LEAD_SOLVES = pinned(3, 2, 2, [clean(1), clean(2), straggler(2)], [(0, 1)])
+
+
 @settings(max_examples=150, deadline=None)
 @given(world=worlds())
 # The lead solves; the lead is discarded; a straggler displaces round 1;
 # round 2 solves and stops a straggler that never compiles at check 3;
 # round 1 solves, but another of its trials raises, so it stops nothing;
 # a straggler raises once the lead has started, whose calls still count.
-@example(pinned(3, 2, 2, [clean(1), clean(2), straggler(2)], [(0, 1)]))
+@example(LEAD_SOLVES)
 @example(pinned(3, 1, 1, [clean(3), straggler(1, 1), straggler(2)], [(2, 1)]))
 @example(pinned(4, 2, 2, [clean(1), clean(2), clean(3), straggler(2, 0)], [(2, 1)]))
 @example(
@@ -214,5 +229,12 @@ def pinned(pool, top_k, rounds, samples, trials):
 @example(pinned(4, 2, 1, [clean(2), clean(2), straggler(2, 0), clean(1)], [("raise", 1), (0, 1)]))
 @example(pinned(2, 1, 1, [clean(2), straggler(1, raises=1)], [(1, 1)]))
 def test_any_arrival_order_gives_the_same_plan(world):
-    runs = [drive(world, seed) for seed in range(SCHEDULES)]
+    runs = [drive(world, seed)[0] for seed in range(SCHEDULES)]
     assert all(run == runs[0] for run in runs[1:])
+
+
+def test_a_solving_lead_is_held_to_stop_at_check_1():
+    """The lead's key is round 1's, yet every schedule of the pinned world
+    whose lead solves the run still holds the plan to stop the straggler at
+    check 1, as the lead's and not as round 1's."""
+    assert [drive(LEAD_SOLVES, seed)[1] for seed in range(SCHEDULES)] == [1] * SCHEDULES

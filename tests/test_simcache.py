@@ -14,7 +14,7 @@ from rtlforge.pipeline import WorkdirAllocator, _SimCache
 from rtlforge.simbridge import SimRun, VerilogSource
 
 from fixtures import stub_dut, stub_tb
-from toolstub import StubSimRunner
+from toolstub import StubSimRunner, StubSyntaxChecker
 
 CALLERS = 4
 
@@ -36,8 +36,9 @@ class GatedRunner(StubSimRunner):
 
 
 def _cache(runner, tmp_path) -> _SimCache:
-    testbench = VerilogSource(kind="testbench", top_module="counter4_tb", code=stub_tb())
-    return _SimCache(runner, testbench, WorkdirAllocator(tmp_path / "sim"))
+    cache = _SimCache(runner, StubSyntaxChecker(), WorkdirAllocator(tmp_path / "sim"))
+    cache.open(VerilogSource(kind="testbench", top_module="counter4_tb", code=stub_tb()))
+    return cache
 
 
 def _dut(trailing: str = "") -> VerilogSource:

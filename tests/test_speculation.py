@@ -431,7 +431,7 @@ def leads(monkeypatch):
 
     def recording_feed(plan, *args):
         actions = feed(plan, *args)
-        roots.extend(key[1] for key, _ in actions if key[0] == "lead")
+        roots.extend(key[2] for key, _ in actions if key == plan.lead)
         return actions
 
     monkeypatch.setattr(pipeline._Plan, "feed", recording_feed)

@@ -10,8 +10,12 @@ metrics and gate failures. Per workload and metric it writes each side's
 median and quartiles, the change's wins (pairs where it reads better, by the
 direction BENCHMARK.json declares; ties count for neither), the parent's
 IQR, and whether the change's median beats the parent's by more than that
-IQR. Toolchain figures come from the benchmark's stub compiler and
-simulator, not from iverilog/vvp.
+IQR. It also gives a no-regression verdict against the metric's declared
+bound, a fraction of the parent's median: ``regressed`` when the change's
+median is worse by more than that fraction, ``unresolved`` when the
+parent's IQR is wider than it, unless every change run reads better than
+every parent run. Toolchain figures come from the benchmark's stub compiler
+and simulator, not from iverilog/vvp.
 
 ``tools/bench_trace_parse.py`` uses ``e2e`` for its end-to-end section.
 """
@@ -31,6 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 # The metrics kept from each end-to-end run, and which way is better.
 BETTER = {m["name"]: m["better"] for m in DECLARED["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in DECLARED["end_to_end"]}  # a fraction of the median
 E2E_METRICS = tuple(BETTER)
 WORKLOADS = [w["name"] for w in DECLARED["workloads"]]
 
@@ -114,9 +119,18 @@ def wins(runs: dict, metric: str) -> int:
     )
 
 
+def all_better(runs: dict, metric: str) -> bool:
+    """Whether every change run reads strictly better than every parent run."""
+    base, change = ([r[metric] for r in runs[side]] for side in ("baseline", "change"))
+    if BETTER[metric] == "lower":
+        return max(change) < min(base)
+    return min(change) > max(base)
+
+
 def compare(workload: dict) -> dict:
-    """Per metric: medians, the change's wins, the parent's IQR, and whether
-    the change's median beats the parent's by more than that IQR."""
+    """Per metric: medians, the change's wins, the parent's IQR, whether the
+    change's median beats the parent's by more than that IQR, and the
+    no-regression verdict against the declared bound."""
     runs = {side: workload[side]["runs"] for side in ("baseline", "change")}
     rows = {}
     for metric in E2E_METRICS:
@@ -125,6 +139,7 @@ def compare(workload: dict) -> dict:
         gain = base["median"] - change["median"]
         if BETTER[metric] == "higher":
             gain = -gain
+        allowed = BOUND[metric] * abs(base["median"])
         rows[metric] = {
             "better": BETTER[metric],
             "baseline_median": base["median"],
@@ -133,6 +148,9 @@ def compare(workload: dict) -> dict:
             "median_gain": gain,
             "change_wins": wins(runs, metric),
             "gain_exceeds_baseline_iqr": gain > iqr,
+            "bound": BOUND[metric],
+            "regressed": -gain > allowed,
+            "unresolved": iqr > allowed and not all_better(runs, metric),
         }
     return rows
 
@@ -166,7 +184,8 @@ def main(argv=None) -> int:
         for metric, row in rows["metrics"].items():
             print(f"{name:18s} {metric:20s} wins {row['change_wins']}/{rows['pairs']} "
                   f"median {row['baseline_median']:.4g} -> {row['change_median']:.4g} "
-                  f"(parent IQR {row['baseline_iqr']:.3g})")
+                  f"(parent IQR {row['baseline_iqr']:.3g}) "
+                  f"regressed {row['regressed']} unresolved {row['unresolved']}")
     return 0
 
 
