@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -130,10 +130,10 @@ def run_bench(
 ) -> list[TrialRecord]:
     """All problems x n_runs independent pipelines, ``workers`` at a time.
 
-    Records are appended to ``records_sink`` in job order as they complete.
-    On an interrupt the jobs not yet started are cancelled and the running
-    ones end; the sink then holds the record of every job that finished, in
-    job order, for a partial report, and the interrupt is re-raised.
+    The record of every job that finished is appended to ``records_sink``
+    in job order once the pool has ended. On an interrupt the jobs not yet
+    started are cancelled and the running ones end first, so the sink holds
+    a partial report's records when the interrupt is re-raised.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -153,20 +153,21 @@ def run_bench(
                 status=f"error: {exc}",
             )
 
-    start = len(records)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(one, job) for job in jobs]
-        try:
-            for future in futures:
-                records.append(future.result())
-        except KeyboardInterrupt:
-            for future in futures:
-                future.cancel()
-            wait(futures)
-            records[start:] = [
-                f.result() for f in futures if not f.cancelled() and f.exception() is None
-            ]
-            raise
+    futures = []
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(one, job) for job in jobs]
+            try:
+                for future in futures:
+                    future.result()
+            except KeyboardInterrupt:
+                for future in futures:
+                    future.cancel()
+                raise
+    finally:
+        records.extend(
+            f.result() for f in futures if f.done() and not f.cancelled() and f.exception() is None
+        )
     return records
 
 

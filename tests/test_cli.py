@@ -445,8 +445,9 @@ class TestBench:
     ):
         """The interrupted job of three ends the bench with 130 and a report
         of every run that finished. Job 1, on two workers, raises once job 2
-        has started, so job 2 finishes after the interrupt and is reported;
-        job 0, on one worker, raises before any other job starts."""
+        has started, so job 2 finishes after the interrupt and is reported.
+        In job 0's case every job raises, so whichever jobs the one worker
+        takes before the cancel, none finishes and no report is written."""
         from rtlforge import bench
 
         third_started = threading.Event()
@@ -454,8 +455,10 @@ class TestBench:
         def trial(problem, run_index, config, runtime):
             if run_index == 2:
                 third_started.set()
+            if interrupted_run == 0:
+                raise KeyboardInterrupt
             if run_index == interrupted_run:
-                assert run_index == 0 or third_started.wait(30)
+                assert third_started.wait(30)
                 raise KeyboardInterrupt
             return bench.TrialRecord(problem.task_id, run_index, True, status="solved")
 
