@@ -17,7 +17,6 @@ agent for a rewrite, at most five times.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 import threading
 from dataclasses import dataclass, field
@@ -391,12 +390,12 @@ class AgentTeam:
         self,
         spec_text: str,
         testbench: VerilogSource,
-        count: int,
         params: SamplingParams,
         epoch: int = 0,
     ) -> list[str]:
-        """Step 4's sampling request: ``count`` completions, not yet repaired;
-        the pipeline takes each through ``repair_sample``.
+        """Step 4's sampling request: ``params.n_completions`` completions at
+        ``params``, which the run's config builds, not yet repaired; the
+        pipeline takes each through ``repair_sample``.
 
         The request is the rtl_gen conversation so far plus a user turn
         holding the specification and the testbench. In multi mode that
@@ -406,8 +405,6 @@ class AgentTeam:
         one representative completion so later turns see that code was
         produced.
         """
-        if count < 1:
-            raise ValueError("candidate count must be >= 1")
         user = self.templates.render(
             "rtl_gen", "generate", spec=spec_text, testbench=testbench.code
         )
@@ -415,7 +412,7 @@ class AgentTeam:
             self.conversation("rtl_gen"),
             user,
             f"rtl_gen/sample/e{epoch}",
-            params=dataclasses.replace(params, n_completions=count),
+            params=params,
             record=self.mode == "single",
         )
 

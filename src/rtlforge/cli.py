@@ -202,6 +202,14 @@ def _run_config(cfg: dict) -> RunConfig:
         raise EngineError(f"invalid run configuration: {exc}") from exc
 
 
+def _echo(cfg: dict, run_config: RunConfig) -> dict:
+    """The effective settings, each once under its config key: the run's
+    fields as the run holds them (a resolved pool size, a clamped top-K),
+    with its profile's temperature and top_p."""
+    run = run_config.echo()
+    return {**cfg, **{key: run.pop(f.name) for key, f in _RUN_FIELDS.items()}, **run}
+
+
 def _build_backend(cfg: dict):
     mode = cfg["backend"]
     if mode == "replay":
@@ -265,7 +273,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         "best_score": outcome.best.score.value if outcome.best and outcome.best.score else None,
         "score_history": outcome.score_history,
         "llm_calls": outcome.llm_calls,
-        "config": {**cfg, **run_config.echo()},
+        "config": _echo(cfg, run_config),
     }
     (out / "outcome.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -294,7 +302,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     run_config = _run_config(cfg)
     out = _out_dir(args.out)
     base_backend = _build_backend(cfg)
-    echo = {**cfg, **run_config.echo()}
+    echo = _echo(cfg, run_config)
 
     def runtime_factory(task_id: str, run_index: int) -> EngineRuntime:
         backend = NamespacedBackend(base_backend, f"{task_id}/run{run_index}/")

@@ -29,10 +29,11 @@ starting before step 4's stragglers settle.
 
 ``run_pipeline`` builds the event log and one ``_Run``, which holds the
 run's state (team, workdir allocator, simulation cache, candidate ids) and
-runs the steps as its methods; the ``RunOutcome`` is built in
-``run_pipeline`` alone. ``_Run.refine`` runs ``_Plan``'s tasks of steps 4
-and 5 on an executor it builds, with one worker per sample, or one in
-single-agent mode, whose roles share one conversation.
+runs the steps as its methods; each of the run's paths ends in its
+``RunOutcome``, to which ``run_pipeline`` adds the LLM call count before it
+logs the outcome and writes ``best.v``. ``_Run.refine`` runs ``_Plan``'s
+tasks of steps 4 and 5 on an executor it builds, with one worker per sample,
+or one in single-agent mode, whose roles share one conversation.
 
 Every simulation gets its own flat workdir name under ``<transcript>/sim/``
 (``sim/rtl_gen.samplefix.e0.c3.check0.a0``), which only a toolchain that
@@ -85,6 +86,10 @@ PROFILES = {"high": HIGH_TEMP, "low": LOW_TEMP}
 
 AGENT_MODES = ("multi", "single", "vanilla")
 
+# The run's counts, each with its least value.
+_COUNTS = (("pool_size", 1), ("top_k", 1), ("window_len", 1), ("max_debug_rounds", 0),
+           ("max_tb_regens", 0), ("max_tokens", 1))
+
 
 @dataclass
 class RunConfig:
@@ -109,39 +114,31 @@ class RunConfig:
             raise ValueError(f"unknown agent mode: {self.agent_mode!r}")
         if self.pool_size is None:
             self.pool_size = PROFILES[self.temp_profile].default_pool_size
-        for name in ("pool_size", "top_k", "max_debug_rounds", "window_len", "max_tb_regens",
-                     "max_tokens"):
-            if type(getattr(self, name)) is not int:  # a bool is no count
-                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
+        for name, least in _COUNTS:
+            value = getattr(self, name)
+            if type(value) is not int or value < least:  # a bool is no count
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         if self.seed is not None and type(self.seed) is not int:
             raise ValueError(f"seed must be an int or None, got {self.seed!r}")
         if not isinstance(self.fanout_sampling, bool):
             raise ValueError(f"fanout_sampling must be a bool, got {self.fanout_sampling!r}")
-        if not (1 <= self.pool_size <= MAX_COMPLETIONS):
+        if self.pool_size > MAX_COMPLETIONS:
             raise ValueError(f"pool_size must be in [1, {MAX_COMPLETIONS}]")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
         self.top_k = min(self.top_k, self.pool_size)
-        if self.max_debug_rounds < 0:
-            raise ValueError("max_debug_rounds must be >= 0")
-        if self.max_tb_regens < 0:
-            raise ValueError("max_tb_regens must be >= 0")
-        if self.window_len < 1:
-            raise ValueError("window_len must be >= 1")
         # A bool is no timeout; NaN fails both comparisons.
         if type(self.sim_timeout) not in (int, float) or not 0 < self.sim_timeout < math.inf:
             raise ValueError(f"sim_timeout must be finite and > 0, got {self.sim_timeout!r}")
-        self.params()  # SamplingParams checks max_tokens
 
     @property
     def profile(self) -> TempProfile:
         return PROFILES[self.temp_profile]
 
-    def params(
-        self, temperature: float = LOW_TEMP.temperature, top_p: float = LOW_TEMP.top_p
-    ) -> SamplingParams:
-        """One call's sampling parameters; sampling sets ``n_completions``."""
-        return SamplingParams(temperature, top_p, max_tokens=self.max_tokens, seed=self.seed)
+    def params(self, profile: TempProfile = LOW_TEMP, n: int = 1) -> SamplingParams:
+        """The sampling parameters of each of the run's calls: ``n``
+        completions at ``profile``'s temperature and top_p, with the run's
+        token cap and seed. Step 4's sampling asks for ``pool_size`` at the
+        run's profile; every other call for one at ``LOW_TEMP``."""
+        return SamplingParams(profile.temperature, profile.top_p, n, self.max_tokens, self.seed)
 
     def echo(self) -> dict:
         data = asdict(self)
@@ -715,6 +712,11 @@ class _Plan:
         log.append({"event": "round_scores", "round": round_index, "scores": scores})
 
 
+# A function of its own, not part of ``_Run.refine``: its locals (the last
+# future, ``done`` and ``pending``) end with its frame. In ``refine``'s frame,
+# which the traceback of the error ``refine`` raises holds, they would tie
+# that error, the futures and the run into a cycle that only the cyclic
+# collector frees.
 def _drive(plan: _Plan, submit: Callable, task: Callable, emit: Callable[[dict], None]):
     """Run ``plan`` to its end: start each of its tasks as ``task(key,
     candidate, emit)`` on ``submit``, feed each outcome back as its task
@@ -742,10 +744,6 @@ def _drive(plan: _Plan, submit: Callable, task: Callable, emit: Callable[[dict],
 # ---------------------------------------------------------------------------
 # The pipeline
 
-# What each of a run's paths ends with: (status, best, score history, testbench).
-_Result = tuple[str, Optional[Candidate], list[tuple[int, list[float]]], Optional[VerilogSource]]
-
-
 def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) -> RunOutcome:
     """Execute the full pipeline for one problem; never raises for in-band
     failures (returns status="error" with a partial transcript instead)."""
@@ -765,22 +763,23 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
         )
         run = _Run(problem, config, runtime, events)
         try:
-            status, best, history, testbench = run.execute()
+            outcome = run.execute()
         except EngineError as exc:
             events.emit({"event": "outcome", "status": "error", "error": str(exc)})
             calls = run.team.llm_calls if run.team else 0
             return RunOutcome("error", None, [], None, llm_calls=calls, error=str(exc))
+        outcome.llm_calls, best = run.team.llm_calls, outcome.best
         events.emit(
             {
                 "event": "outcome",
-                "status": status,
+                "status": outcome.status,
                 "best_id": best.id if best else None,
                 "best_score": best.score.value if best and best.score else None,
             }
         )
         if best is not None:
             (transcript / "best.v").write_text(best.source.code, encoding="utf-8")
-        return RunOutcome(status, best, history, testbench, run.team.llm_calls)
+        return outcome
 
 
 class _Run:
@@ -799,7 +798,7 @@ class _Run:
         self.ids = itertools.count()
         self.team: Optional[AgentTeam] = None
 
-    def execute(self) -> _Result:
+    def execute(self) -> RunOutcome:
         """Build the team, then run the baseline or steps 1-5."""
         self.team = AgentTeam(
             backend=self.runtime.backend,
@@ -814,7 +813,7 @@ class _Run:
         self.spec = self.problem.spec_text()
         return self.vanilla() if self.config.agent_mode == "vanilla" else self.steps()
 
-    def steps(self) -> _Result:
+    def steps(self) -> RunOutcome:
         """Steps 1-3, each epoch with a new testbench, then steps 4 and 5."""
         config, team = self.config, self.team
         feedback: Optional[str] = None
@@ -837,7 +836,7 @@ class _Run:
             else:
                 initial, evaluation = self.first_shot(testbench, epoch)
                 if initial.score.value == 1.0:
-                    return "solved", initial, [(0, [1.0])], testbench
+                    return RunOutcome("solved", initial, [(0, [1.0])], testbench)
                 # Step 3: route the failure.
                 self.emit({"event": "step", "step": 3, "epoch": epoch})
                 if initial.trace is not None:
@@ -860,7 +859,7 @@ class _Run:
             if epoch < config.max_tb_regens:
                 self.emit({"event": "pool_invalidated", "epoch": epoch})
         history = [(0, [initial.score.value])] if initial else []
-        return "tb_regen_exhausted", initial, history, testbench
+        return RunOutcome("tb_regen_exhausted", initial, history, testbench)
 
     def first_shot(self, testbench: VerilogSource, epoch: int) -> tuple[Candidate, SimEval]:
         """Step 2: open the epoch's cache, then score one low-temperature RTL shot."""
@@ -877,18 +876,14 @@ class _Run:
         self.emit({"event": "sim", "label": label, "status": status, "score": score})
         return initial, evaluation
 
-    def refine(self, testbench: VerilogSource, epoch: int) -> _Result:
+    def refine(self, testbench: VerilogSource, epoch: int) -> RunOutcome:
         """Step 4: sample, repair and score the pool; step 5: debug rounds on
         its top-K. ``_Plan`` states the rule; here its tasks run on an
         executor and each outcome goes back to it."""
         config = self.config
         self.emit({"event": "step", "step": 4, "epoch": epoch})
         replies = self.team.sample_rtl_candidates(
-            self.spec,
-            testbench,
-            config.pool_size,
-            config.params(config.profile.temperature, config.profile.top_p),
-            epoch=epoch,
+            self.spec, testbench, config.params(config.profile, config.pool_size), epoch=epoch
         )
         ids = [next(self.ids) for _ in replies]
         states: list = list(replies)  # each sample's reply, its Repair, then its source
@@ -916,7 +911,7 @@ class _Run:
             # No local holds the error, so the run is freed without the
             # cyclic collector.
             raise errors.pop(plan.error)
-        return (*plan.result, testbench)
+        return RunOutcome(*plan.result, testbench)
 
     def trial(
         self,
@@ -958,21 +953,21 @@ class _Run:
         # A cache hit: the trial's syntax probe already simulated it.
         return source, self.cache.evaluate(source, f"debug_r{round_index}_c{candidate.id}")
 
-    def vanilla(self) -> _Result:
+    def vanilla(self) -> RunOutcome:
         """One-pass baseline: a single generation, verified only against the
         golden bench when one exists."""
         rtl = self.team.generate_rtl_vanilla(self.spec)
         candidate = Candidate(next(self.ids), rtl)
         golden = self.problem.golden_testbench
         if not golden:
-            return "budget_exhausted", candidate, [], None
+            return RunOutcome("budget_exhausted", candidate, [], None)
         workdir = self.allocator.acquire("golden")
         reference = self.problem.reference_solution
         result = evaluate_golden(rtl, golden, self.runtime.sim_runner, workdir, reference)
         self.emit({"event": "golden", "passed": result.passed, "reason": result.reason})
         candidate.score = Score(1.0 if result.passed else 0.0)
         status = "solved" if result.passed else "budget_exhausted"
-        return status, candidate, [(0, [candidate.score.value])], None
+        return RunOutcome(status, candidate, [(0, [candidate.score.value])], None)
 
 
 def _route_without_trace(

@@ -5,14 +5,15 @@ Native format is JSON Lines, one object per problem:
     {"task_id": "...", "spec": "...", "golden_testbench": "...",
      "reference_solution": "...", "module_interface": "..."}
 
-Only ``task_id`` and ``spec`` are required; unknown fields are ignored.
-The HumanEval-style JSONL of VerilogEval v1 is read by the same loader: a
+Only ``task_id`` and a non-blank ``spec`` are required; every known field
+that is present must be a string, and unknown fields are ignored. The
+HumanEval-style JSONL of VerilogEval v1 is read by the same loader: a
 per-format table (``_JSONL_KEYS``) names the keys that hold the spec (the
-first non-empty of several wins), the golden bench, the reference and the
+first non-blank of several wins), the golden bench, the reference and the
 module interface. VerilogEval v2's flat directory of ``*_prompt.txt`` /
 ``*_test.sv`` / ``*_ref.sv`` files has its own loader. Every layout's task
 ids pass the same check: a relative path in normal form without a ``..``
-part.
+part; and a set of any layout that holds no problem is refused.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class Problem:
     def __post_init__(self):
         if not self.task_id:
             raise ValueError("task_id must be non-empty")
-        if not self.spec:
+        if not (self.spec or "").strip():
             raise ValueError("spec must be non-empty")
         if not (self.golden_testbench or "").strip():  # a blank bench is no bench
             object.__setattr__(self, "golden_testbench", None)
@@ -110,7 +111,7 @@ def _task_id(value, line_no: Optional[int] = None, file: Optional[Path] = None) 
     where = f"{file}: " if file else ""
     if not value:
         raise ParseError(f"{where}missing required field 'task_id'", line_no)
-    task_id, path = str(value), PurePath(str(value))
+    task_id, path = value, PurePath(value)
     if path.is_absolute() or ".." in path.parts or not path.parts or path.as_posix() != task_id:
         raise ParseError(
             f"{where}task_id {task_id!r} must be a normalized relative path without '..'", line_no
@@ -118,7 +119,7 @@ def _task_id(value, line_no: Optional[int] = None, file: Optional[Path] = None) 
     return task_id
 
 
-# The keys of each JSON Lines format: the spec's (the first non-empty wins),
+# The keys of each JSON Lines format: the spec's (the first non-blank wins),
 # then the golden bench's, the reference's and the module interface's.
 _JSONL_KEYS = {
     "jsonl": (("spec",), "golden_testbench", "reference_solution", "module_interface"),
@@ -131,14 +132,15 @@ _JSONL_KEYS = {
 def _load_jsonl(path: Path, spec_keys, bench, reference, interface) -> list[Problem]:
     problems = []
     for line_no, obj in _json_objects(path):
-        task_id = _task_id(obj.get("task_id"), line_no)
-        spec = next((obj[key] for key in spec_keys if obj.get(key)), None)
+        task_id = _task_id(_text(obj, "task_id", line_no), line_no)
+        specs = [_text(obj, key, line_no) for key in spec_keys]
+        spec = next((text for text in specs if text and text.strip()), None)
         if spec is None:
             raise ParseError(f"missing required field {' or '.join(map(repr, spec_keys))}", line_no)
         problems.append(
             Problem(
                 task_id=task_id,
-                spec=str(spec),
+                spec=spec,
                 golden_testbench=_text(obj, bench, line_no),
                 reference_solution=_text(obj, reference, line_no),
                 module_interface=_text(obj, interface, line_no),
@@ -170,18 +172,21 @@ def _load_flat_dir(path: Path) -> list[Problem]:
                 module_interface=sibling("_ifc.txt"),
             )
         )
-    if not problems:
-        raise ParseError(f"no *_prompt.txt files under {path}")
     return problems
 
 
 def load_problems(path: str | Path, dataset_format: str = "jsonl") -> list[Problem]:
-    """Load a problem set; raises ParseError / DuplicateTaskId on bad input."""
+    """Load a problem set; raises ParseError / DuplicateTaskId on bad input,
+    and ParseError on a set that holds no problem."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"dataset not found: {path}")
     if dataset_format in _JSONL_KEYS:
-        return _check_unique(_load_jsonl(path, *_JSONL_KEYS[dataset_format]))
-    if dataset_format == "verilogeval-v2":
-        return _check_unique(_load_flat_dir(path))
-    raise ParseError(f"unknown dataset format: {dataset_format!r}")
+        problems = _load_jsonl(path, *_JSONL_KEYS[dataset_format])
+    elif dataset_format == "verilogeval-v2":
+        problems = _load_flat_dir(path)
+    else:
+        raise ParseError(f"unknown dataset format: {dataset_format!r}")
+    if not problems:
+        raise ParseError(f"no problems in dataset {path}")
+    return _check_unique(problems)

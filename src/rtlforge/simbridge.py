@@ -4,12 +4,15 @@ Wraps two external binaries (an ``iverilog``-style compiler and a ``vvp``
 style runtime) behind plain values: a compile returns its error
 diagnostics, none when it built the workdir's ``sim.vvp``, and a simulation
 of that workdir returns a SimRun. Only a binary that cannot be found or
-launched raises (ToolchainMissing). Binary paths come from ToolchainConfig
-with PATH lookup as fallback, resolved once per config on first use: a
-binary swapped on disk later in the run is not looked up again. Every run
-happens in its own working directory so concurrent simulations never
-interfere. The compiler's stdout is discarded; its stderr and both of the
-simulator's streams are captured.
+launched raises (ToolchainMissing). Each function takes the caller's
+ToolchainConfig; only the entry points (``ToolchainSimRunner``,
+``ToolchainSyntaxChecker``, ``toolchain_available``) build the default one.
+Binary paths come from the config with PATH lookup as fallback, resolved
+once per config on first use: a binary swapped on disk later in the run is
+not looked up again, and a config built per call would resolve both again.
+Every run happens in its own working directory so concurrent simulations
+never interfere. The compiler's stdout is discarded; its stderr and both of
+the simulator's streams are captured.
 """
 
 from __future__ import annotations
@@ -252,11 +255,12 @@ def _launch(
 def compile_sources(
     sources: list[VerilogSource],
     workdir: str | Path,
-    config: Optional[ToolchainConfig] = None,
+    config: ToolchainConfig,
     ignore_missing: bool = False,
 ) -> tuple[Diagnostic, ...]:
-    """Compile sources into ``workdir``'s ``RUNNABLE``; returns the compile's
-    error diagnostics, empty when it was built.
+    """Compile sources into ``workdir``'s ``RUNNABLE`` with ``config``'s
+    compiler; returns the compile's error diagnostics, empty when it was
+    built.
 
     ``workdir`` must be empty or absent: this is where a run's workdir is
     created, with its parents, since the pipeline's allocator only names it.
@@ -270,7 +274,6 @@ def compile_sources(
         raise ValueError("no sources to compile")
     if any(s.sentinel for s in sources):
         raise ValueError("sentinel sources are not compilable")
-    config = config or ToolchainConfig()
     compiler = config.compiler
     workdir = Path(workdir)
     try:
@@ -300,14 +303,13 @@ def compile_sources(
     return errors or (exit_line,)
 
 
-def simulate(workdir: str | Path, config: Optional[ToolchainConfig] = None) -> SimRun:
-    """Run ``workdir``'s compiled ``RUNNABLE``; capture stdout in full; kill
-    it after ``config.sim_timeout`` seconds.
+def simulate(workdir: str | Path, config: ToolchainConfig) -> SimRun:
+    """Run ``workdir``'s compiled ``RUNNABLE`` on ``config``'s simulator;
+    capture stdout in full; kill it after ``config.sim_timeout`` seconds.
 
     A runnable that is missing or crashes gives a "runtime_failed" SimRun.
     ``wall_time`` is the simulator's own run time, not the wait for a slot.
     """
-    config = config or ToolchainConfig()
     timeout = config.sim_timeout
     vvp = config.vvp
     try:
@@ -328,11 +330,10 @@ def simulate(workdir: str | Path, config: Optional[ToolchainConfig] = None) -> S
 def run_sim(
     sources: list[VerilogSource],
     workdir: str | Path,
-    config: Optional[ToolchainConfig] = None,
+    config: ToolchainConfig,
 ) -> SimRun:
-    """Compile then simulate, both under ``config``'s time limits; compile
-    failure short-circuits simulation."""
-    config = config or ToolchainConfig()
+    """Compile then simulate with ``config``'s binaries, under its time
+    limits; compile failure short-circuits simulation."""
     errors = compile_sources(sources, workdir, config)
     if errors:
         return SimRun(status="compile_failed", stdout="", diagnostics=errors)
@@ -342,9 +343,10 @@ def run_sim(
 def check_syntax(
     source: VerilogSource,
     workdir: str | Path,
-    config: Optional[ToolchainConfig] = None,
+    config: ToolchainConfig,
 ) -> list[Diagnostic]:
-    """Compile a single source with missing modules ignored.
+    """Compile a single source with ``config``'s compiler, missing modules
+    ignored.
 
     Returns error diagnostics (empty list = syntactically clean). This is the
     probe behind the bounded syntax-repair loop; testbenches are checkable

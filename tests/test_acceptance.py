@@ -36,11 +36,7 @@ from rtlforge.pipeline import (
 from rtlforge.agents import AgentTeam, SyntaxUnfixable
 from rtlforge.checkpoints import Score
 from rtlforge.problems import Problem
-from rtlforge.simbridge import (
-    ToolchainSimRunner,
-    VerilogSource,
-    run_sim,
-)
+from rtlforge.simbridge import ToolchainSimRunner, VerilogSource
 
 from conftest import requires_toolchain
 import fixtures as fx
@@ -416,7 +412,7 @@ def test_c09_toolchain_fixture_problems(tmp_path):
     for name, dut_code, tb_code, golden_code, tb_top in cases:
         dut = VerilogSource(kind="dut", top_module=name, code=dut_code)
         tb = VerilogSource(kind="testbench", top_module=tb_top, code=tb_code)
-        sim = run_sim([dut, tb], tmp_path / name / "engine")
+        sim = runner.run([dut, tb], tmp_path / name / "engine")
         assert sim.status == "ok", sim.diagnostics
         trace = parse_trace(sim.stdout)
         assert score(trace).value == 1.0
@@ -425,7 +421,7 @@ def test_c09_toolchain_fixture_problems(tmp_path):
 
     mutant = VerilogSource(kind="dut", top_module="counter4", code=fx.REAL_COUNTER_BADCARRY)
     tb = VerilogSource(kind="testbench", top_module="counter4_tb", code=fx.REAL_COUNTER_TB)
-    sim = run_sim([mutant, tb], tmp_path / "mutant")
+    sim = runner.run([mutant, tb], tmp_path / "mutant")
     assert sim.status == "ok"
     trace = parse_trace(sim.stdout)
     assert score(trace).value < 1.0

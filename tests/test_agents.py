@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from rtlforge import agents
@@ -245,7 +247,8 @@ class TestSampling:
         through its own repair loop, one attempt at a time; a sample still
         broken at the cap becomes a sentinel."""
         tb = VerilogSource(kind="testbench", top_module="t", code=stub_tb())
-        replies = team.sample_rtl_candidates("spec", tb, count, team.params)
+        params = dataclasses.replace(team.params, n_completions=count)
+        replies = team.sample_rtl_candidates("spec", tb, params)
         out = []
         for i, reply in enumerate(replies):
             state = team.repair_sample(reply, i)

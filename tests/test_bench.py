@@ -122,6 +122,10 @@ class TestLoadProblems:
         [
             ("[1, 2]", "must be a JSON object"),
             ('{"task_id": "t", "spec": "s", "golden_testbench": 5, "test": 5}', "must be a string"),
+            ('{"task_id": 0, "spec": "s"}', "field 'task_id' must be a string"),
+            ('{"task_id": 7, "spec": {"a": 1}}', "field 'task_id' must be a string"),
+            ('{"task_id": "t", "spec": {"a": 1}}', "field 'spec' must be a string"),
+            ('{"task_id": "t", "spec": "  \\n "}', "missing required field"),
         ],
     )
     def test_bad_line_names_its_number(self, tmp_path, dataset_format, row, message):
@@ -149,6 +153,33 @@ class TestLoadProblems:
         (tmp_path / "flat" / "t_prompt.txt").write_bytes(latin1)
         with pytest.raises(ParseError, match="cannot read dataset"):
             load_problems(tmp_path / name, dataset_format)
+
+    @pytest.mark.parametrize(
+        "dataset_format, name, text",
+        [("jsonl", "set.jsonl", ""), ("verilogeval-v1", "set.jsonl", "\n  \n\t\n"),
+         ("verilogeval-v2", "flat", None)],
+        ids=["empty_file", "blank_lines", "empty_dir"],
+    )
+    def test_set_without_problems_is_refused(self, tmp_path, dataset_format, name, text):
+        path = tmp_path / name
+        if text is None:
+            path.mkdir()
+        else:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as err:
+            load_problems(path, dataset_format)
+        assert str(err.value) == f"no problems in dataset {path}"
+
+    def test_blank_spec_is_no_spec(self, tmp_path):
+        path = tmp_path / "set.jsonl"
+        path.write_text(json.dumps({"task_id": "a", "spec": " \n\t"}) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="^line 1: missing required field 'spec'$"):
+            load_problems(path)
+        row = {"task_id": "b", "detail_description": " \n", "description": "a mux"}
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        assert load_problems(path, "verilogeval-v1")[0].spec == "a mux"  # the first non-blank
+        with pytest.raises(ValueError, match="spec must be non-empty"):
+            Problem("t", " \n\t")
 
     def test_blank_golden_bench_is_no_bench(self, tmp_path):
         rows = [

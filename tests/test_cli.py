@@ -482,6 +482,20 @@ class TestBench:
         else:
             assert not (out / "report.json").exists()
 
+    def test_each_setting_echoed_once(self, tmp_path, spec_files, stub_toolchain, templates):
+        dataset, cassette = self._record(tmp_path, templates, mode="single")
+        flags = ["--backend", "replay", "--cassette", str(cassette), "--mode", "single",
+                 *BENCH_FLAGS]
+        bench = ["bench", str(dataset), "--out", str(tmp_path / "b"), *flags]
+        assert cli(bench, stub_toolchain) == 0
+        # No generate request is on the bench's cassette: the run ends in an error.
+        generate = ["generate", str(spec_files[0]), "--out", str(tmp_path / "g"), *flags]
+        assert cli(generate, stub_toolchain) == 1
+        for path in (tmp_path / "b" / "report.json", tmp_path / "g" / "outcome.json"):
+            echo = json.loads(path.read_text())["config"]
+            assert echo["mode"] == "single" and "agent_mode" not in echo
+            assert echo["pool_size"] == 1 and echo["temperature"] == 0.85
+
     def test_low_profile_echoed_in_report(self, tmp_path, stub_toolchain, templates):
         dataset, cassette = self._record(tmp_path, templates)
         out = tmp_path / "low_out"
@@ -526,6 +540,8 @@ class TestBadRunValues:
             (["bench", "{dataset}", "--workers", "-3"], "workers must be >= 1"),
             (["generate", "{spec}", "--out", "{five}"], "cannot create output directory"),
             (["bench", "{dataset}", "--out", "{five}"], "cannot create output directory"),
+            (["bench", "{empty_dataset}"], "no problems in dataset"),
+            (["generate", "{blank_spec}"], "spec must be non-empty"),
         ],
     )
     def test_error_line_and_exit_one(self, tmp_path, spec_files, capsys, argv, named):
@@ -549,6 +565,10 @@ class TestBadRunValues:
         bom_cassette.write_bytes(b"\xff\xfe")
         empty_spec = tmp_path / "empty.txt"
         empty_spec.write_text("", encoding="utf-8")
+        empty_dataset = tmp_path / "empty_set.jsonl"
+        empty_dataset.write_text("", encoding="utf-8")
+        blank_spec = tmp_path / "blank.txt"
+        blank_spec.write_text(" \n\t\n", encoding="utf-8")
         configs = {
             "text_runs": {"runs": "2"},
             "text_workers": {"workers": "2"},
@@ -572,6 +592,8 @@ class TestBadRunValues:
             "latin1_log": latin1_log,
             "bom_cassette": bom_cassette,
             "empty_spec": empty_spec,
+            "empty_dataset": empty_dataset,
+            "blank_spec": blank_spec,
             **{name: tmp_path / f"{name}.json" for name in configs},
         }
         argv = [arg.format(**paths) for arg in argv]

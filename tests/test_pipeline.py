@@ -9,8 +9,9 @@ import pytest
 
 from rtlforge import checkpoints, pipeline
 from rtlforge.checkpoints import Score, extract_window, parse_trace, render_window
-from rtlforge.gateway import CassetteRecorder, ReplayBackend
+from rtlforge.gateway import MAX_COMPLETIONS, CassetteRecorder, ReplayBackend
 from rtlforge.pipeline import (
+    HIGH_TEMP,
     Candidate,
     EngineRuntime,
     LineageMismatch,
@@ -251,6 +252,23 @@ class TestRunConfig:
     def test_mistyped_value_names_its_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, least",
+        [("pool_size", 1), ("top_k", 1), ("window_len", 1), ("max_debug_rounds", 0),
+         ("max_tb_regens", 0), ("max_tokens", 1)],
+    )
+    def test_each_count_is_an_int_at_least_its_least(self, field, least):
+        for value in (True, float(least), least - 1):
+            with pytest.raises(ValueError) as err:
+                RunConfig(**{field: value})
+            assert str(err.value) == f"{field} must be an int >= {least}, got {value!r}"
+        assert getattr(RunConfig(**{field: least}), field) == least
+
+    def test_pool_size_above_the_completion_cap_is_refused(self):
+        assert RunConfig(pool_size=MAX_COMPLETIONS).pool_size == MAX_COMPLETIONS
+        with pytest.raises(ValueError, match="pool_size"):
+            RunConfig(pool_size=MAX_COMPLETIONS + 1)
 
     def test_echo_carries_profile_numbers(self):
         echo = RunConfig(temp_profile="low").echo()
@@ -558,6 +576,30 @@ class TestJudgeRouting:
 
 
 class TestSamplingAndDebug:
+    @pytest.mark.parametrize("fanout", [False, True], ids=["multi", "fanout"])
+    def test_sampling_request_carries_the_configs_params(self, make_runtime, fanout):
+        """Step 4 asks at the run's profile for ``pool_size`` completions,
+        fan-out as that many one-completion calls; every other call asks for
+        one at the low-temperature profile; all with the run's cap and seed."""
+        samples = [CLEAN_RTL, CLEAN_RTL.replace("counter4", "counter4b")]
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": GLITCH_RTL,
+            "judge/e0": RTL_FAULTY,
+            "rtl_gen/sample/e0": samples,
+            **{f"rtl_gen/sample/e0.{i}": [text] for i, text in enumerate(samples)},
+        }
+        config = RunConfig(pool_size=2, top_k=1, seed=7, max_tokens=123, fanout_sampling=fanout)
+        outcome, backend, _ = run(script, config=config, make_runtime=make_runtime)
+        assert outcome.status == "solved"
+        n = 1 if fanout else config.pool_size  # a fan-out sub-call asks for one
+        tags = [f"rtl_gen/sample/e0.{i}" for i in range(2)] if fanout else ["rtl_gen/sample/e0"]
+        sampling = [r.params for r in backend.requests if r.tag in tags]
+        assert sampling == [config.params(HIGH_TEMP, n)] * len(tags)
+        assert sampling[0].seed == 7 and sampling[0].max_tokens == 123
+        others = [r.params for r in backend.requests if r.tag not in tags]
+        assert others == [config.params()] * 3
+
     def test_hand_simulated_pool_scenario(self, make_runtime):
         """c=4 scoring {0.5, 0.75, 0.75, 0.25}, K=2; round 1 fixes one 0.75
         lineage and regresses the other. Hand-derived expectations:

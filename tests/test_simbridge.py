@@ -403,14 +403,14 @@ class TestRealToolchain:
     def test_minimal_pair_compiles_and_runs(self, tmp_path):
         dut_src = VerilogSource(kind="dut", top_module="counter4", code=REAL_COUNTER_DUT)
         tb_src = VerilogSource(kind="testbench", top_module="counter4_tb", code=REAL_COUNTER_TB)
-        run = run_sim([dut_src, tb_src], tmp_path / "w")
+        run = run_sim([dut_src, tb_src], tmp_path / "w", ToolchainConfig())
         assert run.status == "ok"
         assert "SUMMARY total=16 mismatches=0 first_mismatch=none" in run.stdout
 
     def test_missing_semicolon_line_reported(self, tmp_path):
         code = "module broken(input a, output y);\n  wire t\n  assign y = a;\nendmodule\n"
         bad = VerilogSource(kind="dut", top_module="broken", code=code)
-        errors = compile_sources([bad], tmp_path / "w")
+        errors = compile_sources([bad], tmp_path / "w", ToolchainConfig())
         assert any(d.line == 3 for d in errors)
 
     def test_forever_loop_times_out(self, tmp_path):
@@ -428,4 +428,4 @@ class TestRealToolchain:
 
     def test_testbench_alone_syntax_checkable(self, tmp_path):
         tb_src = VerilogSource(kind="testbench", top_module="counter4_tb", code=REAL_COUNTER_TB)
-        assert check_syntax(tb_src, tmp_path / "w") == []
+        assert check_syntax(tb_src, tmp_path / "w", ToolchainConfig()) == []
