@@ -179,7 +179,9 @@ class Repair(NamedTuple):
     under request tags ``<tag>/fix<k>``: after check ``k`` (check 0 probes
     the source as given, check k follows fix attempt k), ``current`` has
     ``diagnostics``, none once it is clean. ``source`` is the source as
-    given, whose kind and module name every fix keeps."""
+    given, whose kind and module name every fix keeps. The fix prompt is
+    the testbench's for a testbench, the debug role's under a ``debug/``
+    tag (in either agent mode), else rtl_gen's."""
 
     source: VerilogSource
     current: VerilogSource
@@ -254,11 +256,10 @@ class AgentTeam:
         tag: str,
         params: Optional[SamplingParams] = None,
         emit: Optional[Callable[[dict], None]] = None,
-        record: bool = True,
     ) -> list[str]:
-        """One request: ``conv``'s history plus ``user``. ``record`` keeps the
-        turn, with the first completion, in ``conv``; ``emit`` receives the
-        event instead of the team's sink."""
+        """One request: ``conv``'s history plus ``user``. Every turn is
+        recorded in ``conv``, with its first completion; ``emit`` receives
+        the event instead of the team's sink."""
         params = params or self.params
         n = params.n_completions
         fan_out = self.fanout_sampling and n > 1
@@ -269,8 +270,7 @@ class AgentTeam:
         (emit or self._emit)(
             {"event": "llm_call", "tag": tag, "role": conv.role, "conv": conv.conv_id, "n": n}
         )
-        if record:
-            conv.record(user, response.completions[0])
+        conv.record(user, response.completions[0])
         return list(response.completions)
 
     def _source(self, reply: str, kind: str, preferred: Optional[str] = None) -> VerilogSource:
@@ -306,7 +306,7 @@ class AgentTeam:
         source, k = repair.source, repair.k + 1
         if source.kind == "testbench":
             fix_role = "testbench_gen"
-        elif repair.conv.role == "debug":
+        elif repair.tag.startswith("debug/"):
             fix_role = "debug"
         else:
             fix_role = "rtl_gen"
@@ -401,20 +401,15 @@ class AgentTeam:
         holding the specification and the testbench. In multi mode that
         history holds each epoch's initial-RTL turn and its syntax-fix turns
         (step 2); in single mode, every earlier turn of the shared
-        conversation. Only single mode records the sampling turn, keeping
-        one representative completion so later turns see that code was
-        produced.
+        conversation. The sampling turn is recorded like every other, with
+        one representative completion, so later turns see that code was
+        produced; in multi mode no later request reads ``conv-rtl_gen``.
         """
         user = self.templates.render(
             "rtl_gen", "generate", spec=spec_text, testbench=testbench.code
         )
-        return self._chat(
-            self.conversation("rtl_gen"),
-            user,
-            f"rtl_gen/sample/e{epoch}",
-            params=params,
-            record=self.mode == "single",
-        )
+        conv = self.conversation("rtl_gen")
+        return self._chat(conv, user, f"rtl_gen/sample/e{epoch}", params=params)
 
     def repair_sample(
         self,

@@ -5,21 +5,21 @@ A cassette is JSON Lines, one object per recorded call:
     {"key": ..., "tag": ..., "request_digest": ..., "completions": [...],
      "recorded_at": ...}
 
-``key`` is ``"<tag>:<request_digest>"`` where the digest is a SHA-256 over
-the canonicalized messages and sampling parameters (see gateway.request_key).
-The digest deliberately excludes the model id and the timestamp, so a cassette
-survives a model rename but loudly misses when a prompt template changes.
+The fields are those of ``CassetteEntry``, which writes and reads each line.
+``key`` is ``replay_key(tag, request_digest)``, the one spelling of the key,
+where the digest is a SHA-256 over every field of each message and of the
+sampling parameters (see gateway.request_digest). The digest deliberately
+excludes the model id and the timestamp, so a cassette survives a model
+rename but loudly misses when a prompt template changes.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import EngineError
-
-REQUIRED_FIELDS = ("key", "tag", "request_digest", "completions", "recorded_at")
 
 
 class CassetteError(EngineError):
@@ -35,36 +35,28 @@ class CassetteEntry:
     recorded_at: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "key": self.key,
-                "tag": self.tag,
-                "request_digest": self.request_digest,
-                "completions": list(self.completions),
-                "recorded_at": self.recorded_at,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(vars(self), sort_keys=True)
+
+
+def replay_key(tag: str, request_digest: str) -> str:
+    """The replay key of a request: ``<tag>:<request_digest>``."""
+    return f"{tag}:{request_digest}"
 
 
 def _entry_from_obj(obj, line_no: int) -> CassetteEntry:
     if not isinstance(obj, dict):
         raise CassetteError(f"cassette line {line_no}: entry must be a JSON object")
-    for field in REQUIRED_FIELDS:
-        if field not in obj:
-            raise CassetteError(f"cassette line {line_no}: missing field {field!r}")
+    names = [f.name for f in fields(CassetteEntry)]
+    for name in names:
+        if name not in obj:
+            raise CassetteError(f"cassette line {line_no}: missing field {name!r}")
     completions = obj["completions"]
     if not isinstance(completions, list) or not all(isinstance(c, str) for c in completions):
         raise CassetteError(f"cassette line {line_no}: completions must be a list of strings")
     if not completions:
         raise CassetteError(f"cassette line {line_no}: completions is empty")
-    return CassetteEntry(
-        key=str(obj["key"]),
-        tag=str(obj["tag"]),
-        request_digest=str(obj["request_digest"]),
-        completions=tuple(completions),
-        recorded_at=str(obj["recorded_at"]),
-    )
+    text = {name: str(obj[name]) for name in names if name != "completions"}
+    return CassetteEntry(completions=tuple(completions), **text)
 
 
 def iter_entries(path: str | Path):
@@ -129,7 +121,7 @@ def verify_cassette(path: str | Path) -> tuple[list[str], int]:
     seen: dict[str, int] = {}
     try:
         for line_no, entry in iter_entries(path):
-            expected_key = f"{entry.tag}:{entry.request_digest}"
+            expected_key = replay_key(entry.tag, entry.request_digest)
             if entry.key != expected_key:
                 problems.append(
                     f"line {line_no}: key {entry.key!r} does not match tag:digest {expected_key!r}"

@@ -375,7 +375,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "replay-verify":
             return cmd_replay_verify(args)
         parser.error(f"unknown command {args.command!r}")
-    except EngineError as exc:
+    except (EngineError, OSError) as exc:  # OSError: an unusable path under --out
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return EXIT_ERROR

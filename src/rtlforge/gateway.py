@@ -8,8 +8,11 @@ pluggable backend:
 * ``ReplayBackend``   — deterministic offline replay from a cassette file.
 * ``CassetteRecorder``— wraps any backend and records successful calls.
 
-Requests are keyed by ``(tag, sha256(messages+params))``; a changed prompt
-template produces a loud ReplayMiss instead of a silently wrong answer.
+Requests are keyed by ``cassette.replay_key(tag, request_digest)``, the one
+spelling of the key. The digest is a SHA-256 over every field of each
+message and of the sampling parameters, read from their dataclasses, so a
+changed prompt template or parameter (a field added to either type
+included) produces a loud ReplayMiss instead of a silently wrong answer.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Optional, Protocol
+from urllib.parse import urlsplit
 
 from . import cassette as cassette_io
 from .errors import EngineError
@@ -168,18 +172,10 @@ class LlmResponse:
 
 
 def request_digest(request: LlmRequest) -> str:
-    """SHA-256 over canonicalized messages + sampling params (model excluded)."""
+    """SHA-256 over every field of each message and of the sampling params,
+    read from their dataclasses (the model id and the tag are not in it)."""
     canonical = json.dumps(
-        {
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
-            "params": {
-                "temperature": request.params.temperature,
-                "top_p": request.params.top_p,
-                "n_completions": request.params.n_completions,
-                "max_tokens": request.params.max_tokens,
-                "seed": request.params.seed,
-            },
-        },
+        {"messages": [vars(m) for m in request.messages], "params": vars(request.params)},
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -187,7 +183,7 @@ def request_digest(request: LlmRequest) -> str:
 
 
 def request_key(request: LlmRequest) -> str:
-    return f"{request.tag}:{request_digest(request)}"
+    return cassette_io.replay_key(request.tag, request_digest(request))
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +198,16 @@ class HttpBackend:
     """Live chat-completions endpoint speaking the common JSON HTTP shape.
 
     The credential comes from the environment variable named by ``auth_env``
-    and is never written to disk. All instances share ``LLM_SLOTS``
-    requests in flight, and each request times out after ``HTTP_TIMEOUT_S``.
+    and is never written to disk. A base URL that is not
+    ``http(s)://<host>...`` is refused here, before any request. All
+    instances share ``LLM_SLOTS`` requests in flight, and each request times
+    out after ``HTTP_TIMEOUT_S``.
     """
 
     def __init__(self, base_url: str, auth_env: str):
+        url = urlsplit(base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise BackendError(f"base URL {base_url!r} is not an http(s)://<host> URL")
         if auth_env not in os.environ or not os.environ[auth_env]:
             raise AuthError(f"credential environment variable {auth_env!r} is not set")
         self.base_url = base_url.rstrip("/")
@@ -217,7 +218,7 @@ class HttpBackend:
 
         payload = {
             "model": request.model_id,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+            "messages": [vars(m) for m in request.messages],
             "temperature": request.params.temperature,
             "top_p": request.params.top_p,
             "n": request.params.n_completions,
@@ -305,7 +306,7 @@ class CassetteRecorder:
             return response
         digest = request_digest(request)
         entry = cassette_io.CassetteEntry(
-            key=f"{request.tag}:{digest}",
+            key=cassette_io.replay_key(request.tag, digest),
             tag=request.tag,
             request_digest=digest,
             completions=response.completions,

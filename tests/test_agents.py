@@ -355,6 +355,29 @@ class TestJudgeAndDebug:
         out = team.debug_trial(candidate, window, tb, round_index=1, root_id=0)
         assert out.code == code.strip("\n") or out.code == code
 
+    @pytest.mark.parametrize("mode", ["multi", "single"])
+    def test_debug_syntax_fix_asks_with_the_debug_prompt(self, mode):
+        templates = PromptLibrary()
+        team, backend = make_team(
+            {
+                "debug/r1/c0": fenced(stub_dut("counter16", err_line=1)),
+                "debug/r1/c0/fix1": fenced(stub_dut("counter16")),
+            },
+            mode=mode,
+        )
+        window = extract_window(self._trace(), 9, 8)
+        candidate = VerilogSource(
+            kind="dut", top_module="counter4", code=stub_dut("counter16:glitch@9")
+        )
+        tb = VerilogSource(kind="testbench", top_module="t", code=stub_tb())
+        team.debug_trial(candidate, window, tb, round_index=1, root_id=0)
+        fix = backend.requests[-1]
+        assert fix.tag == "debug/r1/c0/fix1"
+        first_line = {role: templates.text(role, "fix_syntax").splitlines()[0]
+                      for role in ("debug", "rtl_gen")}
+        assert fix.messages[-1].content.startswith(first_line["debug"])
+        assert first_line["rtl_gen"] not in fix.messages[-1].content
+
     def test_debug_thread_retained_across_rounds(self):
         team, backend = make_team(
             {

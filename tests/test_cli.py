@@ -542,6 +542,9 @@ class TestBadRunValues:
             (["bench", "{dataset}", "--out", "{five}"], "cannot create output directory"),
             (["bench", "{empty_dataset}"], "no problems in dataset"),
             (["generate", "{blank_spec}"], "spec must be non-empty"),
+            (["generate", "{spec}", "--out", "{gen_out}"], "gen_out/run"),
+            (["bench", "{dataset}", "--out", "{bench_out}"], "bench_out/runs"),
+            (["bench", "{dataset}", "--out", "{report_out}"], "report_out/report.json"),
         ],
     )
     def test_error_line_and_exit_one(self, tmp_path, spec_files, capsys, argv, named):
@@ -569,6 +572,12 @@ class TestBadRunValues:
         empty_dataset.write_text("", encoding="utf-8")
         blank_spec = tmp_path / "blank.txt"
         blank_spec.write_text(" \n\t\n", encoding="utf-8")
+        # Output directories with a file where a run directory goes, or a
+        # directory where the report goes.
+        for out_dir, blocker in [("gen_out", "run"), ("bench_out", "runs")]:
+            (tmp_path / out_dir).mkdir()
+            (tmp_path / out_dir / blocker).write_text("", encoding="utf-8")
+        (tmp_path / "report_out" / "report.json").mkdir(parents=True)
         configs = {
             "text_runs": {"runs": "2"},
             "text_workers": {"workers": "2"},
@@ -594,6 +603,7 @@ class TestBadRunValues:
             "empty_spec": empty_spec,
             "empty_dataset": empty_dataset,
             "blank_spec": blank_spec,
+            **{name: tmp_path / name for name in ("gen_out", "bench_out", "report_out")},
             **{name: tmp_path / f"{name}.json" for name in configs},
         }
         argv = [arg.format(**paths) for arg in argv]

@@ -3,6 +3,7 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields, replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -365,7 +366,43 @@ class TestRecordReplay:
         assert [e.tag for e in load_cassette(cassette).values()] == ["a/0"]
 
 
+# A value other than make_request's for each field of the request's types.
+CHANGED = {
+    "temperature": 0.5, "top_p": 0.5, "n_completions": 2, "max_tokens": 100, "seed": 7,
+    "role": "assistant", "content": "write an adder",
+}
+
+
+@dataclass(frozen=True)
+class _StopParams(SamplingParams):
+    """Sampling parameters with one field the base type lacks."""
+
+    stop: str = "endmodule"
+
+
+def _change_param(name):
+    return lambda r: replace(r, params=replace(r.params, **{name: CHANGED[name]}))
+
+
+def _change_message(name):
+    return lambda r: replace(
+        r, messages=(r.messages[0], replace(r.messages[1], **{name: CHANGED[name]}))
+    )
+
+
+KEY_CHANGES = {
+    **{f"params.{f.name}": _change_param(f.name) for f in fields(SamplingParams)},
+    **{f"message.{f.name}": _change_message(f.name) for f in fields(ChatMessage)},
+    "params.subclass_field": lambda r: replace(r, params=_StopParams(**vars(r.params))),
+}
+
+
 class TestKeying:
+    @pytest.mark.parametrize("change", list(KEY_CHANGES.values()), ids=list(KEY_CHANGES))
+    def test_every_field_enters_the_key(self, change):
+        request = make_request()
+        assert request_key(change(request)) != request_key(request)
+
     @given(
         a=st.text(min_size=1, max_size=60),
         b=st.text(min_size=1, max_size=60),
@@ -382,6 +419,16 @@ class TestKeying:
 
 
 class TestCassetteVerify:
+    @pytest.mark.parametrize("name", [f.name for f in fields(CassetteEntry)])
+    def test_line_without_a_field_is_refused_by_name(self, tmp_path, name):
+        cassette = tmp_path / "c.jsonl"
+        record_entry(cassette, make_request(tag="a"), ["x"])
+        obj = json.loads(cassette.read_text(encoding="utf-8"))
+        del obj[name]
+        cassette.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(CassetteError, match=f"line 1: missing field '{name}'"):
+            load_cassette(cassette)
+
     def test_clean_cassette(self, tmp_path):
         cassette = tmp_path / "c.jsonl"
         record_entry(cassette, make_request(tag="a"), ["x"])
@@ -503,6 +550,18 @@ class TestHttpBackend:
         os.environ.pop("RTLFORGE_TEST_KEY_MISSING", None)
         with pytest.raises(AuthError):
             HttpBackend("http://localhost:1", auth_env="RTLFORGE_TEST_KEY_MISSING")
+
+    @pytest.mark.parametrize("base_url", ["api.example.com/v1", "ftp://h/v1", "http:///v1"])
+    def test_base_url_without_http_host_refused_at_construction(self, monkeypatch, base_url):
+        import requests
+
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        calls = []
+        monkeypatch.setattr(requests, "post", lambda *a, **kw: calls.append("post"))
+        monkeypatch.setattr(gateway.time, "sleep", lambda s: calls.append("sleep"))
+        with pytest.raises(BackendError, match="base URL"):
+            HttpBackend(base_url, auth_env="RTLFORGE_TEST_KEY")
+        assert calls == []
 
     def test_429_twice_then_success(self, stub_endpoint, monkeypatch, no_sleep):
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
