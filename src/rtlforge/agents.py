@@ -3,7 +3,8 @@
 Each role (testbench_gen, rtl_gen, judge, debug) owns an independent
 conversation history; the single-agent ablation mode routes every role
 through one shared history instead. Prompt templates are versioned text
-files under ``prompts/<role>/<task>.txt`` with ``{{name}}`` placeholders.
+files under ``prompts/<role>/<task>.txt`` with ``{{name}}`` placeholders; a
+``PromptLibrary`` reads the whole set when it is built.
 
 Every LLM request takes one path, ``AgentTeam._chat``: build the request
 from a conversation plus one user turn, issue it (as n single-completion
@@ -17,6 +18,7 @@ agent for a rewrite, at most five times.
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 from dataclasses import dataclass, field
@@ -27,11 +29,10 @@ from typing import Callable, NamedTuple, Optional
 from .checkpoints import (
     DEFAULT_WINDOW_LEN, CheckTrace, WaveWindow, render_excerpt, render_window
 )
-from .errors import EngineError
+from .errors import EngineError, read_text
 from .gateway import Backend, ChatMessage, LlmRequest, SamplingParams, complete, complete_fanout
 from .simbridge import Diagnostic, VerilogSource
 
-ROLES = ("testbench_gen", "rtl_gen", "judge", "debug")
 SYNTAX_FIX_CAP = 5
 
 # Callable seams the runtime injects: check one source, get error diagnostics
@@ -61,7 +62,7 @@ class VerdictUnparseable(AgentError):
 
 
 class PromptError(AgentError):
-    """Template missing or a referenced placeholder is unbound."""
+    """A template missing or unreadable, or a referenced placeholder unbound."""
 
 
 @dataclass
@@ -89,27 +90,47 @@ class JudgeVerdict:
 
 
 _PLACEHOLDER_RE = re.compile(r"\{\{([a-z_]+)\}\}")
+_TEMPLATE = "prompt template"
+
+
+@functools.cache
+def _builtin_templates() -> dict[tuple[str, str], str]:
+    """The built-in prompt set, ``(role, task) -> text``: every
+    ``<role>/<task>.txt`` under the package's ``prompts/``, read once per
+    process."""
+    prompts = resources.files("rtlforge") / "prompts"
+    return {
+        (role.name, ref.name.removesuffix(".txt")): read_text(ref, _TEMPLATE, PromptError)
+        for role in prompts.iterdir() if role.is_dir()
+        for ref in role.iterdir() if ref.name.endswith(".txt")
+    }
 
 
 class PromptLibrary:
-    """Loads and renders prompt templates from ``<root>/<role>/<task>.txt``."""
+    """The prompt set, read and checked when the library is built, and its
+    rendering.
+
+    The set is every ``<role>/<task>.txt`` of the built-in ``prompts/``
+    directory of the package, read once per process. ``root`` replaces
+    their texts with the same files under ``root``: a root that lacks one
+    of them, or holds one that is not UTF-8, raises PromptError naming the
+    file, so a bad prompts directory ends a run before its first request.
+    Files of ``root`` outside the built-in set are not read.
+    """
 
     def __init__(self, root: Optional[str | Path] = None):
-        if root is None:
-            self._root = resources.files("rtlforge") / "prompts"
-        else:
-            self._root = Path(root)
-        self._cache: dict[tuple[str, str], str] = {}
+        self._texts = _builtin_templates()
+        if root is not None:
+            self._texts = {
+                (role, task): read_text(Path(root, role, f"{task}.txt"), _TEMPLATE, PromptError)
+                for role, task in sorted(self._texts)
+            }
 
     def text(self, role: str, task: str) -> str:
-        key = (role, task)
-        if key not in self._cache:
-            ref = self._root / role / f"{task}.txt"
-            try:
-                self._cache[key] = ref.read_text(encoding="utf-8")
-            except (FileNotFoundError, OSError) as exc:
-                raise PromptError(f"missing prompt template {role}/{task}.txt") from exc
-        return self._cache[key]
+        try:
+            return self._texts[role, task]
+        except KeyError:
+            raise PromptError(f"missing prompt template {role}/{task}.txt") from None
 
     def render(self, role: str, task: str, **bindings: str) -> str:
         template = self.text(role, task)
@@ -229,8 +250,6 @@ class AgentTeam:
         self.llm_calls = 0
         self._lock = threading.Lock()  # guards llm_calls and _convs
         self._convs: dict[str, Conversation] = {}
-        for role in ROLES:  # a missing system template fails here, not mid-run
-            self.conversation(role)
 
     def conversation(self, role: str, conv_id: Optional[str] = None) -> Conversation:
         """The history a turn of ``role`` joins, created on first use.

@@ -18,13 +18,14 @@ import csv
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 from typing import Callable, Optional
 
 from .errors import EngineError
+from .gateway import MAX_COMPLETIONS
 from .golden import evaluate_golden
 from .pipeline import EngineRuntime, RunConfig, RunOutcome, WorkdirAllocator, run_pipeline
 from .problems import Problem
@@ -37,8 +38,14 @@ __all__ = [
     "pass_at_k",
     "evaluate_golden",
     "run_bench",
+    "check_report_paths",
     "emit_report",
 ]
+
+
+# The report's files under the output directory: the full report, the
+# per-problem table and the per-round scores.
+REPORT_FILES = ("report.json", "report.csv", "scores_by_round.csv")
 
 
 class DomainError(EngineError):
@@ -130,6 +137,11 @@ def run_bench(
 ) -> list[TrialRecord]:
     """All problems x n_runs independent pipelines, ``workers`` at a time.
 
+    A seeded config gives run ``j`` of each problem the seed ``seed + j *
+    MAX_COMPLETIONS``, so its runs draw independently, as pass@k assumes. A
+    fan-out request's sub-call ``i`` adds ``i`` to its run's seed, so the
+    seeds of one run never reach the next run's.
+
     The record of every job that finished is appended to ``records_sink``
     in job order once the pool has ended. On an interrupt the jobs not yet
     started are cancelled and the running ones end first, so the sink holds
@@ -143,8 +155,9 @@ def run_bench(
     def one(job) -> TrialRecord:
         problem, j = job
         runtime = runtime_factory(problem.task_id, j)
+        seed = None if config.seed is None else config.seed + j * MAX_COMPLETIONS
         try:
-            return run_trial(problem, j, config, runtime)
+            return run_trial(problem, j, replace(config, seed=seed), runtime)
         except EngineError as exc:
             return TrialRecord(
                 task_id=problem.task_id,
@@ -184,12 +197,21 @@ def _stats(records: list[TrialRecord]) -> list[ProblemStats]:
     return stats
 
 
+def check_report_paths(out_dir: Path) -> None:
+    """EngineError naming the first of the ``REPORT_FILES`` under ``out_dir``
+    that exists and is not a regular file, which ``emit_report`` could not
+    write."""
+    for path in (out_dir / name for name in REPORT_FILES):
+        if path.exists() and not path.is_file():
+            raise EngineError(f"cannot write report {path}: not a regular file")
+
+
 def emit_report(
     records: list[TrialRecord],
     out_dir: str | Path,
     config_echo: Optional[dict] = None,
 ) -> BenchReport:
-    """Write report.json / report.csv / scores_by_round.csv; returns the report."""
+    """Write the ``REPORT_FILES`` under ``out_dir``; returns the report."""
     if not records:
         raise ValueError("no trial records to report")
     out_dir = Path(out_dir)
@@ -217,17 +239,18 @@ def emit_report(
             for r in sorted(records, key=lambda r: (r.task_id, r.run_index))
         ],
     }
-    (out_dir / "report.json").write_text(
+    json_path, csv_path, rounds_path = (out_dir / name for name in REPORT_FILES)
+    json_path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-    with (out_dir / "report.csv").open("w", newline="", encoding="utf-8") as fh:
+    with csv_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task_id", "n", "c_p", "pass_at_1"])
         for s in stats:
             writer.writerow([s.task_id, s.n, s.c_p, repr(s.pass_at_1)])
 
-    with (out_dir / "scores_by_round.csv").open("w", newline="", encoding="utf-8") as fh:
+    with rounds_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["task_id", "run_index", "round", "score"])
         for r in sorted(records, key=lambda r: (r.task_id, r.run_index)):

@@ -21,9 +21,9 @@ from pathlib import Path
 from typing import Optional
 
 from . import checkpoints
-from .bench import emit_report, run_bench
+from .bench import check_report_paths, emit_report, run_bench
 from .cassette import verify_cassette
-from .errors import EngineError
+from .errors import EngineError, read_text
 from .gateway import CassetteRecorder, HttpBackend, NamespacedBackend, ReplayBackend
 from .pipeline import AGENT_MODES, PROFILES, EngineRuntime, RunConfig, run_pipeline
 from .agents import PromptLibrary
@@ -138,15 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_text(path: Optional[str], what: str) -> Optional[str]:
-    """The UTF-8 text of the ``what`` file at ``path``, or None; EngineError if unreadable."""
-    if path is None:
-        return None
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise EngineError(f"{what} not found: {path}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise EngineError(f"cannot read {what} {path}: {exc}") from exc
+    """The text of the ``what`` file at ``path`` (``errors.read_text``), or None."""
+    return None if path is None else read_text(Path(path), what)
 
 
 def _out_dir(path: str) -> Path:
@@ -229,9 +222,12 @@ def _close_recording(backend) -> None:
         backend.close()
 
 
-def _build_runtime(
-    cfg: dict, run_config: RunConfig, backend, transcript_dir: Path
-) -> EngineRuntime:
+def _build_runtime(cfg: dict, run_config: RunConfig, backend) -> EngineRuntime:
+    """What a command's runs share, built once per command: one toolchain
+    config and its two seams, one prompt library (so a bad ``--prompts-dir``
+    ends the command before its first request), the model id and
+    ``backend``. Each run replaces the transcript directory, and a bench
+    run the backend with its namespaced view."""
     toolchain = ToolchainConfig(
         compiler_path=cfg["compiler_path"],
         vvp_path=cfg["vvp_path"],
@@ -243,7 +239,6 @@ def _build_runtime(
         syntax_checker=ToolchainSyntaxChecker(toolchain),
         templates=PromptLibrary(cfg["prompts_dir"]),
         model_id=cfg["model"],
-        transcript_dir=transcript_dir,
     )
 
 
@@ -259,13 +254,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise EngineError(f"invalid problem: {exc}") from exc
     run_config = _run_config(cfg)
+    runtime = _build_runtime(cfg, run_config, _build_backend(cfg))
     out = _out_dir(args.out)
-    backend = _build_backend(cfg)
-    runtime = _build_runtime(cfg, run_config, backend, out / "run")
+    runtime = dataclasses.replace(runtime, transcript_dir=out / "run")
     try:
         outcome = run_pipeline(problem, run_config, runtime)
     finally:
-        _close_recording(backend)
+        _close_recording(runtime.backend)
 
     summary = {
         "task_id": problem.task_id,
@@ -300,13 +295,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise EngineError("workers must be >= 1")
     problems = load_problems(args.dataset, cfg["dataset_format"])
     run_config = _run_config(cfg)
+    shared = _build_runtime(cfg, run_config, _build_backend(cfg))
     out = _out_dir(args.out)
-    base_backend = _build_backend(cfg)
+    check_report_paths(out)  # now, not after every run has been spent
     echo = _echo(cfg, run_config)
 
     def runtime_factory(task_id: str, run_index: int) -> EngineRuntime:
-        backend = NamespacedBackend(base_backend, f"{task_id}/run{run_index}/")
-        return _build_runtime(cfg, run_config, backend, out / "runs" / task_id / f"run{run_index}")
+        backend = NamespacedBackend(shared.backend, f"{task_id}/run{run_index}/")
+        transcript_dir = out / "runs" / task_id / f"run{run_index}"
+        return dataclasses.replace(shared, backend=backend, transcript_dir=transcript_dir)
 
     records = []
     try:
@@ -326,7 +323,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print("interrupted before any run completed", file=sys.stderr)
         return 130
     finally:
-        _close_recording(base_backend)
+        _close_recording(shared.backend)
     report = emit_report(records, out, config_echo=echo)
     print(
         f"{len(report.problems)} problems, aggregate pass@1 = {report.aggregate_pass_at_1:.4f}"

@@ -401,15 +401,18 @@ def complete_fanout(request: LlmRequest, backend: Backend) -> LlmResponse:
     """Multi-completion via n independent single-completion calls.
 
     Supports backends without native multi-completion. Sub-call i is tagged
-    ``<tag>.<i>`` so each gets its own replay key; completion order is issue
+    ``<tag>.<i>`` so each gets its own replay key, and a seeded request's
+    sub-call i samples with ``seed + i``, so an endpoint that honours the
+    seed draws n samples, not one sample n times; completion order is issue
     order; each sub-call retries independently.
     """
-    n = request.params.n_completions
+    n, seed = request.params.n_completions, request.params.seed
     if n == 1:
         return complete(request, backend)
-    sub_params = replace(request.params, n_completions=1)
 
     def one(i: int) -> LlmResponse:
+        sub_seed = None if seed is None else seed + i
+        sub_params = replace(request.params, n_completions=1, seed=sub_seed)
         sub = replace(request, params=sub_params, tag=f"{request.tag}.{i}")
         return complete(sub, backend)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path, PurePath
 from typing import Optional
 
-from .errors import EngineError
+from .errors import EngineError, read_text
 
 DATASET_FORMATS = ("jsonl", "verilogeval-v1", "verilogeval-v2")
 
@@ -73,16 +73,9 @@ def _check_unique(problems: list[Problem]) -> list[Problem]:
     return problems
 
 
-def _read(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read dataset file {path}: {exc}") from exc
-
-
 def _json_objects(path: Path):
     """Yield (line_no, object) for each non-blank line of a JSON Lines file."""
-    for line_no, line in enumerate(_read(path).split("\n"), start=1):
+    for line_no, line in enumerate(read_text(path, "dataset file", ParseError).split("\n"), 1):
         if not line.strip():
             continue
         try:
@@ -155,13 +148,13 @@ def _load_flat_dir(path: Path) -> list[Problem]:
     problems = []
     for prompt_file in sorted(path.glob("*_prompt.txt")):
         task_id = _task_id(prompt_file.name[: -len("_prompt.txt")], file=prompt_file)
-        spec = _read(prompt_file)
+        spec = read_text(prompt_file, "dataset file", ParseError)
         if not spec.strip():
             raise ParseError(f"empty prompt file for task {task_id!r}")
 
         def sibling(suffix: str) -> Optional[str]:
             candidate = path / f"{task_id}{suffix}"
-            return _read(candidate) if candidate.exists() else None
+            return read_text(candidate, "dataset file", ParseError) if candidate.exists() else None
 
         problems.append(
             Problem(

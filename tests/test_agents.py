@@ -1,4 +1,5 @@
 import dataclasses
+from importlib import resources
 
 import pytest
 
@@ -25,6 +26,21 @@ from fixtures import fenced, stub_dut, stub_tb
 from toolstub import ScriptedBackend, StubSyntaxChecker, synth_counter_trace
 
 LOW = SamplingParams(temperature=0.0, top_p=0.01)
+
+# The built-in set as the package holds it: every <role>/<task>.txt.
+PROMPTS = resources.files("rtlforge") / "prompts"
+BUILTIN_TEMPLATES = sorted(f"{role.name}/{ref.name}" for role in PROMPTS.iterdir()
+                           for ref in role.iterdir())
+
+
+@pytest.fixture
+def prompts_copy(tmp_path):
+    """A copy of the built-in prompt set."""
+    root = tmp_path / "prompts"
+    for name in BUILTIN_TEMPLATES:
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_bytes((PROMPTS / name).read_bytes())
+    return root
 
 
 def make_team(script, mode="multi", templates=None, sink=None):
@@ -116,13 +132,31 @@ class TestPromptLibrary:
         text = templates.text("single", "system")
         assert "CHECK time=<t>" in text and "VERDICT:" in text
 
-    def test_substituted_code_not_rescanned(self, tmp_path):
-        root = tmp_path / "prompts"
-        (root / "rtl_gen").mkdir(parents=True)
-        (root / "rtl_gen" / "demo.txt").write_text("code:\n{{rtl}}\n", encoding="utf-8")
-        lib = PromptLibrary(root)
-        rendered = lib.render("rtl_gen", "demo", rtl="assign y = {{2{a}}, b};")
+    def test_substituted_code_not_rescanned(self, prompts_copy):
+        (prompts_copy / "rtl_gen" / "vanilla.txt").write_text("code:\n{{rtl}}\n", encoding="utf-8")
+        lib = PromptLibrary(prompts_copy)
+        rendered = lib.render("rtl_gen", "vanilla", rtl="assign y = {{2{a}}, b};")
         assert "{{2{a}}" in rendered
+
+    @pytest.mark.parametrize("name", BUILTIN_TEMPLATES)
+    def test_a_root_lacking_a_template_is_refused_by_name(self, prompts_copy, name):
+        (prompts_copy / name).unlink()
+        with pytest.raises(PromptError, match=f"prompt template not found: .*{name}$"):
+            PromptLibrary(prompts_copy)
+
+    def test_a_template_that_is_not_utf8_is_refused_by_name(self, prompts_copy):
+        (prompts_copy / "judge" / "system.txt").write_bytes(b"VERDICT caf\xe9\n")
+        with pytest.raises(PromptError, match="cannot read prompt template .*judge/system.txt"):
+            PromptLibrary(prompts_copy)
+
+    def test_the_built_in_set_is_read_once_per_process(self, monkeypatch):
+        PromptLibrary()
+
+        def no_read(*args):
+            raise AssertionError("template read again")
+
+        monkeypatch.setattr(agents, "read_text", no_read)
+        assert "VERDICT: rtl_faulty" in PromptLibrary().text("judge", "system")
 
 
 class TestGenerateTestbench:

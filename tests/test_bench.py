@@ -14,6 +14,7 @@ from rtlforge.bench import (
     run_trial,
 )
 from rtlforge.agents import module_names
+from rtlforge.gateway import MAX_COMPLETIONS
 from rtlforge.golden import GoldenResult, evaluate_golden
 from rtlforge.pipeline import EngineRuntime, RunConfig
 from rtlforge.problems import DuplicateTaskId, ParseError, Problem, load_problems
@@ -444,6 +445,29 @@ class TestRunBench:
         assert report.aggregate_pass_at_1 == 0.5
         by_task = {p.task_id: p for p in report.problems}
         assert by_task["easy"].n == 2 and by_task["easy"].c_p == 2
+
+    @pytest.mark.parametrize("seed, expected", [(7, {0: 7, 1: 7 + MAX_COMPLETIONS}),
+                                                (None, {0: None, 1: None})])
+    def test_each_run_samples_with_its_own_seed(self, tmp_path, templates, seed, expected):
+        """Run j of a seeded bench sends seed + j * MAX_COMPLETIONS, so pass@k
+        counts independent draws; every request of a run carries its seed."""
+        backend = ScriptedBackend(self._script)
+
+        def factory(task_id, run_index):
+            from rtlforge.gateway import NamespacedBackend
+
+            return EngineRuntime(
+                backend=NamespacedBackend(backend, f"{task_id}/run{run_index}/"),
+                sim_runner=StubSimRunner(),
+                syntax_checker=StubSyntaxChecker(),
+                templates=templates,
+                transcript_dir=tmp_path / task_id / str(run_index),
+            )
+
+        config = RunConfig(pool_size=1, top_k=1, max_debug_rounds=1, seed=seed)
+        run_bench(self._problems()[:1], config, factory, n_runs=2)
+        seeds = {(int(r.tag.split("/")[1][len("run"):]), r.params.seed) for r in backend.requests}
+        assert seeds == set(expected.items())
 
     def test_interrupt_preserves_partial_records(self, tmp_path, templates):
         def script(request):

@@ -1,9 +1,12 @@
 import json
+import shutil
 import threading
+from pathlib import Path
 
 import pytest
 
-from rtlforge import simbridge
+from rtlforge import agents, simbridge
+from rtlforge.bench import REPORT_FILES
 from rtlforge.cli import _RUN_FLAGS, main
 from rtlforge.gateway import CassetteRecorder, NamespacedBackend
 from rtlforge.pipeline import EngineRuntime, RunConfig, run_pipeline
@@ -508,6 +511,56 @@ class TestBench:
         config_echo = json.loads((out / "report.json").read_text())["config"]
         assert config_echo["temperature"] == 0.0
         assert config_echo["top_p"] == 0.01
+
+    @pytest.mark.parametrize("name", REPORT_FILES)
+    def test_unusable_report_path_refused_before_the_first_run(
+        self, tmp_path, stub_toolchain, monkeypatch, capsys, name
+    ):
+        from rtlforge import cli as cli_module
+
+        backend = ScriptedBackend(_bench_script)
+        monkeypatch.setattr(cli_module, "HttpBackend", lambda **_: backend)
+        dataset, _ = _bench_dataset(tmp_path)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert cli(["bench", str(dataset), "--out", str(out)] + BENCH_FLAGS, stub_toolchain) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write report {out / name}: not a regular file\n"
+        assert backend.requests == [] and not (out / "runs").exists()
+
+
+class TestPromptsDir:
+    MESSAGES = {
+        "missing": "prompt template not found: {path}",
+        "not_utf8": "cannot read prompt template {path}: ",
+    }
+
+    @pytest.mark.parametrize("command", ["generate", "bench"])
+    @pytest.mark.parametrize("defect", MESSAGES)
+    def test_bad_template_ends_the_command_before_the_first_request(
+        self, tmp_path, spec_files, monkeypatch, capsys, command, defect
+    ):
+        """A prompts dir that lacks ``debug/trial.txt``, the template of step
+        5, or holds one that is not UTF-8, ends the command with one error
+        line naming the file before the backend sees a request."""
+        from rtlforge import cli as cli_module
+
+        backend = ScriptedBackend(_bench_script)
+        monkeypatch.setattr(cli_module, "HttpBackend", lambda **_: backend)
+        prompts = tmp_path / "prompts"
+        shutil.copytree(Path(agents.__file__).parent / "prompts", prompts)
+        trial = prompts / "debug" / "trial.txt"
+        if defect == "missing":
+            trial.unlink()
+        else:
+            trial.write_bytes(b"caf\xe9 {{rtl}}\n")
+        target = spec_files[0] if command == "generate" else _bench_dataset(tmp_path)[0]
+        argv = [command, str(target), "--out", str(tmp_path / "out"), "--prompts-dir", str(prompts)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + self.MESSAGES[defect].format(path=trial))
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert backend.requests == []
 
 
 class TestBadRunValues:

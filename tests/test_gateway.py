@@ -264,6 +264,23 @@ class TestFanout:
         complete_fanout(make_request(tag="fan", n=5), TagSpy())
         assert sorted(seen) == [f"fan.{i}" for i in range(5)]
 
+    @pytest.mark.parametrize("seed, seeds", [(7, [7, 8, 9, 10]), (None, [None] * 4)])
+    def test_sub_call_i_samples_with_seed_plus_i(self, seed, seeds):
+        """Sub-calls send identical messages, so an endpoint that honours the
+        seed would return one sample n times if they shared it."""
+        seen = {}
+        lock = threading.Lock()
+
+        class SeedSpy:
+            def complete(self, request):
+                with lock:
+                    seen[request.tag] = request.params
+                return LlmResponse(completions=("x",))
+
+        complete_fanout(make_request(tag="fan", n=4, seed=seed), SeedSpy())
+        assert [seen[f"fan.{i}"].seed for i in range(4)] == seeds
+        assert all(params.n_completions == 1 for params in seen.values())
+
     def test_partial_failure_names_index(self):
         class FailsAtThree:
             def complete(self, request):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -579,8 +580,9 @@ class TestSamplingAndDebug:
     @pytest.mark.parametrize("fanout", [False, True], ids=["multi", "fanout"])
     def test_sampling_request_carries_the_configs_params(self, make_runtime, fanout):
         """Step 4 asks at the run's profile for ``pool_size`` completions,
-        fan-out as that many one-completion calls; every other call asks for
-        one at the low-temperature profile; all with the run's cap and seed."""
+        fan-out as that many one-completion calls, sub-call i with the run's
+        seed + i; every other call asks for one at the low-temperature
+        profile; all with the run's cap and seed."""
         samples = [CLEAN_RTL, CLEAN_RTL.replace("counter4", "counter4b")]
         script = {
             "testbench_gen/gen0": GOOD_TB,
@@ -594,9 +596,11 @@ class TestSamplingAndDebug:
         assert outcome.status == "solved"
         n = 1 if fanout else config.pool_size  # a fan-out sub-call asks for one
         tags = [f"rtl_gen/sample/e0.{i}" for i in range(2)] if fanout else ["rtl_gen/sample/e0"]
-        sampling = [r.params for r in backend.requests if r.tag in tags]
-        assert sampling == [config.params(HIGH_TEMP, n)] * len(tags)
-        assert sampling[0].seed == 7 and sampling[0].max_tokens == 123
+        sampling = {r.tag: r.params for r in backend.requests if r.tag in tags}
+        assert [sampling[tag] for tag in tags] == [
+            dataclasses.replace(config.params(HIGH_TEMP, n), seed=7 + i) for i in range(len(tags))
+        ]
+        assert sampling[tags[0]].seed == 7 and sampling[tags[0]].max_tokens == 123
         others = [r.params for r in backend.requests if r.tag not in tags]
         assert others == [config.params()] * 3
 
