@@ -99,19 +99,19 @@ def run_trial(
     """One pipeline run plus the official golden verification.
 
     ``passed_golden`` is decided by the unmodified golden testbench when one
-    exists. A vanilla run has already run that bench, so its status is the
-    verdict, as it is for a problem without a golden bench.
+    exists, run in the transcript's ``sim/golden``. A vanilla run has already
+    run that bench there, so its status is the verdict, as it is for a
+    problem without a golden bench.
     """
     start = time.monotonic()
     outcome = run_pipeline(problem, config, runtime)
     if problem.golden_testbench and outcome.best is not None and config.agent_mode != "vanilla":
-        # Disjoint from the pipeline's sim/ tree so reruns never collide.
-        allocator = WorkdirAllocator(Path(runtime.transcript_dir) / "golden_check")
+        workdir = WorkdirAllocator(Path(runtime.transcript_dir) / "sim").acquire("golden")
         passed = evaluate_golden(
             outcome.best.source,
             problem.golden_testbench,
             runtime.sim_runner,
-            allocator.acquire("final"),
+            workdir,
             problem.reference_solution,
         ).passed
     else:

@@ -35,22 +35,25 @@ logs the outcome and writes ``best.v``. ``_Run.refine`` runs ``_Plan``'s
 tasks of steps 4 and 5 on an executor it builds, with one worker per sample,
 or one in single-agent mode, whose roles share one conversation.
 
-Every simulation gets its own flat workdir name under ``<transcript>/sim/``
-(``sim/rtl_gen.samplefix.e0.c3.check0.a0``), which only a toolchain that
-writes files creates, and every decision is appended to ``events.jsonl``
-through one open handle. Once a testbench exists, the
-syntax probe of a DUT is its joint compile-and-simulate with that testbench;
-the cached result is what scoring reads later, so each distinct DUT is
-compiled once. A failed joint compile sends its errors that name the DUT's
-file back to the agent. Only testbenches get the standalone probe.
+Every check gets its own flat workdir under ``<transcript>/sim/``, named
+once by its label (``sim/rtl_gen.samplefix.e0.c3.check0``), which only a
+toolchain that writes files creates; a run first removes the ``sim/`` and
+``best.v`` that an earlier run into the same transcript left. Every
+decision is appended to ``events.jsonl`` through one open handle. Once a
+testbench exists, the syntax probe of a DUT is its joint compile-and-simulate
+with that testbench; the cached result is what scoring reads later, so each
+distinct DUT is compiled once. A failed joint compile sends its errors that
+name the DUT's file back to the agent. Only testbenches get the standalone
+probe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
-import os
+import shutil
 import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field, asdict
@@ -298,35 +301,20 @@ def _flat_name(label: str) -> str:
 
 
 class WorkdirAllocator:
-    """Hands out fresh flat workdir paths ``<root>/<label>.a<k>``, thread-safe.
+    """Names a check's workdir ``<root>/<flat label>``: a ``/`` in the label
+    becomes ``.`` (``rtl_gen/init0/check0`` -> ``rtl_gen.init0.check0``).
 
-    ``k`` is the least not yet taken; a ``/`` in the label becomes ``.``
-    (``rtl_gen/init0/check0`` -> ``rtl_gen.init0.check0.a0``). The
-    allocator creates nothing: the seam that writes into a workdir creates
-    it, so an in-process toolchain touches no disk. Taken are the names it
-    handed out and those in the root at the first call, when the root is
-    listed once, so a rerun into the same output directory never reuses an
-    earlier run's workdir.
+    A run names each workdir once, and ``run_pipeline`` removes the ``sim/``
+    an earlier run left, so no name is taken twice. The allocator creates
+    nothing: the seam that writes into a workdir creates it, so an in-process
+    toolchain touches no disk.
     """
 
     def __init__(self, root: Path):
         self.root = Path(root)
-        self._taken: Optional[set[str]] = None
-        self._lock = threading.Lock()
 
     def acquire(self, label: str) -> Path:
-        stem = _flat_name(label)
-        with self._lock:
-            if self._taken is None:
-                try:
-                    self._taken = set(os.listdir(self.root))
-                except FileNotFoundError:
-                    self._taken = set()
-            k = 0
-            while f"{stem}.a{k}" in self._taken:
-                k += 1
-            self._taken.add(f"{stem}.a{k}")
-        return self.root / f"{stem}.a{k}"
+        return self.root / _flat_name(label)
 
 
 def _normalize_code(code: str) -> str:
@@ -749,7 +737,11 @@ def run_pipeline(problem: Problem, config: RunConfig, runtime: EngineRuntime) ->
     failures (returns status="error" with a partial transcript instead)."""
     transcript = Path(runtime.transcript_dir)
     transcript.mkdir(parents=True, exist_ok=True)
-    (transcript / "best.v").unlink(missing_ok=True)  # a rerun keeps no earlier best.v
+    # A rerun keeps no earlier best.v or workdir. A sim that is no directory
+    # raises OSError, which names the str path as an unusable best.v does.
+    (transcript / "best.v").unlink(missing_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        shutil.rmtree(str(transcript / "sim"))
     with EventLog(transcript / "events.jsonl") as events:
         events.emit(
             {

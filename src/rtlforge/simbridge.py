@@ -12,7 +12,7 @@ once per config on first use: a binary swapped on disk later in the run is
 not looked up again, and a config built per call would resolve both again.
 Every run happens in its own working directory so concurrent simulations
 never interfere. The compiler's stdout is discarded; its stderr and both of
-the simulator's streams are captured.
+the simulator's streams are captured, up to ``OUTPUT_CAP`` bytes each.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import contextlib
 import functools
 import os
 import re
+import selectors
 import shutil
 import signal
 import subprocess
@@ -37,9 +38,23 @@ DEFAULT_SIM_TIMEOUT = 30.0  # seconds one simulation may run
 TIMEOUT_GRACE = 2.0
 COMPILE_ARGS = ("-g2012",)  # language standard passed to every compile
 RUNNABLE = "sim.vvp"  # what a compile builds in its workdir and a simulation runs
-# Toolchain slots: one per CPU, held by every compile and simulation of the
-# process, however many runs and ToolchainConfigs share it.
-TOOLCHAIN_SLOTS = threading.BoundedSemaphore(os.cpu_count() or 4)
+# Bytes of each output stream one launch may print; a tool that prints more
+# is killed and its run ends as "output_limit". The longest trace of the
+# replay benchmark's workloads is 243 KB.
+OUTPUT_CAP = 8 << 20
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's count (4 when unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 4
+
+
+# Toolchain slots: one per usable CPU, held by every compile and simulation of
+# the process, however many runs and ToolchainConfigs share it.
+TOOLCHAIN_SLOTS = threading.BoundedSemaphore(usable_cpus())
 
 
 class ToolchainMissing(EngineError):
@@ -86,7 +101,7 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class SimRun:
-    status: str  # "ok" | "compile_failed" | "runtime_failed" | "timed_out"
+    status: str  # "ok" | "compile_failed" | "runtime_failed" | "timed_out" | "output_limit"
     stdout: str
     diagnostics: tuple[Diagnostic, ...] = ()
     wall_time: float = 0.0
@@ -213,21 +228,23 @@ def _decode(output: Optional[bytes]) -> str:
 
 def _launch(
     cmd: list[str], cwd: Path, timeout: float, capture_stdout: bool = True
-) -> tuple[Optional[int], str, str, float]:
+) -> tuple[int | str, str, str, float]:
     """Run ``cmd`` in ``cwd`` on a toolchain slot, killing it after ``timeout``.
 
-    Returns (exit status, or None on timeout; stdout; stderr; seconds). The
-    clock starts once the slot is held, so the seconds exclude the wait.
-    Without ``capture_stdout`` the tool's stdout goes to the null device and
-    reads as "". The pipes are read as bytes and each is decoded once by
+    Returns (exit status, or "timed_out" or "output_limit"; stdout; stderr;
+    seconds). The clock starts once the slot is held, so the seconds exclude
+    the wait. Without ``capture_stdout`` the tool's stdout goes to the null
+    device and reads as "". The pipes are read as bytes, at most
+    ``OUTPUT_CAP`` of each (``_read_pipes``), and each is decoded once by
     ``_decode``: a design may print any byte (``$display("%c", 8'hff)``).
     Raises OSError when the binary cannot be launched.
 
-    The tool runs in its own process group, and a timeout kills the whole
-    group: ``iverilog`` runs ``ivlpp`` and ``ivl`` as children, which hold
-    the output pipes until they end. So the terminal's signals (Ctrl-C, a
-    hangup) no longer reach the tools, and any other way out of the wait,
-    such as a KeyboardInterrupt, kills the group too before it propagates.
+    The tool runs in its own process group, and a timeout or the output cap
+    kills the whole group: ``iverilog`` runs ``ivlpp`` and ``ivl`` as
+    children, which hold the output pipes until they end. So the terminal's
+    signals (Ctrl-C, a hangup) no longer reach the tools, and any other way
+    out of the wait, such as a KeyboardInterrupt, kills the group too before
+    it propagates.
     """
     with TOOLCHAIN_SLOTS:
         start = time.monotonic()
@@ -238,18 +255,48 @@ def _launch(
             stderr=subprocess.PIPE,
             start_new_session=True,
         )
+        outputs = {pipe: bytearray() for pipe in (proc.stdout, proc.stderr) if pipe}
+        status: int | str = "timed_out"  # what a raise leaves, so the group is killed
         try:
-            stdout, stderr = proc.communicate(timeout=timeout)
-            status = proc.returncode
-        except BaseException as exc:
-            # Until it is reaped, the leader keeps the group alive to be killed.
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            stdout, stderr = proc.communicate()
-            if not isinstance(exc, subprocess.TimeoutExpired):
-                raise
-            status = None
+            deadline = start + timeout
+            status = _read_pipes(outputs, deadline) or proc.wait(deadline - time.monotonic())
+        except subprocess.TimeoutExpired:
+            pass
+        finally:
+            if isinstance(status, str):
+                # Until it is reaped, the leader keeps the group alive to be killed.
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            for pipe in outputs:
+                pipe.close()
+        stdout, stderr = (outputs.get(pipe) for pipe in (proc.stdout, proc.stderr))
         return status, _decode(stdout), _decode(stderr), time.monotonic() - start
+
+
+def _read_pipes(outputs: dict, deadline: float) -> Optional[str]:
+    """Read each pipe into its buffer, waking on data or end of file, until
+    every pipe has ended (None); "timed_out" at ``deadline``, or
+    "output_limit" once a pipe has printed more than ``OUTPUT_CAP`` bytes,
+    of which its buffer keeps the first ``OUTPUT_CAP``."""
+    with selectors.PollSelector() as selector:
+        for pipe in outputs:
+            selector.register(pipe, selectors.EVENT_READ)
+        while selector.get_map():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return "timed_out"
+            for key, _ in selector.select(remaining):
+                chunk = os.read(key.fd, 32768)
+                if not chunk:
+                    selector.unregister(key.fileobj)
+                    continue
+                buffer = outputs[key.fileobj]
+                buffer += chunk
+                if len(buffer) > OUTPUT_CAP:
+                    del buffer[OUTPUT_CAP:]
+                    return "output_limit"
+    return None
 
 
 def compile_sources(
@@ -265,10 +312,10 @@ def compile_sources(
     ``workdir`` must be empty or absent: this is where a run's workdir is
     created, with its parents, since the pipeline's allocator only names it.
     A failed compile returns every parseable error, else one line naming the
-    timeout or the exit status. Raises ToolchainMissing when no compiler can
-    be resolved or launched. ``ignore_missing`` tells the compiler to treat
-    unresolved module instantiations as black boxes (used to syntax-check a
-    testbench before any DUT exists).
+    timeout, the output cap or the exit status. Raises ToolchainMissing when
+    no compiler can be resolved or launched. ``ignore_missing`` tells the
+    compiler to treat unresolved module instantiations as black boxes (used
+    to syntax-check a testbench before any DUT exists).
     """
     if not sources:
         raise ValueError("no sources to compile")
@@ -293,8 +340,11 @@ def compile_sources(
         status, _, stderr, _ = _launch(cmd, workdir, timeout, capture_stdout=False)
     except OSError as exc:
         raise ToolchainMissing(f"cannot launch compiler {cmd[0]}: {exc}") from exc
-    if status is None:
+    if status == "timed_out":
         message = f"compiler timed out after {timeout} seconds"
+        return (Diagnostic(file="", line=None, message=message),)
+    if status == "output_limit":
+        message = f"compiler printed more than {OUTPUT_CAP} bytes"
         return (Diagnostic(file="", line=None, message=message),)
     if status == 0 and (workdir / RUNNABLE).exists():
         return ()
@@ -305,7 +355,9 @@ def compile_sources(
 
 def simulate(workdir: str | Path, config: ToolchainConfig) -> SimRun:
     """Run ``workdir``'s compiled ``RUNNABLE`` on ``config``'s simulator;
-    capture stdout in full; kill it after ``config.sim_timeout`` seconds.
+    capture its output; kill it after ``config.sim_timeout`` seconds
+    ("timed_out") or once a stream passes ``OUTPUT_CAP`` bytes
+    ("output_limit", with the first ``OUTPUT_CAP`` bytes of each stream).
 
     A runnable that is missing or crashes gives a "runtime_failed" SimRun.
     ``wall_time`` is the simulator's own run time, not the wait for a slot.
@@ -317,8 +369,10 @@ def simulate(workdir: str | Path, config: ToolchainConfig) -> SimRun:
     except OSError as exc:
         raise ToolchainMissing(f"cannot launch simulator {vvp}: {exc}") from exc
     diagnostics = parse_diagnostics(stderr)
-    if status is None:
-        return SimRun("timed_out", stdout, tuple(diagnostics), max(wall, timeout))
+    if status == "timed_out":
+        return SimRun(status, stdout, tuple(diagnostics), max(wall, timeout))
+    if status == "output_limit":
+        return SimRun(status, stdout, tuple(diagnostics), wall)
     if status != 0:
         diagnostics = diagnostics or [
             Diagnostic(file="", line=None, message=f"simulator exited with status {status}")

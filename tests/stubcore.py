@@ -141,6 +141,9 @@ def subprocess_vvp_main() -> int:
     if key == "hang":
         time.sleep(600)
         return 0
+    if key == "flood":
+        while True:
+            sys.stdout.write("CHECK time=0 in:a=0 dut:y=0 exp:y=0 status=MATCH\n")
     if key == "crash":
         sys.stderr.write("vvp: fatal interaction\n")
         return 2

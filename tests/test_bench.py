@@ -18,7 +18,9 @@ from rtlforge.gateway import MAX_COMPLETIONS
 from rtlforge.golden import GoldenResult, evaluate_golden
 from rtlforge.pipeline import EngineRuntime, RunConfig
 from rtlforge.problems import DuplicateTaskId, ParseError, Problem, load_problems
-from rtlforge.simbridge import Diagnostic, SimRun, VerilogSource
+from rtlforge.simbridge import (
+    Diagnostic, SimRun, ToolchainSimRunner, ToolchainSyntaxChecker, VerilogSource
+)
 
 from fixtures import fenced, stub_dut, stub_golden_tb, stub_tb
 from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker
@@ -303,6 +305,16 @@ class TestEvaluateGolden:
         assert not result.passed
         assert "compile" in result.reason
 
+    def test_output_past_the_cap_fails(self, tmp_path):
+        """A run cut at the output cap fails, though what it printed holds
+        the passing banner."""
+        rtl = VerilogSource(kind="dut", top_module="counter4", code=stub_dut("flood"))
+        runner = StubSimRunner()
+        sim = runner.run([rtl, VerilogSource("testbench", "g", self._golden())], tmp_path)
+        assert (sim.status, "Mismatches: 0" in sim.stdout) == ("output_limit", True)
+        result = evaluate_golden(rtl, self._golden(), runner, tmp_path / "g")
+        assert result == GoldenResult(False, "golden simulation status: output_limit")
+
     def test_sentinel_fails(self, tmp_path):
         rtl = VerilogSource(kind="dut", top_module="x", code="// nope", sentinel=True)
         result = evaluate_golden(rtl, self._golden(), StubSimRunner(), tmp_path / "g")
@@ -519,7 +531,33 @@ class TestRunBench:
         config = RunConfig(agent_mode="vanilla")
         records = run_bench(self._problems()[:1], config, factory)
         assert [r.passed_golden for r in records] == [passed]
-        assert [w.relative_to(tmp_path) for w in workdirs] == [Path("easy/sim/golden.a0")]
+        assert [w.relative_to(tmp_path) for w in workdirs] == [Path("easy/sim/golden")]
+        assert not (tmp_path / "easy" / "golden_check").exists()
+
+    def test_multi_trial_runs_golden_in_sim_golden(self, tmp_path, templates, stub_tool_config):
+        """With a toolchain that writes files, the golden check of a multi
+        run is the workdir ``sim/golden``, beside the run's own checks."""
+        script = {
+            "testbench_gen/gen0": fenced(stub_tb()),
+            "rtl_gen/init0": fenced(stub_dut("counter16")),
+        }
+
+        def factory(task_id, run_index):
+            return EngineRuntime(
+                backend=ScriptedBackend(script),
+                sim_runner=ToolchainSimRunner(stub_tool_config),
+                syntax_checker=ToolchainSyntaxChecker(stub_tool_config),
+                templates=templates,
+                transcript_dir=tmp_path / task_id,
+            )
+
+        records = run_bench(self._problems()[:1], RunConfig(pool_size=1), factory)
+        assert [(r.status, r.passed_golden) for r in records] == [("solved", True)]
+        sim = tmp_path / "easy" / "sim"
+        assert sorted(p.name for p in sim.iterdir()) == [
+            "golden", "rtl_gen.init0.check0", "testbench_gen.gen0.check0"
+        ]
+        assert sorted(p.name for p in (sim / "golden").iterdir()) == ["dut.v", "sim.vvp", "tb.v"]
         assert not (tmp_path / "easy" / "golden_check").exists()
 
     @pytest.mark.parametrize("mode", ["vanilla", "multi"])

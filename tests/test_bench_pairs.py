@@ -188,3 +188,27 @@ def test_a_failed_gate_is_recorded_as_failed(tool, tmp_path):
         assert out[side]["failed"] == 1
         run = {"seed": 7, "failed": 1, **dict.fromkeys(tool.E2E_METRICS, 1.0)}
         assert out[side]["runs"] == [run]
+
+
+CPU_LINE = (
+    "paper_subproc: warm-up and 3 passes; wall, user and system CPU per run (s): "
+    "2.000,0.100,0.900 2.100,0.100,0.020 2.200,0.100,0.030 2.300,0.100,0.025"
+)
+
+
+def test_the_system_cpu_per_run_is_the_median_of_the_measured_passes(tool):
+    # The warm-up's 0.900 is left out.
+    assert tool.sys_cpu_per_run(f"setup\n{CPU_LINE}\ngate: ok\n") == 0.025
+    assert tool.sys_cpu_per_run("no such line\n") is None
+
+
+def test_the_system_cpu_is_recorded_and_summarised_without_a_verdict(tool, tmp_path):
+    metrics = {name: {"value": 1.0} for name in tool.E2E_METRICS}
+    line = json.dumps({"correct": True, "attempted": 2, "failed": 0, "metrics": metrics})
+    script = f"import sys\nprint({CPU_LINE!r}, file=sys.stderr)\nprint({line!r})\n"
+    root = fake_root(tmp_path, script)
+    out = tool.e2e(root, root, [7, 8], 1.0, ["paper_subproc"])["workloads"]["paper_subproc"]
+    for side in ("baseline", "change"):
+        assert [run[tool.SYS_CPU] for run in out[side]["runs"]] == [0.025, 0.025]
+        assert out[side]["summary"][tool.SYS_CPU]["median"] == 0.025
+    assert tool.SYS_CPU not in tool.compare(out)

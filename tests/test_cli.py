@@ -237,6 +237,33 @@ class TestGenerate:
         assert not (out / "final.v").exists()
         assert not (out / "run" / "best.v").exists()
 
+    def test_a_sim_that_is_a_file_ends_with_one_error_line(
+        self, tmp_path, spec_files, stub_toolchain, templates, capsys
+    ):
+        """A rerun removes the earlier run's sim/ tree; a sim that is a file
+        cannot be, and ends the command before the run's first request."""
+        spec, iface = spec_files
+        cassette = tmp_path / "solve.jsonl"
+        config = RunConfig(pool_size=2, top_k=1, max_debug_rounds=2)
+        script = {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": CLEAN_RTL}
+        record_generate_cassette(cassette, script, config, templates)
+        out = tmp_path / "cli_out"
+        (out / "run").mkdir(parents=True)
+        (out / "run" / "sim").write_text("not a directory\n", encoding="utf-8")
+        code = cli(
+            ["generate", str(spec), "--task-id", "counter4",
+             "--module-interface", str(iface), "--out", str(out),
+             "--backend", "replay", "--cassette", str(cassette),
+             "--pool-size", "2", "--top-k", "1", "--max-debug-rounds", "2"],
+            stub_toolchain,
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.endswith(f": '{out / 'run' / 'sim'}'\n")
+        assert err.count("\n") == 1
+        assert (out / "run" / "sim").read_text(encoding="utf-8") == "not a directory\n"
+        assert not (out / "run" / "events.jsonl").exists()
+
     def test_missing_spec_file_exit_one(self, tmp_path, stub_toolchain, capsys):
         code = cli(
             ["generate", str(tmp_path / "nope.txt"), "--backend", "replay",

@@ -2,8 +2,6 @@ import dataclasses
 import itertools
 import json
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -136,13 +134,6 @@ class TestShouldTerminate:
 
 
 class TestWorkdirAllocator:
-    def test_numbering_per_label(self, tmp_path):
-        allocator = WorkdirAllocator(tmp_path / "sim")
-        assert allocator.acquire("a/check0") == tmp_path / "sim" / "a.check0.a0"
-        assert allocator.acquire("a/check0").name == "a.check0.a1"
-        assert allocator.acquire("b").name == "b.a0"
-        assert not (tmp_path / "sim").exists()  # the allocator only names workdirs
-
     def test_flat_names_are_injective(self, tmp_path):
         allocator = WorkdirAllocator(tmp_path / "sim")
         labels = ["a/b", "a.b", "a%2Eb", "a/b.a0", "a/.b", "a./b", "a", "a.a0"]
@@ -150,58 +141,10 @@ class TestWorkdirAllocator:
         assert len(set(names)) == len(labels)
         assert all("/" not in name for name in names)
 
-    def test_non_empty_leftover_is_skipped(self, tmp_path):
-        leftover = tmp_path / "sim" / "a.a0"
-        leftover.mkdir(parents=True)
-        (leftover / "dut.v").write_text("// earlier run\n")
+    def test_a_label_names_its_workdir(self, tmp_path):
         allocator = WorkdirAllocator(tmp_path / "sim")
-        assert allocator.acquire("a").name == "a.a1"
-        assert allocator.acquire("a").name == "a.a2"
-        assert (leftover / "dut.v").read_text() == "// earlier run\n"
-
-    def test_every_leftover_name_is_skipped(self, tmp_path):
-        (tmp_path / "sim" / "a.a0").mkdir(parents=True)
-        (tmp_path / "sim" / "a.a2").write_text("")
-        allocator = WorkdirAllocator(tmp_path / "sim")
-        assert [allocator.acquire("a").name for _ in range(3)] == ["a.a1", "a.a3", "a.a4"]
-
-    def test_root_is_listed_once(self, tmp_path, monkeypatch):
-        listed = []
-        listdir = pipeline.os.listdir
-        monkeypatch.setattr(pipeline.os, "listdir", lambda p: listed.append(p) or listdir(p))
-        (tmp_path / "sim").mkdir()
-        allocator = WorkdirAllocator(tmp_path / "sim")
-        for _ in range(3):
-            allocator.acquire("a")
-        (tmp_path / "sim" / "a.a3").mkdir()  # appears after the listing: not seen
-        assert allocator.acquire("a").name == "a.a3"
-        assert listed == [tmp_path / "sim"]
-
-    def test_concurrent_acquires_get_distinct_directories(self, tmp_path):
-        allocator = WorkdirAllocator(tmp_path / "sim")
-        start = threading.Barrier(64)
-        paths = []
-
-        def acquire():
-            start.wait(timeout=30)
-            paths.append(allocator.acquire("rtl_gen/sample/check0"))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=acquire) for _ in range(64)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert len(set(paths)) == 64
-        assert sorted(p.name for p in paths) == sorted(
-            f"rtl_gen.sample.check0.a{k}" for k in range(64)
-        )
-        assert all(p.parent == tmp_path / "sim" for p in paths)
+        assert allocator.acquire("a/check0") == tmp_path / "sim" / "a.check0"
+        assert not (tmp_path / "sim").exists()  # the allocator only names workdirs
 
 
 class TestProbe:
@@ -474,6 +417,33 @@ class TestJudgeRouting:
         }
         outcome, _, _ = run(script, make_runtime=make_runtime)
         assert outcome.status == "solved"
+
+    def test_output_limit_triggers_regen(self, make_runtime):
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": fenced(stub_dut("flood")),
+            "testbench_gen/gen1": GOOD_TB,
+            "rtl_gen/init1": CLEAN_RTL,
+        }
+        outcome, backend, runtime = run(script, make_runtime=make_runtime)
+        assert outcome.status == "solved"
+        assert not any(r.tag.startswith("judge") for r in backend.requests)
+        assert {"event": "route", "reason": "output_limit"} in events_of(runtime)
+
+    def test_a_sample_past_the_output_cap_scores_0(self, make_runtime):
+        script = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": GLITCH_RTL,
+            "judge/e0": RTL_FAULTY,
+            "rtl_gen/sample/e0": [
+                fenced(stub_dut("flood", name="c0")),
+                fenced(stub_dut("score:1:16", name="c1")),
+            ],
+        }
+        config = RunConfig(pool_size=2, top_k=2, max_debug_rounds=0)
+        outcome, _, _ = run(script, config=config, make_runtime=make_runtime)
+        assert outcome.status == "budget_exhausted"
+        assert outcome.score_history == [(0, [15 / 16, 0.0])]
 
     def test_crash_feedback_carries_the_simulator_diagnostics(self, make_runtime):
         script = {
@@ -932,9 +902,57 @@ class TestTranscriptFiles:
         sim = tmp_path / "run" / "sim"
         workdirs = {p.name: sorted(f.name for f in p.iterdir()) for p in sim.iterdir()}
         assert workdirs == {
-            "testbench_gen.gen0.check0.a0": ["sim.vvp", "tb.v"],
-            "rtl_gen.init0.check0.a0": ["dut.v", "sim.vvp", "tb.v"],
+            "testbench_gen.gen0.check0": ["sim.vvp", "tb.v"],
+            "rtl_gen.init0.check0": ["dut.v", "sim.vvp", "tb.v"],
         }
+
+    def test_a_rerun_leaves_only_its_own_workdirs(self, tmp_path, templates, stub_tool_config):
+        """Two runs into one transcript: the second removes the first's
+        sim/ tree, and its workdirs are named by their labels alone."""
+
+        def rerun(script):
+            runtime = EngineRuntime(
+                backend=ScriptedBackend(script),
+                sim_runner=ToolchainSimRunner(stub_tool_config),
+                syntax_checker=ToolchainSyntaxChecker(stub_tool_config),
+                templates=templates,
+                transcript_dir=tmp_path / "run",
+            )
+            return run_pipeline(stub_counter_problem(), RunConfig(pool_size=2), runtime)
+
+        first = {
+            "testbench_gen/gen0": GOOD_TB,
+            "rtl_gen/init0": fenced(stub_dut("crash")),
+            "testbench_gen/gen1": GOOD_TB,
+            "rtl_gen/init1": CLEAN_RTL,
+        }
+        assert rerun(first).status == "solved"
+        sim = tmp_path / "run" / "sim"
+        assert "rtl_gen.init1.check0" in {p.name for p in sim.iterdir()}
+        (sim / "stray.txt").write_text("left by hand\n")
+        assert rerun({"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": CLEAN_RTL}).status == "solved"
+        assert sorted(p.name for p in sim.iterdir()) == [
+            "rtl_gen.init0.check0", "testbench_gen.gen0.check0"
+        ]
+
+    @pytest.mark.parametrize("kind", ["file", "symlink"])
+    def test_a_sim_that_is_no_directory_is_refused(self, tmp_path, make_runtime, kind):
+        """A sim/ that cannot be removed as a tree raises OSError before the
+        first request, and nothing it points at is touched."""
+        runtime, backend = make_runtime({"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": CLEAN_RTL})
+        runtime.transcript_dir.mkdir()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "dut.v").write_text("// kept\n")
+        sim = runtime.transcript_dir / "sim"
+        if kind == "file":
+            sim.write_text("not a directory\n")
+        else:
+            sim.symlink_to(kept, target_is_directory=True)
+        with pytest.raises(OSError):
+            run_pipeline(stub_counter_problem(), RunConfig(), runtime)
+        assert backend.requests == []
+        assert (kept / "dut.v").read_text() == "// kept\n"
 
 
 class TestDeterministicReplay:

@@ -7,13 +7,16 @@ import re
 import time
 import zlib
 from typing import Optional
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rtlforge.agents import SYNTAX_FIX_CAP, AgentTeam
 from rtlforge.gateway import BackendError
-from rtlforge.pipeline import EngineRuntime, RunConfig, _SimCache, max_llm_calls, run_pipeline
+from rtlforge.pipeline import (
+    EngineRuntime, RunConfig, WorkdirAllocator, _SimCache, max_llm_calls, run_pipeline
+)
 
 from fixtures import fenced, stub_counter_problem, stub_dut, stub_tb
 from toolstub import ScriptedBackend, StubSimRunner, StubSyntaxChecker
@@ -219,6 +222,24 @@ def test_any_scripted_run_keeps_the_outcome_contract(run, templates, tmp_path_fa
     assert events[-1]["status"] == outcome.status
     assert outcome.llm_calls == sum(e["event"] == "llm_call" for e in events)
     assert outcome.llm_calls <= max_llm_calls(config)
+
+
+@settings(max_examples=50, deadline=None)
+@given(run=scripted_runs())
+def test_any_scripted_run_acquires_each_workdir_label_once(run, templates, tmp_path_factory):
+    """No run names a workdir twice, so a label alone names its workdir."""
+    config, script = run
+    labels = []
+    acquire = WorkdirAllocator.acquire
+
+    def recorded(self, label):
+        labels.append(label)
+        return acquire(self, label)
+
+    runtime = stub_runtime(script, templates, tmp_path_factory.mktemp("run"))
+    with mock.patch.object(WorkdirAllocator, "acquire", recorded):
+        run_pipeline(stub_counter_problem(), config, runtime)
+    assert len(set(labels)) == len(labels), labels
 
 
 TO_SAMPLING = {"testbench_gen/gen0": GOOD_TB, "rtl_gen/init0": GLITCH_RTL, "judge/e0": RTL_FAULTY}

@@ -79,7 +79,7 @@ def test_clean_sample_costs_one_joint_run_and_no_standalone_check(templates, tmp
     assert checker.calls == 1  # the testbench only
     sim_root = tmp_path / "run" / "sim"
     sample_dirs = sorted(str(w.relative_to(sim_root)) for w, _ in runner.runs[1:])
-    assert sample_dirs == [f"rtl_gen.samplefix.e0.c{i}.check0.a0" for i in range(3)]
+    assert sample_dirs == [f"rtl_gen.samplefix.e0.c{i}.check0" for i in range(3)]
 
 
 def test_broken_sample_gets_the_joint_diagnostics(templates, tmp_path):
@@ -97,12 +97,12 @@ def test_broken_sample_gets_the_joint_diagnostics(templates, tmp_path):
     assert outcome.best.score.value == 15 / 16
 
     sim_root = tmp_path / "run" / "sim"
-    probe = "rtl_gen.samplefix.e0.c0.check0."
-    assert [(w, status) for w, status in runner.runs if w.name.startswith(probe)] == [
-        (sim_root / f"{probe}a0", "compile_failed")
+    probe = sim_root / "rtl_gen.samplefix.e0.c0.check0"
+    assert [(w, status) for w, status in runner.runs if w == probe] == [
+        (probe, "compile_failed")
     ]
     assert checker.calls == 1  # the testbench only
-    assert checker.workdirs == [sim_root / "testbench_gen.gen0.check0.a0"]
+    assert checker.workdirs == [sim_root / "testbench_gen.gen0.check0"]
     assert runner.calls == 1 + 3  # initial, broken sample, its repair, clean sample
 
     fix_request = next(

@@ -1,6 +1,7 @@
 import os
 import shutil
 import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -199,6 +200,19 @@ class TestCompile:
         errors = compile_sources([dut()], tmp_path / "w", config)
         assert errors == (Diagnostic(file="", line=None, message=message),)
 
+    def test_endless_compiler_output_is_one_diagnostic(self, tmp_path, monkeypatch):
+        compiler = tmp_path / "flooding-iverilog"
+        compiler.write_text("#!/bin/sh\nwhile :; do echo 'dut.v:1: error' >&2; done\n")
+        compiler.chmod(0o755)
+        monkeypatch.setattr(simbridge, "OUTPUT_CAP", 4096)
+        config = ToolchainConfig(compiler_path=str(compiler), sim_timeout=10.0)
+        start = time.monotonic()
+        errors = compile_sources([dut()], tmp_path / "w", config)
+        assert time.monotonic() - start < 2.0
+        assert errors == (
+            Diagnostic(file="", line=None, message="compiler printed more than 4096 bytes"),
+        )
+
     def test_toolchain_missing(self, tmp_path):
         config = ToolchainConfig(compiler_path="/nonexistent/iverilog")
         with pytest.raises(ToolchainMissing):
@@ -276,18 +290,15 @@ class TestSimulate:
         vvp.write_text("#!/bin/sh\necho $$ > group\nsleep 3 &\nsleep 3\n", encoding="utf-8")
         vvp.chmod(0o755)
         group_file = tmp_path / "group"
-        communicate = subprocess.Popen.communicate
 
-        def interrupted(proc, input=None, timeout=None):
-            if timeout is None:  # the wait after the kill
-                return communicate(proc, input)
-            deadline = time.monotonic() + 2.0
+        def interrupted(outputs, deadline):
+            wait = time.monotonic() + 2.0
             while not (group_file.exists() and group_file.read_text().strip()):
-                assert time.monotonic() < deadline, "the tool never started"
+                assert time.monotonic() < wait, "the tool never started"
                 time.sleep(0.02)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        monkeypatch.setattr(simbridge, "_read_pipes", interrupted)
         config = ToolchainConfig(vvp_path=str(vvp), sim_timeout=10.0)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
@@ -298,6 +309,40 @@ class TestSimulate:
         while live_members(group) and time.monotonic() < deadline:
             time.sleep(0.02)
         assert live_members(group) == []
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process groups from /proc")
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    def test_endless_output_ends_at_the_cap(self, tmp_path, monkeypatch, stream):
+        """A simulator that prints without end, with a child in its group:
+        once a stream passes the cap the group is killed, well inside the
+        timeout, and the run keeps at most the cap of that stream."""
+        vvp = tmp_path / "flooding-vvp"
+        redirect = " >&2" if stream == "stderr" else ""
+        script = f"#!/bin/sh\necho $$ > group\nsleep 30 &\nwhile :; do echo CHECK{redirect}; done\n"
+        vvp.write_text(script, encoding="utf-8")
+        vvp.chmod(0o755)
+        monkeypatch.setattr(simbridge, "OUTPUT_CAP", 4096)
+        config = ToolchainConfig(vvp_path=str(vvp), sim_timeout=10.0)
+        start = time.monotonic()
+        run = simulate(tmp_path, config)
+        assert time.monotonic() - start < 2.0
+        assert run.status == "output_limit"
+        kept = run.stdout if stream == "stdout" else "\n".join(d.message for d in run.diagnostics)
+        assert kept.startswith("CHECK\nCHECK") and len(kept) <= 4096
+        group = int((tmp_path / "group").read_text())
+        deadline = time.monotonic() + 2.0
+        while live_members(group) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live_members(group) == []
+
+    def test_endless_stub_simulation_ends_as_output_limit(
+        self, tmp_path, stub_tool_config, monkeypatch
+    ):
+        monkeypatch.setattr(simbridge, "OUTPUT_CAP", 1 << 16)
+        run = run_sim([dut("flood"), tb()], tmp_path / "w", config=stub_tool_config)
+        assert run.status == "output_limit"
+        assert len(run.stdout) == 1 << 16
+        assert run.wall_time < stub_tool_config.sim_timeout
 
     def test_runtime_failure(self, tmp_path, stub_tool_config):
         run = run_sim([dut("crash"), tb()], tmp_path / "w", config=stub_tool_config)
@@ -331,6 +376,32 @@ class TestSimulate:
         with ThreadPoolExecutor(max_workers=4) as pool:
             walls = list(pool.map(one, range(1, 5)))
         assert all(wall < 2 * lone for wall in walls), (lone, walls)
+
+
+class TestToolchainSlots:
+    def test_slots_count_the_cpus_of_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert simbridge.usable_cpus() == 1
+
+    def test_without_an_affinity_mask_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert simbridge.usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert simbridge.usable_cpus() == 4
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks")
+    def test_a_one_cpu_mask_gives_one_slot(self):
+        """A process pinned to one CPU before the import holds one slot."""
+        code = (
+            "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from rtlforge import simbridge; print(simbridge.TOOLCHAIN_SLOTS._value)"
+        )
+        src = str(Path(simbridge.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, "1\n"), proc.stderr
 
 
 class TestRunSim:

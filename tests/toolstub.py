@@ -17,6 +17,7 @@ Built-in behavior keys (no TB_EMIT needed):
   nochecks              output with no CHECK lines at all
   badsummary            trace whose SUMMARY contradicts its records
   hang                  never terminates (subprocess) / timed_out (in-process)
+  flood                 prints without end (subprocess) / output_limit (in-process)
   crash                 nonzero simulator exit
   jointfail_tb          joint compile fails with diagnostics in the tb file
   jointfail_dut         joint compile fails with diagnostics in the dut file
@@ -92,6 +93,8 @@ class StubSimRunner:
             )
         if key == "hang":
             return SimRun(status="timed_out", stdout="", wall_time=self.timeout)
+        if key == "flood":
+            return SimRun(status="output_limit", stdout=stdout_for(all_text, "counter16"))
         if key == "crash":
             return SimRun(
                 status="runtime_failed",

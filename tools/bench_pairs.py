@@ -17,6 +17,12 @@ parent's IQR is wider than it, unless every change run reads better than
 every parent run. Toolchain figures come from the benchmark's stub compiler
 and simulator, not from iverilog/vvp.
 
+Beside the declared metrics it records the orchestrator's system CPU per
+run (``orchestrator_sys_cpu_s``, read from ``replaybench/run.py``'s stderr),
+with a per-side summary and no verdict: BENCHMARK.json declares only user
+CPU, so kernel work around a launch, such as making a workdir and writing
+its sources, shows only here.
+
 ``tools/bench_trace_parse.py`` uses ``e2e`` for its end-to-end section.
 """
 
@@ -26,10 +32,12 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -38,6 +46,8 @@ BETTER = {m["name"]: m["better"] for m in DECLARED["end_to_end"]}
 BOUND = {m["name"]: m["bound"] for m in DECLARED["end_to_end"]}  # a fraction of the median
 E2E_METRICS = tuple(BETTER)
 WORKLOADS = [w["name"] for w in DECLARED["workloads"]]
+SYS_CPU = "orchestrator_sys_cpu_s"  # recorded and summarised, never judged
+_CPU_LINE_RE = re.compile(r"wall, user and system CPU per run \(s\): (.*)$", re.MULTILINE)
 
 
 def summary(values: list[float]) -> dict:
@@ -58,6 +68,16 @@ def commit_of(path: Path) -> str:
     return proc.stdout.strip() + ("+modified" if dirty else "")
 
 
+def sys_cpu_per_run(stderr: str) -> Optional[float]:
+    """The median, over the measured passes, of the system CPU per run: the
+    third figure of each "wall,user,sys" triple in run.py's line ``wall,
+    user and system CPU per run (s): ...``, whose first triple, the
+    warm-up's, is left out. None when no line holds a measured pass."""
+    match = _CPU_LINE_RE.search(stderr)
+    triples = match.group(1).split()[1:] if match else []
+    return statistics.median(float(t.split(",")[2]) for t in triples) if triples else None
+
+
 def e2e_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "replaybench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
@@ -72,11 +92,25 @@ def e2e_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
         tail = "\n".join(proc.stderr.splitlines()[-20:])
         raise SystemExit(f"{root}: replaybench {workload} seed {seed} exited with status "
                          f"{proc.returncode} and no result line; stderr ends:\n{tail}")
-    return {
+    run = {
         "seed": seed,
         "failed": result["failed"],
         **{name: result["metrics"][name]["value"] for name in E2E_METRICS},
     }
+    sys_cpu = sys_cpu_per_run(proc.stderr)
+    if sys_cpu is not None:
+        run[SYS_CPU] = sys_cpu
+    return run
+
+
+def side_summary(runs: list[dict]) -> dict:
+    """Each declared metric's summary over ``runs``, and the system CPU's
+    over the runs that recorded it."""
+    out = {m: summary([r[m] for r in runs]) for m in E2E_METRICS}
+    sys_cpu = [r[SYS_CPU] for r in runs if SYS_CPU in r]
+    if sys_cpu:
+        out[SYS_CPU] = summary(sys_cpu)
+    return out
 
 
 def e2e(root: Path, baseline_root: Path, seeds: list[int], seconds: float,
@@ -101,7 +135,7 @@ def e2e(root: Path, baseline_root: Path, seeds: list[int], seconds: float,
             "pairs": len(seeds),
             **{
                 side: {
-                    "summary": {m: summary([r[m] for r in rs]) for m in E2E_METRICS},
+                    "summary": side_summary(rs),
                     "failed": sum(r["failed"] for r in rs),
                     "runs": rs,
                 }
@@ -186,6 +220,11 @@ def main(argv=None) -> int:
                   f"median {row['baseline_median']:.4g} -> {row['change_median']:.4g} "
                   f"(parent IQR {row['baseline_iqr']:.3g}) "
                   f"regressed {row['regressed']} unresolved {row['unresolved']}")
+        sides = [end_to_end["workloads"][name][side]["summary"] for side in ("baseline", "change")]
+        if all(SYS_CPU in side for side in sides):
+            base, change = (side[SYS_CPU]["median"] for side in sides)
+            print(f"{name:18s} {SYS_CPU:20s} median {base:.4g} -> {change:.4g} "
+                  "(not declared; no verdict)")
     return 0
 
 
