@@ -210,11 +210,16 @@ class HttpBackend:
             raise BackendError(f"base URL {base_url!r} is not an http(s)://<host> URL")
         if auth_env not in os.environ or not os.environ[auth_env]:
             raise AuthError(f"credential environment variable {auth_env!r} is not set")
+        import urllib.request
+
         self.base_url = base_url.rstrip("/")
         self.auth_env = auth_env
+        # Reads http_proxy and https_proxy now; no_proxy is read per request.
+        self._opener = urllib.request.build_opener()
 
     def complete(self, request: LlmRequest) -> LlmResponse:
-        import requests
+        import http.client
+        import urllib.request
 
         payload = {
             "model": request.model_id,
@@ -230,26 +235,28 @@ class HttpBackend:
             "Authorization": f"Bearer {os.environ[self.auth_env]}",
             "Content-Type": "application/json",
         }
+        http_request = urllib.request.Request(
+            f"{self.base_url}/chat/completions", json.dumps(payload).encode(), headers
+        )
         with _llm_slots:
             try:
-                resp = requests.post(
-                    f"{self.base_url}/chat/completions",
-                    json=payload,
-                    headers=headers,
-                    timeout=HTTP_TIMEOUT_S,
-                )
-            except requests.RequestException as exc:
+                try:
+                    reply = self._opener.open(http_request, timeout=HTTP_TIMEOUT_S)
+                except urllib.request.HTTPError as exc:
+                    reply = exc  # a non-2xx reply: its body is read below
+                with reply:
+                    data = reply.read()
+            except (OSError, http.client.HTTPException) as exc:
                 raise TransientBackendError(f"transport error: {exc}") from exc
-        if resp.status_code in (401, 403):
-            raise AuthError(f"endpoint rejected credential (HTTP {resp.status_code})")
-        if resp.status_code == 429 or resp.status_code >= 500:
-            raise TransientBackendError(
-                f"HTTP {resp.status_code}: {resp.text[:200]}", retry_after_s(resp)
-            )
-        if resp.status_code != 200:
-            raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+        status, text = reply.status, data.decode("utf-8", "replace")[:200]
+        if status in (401, 403):
+            raise AuthError(f"endpoint rejected credential (HTTP {status})")
+        if status == 429 or status >= 500:
+            raise TransientBackendError(f"HTTP {status}: {text}", retry_after_s(reply))
+        if status != 200:
+            raise BackendError(f"HTTP {status}: {text}")
         try:
-            body = resp.json()
+            body = json.loads(data)
             choices = sorted(body["choices"], key=lambda c: c.get("index", 0))
             completions = tuple(str(c["message"]["content"] or "") for c in choices)
             usage_obj = body.get("usage") or {}
@@ -262,12 +269,12 @@ class HttpBackend:
         return LlmResponse(completions=completions, usage=usage)
 
 
-def retry_after_s(resp) -> Optional[float]:
+def retry_after_s(reply) -> Optional[float]:
     """The delta-seconds ``Retry-After`` of an HTTP 429 reply (RFC 9110
     §10.2.3), or None; an HTTP-date is not honoured. Headers decode as
     latin-1, where ``"²".isdigit()`` holds too, so only ASCII digits count."""
-    value = resp.headers.get("Retry-After", "").strip()
-    seconds = resp.status_code == 429 and value.isascii() and value.isdigit()
+    value = reply.headers.get("Retry-After", "").strip()
+    seconds = reply.status == 429 and value.isascii() and value.isdigit()
     return float(value) if seconds else None
 
 

@@ -306,6 +306,7 @@ def test_c08_end_to_end_replay_counter(templates, tmp_path):
         transcript_dir=tmp_path / "rec",
     )
     recorded = run_pipeline(fx.stub_counter_problem(), config, record_runtime)
+    recorder.close()
     assert recorded.status == "solved"
 
     outcomes = []
@@ -509,6 +510,7 @@ def test_c11_live_smoke_records_and_replays(templates, tmp_path):
 
     config = RunConfig(pool_size=3, top_k=1, max_debug_rounds=1)
     live_records = run_bench(problems, config, factory(live, "live"), n_runs=1)
+    live.close()
     report = emit_report(live_records, tmp_path / "live_out")
     assert len(report.problems) == 3
 

@@ -1,6 +1,7 @@
 import json
 import shutil
 import threading
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -30,14 +31,15 @@ GLITCH_RTL = fenced(stub_dut("counter16:glitch@9"))
 
 def record_generate_cassette(path, script, config, templates):
     """Produce a cassette by running the pipeline API exactly as the CLI will."""
-    runtime = EngineRuntime(
-        backend=CassetteRecorder(ScriptedBackend(script), path),
-        sim_runner=StubSimRunner(),
-        syntax_checker=StubSyntaxChecker(),
-        templates=templates,
-        transcript_dir=path.parent / "record_run",
-    )
-    return run_pipeline(stub_counter_problem(), config, runtime)
+    with closing(CassetteRecorder(ScriptedBackend(script), path)) as recorder:
+        runtime = EngineRuntime(
+            backend=recorder,
+            sim_runner=StubSimRunner(),
+            syntax_checker=StubSyntaxChecker(),
+            templates=templates,
+            transcript_dir=path.parent / "record_run",
+        )
+        return run_pipeline(stub_counter_problem(), config, runtime)
 
 
 def record_bench_cassette(path, script, config, problems, templates, runs=1):
@@ -52,7 +54,8 @@ def record_bench_cassette(path, script, config, problems, templates, runs=1):
             transcript_dir=path.parent / "record_bench" / task_id / str(run_index),
         )
 
-    return run_bench(problems, config, factory, n_runs=runs)
+    with closing(recorder):
+        return run_bench(problems, config, factory, n_runs=runs)
 
 
 @pytest.fixture

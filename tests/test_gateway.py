@@ -1,10 +1,12 @@
 import json
 import os
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from contextlib import closing
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, strategies as st
@@ -298,10 +300,10 @@ class TestRecordReplay:
     def test_round_trip(self, tmp_path):
         cassette = tmp_path / "rec.jsonl"
         live = _ScriptedTransport([["alpha"], ["beta"]])
-        recorder = CassetteRecorder(live, cassette)
         r1 = make_request(tag="a/0", content="first")
         r2 = make_request(tag="a/1", content="second")
-        live_out = [complete(r1, recorder).completions, complete(r2, recorder).completions]
+        with closing(CassetteRecorder(live, cassette)) as recorder:
+            live_out = [complete(r1, recorder).completions, complete(r2, recorder).completions]
         replay = ReplayBackend(cassette)
         replay_out = [complete(r1, replay).completions, complete(r2, replay).completions]
         assert live_out == replay_out
@@ -310,11 +312,8 @@ class TestRecordReplay:
         cassette = tmp_path / "rec.jsonl"
         request = make_request(tag="rtl_gen/init0")
         for run, text in enumerate(["first run", "second run"]):
-            recorder = NamespacedBackend(
-                CassetteRecorder(_ScriptedTransport([[text]]), cassette),
-                f"task/run{run}/",
-            )
-            complete(request, recorder)
+            with closing(CassetteRecorder(_ScriptedTransport([[text]]), cassette)) as recorder:
+                complete(request, NamespacedBackend(recorder, f"task/run{run}/"))
         for run, text in enumerate(["first run", "second run"]):
             replay = NamespacedBackend(ReplayBackend(cassette), f"task/run{run}/")
             assert complete(request, replay).completions == (text,)
@@ -324,7 +323,8 @@ class TestRecordReplay:
         recorder = CassetteRecorder(
             _ScriptedTransport([TransientBackendError("nope"), ["fine"]]), cassette
         )
-        complete(make_request(), recorder)
+        with closing(recorder):
+            complete(make_request(), recorder)
         assert len(load_cassette(cassette)) == 1
 
     def test_recorder_opens_once_and_flushes_each_entry(self, tmp_path, monkeypatch):
@@ -373,13 +373,14 @@ class TestRecordReplay:
         recorder = CassetteRecorder(
             _ScriptedTransport([["fine"], [], ["one"], ["two", ""]]), cassette
         )
-        complete(make_request(tag="a/0"), recorder)
-        with pytest.raises(ShortResponse):
-            complete(make_request(tag="a/1"), recorder)
-        with pytest.raises(ShortResponse):
-            complete(make_request(tag="a/2", n=2), recorder)
-        with pytest.raises(ShortResponse, match="empty completion"):
-            complete(make_request(tag="a/3", n=2), recorder)
+        with closing(recorder):
+            complete(make_request(tag="a/0"), recorder)
+            with pytest.raises(ShortResponse):
+                complete(make_request(tag="a/1"), recorder)
+            with pytest.raises(ShortResponse):
+                complete(make_request(tag="a/2", n=2), recorder)
+            with pytest.raises(ShortResponse, match="empty completion"):
+                complete(make_request(tag="a/3", n=2), recorder)
         assert [e.tag for e in load_cassette(cassette).values()] == ["a/0"]
 
 
@@ -521,9 +522,15 @@ class _StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         type(self).requests.append(
-            {"body": body, "auth": self.headers.get("Authorization")}
+            {"body": body, "auth": self.headers.get("Authorization"), "path": self.path}
         )
         code = type(self).script.pop(0) if type(self).script else 200
+        if code == "cut":  # a 200 reply that ends before its Content-Length
+            self.send_response(200)
+            self.send_header("Content-Length", "1000")
+            self.end_headers()
+            self.wfile.write(b'{"choices": [')
+            return
         if code != 200:
             self.send_response(code)
             if type(self).retry_after is not None:
@@ -552,7 +559,7 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_endpoint():
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     _StubHandler.script = []
     _StubHandler.requests = []
@@ -560,6 +567,7 @@ def stub_endpoint():
     _StubHandler.payload = None
     yield f"http://127.0.0.1:{server.server_address[1]}/v1"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -570,11 +578,8 @@ class TestHttpBackend:
 
     @pytest.mark.parametrize("base_url", ["api.example.com/v1", "ftp://h/v1", "http:///v1"])
     def test_base_url_without_http_host_refused_at_construction(self, monkeypatch, base_url):
-        import requests
-
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
         calls = []
-        monkeypatch.setattr(requests, "post", lambda *a, **kw: calls.append("post"))
         monkeypatch.setattr(gateway.time, "sleep", lambda s: calls.append("sleep"))
         with pytest.raises(BackendError, match="base URL"):
             HttpBackend(base_url, auth_env="RTLFORGE_TEST_KEY")
@@ -673,33 +678,81 @@ class TestHttpBackend:
             complete(make_request(), backend)
 
     def test_instances_share_eight_requests_in_flight(self, monkeypatch):
-        import requests
-
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
         lock = threading.Lock()
         in_flight = [0, 0]  # now, most
 
-        class Reply:
-            status_code = 200
+        class SlowHandler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                with lock:
+                    in_flight[0] += 1
+                    in_flight[1] = max(in_flight)
+                time.sleep(0.05)
+                with lock:
+                    in_flight[0] -= 1
+                data = json.dumps({"choices": [{"index": 0, "message": {"content": "ok"}}]})
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data.encode())
 
-            def json(self):
-                return {"choices": [{"index": 0, "message": {"content": "ok"}}]}
+            def log_message(self, *args):
+                pass
 
-        def slow_post(*args, **kwargs):
-            with lock:
-                in_flight[0] += 1
-                in_flight[1] = max(in_flight)
-            time.sleep(0.05)
-            with lock:
-                in_flight[0] -= 1
-            return Reply()
-
-        monkeypatch.setattr(requests, "post", slow_post)
-        backends = [HttpBackend("http://localhost:1", auth_env="RTLFORGE_TEST_KEY") for _ in range(2)]
-        with ThreadPoolExecutor(max_workers=16) as pool:
-            replies = list(pool.map(lambda i: backends[i % 2].complete(make_request()), range(16)))
+        with ThreadingHTTPServer(("127.0.0.1", 0), SlowHandler) as server:
+            thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
+            thread.start()
+            url = f"http://127.0.0.1:{server.server_address[1]}/v1"
+            backends = [HttpBackend(url, auth_env="RTLFORGE_TEST_KEY") for _ in range(2)]
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                replies = list(
+                    pool.map(lambda i: backends[i % 2].complete(make_request()), range(16))
+                )
+            server.shutdown()
         assert [r.completions for r in replies] == [("ok",)] * 16
         assert in_flight[1] <= 8
+
+    def test_refused_connection_is_transient_and_retried(self, monkeypatch, no_sleep):
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        with socket.socket() as probe:  # a loopback port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        backend = HttpBackend(f"http://127.0.0.1:{port}/v1", auth_env="RTLFORGE_TEST_KEY")
+        with pytest.raises(TransientBackendError, match="transport error"):
+            backend.complete(make_request())
+        with pytest.raises(RateLimitExhausted, match=f"after {gateway.RETRY_ATTEMPTS} attempts"):
+            complete(make_request(), backend)
+
+    def test_reply_cut_mid_body_is_transient_and_retried(
+        self, stub_endpoint, monkeypatch, no_sleep
+    ):
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        _StubHandler.script = ["cut", "cut", 200]
+        backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
+        with pytest.raises(TransientBackendError, match="transport error"):
+            backend.complete(make_request())
+        response = complete(make_request(), backend)
+        assert response.attempts == 2 and response.completions == ("completion 0",)
+
+    def test_http_proxy_set_before_construction_carries_the_request(
+        self, stub_endpoint, monkeypatch
+    ):
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", stub_endpoint.removesuffix("/v1"))
+        resolve = socket.getaddrinfo
+
+        def loopback_only(host, *args, **kwargs):  # the upstream host is never resolved
+            if host != "127.0.0.1":
+                raise OSError(f"lookup of {host!r} refused")
+            return resolve(host, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", loopback_only)
+        backend = HttpBackend("http://upstream.invalid/v1", auth_env="RTLFORGE_TEST_KEY")
+        assert backend.complete(make_request()).completions == ("completion 0",)
+        assert _StubHandler.requests[-1]["path"] == "http://upstream.invalid/v1/chat/completions"
 
     def test_wire_shape(self, stub_endpoint, monkeypatch):
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")

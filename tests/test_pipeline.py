@@ -971,14 +971,16 @@ class TestDeterministicReplay:
         config = RunConfig(pool_size=2, top_k=1, max_debug_rounds=3)
         cassette = tmp_path / "run.jsonl"
 
+        recorder = CassetteRecorder(ScriptedBackend(script), cassette)
         recorded_runtime = EngineRuntime(
-            backend=CassetteRecorder(ScriptedBackend(script), cassette),
+            backend=recorder,
             sim_runner=StubSimRunner(),
             syntax_checker=StubSyntaxChecker(),
             templates=templates,
             transcript_dir=tmp_path / "rec",
         )
         recorded = run_pipeline(stub_counter_problem(), config, recorded_runtime)
+        recorder.close()
 
         def replay(subdir):
             runtime = EngineRuntime(
