@@ -215,7 +215,13 @@ class HttpBackend:
         self.base_url = base_url.rstrip("/")
         self.auth_env = auth_env
         # Reads http_proxy and https_proxy now; no_proxy is read per request.
-        self._opener = urllib.request.build_opener()
+        # In place of urllib's error processor, one that hands back every
+        # reply as it came: a non-2xx status raises no HTTPError (it is mapped
+        # below), and no redirect is followed, since the new request would
+        # carry the credential to whatever host the redirect names.
+        keep_every_reply = urllib.request.HTTPErrorProcessor()
+        keep_every_reply.http_response = keep_every_reply.https_response = lambda req, reply: reply
+        self._opener = urllib.request.build_opener(keep_every_reply)
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         import http.client
@@ -240,11 +246,7 @@ class HttpBackend:
         )
         with _llm_slots:
             try:
-                try:
-                    reply = self._opener.open(http_request, timeout=HTTP_TIMEOUT_S)
-                except urllib.request.HTTPError as exc:
-                    reply = exc  # a non-2xx reply: its body is read below
-                with reply:
+                with self._opener.open(http_request, timeout=HTTP_TIMEOUT_S) as reply:
                     data = reply.read()
             except (OSError, http.client.HTTPException) as exc:
                 raise TransientBackendError(f"transport error: {exc}") from exc

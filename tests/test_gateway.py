@@ -517,6 +517,7 @@ class _StubHandler(BaseHTTPRequestHandler):
     requests = []
     retry_after = None  # Retry-After header value of the next refusal
     payload = None  # body of every 200 reply, in place of the well-formed one
+    location = None  # Location header of every non-200 reply
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -533,6 +534,8 @@ class _StubHandler(BaseHTTPRequestHandler):
             return
         if code != 200:
             self.send_response(code)
+            if type(self).location is not None:
+                self.send_header("Location", type(self).location)
             if type(self).retry_after is not None:
                 self.send_header("Retry-After", type(self).retry_after)
                 type(self).retry_after = None  # on the first refusal only
@@ -565,6 +568,7 @@ def stub_endpoint():
     _StubHandler.requests = []
     _StubHandler.retry_after = None
     _StubHandler.payload = None
+    _StubHandler.location = None
     yield f"http://127.0.0.1:{server.server_address[1]}/v1"
     server.shutdown()
     server.server_close()
@@ -753,6 +757,37 @@ class TestHttpBackend:
         backend = HttpBackend("http://upstream.invalid/v1", auth_env="RTLFORGE_TEST_KEY")
         assert backend.complete(make_request()).completions == ("completion 0",)
         assert _StubHandler.requests[-1]["path"] == "http://upstream.invalid/v1/chat/completions"
+
+    @pytest.mark.parametrize("code", [301, 302, 303, 307, 308])
+    def test_redirect_is_refused_and_the_credential_stays_home(
+        self, stub_endpoint, monkeypatch, code
+    ):
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        elsewhere_saw = []
+
+        class Elsewhere(BaseHTTPRequestHandler):
+            def do_GET(self):
+                elsewhere_saw.append(self.headers.get("Authorization"))
+                self.send_response(200)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            do_POST = do_GET
+
+            def log_message(self, *args):
+                pass
+
+        with HTTPServer(("127.0.0.1", 0), Elsewhere) as elsewhere:
+            thread = threading.Thread(target=elsewhere.serve_forever, args=(0.01,), daemon=True)
+            thread.start()
+            _StubHandler.script = [code]
+            _StubHandler.location = f"http://127.0.0.1:{elsewhere.server_address[1]}/v1"
+            backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
+            with pytest.raises(BackendError, match=f"HTTP {code}") as err:
+                complete(make_request(), backend)
+            elsewhere.shutdown()
+        assert not isinstance(err.value, TransientBackendError)
+        assert elsewhere_saw == [] and len(_StubHandler.requests) == 1
 
     def test_wire_shape(self, stub_endpoint, monkeypatch):
         monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
