@@ -212,6 +212,10 @@ class Repair(NamedTuple):
     k: int = 0
 
 
+def _sampling_tag(epoch: int) -> str:
+    return f"rtl_gen/sample/e{epoch}"
+
+
 class AgentTeam:
     """The four collaborating roles, wired to one gateway backend.
 
@@ -275,22 +279,36 @@ class AgentTeam:
         tag: str,
         params: Optional[SamplingParams] = None,
         emit: Optional[Callable[[dict], None]] = None,
+        record: bool = True,
     ) -> list[str]:
-        """One request: ``conv``'s history plus ``user``. Every turn is
-        recorded in ``conv``, with its first completion; ``emit`` receives
-        the event instead of the team's sink."""
+        """One request: ``conv``'s history plus ``user``. The turn is
+        recorded in ``conv`` with its first completion, unless ``record`` is
+        false; ``emit`` receives the event instead of the team's sink."""
         params = params or self.params
-        n = params.n_completions
-        fan_out = self.fanout_sampling and n > 1
         request = LlmRequest(self.model_id, conv.messages_with(user), params, tag)
+        fan_out = self.fanout_sampling and params.n_completions > 1
         response = (complete_fanout if fan_out else complete)(request, self.backend)
+        self.log_call(conv, tag, params, emit)
+        if record:
+            conv.record(user, response.completions[0])
+        return list(response.completions)
+
+    def log_call(
+        self,
+        conv: Conversation,
+        tag: str,
+        params: SamplingParams,
+        emit: Optional[Callable[[dict], None]] = None,
+    ) -> None:
+        """Count one request, as n calls when fan-out sampling splits it,
+        and emit its ``llm_call`` event (to ``emit`` instead of the team's
+        sink)."""
+        n = params.n_completions
         with self._lock:
-            self.llm_calls += n if fan_out else 1
+            self.llm_calls += n if self.fanout_sampling and n > 1 else 1
         (emit or self._emit)(
             {"event": "llm_call", "tag": tag, "role": conv.role, "conv": conv.conv_id, "n": n}
         )
-        conv.record(user, response.completions[0])
-        return list(response.completions)
 
     def _source(self, reply: str, kind: str, preferred: Optional[str] = None) -> VerilogSource:
         """The reply's last code block as a source; raises NoCodeBlock when it
@@ -411,24 +429,38 @@ class AgentTeam:
         testbench: VerilogSource,
         params: SamplingParams,
         epoch: int = 0,
+        emit: Optional[Callable[[dict], None]] = None,
     ) -> list[str]:
         """Step 4's sampling request: ``params.n_completions`` completions at
         ``params``, which the run's config builds, not yet repaired; the
-        pipeline takes each through ``repair_sample``.
+        pipeline takes each through ``repair_sample``. ``emit`` receives the
+        call's event instead of the team's sink.
 
         The request is the rtl_gen conversation so far plus a user turn
         holding the specification and the testbench. In multi mode that
         history holds each epoch's initial-RTL turn and its syntax-fix turns
-        (step 2); in single mode, every earlier turn of the shared
-        conversation. The sampling turn is recorded like every other, with
-        one representative completion, so later turns see that code was
-        produced; in multi mode no later request reads ``conv-rtl_gen``.
+        (step 2), and nothing else reads or writes it until the next epoch's
+        step 2; so the pipeline sends the request while the judge decides,
+        and the turn is not recorded: a request the judge's verdict discards
+        leaves ``conv-rtl_gen`` as step 2 left it. In single mode the history
+        is every earlier turn of the shared conversation, and the turn is
+        recorded with one representative completion, so later turns see that
+        code was produced.
         """
         user = self.templates.render(
             "rtl_gen", "generate", spec=spec_text, testbench=testbench.code
         )
         conv = self.conversation("rtl_gen")
-        return self._chat(conv, user, f"rtl_gen/sample/e{epoch}", params=params)
+        single = self.mode == "single"
+        return self._chat(conv, user, _sampling_tag(epoch), params, emit, record=single)
+
+    def sampling_sent(
+        self, params: SamplingParams, epoch: int, emit: Optional[Callable[[dict], None]] = None
+    ) -> None:
+        """Count and log epoch ``epoch``'s sampling request, which raised, as
+        sent: a discarded speculative request is logged as sent whatever its
+        reply was."""
+        self.log_call(self.conversation("rtl_gen"), _sampling_tag(epoch), params, emit)
 
     def repair_sample(
         self,

@@ -6,6 +6,9 @@ A cassette is JSON Lines, one object per recorded call:
      "recorded_at": ...}
 
 The fields are those of ``CassetteEntry``, which writes and reads each line.
+``completions`` is the reply as the backend gave it, which may hold fewer
+completions than requested, or none, or empty ones: the gateway rejects such
+a reply on replay as it did when it was recorded.
 ``key`` is ``replay_key(tag, request_digest)``, the one spelling of the key,
 where the digest is a SHA-256 over every field of each message and of the
 sampling parameters (see gateway.request_digest). The digest deliberately
@@ -53,8 +56,6 @@ def _entry_from_obj(obj, line_no: int) -> CassetteEntry:
     completions = obj["completions"]
     if not isinstance(completions, list) or not all(isinstance(c, str) for c in completions):
         raise CassetteError(f"cassette line {line_no}: completions must be a list of strings")
-    if not completions:
-        raise CassetteError(f"cassette line {line_no}: completions is empty")
     text = {name: str(obj[name]) for name in names if name != "completions"}
     return CassetteEntry(completions=tuple(completions), **text)
 

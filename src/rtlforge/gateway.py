@@ -6,7 +6,7 @@ pluggable backend:
 * ``HttpBackend``     — live chat-completions JSON endpoint (messages array,
   temperature, top_p, n), credential read from an environment variable.
 * ``ReplayBackend``   — deterministic offline replay from a cassette file.
-* ``CassetteRecorder``— wraps any backend and records successful calls.
+* ``CassetteRecorder``— wraps any backend and records every reply.
 
 Requests are keyed by ``cassette.replay_key(tag, request_digest)``, the one
 spelling of the key. The digest is a SHA-256 over every field of each
@@ -296,11 +296,12 @@ class ReplayBackend:
 
 
 class CassetteRecorder:
-    """Wraps a backend and appends every call that ``complete`` accepts to a cassette.
+    """Wraps a backend and appends every reply it returns to a cassette.
 
-    The cassette is opened once, at the first accepted reply; each entry is
-    one line, written and flushed under the lock. ``close`` ends the
-    recording.
+    Short and empty replies are recorded too, so a replay raises the same
+    ``ShortResponse`` the recorded run did. The cassette is opened once, at
+    the first reply; each entry is one line, written and flushed under the
+    lock. ``close`` ends the recording.
     """
 
     def __init__(self, inner: Backend, path):
@@ -311,8 +312,6 @@ class CassetteRecorder:
 
     def complete(self, request: LlmRequest) -> LlmResponse:
         response = self.inner.complete(request)
-        if _rejection(request, response):
-            return response
         digest = request_digest(request)
         entry = cassette_io.CassetteEntry(
             key=cassette_io.replay_key(request.tag, digest),

@@ -12,7 +12,8 @@ Control flow per run:
    faulty RTL proceeds, as does one whose reply held no usable source or whose
    syntax repair failed (it scores 0, and no judge is asked). A testbench
    reply with no usable source, or whose syntax repair failed, counts as a
-   faulty testbench without a step 2.
+   faulty testbench without a step 2. In multi mode step 4's sampling
+   request goes out with the judge's; a faulty testbench discards it.
 4. Sample ``pool_size`` candidates at the configured temperature profile,
    repair their syntax concurrently, simulate them all, score each as
    1 - mismatches/checks, select the top-K.
@@ -62,7 +63,8 @@ from typing import Callable, Iterator, Optional, Protocol
 
 from . import checkpoints
 from .agents import (
-    SYNTAX_FIX_CAP, AgentTeam, NoCodeBlock, PromptLibrary, Repair, SyntaxUnfixable, unbuildable
+    SYNTAX_FIX_CAP, AgentTeam, JudgeVerdict, NoCodeBlock, PromptLibrary, Repair, SyntaxUnfixable,
+    unbuildable,
 )
 from .checkpoints import DEFAULT_WINDOW_LEN, CheckRecord, CheckTrace, Score, TraceError
 from .errors import EngineError
@@ -153,10 +155,13 @@ class RunConfig:
 def max_llm_calls(config: RunConfig) -> int:
     """Closed-form upper bound on LLM calls a run can issue.
 
-    In multi mode it also counts what step 5 may ask and then discard (see
-    ``_Plan``): the debug rounds of a displaced speculation, at most
+    In multi mode it also counts what may be asked and then discarded: the
+    sampling request sent with each judge (see ``_Run.judge``), which a
+    ``testbench_faulty`` verdict discards, ``pool_size`` calls under fan-out
+    sampling, in every epoch but one that samples for step 4; and in step 5
+    (see ``_Plan``), the debug rounds of a displaced speculation, at most
     ``SYNTAX_FIX_CAP - 1`` of them, since round ``SYNTAX_FIX_CAP`` waits for
-    every sample to end; and one lead trial.
+    every sample to end, and one lead trial.
     """
     if config.agent_mode == "vanilla":
         return 1
@@ -166,6 +171,7 @@ def max_llm_calls(config: RunConfig) -> int:
     sampling = config.pool_size * (1 + s)
     trials = config.max_debug_rounds * config.top_k
     if config.agent_mode == "multi":
+        sampling += config.max_tb_regens * config.pool_size  # discarded speculations
         trials += min(config.max_debug_rounds, s - 1) * config.top_k
         trials += min(config.max_debug_rounds, 1)  # the lead
     return epochs * per_epoch + sampling + trials * (1 + s)
@@ -831,10 +837,9 @@ class _Run:
                     return RunOutcome("solved", initial, [(0, [1.0])], testbench)
                 # Step 3: route the failure.
                 self.emit({"event": "step", "step": 3, "epoch": epoch})
+                sampled: list[Future] = []
                 if initial.trace is not None:
-                    verdict = team.judge(
-                        self.spec, testbench, initial.trace, epoch, config.window_len
-                    )
+                    verdict, sampled = self.judge(testbench, initial.trace, epoch)
                     regenerate = verdict.decision == "testbench_faulty"
                     feedback = verdict.rationale or verdict.decision
                 else:
@@ -846,7 +851,7 @@ class _Run:
                     # repair could not fix, proceed.
                     regenerate, feedback = _route_without_trace(evaluation, self.emit)
                 if not regenerate:
-                    return self.refine(testbench, epoch)
+                    return self.refine(testbench, epoch, sampled)
             self.emit({"event": "tb_regen", "count": epoch + 1, "epoch": epoch})
             if epoch < config.max_tb_regens:
                 self.emit({"event": "pool_invalidated", "epoch": epoch})
@@ -868,15 +873,64 @@ class _Run:
         self.emit({"event": "sim", "label": label, "status": status, "score": score})
         return initial, evaluation
 
-    def refine(self, testbench: VerilogSource, epoch: int) -> RunOutcome:
+    def judge(
+        self, testbench: VerilogSource, trace: CheckTrace, epoch: int
+    ) -> tuple[JudgeVerdict, list[Future]]:
+        """Step 3's judge, and in multi mode step 4's sampling request with
+        it: the request reads only ``conv-rtl_gen``, which step 2 left as
+        step 4 reads it, so it goes out just before the judge's, on a worker
+        of its own. Returns the verdict and, on ``rtl_faulty``, the ended
+        request's future in a list, for ``refine``; the future holds the
+        replies and the request's events, which wait for ``step 4``.
+
+        On ``testbench_faulty``, or a judge that raises, the request is
+        discarded once it has ended: it is logged and counted as sent, with
+        its ``llm_call`` event then ``sampling_discarded``, whatever its
+        reply. Single mode asks the judge alone: its shared conversation
+        puts the sampling turn after the judge's."""
+        config, team = self.config, self.team
+        if config.agent_mode != "multi":
+            return team.judge(self.spec, testbench, trace, epoch, config.window_len), []
+        params = config.params(config.profile, config.pool_size)
+        events: list[dict] = []
+
+        def sample() -> tuple[list[str], list[dict]]:
+            return team.sample_rtl_candidates(
+                self.spec, testbench, params, epoch, events.append
+            ), events
+
+        verdict = None
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            sampling = executor.submit(sample)
+            try:
+                verdict = team.judge(self.spec, testbench, trace, epoch, config.window_len)
+            finally:
+                if verdict is None or verdict.decision == "testbench_faulty":
+                    if sampling.exception() is not None:  # waits for the request
+                        team.sampling_sent(params, epoch, events.append)
+                    for event in events:
+                        self.emit(event)
+                    self.emit({"event": "sampling_discarded", "epoch": epoch})
+                    sampling = None
+        return verdict, [] if sampling is None else [sampling]
+
+    def refine(self, testbench: VerilogSource, epoch: int, sampled: list[Future]) -> RunOutcome:
         """Step 4: sample, repair and score the pool; step 5: debug rounds on
-        its top-K. ``_Plan`` states the rule; here its tasks run on an
+        its top-K. ``sampled`` holds the sampling request that ``judge``
+        sent, if any. ``_Plan`` states the rule; here its tasks run on an
         executor and each outcome goes back to it."""
         config = self.config
         self.emit({"event": "step", "step": 4, "epoch": epoch})
-        replies = self.team.sample_rtl_candidates(
-            self.spec, testbench, config.params(config.profile, config.pool_size), epoch=epoch
-        )
+        if sampled:
+            # Popped, not named: a local holding the future would hold the
+            # error it raises, which holds this frame in its traceback.
+            replies, events = sampled.pop().result()
+            for event in events:
+                self.emit(event)
+        else:
+            replies = self.team.sample_rtl_candidates(
+                self.spec, testbench, config.params(config.profile, config.pool_size), epoch
+            )
         ids = [next(self.ids) for _ in replies]
         states: list = list(replies)  # each sample's reply, its Repair, then its source
 

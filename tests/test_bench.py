@@ -19,7 +19,7 @@ from rtlforge.golden import GoldenResult, evaluate_golden
 from rtlforge.pipeline import EngineRuntime, RunConfig
 from rtlforge.problems import DuplicateTaskId, ParseError, Problem, load_problems
 from rtlforge.simbridge import (
-    Diagnostic, SimRun, ToolchainSimRunner, ToolchainSyntaxChecker, VerilogSource
+    Diagnostic, SimRun, ToolchainMissing, ToolchainSimRunner, ToolchainSyntaxChecker, VerilogSource
 )
 
 from fixtures import fenced, stub_dut, stub_golden_tb, stub_tb
@@ -315,6 +315,11 @@ class TestEvaluateGolden:
         result = evaluate_golden(rtl, self._golden(), runner, tmp_path / "g")
         assert result == GoldenResult(False, "golden simulation status: output_limit")
 
+    def test_golden_timeout_fails(self, tmp_path):
+        rtl = VerilogSource(kind="dut", top_module="counter4", code=stub_dut("hang"))
+        result = evaluate_golden(rtl, self._golden(), StubSimRunner(), tmp_path / "g")
+        assert result == GoldenResult(False, "golden simulation timed out")
+
     def test_sentinel_fails(self, tmp_path):
         rtl = VerilogSource(kind="dut", top_module="x", code="// nope", sentinel=True)
         result = evaluate_golden(rtl, self._golden(), StubSimRunner(), tmp_path / "g")
@@ -602,6 +607,37 @@ class TestRunBench:
         assert len(records) == 1
         assert not records[0].passed_golden
         assert records[0].status in ("error", "budget_exhausted") or records[0].status.startswith("error")
+
+
+    def test_golden_check_without_a_toolchain_is_an_error_record(self, tmp_path, templates):
+        """The run solves at step 2; the golden check's simulator cannot be
+        launched, and the job's record says so instead of raising."""
+
+        class NoGoldenSimulator(StubSimRunner):
+            def run(self, sources, workdir):
+                if any("golden_tb" in s.top_module for s in sources):
+                    raise ToolchainMissing("cannot launch simulator vvp: not found")
+                return super().run(sources, workdir)
+
+        script = {
+            "testbench_gen/gen0": fenced(stub_tb()),
+            "rtl_gen/init0": fenced(stub_dut("counter16")),
+        }
+
+        def factory(task_id, run_index):
+            return EngineRuntime(
+                backend=ScriptedBackend(script),
+                sim_runner=NoGoldenSimulator(),
+                syntax_checker=StubSyntaxChecker(),
+                templates=templates,
+                transcript_dir=tmp_path / task_id / str(run_index),
+            )
+
+        problem = Problem(task_id="counter4", spec="a counter", golden_testbench=stub_golden_tb())
+        records = run_bench([problem], RunConfig(pool_size=1), factory)
+        assert [(r.status, r.passed_golden) for r in records] == [
+            ("error: cannot launch simulator vvp: not found", False)
+        ]
 
 
 class TestGoldenReference:

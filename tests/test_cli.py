@@ -606,6 +606,7 @@ class TestBadRunValues:
             (["generate", "{spec}", "--golden-tb", "{missing}"], "golden testbench not found"),
             (["generate", "{spec}", "--module-interface", "{tmp}"], "cannot read module interface"),
             (["generate", "{spec}", "--config", "{five}"], "must hold a JSON object"),
+            (["generate", "{spec}", "--config", "{not_json}"], "cannot read config file"),
             (["bench", "{dataset}", "--config", "{scrub}"], "unknown config keys: ['scrub']"),
             (["inspect-trace", "{latin1_log}"], "cannot read simulation log"),
             (["bench", "{tmp}"], "cannot read dataset"),
@@ -639,6 +640,8 @@ class TestBadRunValues:
         text_top_k.write_text(json.dumps({"top_k": "3"}), encoding="utf-8")
         five = tmp_path / "five.json"
         five.write_text("5", encoding="utf-8")
+        not_json = tmp_path / "not.json"
+        not_json.write_text("{top_k: 3}", encoding="utf-8")
         scrub = tmp_path / "scrub.json"
         scrub.write_text(json.dumps({"scrub": True}), encoding="utf-8")
         latin1_log = tmp_path / "latin1.log"
@@ -680,6 +683,7 @@ class TestBadRunValues:
             "missing": tmp_path / "missing.v",
             "tmp": tmp_path,
             "five": five,
+            "not_json": not_json,
             "scrub": scrub,
             "latin1_log": latin1_log,
             "bom_cassette": bom_cassette,

@@ -368,7 +368,7 @@ class TestRecordReplay:
         CassetteRecorder(_ScriptedTransport([]), cassette).close()
         assert not cassette.exists()
 
-    def test_recorder_skips_short_replies(self, tmp_path):
+    def test_recorder_keeps_short_replies(self, tmp_path):
         cassette = tmp_path / "rec.jsonl"
         recorder = CassetteRecorder(
             _ScriptedTransport([["fine"], [], ["one"], ["two", ""]]), cassette
@@ -381,7 +381,21 @@ class TestRecordReplay:
                 complete(make_request(tag="a/2", n=2), recorder)
             with pytest.raises(ShortResponse, match="empty completion"):
                 complete(make_request(tag="a/3", n=2), recorder)
-        assert [e.tag for e in load_cassette(cassette).values()] == ["a/0"]
+        entries = list(load_cassette(cassette).values())
+        assert [e.tag for e in entries] == ["a/0", "a/1", "a/2", "a/3"]
+        assert [e.completions for e in entries] == [("fine",), (), ("one",), ("two", "")]
+
+    @pytest.mark.parametrize("reply", [[], ["one"], ["one", ""]], ids=["none", "short", "empty"])
+    def test_recorded_short_reply_replays_as_the_same_error(self, tmp_path, reply):
+        cassette = tmp_path / "rec.jsonl"
+        request = make_request(tag="rtl_gen/sample/e0", n=2)
+        with closing(CassetteRecorder(_ScriptedTransport([reply]), cassette)) as recorder:
+            with pytest.raises(ShortResponse) as live:
+                complete(request, recorder)
+        with pytest.raises(ShortResponse) as replayed:
+            complete(request, ReplayBackend(cassette))
+        assert str(replayed.value) == str(live.value)
+        assert verify_cassette(cassette) == ([], 1)
 
 
 # A value other than make_request's for each field of the request's types.
@@ -801,3 +815,11 @@ class TestHttpBackend:
         assert body["top_p"] == 0.95
         assert body["n"] == 2
         assert body["messages"][0]["role"] == "system"
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_seed_is_sent_only_when_set(self, stub_endpoint, monkeypatch, seed):
+        monkeypatch.setenv("RTLFORGE_TEST_KEY", "sk-test")
+        backend = HttpBackend(stub_endpoint, auth_env="RTLFORGE_TEST_KEY")
+        complete(make_request(seed=seed), backend)
+        body = _StubHandler.requests[-1]["body"]
+        assert body.get("seed", None) == seed and ("seed" in body) == (seed is not None)

@@ -214,6 +214,9 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="pool_size"):
             RunConfig(pool_size=MAX_COMPLETIONS + 1)
 
+    def test_fractional_sim_timeout_is_accepted(self):
+        assert RunConfig(sim_timeout=0.5).sim_timeout == 0.5
+
     def test_echo_carries_profile_numbers(self):
         echo = RunConfig(temp_profile="low").echo()
         assert echo["temperature"] == 0.0 and echo["top_p"] == 0.01
@@ -737,6 +740,32 @@ class TestCallBudget:
         assert outcome.status == "budget_exhausted"
         assert outcome.llm_calls == len(backend.requests)
         assert outcome.llm_calls <= max_llm_calls(config)
+
+    def test_worst_case_reaches_the_bound_exactly(self, make_runtime):
+        """Every testbench, initial RTL and sample compiles at its fifth fix,
+        and the judge regenerates the testbench until the last epoch, each
+        time discarding the sampling request sent with it."""
+        config = RunConfig(pool_size=1, max_debug_rounds=0)
+        regens = config.max_tb_regens
+        tb_broken = fenced(stub_tb() + "//ERR:3:bad port list\n")
+        rtl_broken = fenced(stub_dut("counter16:glitch@9", err_line=3))
+        script = {}
+        for parent, broken, clean in (
+            *[(f"testbench_gen/gen{e}", tb_broken, GOOD_TB) for e in range(regens + 1)],
+            *[(f"rtl_gen/init{e}", rtl_broken, GLITCH_RTL) for e in range(regens + 1)],
+            (f"rtl_gen/samplefix/e{regens}/c0", rtl_broken, GLITCH_RTL),
+        ):
+            script[parent] = broken
+            script.update({f"{parent}/fix{k}": broken for k in range(1, 5)})
+            script[f"{parent}/fix5"] = clean
+        for epoch in range(regens + 1):
+            script[f"judge/e{epoch}"] = TB_FAULTY if epoch < regens else RTL_FAULTY
+            script[f"rtl_gen/sample/e{epoch}"] = rtl_broken
+        outcome, backend, runtime = run(script, config=config, make_runtime=make_runtime)
+        assert outcome.status == "budget_exhausted"
+        assert outcome.llm_calls == len(backend.requests) == (1 + regens) * 13 + regens + 6
+        assert outcome.llm_calls == max_llm_calls(config)
+        assert sum(e["event"] == "sampling_discarded" for e in events_of(runtime)) == regens
 
     def test_error_outcome_counts_the_calls_made(self, make_runtime):
         broken = fenced(stub_dut("jointfail_dut"))

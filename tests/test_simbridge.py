@@ -349,6 +349,16 @@ class TestSimulate:
         assert run.status == "runtime_failed"
         assert run.diagnostics
 
+    def test_nonzero_exit_with_empty_stderr_says_so(self, tmp_path):
+        vvp = tmp_path / "quiet-vvp"
+        vvp.write_text("#!/bin/sh\necho partial\nexit 4\n", encoding="utf-8")
+        vvp.chmod(0o755)
+        run = simulate(tmp_path, ToolchainConfig(vvp_path=str(vvp)))
+        assert (run.status, run.stdout) == ("runtime_failed", "partial\n")
+        assert run.diagnostics == (
+            Diagnostic(file="", line=None, message="simulator exited with status 4"),
+        )
+
     def test_deleted_artifact_is_runtime_failure(self, tmp_path, stub_tool_config):
         work = tmp_path / "w"
         assert compile_sources([dut(), tb()], work, stub_tool_config) == ()
