@@ -9,7 +9,8 @@ files under ``prompts/<role>/<task>.txt`` with ``{{name}}`` placeholders; a
 Every LLM request takes one path, ``AgentTeam._chat``: build the request
 from a conversation plus one user turn, issue it (as n single-completion
 calls when fan-out sampling asks for more than one completion), count the
-calls, emit one ``llm_call`` event and record the turn in the conversation.
+calls, emit one ``llm_call`` event and record the turn in the conversation
+(all but multi-mode step-4 sampling, whose turn no later request reads).
 
 Every piece of Verilog an agent returns has been through the bounded
 syntax-repair loop: compile, and if broken, send the diagnostics back to the
@@ -288,12 +289,12 @@ class AgentTeam:
         request = LlmRequest(self.model_id, conv.messages_with(user), params, tag)
         fan_out = self.fanout_sampling and params.n_completions > 1
         response = (complete_fanout if fan_out else complete)(request, self.backend)
-        self.log_call(conv, tag, params, emit)
+        self._log_call(conv, tag, params, emit)
         if record:
             conv.record(user, response.completions[0])
         return list(response.completions)
 
-    def log_call(
+    def _log_call(
         self,
         conv: Conversation,
         tag: str,
@@ -460,7 +461,7 @@ class AgentTeam:
         """Count and log epoch ``epoch``'s sampling request, which raised, as
         sent: a discarded speculative request is logged as sent whatever its
         reply was."""
-        self.log_call(self.conversation("rtl_gen"), _sampling_tag(epoch), params, emit)
+        self._log_call(self.conversation("rtl_gen"), _sampling_tag(epoch), params, emit)
 
     def repair_sample(
         self,

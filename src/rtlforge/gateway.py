@@ -359,17 +359,6 @@ RETRY_FACTOR = 2.0
 RETRY_ATTEMPTS = 5
 
 
-def _rejection(request: LlmRequest, response: LlmResponse) -> Optional[str]:
-    """Why ``complete`` rejects ``response``: fewer completions than
-    requested, or an empty one among them; None if it accepts it."""
-    wanted = request.params.n_completions
-    if len(response.completions) < wanted:
-        return f"backend returned {len(response.completions)} completions, requested {wanted}"
-    if not all(response.completions[:wanted]):
-        return "backend returned an empty completion"
-    return None
-
-
 def complete(request: LlmRequest, backend: Backend) -> LlmResponse:
     """Issue one completion request; retry transients; enforce cardinality.
 
@@ -395,14 +384,14 @@ def complete(request: LlmRequest, backend: Backend) -> LlmResponse:
             time.sleep(max(random.uniform(0.0, delay), exc.retry_after or 0.0))
             delay *= RETRY_FACTOR
             continue
-        rejection = _rejection(request, response)
-        if rejection:
-            raise ShortResponse(f"{rejection} (tag {request.tag!r})")
-        return LlmResponse(
-            completions=response.completions[: request.params.n_completions],
-            attempts=attempts,
-            usage=response.usage,
-        )
+        got, wanted = len(response.completions), request.params.n_completions
+        if got < wanted:
+            rejection = f"backend returned {got} completions, requested {wanted}"
+        elif not all(response.completions[:wanted]):
+            rejection = "backend returned an empty completion"
+        else:
+            return LlmResponse(response.completions[:wanted], attempts, response.usage)
+        raise ShortResponse(f"{rejection} (tag {request.tag!r})")
 
 
 def complete_fanout(request: LlmRequest, backend: Backend) -> LlmResponse:

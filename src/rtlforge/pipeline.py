@@ -911,8 +911,7 @@ class _Run:
                     for event in events:
                         self.emit(event)
                     self.emit({"event": "sampling_discarded", "epoch": epoch})
-                    sampling = None
-        return verdict, [] if sampling is None else [sampling]
+        return verdict, [sampling] if verdict.decision == "rtl_faulty" else []
 
     def refine(self, testbench: VerilogSource, epoch: int, sampled: list[Future]) -> RunOutcome:
         """Step 4: sample, repair and score the pool; step 5: debug rounds on

@@ -37,8 +37,8 @@ SAMPLE_CALL = {
 }
 
 
-def run(script, tmp_path, templates, **config):
-    backend = ScriptedBackend(script)
+def run(script, tmp_path, templates, backend_type=ScriptedBackend, **config):
+    backend = backend_type(script)
     runtime = EngineRuntime(
         backend=backend,
         sim_runner=StubSimRunner(),
@@ -84,11 +84,27 @@ def test_discarded_fanout_speculation_counts_each_sub_call(templates, tmp_path):
     assert outcome.llm_calls == len(backend.requests) == 7
 
 
+def run_uncollected(script, tmp_path, templates):
+    """``run`` with the cyclic collector off; also returns the teams and
+    caches that outlive the run."""
+    gc.collect()
+    gc.disable()
+    try:
+        outcome, backend, events = run(script, tmp_path, templates)
+        alive = [o for o in gc.get_objects() if isinstance(o, (AgentTeam, _SimCache))]
+    finally:
+        gc.enable()
+    return outcome, backend, events, alive
+
+
 def test_judge_that_raises_ends_the_run_with_no_thread_left(templates, tmp_path):
+    """The run ends in the judge's error, and nothing of it outlives it: no
+    thread, and with the cyclic collector off, no team or cache."""
     script = {**STEPS_1_2, "judge/e0": "Hard to say.", "rtl_gen/sample/e0": SAMPLES}
     before = set(threading.enumerate())
-    outcome, backend, events = run(script, tmp_path, templates)
-    assert set(threading.enumerate()) == before
+    outcome, backend, events, alive = run_uncollected(script, tmp_path, templates)
+    assert set(threading.enumerate()) - before == set()
+    assert alive == []
     assert outcome.status == "error" and "VERDICT" in outcome.error
     assert [e["event"] for e in events[-3:]] == ["llm_call", "sampling_discarded", "outcome"]
     assert events[-1] == {"event": "outcome", "status": "error", "error": outcome.error}
@@ -101,13 +117,7 @@ def test_taken_sampling_error_ends_the_run_as_a_sequential_one_did(templates, tm
     in its error with no ``llm_call`` for it, and with the cyclic collector
     off nothing of the run outlives it."""
     script = {**STEPS_1_2, "judge/e0": RTL_FAULTY}  # no sampling reply
-    gc.collect()
-    gc.disable()
-    try:
-        outcome, backend, events = run(script, tmp_path, templates)
-        alive = [o for o in gc.get_objects() if isinstance(o, (AgentTeam, _SimCache))]
-    finally:
-        gc.enable()
+    outcome, backend, events, alive = run_uncollected(script, tmp_path, templates)
     assert alive == []
     assert outcome.status == "error" and "rtl_gen/sample/e0" in outcome.error
     assert [e["event"] for e in events[-3:]] == ["verdict", "step", "outcome"]
@@ -141,16 +151,9 @@ def test_sampling_goes_out_with_the_judge_in_multi_mode_only(templates, tmp_path
         "rtl_gen/sample/e0": SAMPLES,
         "debug/r1/c1": fenced(stub_dut("counter16", name="fixed")),
     }
-    backend = _Timed(script)
-    runtime = EngineRuntime(
-        backend=backend,
-        sim_runner=StubSimRunner(),
-        syntax_checker=StubSyntaxChecker(),
-        templates=templates,
-        transcript_dir=tmp_path,
+    outcome, backend, _ = run(
+        script, tmp_path, templates, _Timed, top_k=1, max_debug_rounds=1, agent_mode=mode
     )
-    config = RunConfig(pool_size=2, top_k=1, max_debug_rounds=1, agent_mode=mode)
-    outcome = run_pipeline(stub_counter_problem(), config, runtime)
     assert outcome.status == "solved"
     judge, sample = backend.spans["judge/e0"], backend.spans["rtl_gen/sample/e0"]
     assert (sample[0] < judge[1]) is overlap

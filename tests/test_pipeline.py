@@ -741,11 +741,13 @@ class TestCallBudget:
         assert outcome.llm_calls == len(backend.requests)
         assert outcome.llm_calls <= max_llm_calls(config)
 
-    def test_worst_case_reaches_the_bound_exactly(self, make_runtime):
+    @pytest.mark.parametrize("mode", ["multi", "single"])
+    def test_worst_case_reaches_the_bound_exactly(self, make_runtime, mode):
         """Every testbench, initial RTL and sample compiles at its fifth fix,
-        and the judge regenerates the testbench until the last epoch, each
-        time discarding the sampling request sent with it."""
-        config = RunConfig(pool_size=1, max_debug_rounds=0)
+        and the judge regenerates the testbench until the last epoch; in
+        multi mode each regeneration discards the sampling request sent
+        with the judge's."""
+        config = RunConfig(pool_size=1, max_debug_rounds=0, agent_mode=mode)
         regens = config.max_tb_regens
         tb_broken = fenced(stub_tb() + "//ERR:3:bad port list\n")
         rtl_broken = fenced(stub_dut("counter16:glitch@9", err_line=3))
@@ -763,9 +765,10 @@ class TestCallBudget:
             script[f"rtl_gen/sample/e{epoch}"] = rtl_broken
         outcome, backend, runtime = run(script, config=config, make_runtime=make_runtime)
         assert outcome.status == "budget_exhausted"
-        assert outcome.llm_calls == len(backend.requests) == (1 + regens) * 13 + regens + 6
+        discarded = regens if mode == "multi" else 0
+        assert outcome.llm_calls == len(backend.requests) == (1 + regens) * 13 + discarded + 6
         assert outcome.llm_calls == max_llm_calls(config)
-        assert sum(e["event"] == "sampling_discarded" for e in events_of(runtime)) == regens
+        assert sum(e["event"] == "sampling_discarded" for e in events_of(runtime)) == discarded
 
     def test_error_outcome_counts_the_calls_made(self, make_runtime):
         broken = fenced(stub_dut("jointfail_dut"))
